@@ -1,11 +1,11 @@
-"""Scenario builders: canned system configurations for tests, examples, benchmarks.
+"""Scenario builders: canned system configurations for tests, examples and the CLI.
 
-Every experiment in EXPERIMENTS.md is a thin layer over these builders: they
-assemble the processes (correct + faulty), the ρ-bounded clocks, the delay
-model and the START schedule, run the simulation for a requested number of
-rounds, and return a :class:`ScenarioResult` bundling the trace with the
-information the metrics need (the real start times, the parameter set, the
-number of rounds).
+Every paper-claim test (``tests/integration/test_claims_*.py``) is a thin
+layer over these builders: they assemble the processes (correct + faulty),
+the ρ-bounded clocks, the delay model and the START schedule, run the
+simulation for a requested number of rounds, and return a
+:class:`ScenarioResult` bundling the trace with the information the metrics
+need (the real start times, the parameter set, the number of rounds).
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def default_parameters(
     round_length: Optional[float] = None,
     beta_slack: float = 1.5,
 ) -> SyncParameters:
-    """A feasible laptop-scale parameter set used throughout the benchmarks.
+    """A feasible laptop-scale parameter set used throughout the claim tests.
 
     δ = 10 ms, ε = 2 ms and ρ = 10⁻⁴ are deliberately pessimistic (a real
     crystal drifts ~10⁻⁶) so that drift effects are visible within a few
@@ -223,7 +223,7 @@ def make_fault_process(kind: str, params: SyncParameters, rounds: int,
     raise ValueError(f"unknown fault kind {kind!r}")
 
 
-#: factories for the algorithms compared in benchmark E8.
+#: factories for the algorithms compared in experiment E8 (Section 10).
 ALGORITHM_FACTORIES: Dict[str, Callable[[SyncParameters, int], Process]] = {
     "welch_lynch": lambda params, rounds: WelchLynchProcess(params, max_rounds=rounds),
     "lamport_melliar_smith": lambda params, rounds: InteractiveConvergenceProcess(
@@ -379,7 +379,7 @@ def run_maintenance_scenario(
     ``params.f`` of them, i.e. the worst case the analysis covers); the rest
     run the maintenance algorithm.  ``correct_process_factory`` (taking the
     parameter set and the round budget) replaces the default
-    :class:`WelchLynchProcess` construction — used by the ablation benchmarks
+    :class:`WelchLynchProcess` construction — used by the ablation tests
     to run the amortized/staggered variants through the same harness.
 
     With a ``topology`` the per-hop delay model keeps the caller's (δ, ε)
@@ -511,7 +511,7 @@ def run_reintegration_scenario(
     real time have elapsed, then wakes up with an arbitrarily wrong clock
     (offset ``recovered_clock_offset``, default half a round) and runs the
     reintegration procedure.  It stays marked faulty for metric purposes; the
-    reintegration benchmark inspects its post-rejoin skew directly.
+    reintegration claim test (E6) inspects its post-rejoin skew directly.
     """
     delay_model = make_delay_model(delay, params)
     processes: List[Process] = [WelchLynchProcess(params, max_rounds=rounds)

@@ -1,9 +1,8 @@
-"""Plain-text reporting helpers used by the benchmarks and examples.
+"""Plain-text reporting helpers used by the CLI and examples.
 
-The paper's "evaluation" is a set of theorems; every benchmark therefore
-prints a small table with a *paper* column (the closed-form bound) and a
-*measured* column.  These helpers keep that formatting consistent and
-dependency-free.
+The paper's "evaluation" is a set of theorems; every report therefore prints
+a small table with a *paper* column (the closed-form bound) and a *measured*
+column.  These helpers keep that formatting consistent and dependency-free.
 """
 
 from __future__ import annotations

@@ -5,13 +5,9 @@ fast-path rewrite (indexed correction lookup, merged grid sweeps, optional
 numpy vectorization) must produce exactly the same floats as the original
 seed implementation.  This module preserves those original implementations —
 one straight-line function per hot path, kept deliberately naive — so that
-
-* the determinism tests can run both paths on the same trace and assert
-  float equality (``tests/integration/test_fastpath_determinism.py`` and the
-  hypothesis suites under ``tests/property/``), and
-* ``python -m repro bench`` can measure the fast path against the seed
-  behaviour in the same process, on the same machine, independent of any
-  recorded baseline file.
+the determinism tests can run both paths on the same trace and assert float
+equality (``tests/integration/test_fastpath_determinism.py`` and the
+hypothesis suites under ``tests/property/``).
 
 Nothing here is used by the production pipeline; do not "optimize" these
 functions — their slowness is the point.

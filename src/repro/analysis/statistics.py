@@ -3,7 +3,7 @@
 The theorems are worst-case statements, but measured quantities (skew,
 adjustment sizes, spreads) depend on the random draws of the delay model and
 the clock ensemble.  The helpers here run a metric across many independent
-seeds and summarize the distribution, so benchmarks and users can distinguish
+seeds and summarize the distribution, so tests and users can distinguish
 "this bound holds with margin" from "this bound holds by luck on one seed".
 
 Everything is dependency-free (no numpy/scipy needed at runtime): the

@@ -4,7 +4,7 @@ The evaluation questions the paper raises are mostly of the form "how does
 quantity Q change as parameter X varies?" — agreement vs ε, steady-state
 spread vs P, convergence rate vs n, and so on.  This module provides a small,
 generic sweep framework plus ready-made sweeps for the axes the paper
-discusses, so benchmarks, examples and the CLI all produce consistent tables.
+discusses, so tests, examples and the CLI all produce consistent tables.
 
 A sweep is defined by one or more :class:`SweepAxis` objects (a named list of
 values) and a runner callable that maps one point of the cartesian product to

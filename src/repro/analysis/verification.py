@@ -1,8 +1,9 @@
 """Theorem checking: audit a finished run against every claim of the paper.
 
-The benchmarks check individual claims; this module bundles the checks into a
-single report so that any scenario — including ones a user of the library
-assembles by hand — can be audited after the fact:
+The paper-claim tests (``tests/integration/test_claims_*.py``) check
+individual claims; this module bundles the checks into a single report so
+that any scenario — including ones a user of the library assembles by
+hand — can be audited after the fact:
 
 * **Theorem 4(a)** — every adjustment applied by a nonfaulty process is at
   most ``(1+ρ)(β+ε) + ρδ`` in magnitude;

@@ -8,7 +8,7 @@ workload Y for R rounds" instead of repeating a dozen keyword arguments.
 The presets are deliberately spread over the regimes the paper's discussion
 cares about:
 
-* ``lan``          — the reference workload of the benchmarks: 10 ms ± 2 ms
+* ``lan``          — the reference workload: 10 ms ± 2 ms
   delays, crystal-grade drift, uniform delays (the Bell Labs Ethernet setting
   of Section 9.3, minus contention);
 * ``wan``          — long, noisy delays (δ = 50 ms, ε = 20 ms): the regime

@@ -10,7 +10,8 @@ correction.  They differ only in *how the collected estimates are combined*.
 :class:`RoundBasedClockSync` implements the skeleton; subclasses override
 :meth:`combine` (and, for the non-averaging algorithms, the whole round
 machinery).  Arrival-time bookkeeping matches the core algorithm so the
-comparison in benchmark E8 is apples-to-apples.
+Section 10 comparison (E8, ``tests/integration/test_claims_comparison.py``)
+is apples-to-apples.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ Performance (Section 10, adapted to our delay model): with ε' the delay
 uncertainty, the closeness of synchronization achieved is about ``2nε'`` —
 note the factor n, versus the n-independent ≈4ε of the Welch-Lynch algorithm —
 and the adjustment per round is about ``(2n+1)ε'``.  That n-dependence is the
-headline difference benchmark E8 reproduces.
+headline difference the E8 comparison
+(``tests/integration/test_claims_comparison.py``) reproduces.
 """
 
 from __future__ import annotations

@@ -14,7 +14,8 @@ shrinks its error bound to the region's half-width (never below the floor set
 by the delay uncertainty).
 
 Because the original analysis is probabilistic, Section 10 declines to give a
-closed-form agreement figure; benchmark E8 reports the measured one.
+closed-form agreement figure; the E8 comparison (``repro compare`` and
+``tests/integration/test_claims_comparison.py``) reports the measured one.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """The do-nothing control: free-running clocks.
 
-Included so that benchmarks have a floor to compare against — with no
+Included so that comparisons have a floor to compare against — with no
 synchronization the skew between nonfaulty clocks grows linearly at up to
 ``2ρ`` per unit of real time, starting from the initial spread β.
 """

@@ -27,10 +27,6 @@ Installed as the ``repro-clocksync`` console script (also reachable as
 * ``conformance`` — the cross-algorithm conformance matrix: every algorithm ×
   fault model × topology audited against axioms A1–A3 and its own agreement
   bound (see :mod:`repro.adversary.conformance`);
-* ``bench``      — the core performance benchmarks (event throughput, trace
-  reconstruction, metrics engine, end-to-end workloads, lower-bound
-  certifier); updates the ``BENCH_*.json`` trajectory file and doubles as a
-  CI regression guard (see :mod:`repro.bench`);
 * ``telemetry``  — render collected run manifests (``telemetry report``):
   slowest runs, events/s distribution, drop rates (see
   :mod:`repro.telemetry.report`).
@@ -305,12 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     conformance_parser.add_argument("--json", metavar="PATH",
                                     help="export the audited matrix as JSON")
     _add_telemetry_options(conformance_parser)
-
-    bench_parser = subparsers.add_parser(
-        "bench", help="run the core performance benchmarks and update the "
-                      "BENCH_*.json trajectory")
-    from .bench import add_bench_arguments
-    add_bench_arguments(bench_parser)
 
     net_parser = subparsers.add_parser(
         "net", help="run the algorithm over real TCP sockets, with delta/"
@@ -965,11 +955,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import main as bench_main
-    return bench_main(args)
-
-
 def _parse_host_port(text: str) -> "tuple":
     host, sep, port = text.rpartition(":")
     if not sep or not host or not port.isdigit():
@@ -1133,7 +1118,6 @@ _COMMANDS = {
     "store": _cmd_store,
     "certify": _cmd_certify,
     "conformance": _cmd_conformance,
-    "bench": _cmd_bench,
     "net": _cmd_net,
     "telemetry": _cmd_telemetry,
 }

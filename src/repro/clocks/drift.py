@@ -7,7 +7,7 @@ algorithmic code paths.  We provide several:
 * :class:`PerfectClock` — rate exactly 1 (useful in tests as a control),
 * :class:`ConstantRateClock` — ``Ph(t) = offset + rate * t`` with a fixed rate
   inside ``[1/(1+ρ), 1+ρ]``; this is the standard model and the one used by the
-  benchmarks,
+  paper-claim tests,
 * :class:`PiecewiseLinearClock` — the rate changes at given real-time
   breakpoints but always stays inside the ρ band (models temperature steps),
 * :class:`SinusoidalDriftClock` — the rate oscillates smoothly inside the band

@@ -17,8 +17,8 @@ unchanged from the next round boundary on, at the cost of a slightly larger
 transient within the spreading interval (at most ``|ADJ|``, i.e. within the
 Theorem 4(a) bound).
 
-This is the ablation DESIGN.md calls "immediate vs amortized application of
-negative adjustments".
+Ablation A1 (``tests/integration/test_claims_ablations.py``) compares it with
+immediate application of negative adjustments.
 """
 
 from __future__ import annotations

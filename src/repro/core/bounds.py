@@ -1,8 +1,8 @@
 """Closed-form theoretical bounds from the paper's analysis (Sections 5-9).
 
-Every experiment in :mod:`benchmarks` prints the measured quantity next to the
-corresponding bound computed here, so the "paper vs measured" comparison is a
-one-liner.
+The paper-claim tests (``tests/integration/test_claims_*.py``) and the CLI
+audits compare every measured quantity with the corresponding bound computed
+here, so the "paper vs measured" comparison is a one-liner.
 
 Implemented bounds:
 

@@ -187,7 +187,7 @@ class CollusionScheduler:
     The strongest attack the multiset lemmas allow is ``f`` faulty values all
     on the same side of every recipient's window; this helper produces ``f``
     :class:`SkewAttacker` instances sharing a direction and magnitude so the
-    benchmark scenarios can instantiate "the worst case the analysis covers"
+    test scenarios can instantiate "the worst case the analysis covers"
     with one call.
     """
 

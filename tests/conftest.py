@@ -18,7 +18,7 @@ def small_params() -> SyncParameters:
 
 @pytest.fixture(scope="session")
 def medium_params() -> SyncParameters:
-    """The configuration used by most benchmarks: n = 7, f = 2."""
+    """The workhorse configuration of the paper-claim tests: n = 7, f = 2."""
     return SyncParameters.derive(n=7, f=2, rho=1e-4, delta=0.01, epsilon=0.002)
 
 

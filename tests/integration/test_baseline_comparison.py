@@ -1,5 +1,7 @@
 """Integration tests for the Section 10 comparison (experiment E8's shape).
 
+The full E8 table and its n sweep are in ``test_claims_comparison.py``.
+
 The absolute numbers depend on the simulated hardware constants, but the
 *shape* of the comparison reported in Section 10 should hold:
 

@@ -6,10 +6,12 @@ metrics as an unsplit run, all the way up through the RunSpec layer.
 """
 
 import pickle
+import tracemalloc
 
 import pytest
 
-from repro.analysis import default_parameters
+from repro.analysis import default_parameters, run_maintenance_scenario
+from repro.analysis.online import build_observers
 from repro.analysis.metrics import measured_agreement, validity_report
 from repro.analysis.verification import check_maintenance_run
 from repro.runner import BatchRunner, RunSpec, execute, replicate
@@ -251,3 +253,46 @@ class TestWorkloadPresets:
                           record_trace=True, observers=())
         result = execute(spec)
         assert len(result.trace.events) > 0
+
+
+def _skew_validity_observers(system, starts, end, params):
+    return build_observers(("skew", "validity"), system, params, starts, end)
+
+
+class TestStreamingContract:
+    """The no-trace path keeps O(n) state yet matches the recorded path."""
+
+    N = 24
+    ROUNDS = 16
+
+    def _run(self, **kwargs):
+        params = default_parameters(n=self.N, f=2)
+        return run_maintenance_scenario(params, rounds=self.ROUNDS,
+                                        fault_kind="silent", seed=5, **kwargs)
+
+    def test_streaming_peak_allocation_beats_batch(self):
+        def peak(**kwargs):
+            tracemalloc.start()
+            try:
+                result = self._run(**kwargs)
+                if kwargs.get("record_trace", True):
+                    start = result.tmax0 + result.params.round_length
+                    measured_agreement(result.trace, start, result.end_time,
+                                       samples=200)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        streaming = peak(record_trace=False, observers=_skew_validity_observers)
+        assert streaming < peak()
+
+    def test_streaming_metrics_match_batch_at_horizon(self):
+        streamed = self._run(record_trace=False,
+                             observers=_skew_validity_observers)
+        recorded = self._run()
+        stats = streamed.trace.stats
+        assert stats.delivered + stats.timers_fired > 0
+        assert streamed.online("validity").report().violations == 0
+        start = recorded.tmax0 + recorded.params.round_length
+        assert streamed.online("skew").max_skew == measured_agreement(
+            recorded.trace, start, recorded.end_time, samples=200)

@@ -17,9 +17,9 @@ Two guarantees are pinned here:
 
 import pytest
 
-from repro.analysis import default_parameters
+from repro.analysis import default_parameters, run_maintenance_scenario
 from repro.analysis import slowpath
-from repro.analysis.metrics import sample_grid
+from repro.analysis.metrics import measured_agreement, sample_grid
 from repro.clocks import make_clock_ensemble
 from repro.core.maintenance import WelchLynchProcess
 from repro.faults.byzantine import TwoFacedClockAttacker
@@ -145,6 +145,17 @@ def test_fast_metrics_match_seed_on_real_trace():
     assert trace.max_skew(grid) == slowpath.seed_max_skew(trace, grid)
     for t in grid[::10]:
         assert trace.local_times(t) == slowpath.seed_local_times(trace, t)
+
+
+@pytest.mark.parametrize("n", [10, 50, 200])
+def test_measured_agreement_matches_seed_at_scale(n):
+    result = run_maintenance_scenario(default_parameters(n=n, f=2), rounds=8,
+                                      fault_kind="silent", seed=1)
+    start = result.tmax0 + result.params.round_length
+    assert (measured_agreement(result.trace, start, result.end_time,
+                               samples=200)
+            == slowpath.seed_measured_agreement(result.trace, start,
+                                                result.end_time, samples=200))
 
 
 def test_shared_view_trace_tracks_continued_run():

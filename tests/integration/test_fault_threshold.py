@@ -5,7 +5,8 @@ algorithm keeps the clocks synchronized.  With the same attack but the
 averaging configured for fewer faults than are present (or too few correct
 processes), synchronization degrades — the impossibility result of [DHS] says
 no algorithm without authentication can cope once a third or more of the
-processes are faulty.
+processes are faulty.  Experiment E9 in ``test_claims_comparison.py`` runs
+the full overloaded-averaging table.
 """
 
 import pytest

@@ -13,6 +13,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import slowpath
+from repro.analysis.metrics import (
+    measured_agreement,
+    per_partition_agreement,
+    sample_grid,
+    validity_report,
+)
 from repro.clocks import (
     ConstantRateClock,
     CorrectionHistory,
@@ -20,10 +26,12 @@ from repro.clocks import (
     PiecewiseLinearClock,
     rho_rate_bounds,
 )
+from repro.core import SyncParameters
 from repro.sim import EventQueue, ExecutionTrace, Message, MessageKind, MessageStats
 from repro.sim import traceindex
 
 RHO = 1e-4
+PARAMS = SyncParameters.derive(n=4, f=1, rho=RHO, delta=0.01, epsilon=0.002)
 
 
 @pytest.fixture(params=["numpy", "python"])
@@ -92,6 +100,14 @@ grids = st.lists(st.floats(min_value=-10.0, max_value=110.0, allow_nan=False),
                  max_size=30)
 
 
+@st.composite
+def windows(draw):
+    """(start, end, samples) for the sampled-grid metrics."""
+    start = draw(st.floats(min_value=-10.0, max_value=100.0, allow_nan=False))
+    span = draw(st.floats(min_value=0.5, max_value=60.0, allow_nan=False))
+    return start, start + span, draw(st.integers(min_value=2, max_value=40))
+
+
 # ---------------------------------------------------------------------------
 # Fast path == seed path
 # ---------------------------------------------------------------------------
@@ -100,6 +116,15 @@ grids = st.lists(st.floats(min_value=-10.0, max_value=110.0, allow_nan=False),
 def test_correction_at_matches_seed(history, queries):
     for t in queries:
         assert history.correction_at(t) == slowpath.seed_correction_at(history, t)
+
+
+def test_dense_correction_lookups_match_seed_on_a_long_history():
+    history = CorrectionHistory(0.0)
+    for index in range(256):
+        history.apply(0.25 * (index + 1), ((index % 7) - 3) * 1e-4, index)
+    grid = sample_grid(0.0, 70.0, 2000)
+    assert ([history.correction_at(t) for t in grid]
+            == [slowpath.seed_correction_at(history, t) for t in grid])
 
 
 @given(trace=traces(), grid=grids)
@@ -140,6 +165,43 @@ def test_index_survives_history_growth(backend, trace, grid):
     trace.correction_history(0).apply(200.0, 0.25, 99)
     assert trace.skew_series(grid) == slowpath.seed_skew_series(trace, grid)
     assert trace.local_times(250.0) == slowpath.seed_local_times(trace, 250.0)
+
+
+@given(trace=traces(), window=windows())
+@settings(max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_measured_agreement_matches_seed(backend, trace, window):
+    start, end, samples = window
+    assert (measured_agreement(trace, start, end, samples=samples)
+            == slowpath.seed_measured_agreement(trace, start, end,
+                                                samples=samples))
+
+
+@given(trace=traces(), window=windows(),
+       tmin0=st.floats(min_value=0.0, max_value=1.0),
+       start_spread=st.floats(min_value=0.0, max_value=0.5))
+@settings(max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_validity_report_matches_seed(backend, trace, window, tmin0,
+                                      start_spread):
+    start, end, samples = window
+    tmax0 = tmin0 + start_spread
+    assert (validity_report(trace, PARAMS, tmin0, tmax0, start, end,
+                            samples=samples)
+            == slowpath.seed_validity_report(trace, PARAMS, tmin0, tmax0,
+                                             start, end, samples=samples))
+
+
+@given(trace=traces(), window=windows(), cut=st.integers(min_value=0, max_value=5))
+@settings(max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_per_partition_agreement_matches_seed(backend, trace, window, cut):
+    start, end, samples = window
+    pids = sorted(set(trace.nonfaulty_ids) | set(trace.faulty_ids))
+    groups = [pids[:cut], pids[cut:]]
+    assert (per_partition_agreement(trace, groups, start, end, samples=samples)
+            == slowpath.seed_per_partition_agreement(trace, groups, start, end,
+                                                     samples=samples))
 
 
 # ---------------------------------------------------------------------------

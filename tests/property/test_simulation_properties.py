@@ -11,7 +11,7 @@ range of them and checks:
 * assumption A3 — every delivered message's delay stays inside the
   [δ−ε, δ+ε] envelope for the in-spec delay models, on real runs;
 * the agreement bound itself on randomly drawn (seed, fault mix) workloads —
-  a randomized miniature of the benchmark suite.
+  a randomized miniature of the paper-claim tests.
 """
 
 from hypothesis import given, settings, strategies as st

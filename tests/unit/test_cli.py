@@ -33,6 +33,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--workload", "mars"])
 
+    def test_bench_is_not_a_subcommand(self, capsys):
+        # Speed is measured by bench/run.py, not by the CLI.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["bench"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
     def test_runner_flags_on_run_compare_sweep(self):
         for argv in (["run", "--jobs", "2", "--replicate-seeds", "0", "1"],
                      ["compare", "--jobs", "2", "--replicate-seeds", "3"],

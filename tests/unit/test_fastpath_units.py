@@ -1,12 +1,8 @@
 """Unit tests for the fast-path surfaces: raw event-queue API, Counter-backed
-message stats, trace index invalidation, the bench harness, and its CLI."""
-
-import json
+message stats and trace index invalidation."""
 
 import pytest
 
-from repro import bench
-from repro.cli import build_parser
 from repro.clocks import ConstantRateClock, CorrectionHistory, PerfectClock
 from repro.sim import (
     EventQueue,
@@ -46,6 +42,15 @@ class TestEventQueueRawAPI:
         assert isinstance(pending, Message)
         assert pending.is_start() and pending.sender == 3
         assert pending.delay == 0.0
+
+    def test_cycling_a_preloaded_buffer_delivers_everything(self):
+        queue = EventQueue()
+        for index in range(5000):
+            kind = MessageKind.TIMER if index % 3 == 0 else MessageKind.ORDINARY
+            queue.push_fields(kind, 0, index % 7, index, 0.0, float(index % 97))
+        while queue:
+            queue.pop_fields()
+        assert queue.delivered_count == 5000
 
     def test_message_is_slotted_and_frozen(self):
         msg = Message(kind=MessageKind.ORDINARY, sender=0, recipient=1,
@@ -104,73 +109,3 @@ class TestTraceIndex:
         assert history.current() == 0.75
         assert history.correction_at(0.0) == 0.5
         assert history.correction_at(1.0) == 0.75
-
-
-class TestBenchHarness:
-    def test_small_benchmarks_produce_sane_numbers(self):
-        et = bench.bench_event_throughput(n=7, rounds=2, repeats=1)
-        assert et["events"] > 0 and et["events_per_second"] > 0
-        tr = bench.bench_trace_reconstruction(k=8, calls=1000, repeats=1)
-        assert tr["calls_per_second"] > 0
-        metrics = bench.bench_metrics(n=4, rounds=2, samples=20, repeats=1)
-        assert metrics["seconds"] > 0 and metrics["reference_seconds"] > 0
-
-    def test_merge_and_speedups(self, tmp_path):
-        path = tmp_path / "BENCH.json"
-        results = {"metrics_n200": {"seconds": 0.1},
-                   "event_throughput": {"seconds": 0.02,
-                                        "events_per_second": 100.0}}
-        payload = bench.merge_results(str(path), results, "seed",
-                                      record_baseline=True)
-        path.write_text(json.dumps(payload))
-        faster = {"metrics_n200": {"seconds": 0.005},
-                  "event_throughput": {"seconds": 0.01,
-                                       "events_per_second": 200.0}}
-        payload = bench.merge_results(str(path), faster, "fast",
-                                      record_baseline=False)
-        assert payload["baseline"]["label"] == "seed"
-        assert payload["speedups"]["metrics_n200"] == pytest.approx(20.0)
-        assert payload["speedups"]["event_throughput"] == pytest.approx(2.0)
-
-    def test_regression_guard(self, tmp_path):
-        path = tmp_path / "BENCH.json"
-        path.write_text(json.dumps({
-            "baseline": {"results": {"event_throughput":
-                                     {"events_per_second": 1000.0}}}}))
-        healthy = {"event_throughput": {"events_per_second": 800.0}}
-        assert bench.check_event_throughput(healthy, str(path)) is None
-        regressed = {"event_throughput": {"events_per_second": 600.0}}
-        failure = bench.check_event_throughput(regressed, str(path))
-        assert failure is not None and "dropped" in failure
-
-    def test_regression_guard_without_baseline(self, tmp_path):
-        path = tmp_path / "BENCH.json"
-        path.write_text(json.dumps({"schema": 1}))
-        failure = bench.check_event_throughput(
-            {"event_throughput": {"events_per_second": 1.0}}, str(path))
-        assert failure is not None and "record-baseline" in failure
-
-    def test_format_results_renders_every_section(self):
-        results = {
-            "event_throughput": {"events": 10, "seconds": 0.1,
-                                 "events_per_second": 100.0},
-            "trace_reconstruction": {"k": 8, "calls": 100, "seconds": 0.01,
-                                     "calls_per_second": 1e4},
-            "metrics_n10": {"seconds": 0.01, "reference_seconds": 0.1,
-                            "in_process_speedup": 10.0},
-            "end_to_end": {"seconds": 0.2, "workloads": ["lan"]},
-        }
-        text = bench.format_results(results, {"metrics_n10": 10.0})
-        for fragment in ("event throughput", "trace reconstruction",
-                         "metrics_n10", "end_to_end", "speedup vs baseline"):
-            assert fragment in text
-
-
-class TestBenchCLI:
-    def test_parser_accepts_bench_options(self):
-        args = build_parser().parse_args(
-            ["bench", "--quick", "--no-write", "--check", "BENCH_3.json",
-             "--tolerance", "0.5", "--label", "x"])
-        assert args.command == "bench"
-        assert args.quick and args.no_write
-        assert args.tolerance == 0.5
