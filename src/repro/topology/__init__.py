@@ -2,10 +2,11 @@
 
 This package removes the paper's implicit complete-graph assumption:
 
-* :mod:`repro.topology.base` — the :class:`Topology` abstraction (adjacency +
-  per-link delay/drop overrides);
+* :mod:`repro.topology.base` — the :class:`Topology` abstraction (a sorted
+  CSR adjacency + per-link delay/drop overrides);
 * :mod:`repro.topology.generators` — seed-deterministic graph families
-  (``complete``, ``ring``, ``star``, ``grid``, ``random_gnp``, ``clustered``);
+  (``complete``, ``ring``, ``star``, ``grid``, ``random_gnp``, ``clustered``,
+  ``hierarchy``);
 * :mod:`repro.topology.schedule` — :class:`LinkSchedule`, time-varying link
   faults (the concrete injectors live in :mod:`repro.faults.links`);
 * :mod:`repro.topology.routing` — deterministic shortest-route relay with

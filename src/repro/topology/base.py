@@ -5,10 +5,20 @@ communication graph: ``broadcast(m)`` reaches every process directly within
 ``[δ-ε, δ+ε]``.  A :class:`Topology` drops that assumption and makes the
 network graph a first-class object:
 
-* an undirected **adjacency** over process ids ``0 .. n-1``;
+* an undirected graph over process ids ``0 .. n-1``, stored once as a sorted
+  CSR (compressed sparse row) table — ``indptr`` and ``indices``, two stdlib
+  ``array('q')`` buffers of 8-byte ints holding both directions of every
+  link, each node's neighbors in ascending order.  No per-link python object
+  exists: the complete graph at n=1000 is one 8 MB buffer, and
+  :class:`~repro.topology.index.TopologyIndex` views it with numpy without
+  copying;
 * optional per-link **extra delay** (added on top of whatever the
   :class:`~repro.sim.network.DelayModel` samples for the hop);
 * optional per-link **drop probability** (sampled independently per traversal).
+
+The constructor normalizes the edge list once (range and self-loop checks,
+canonical order, dedupe, sort) — vectorized when numpy is enabled, with a
+per-edge loop otherwise; both build identical arrays.
 
 Messages between non-adjacent processes are *relayed* hop by hop along
 shortest routes by the network layer (see :mod:`repro.topology.routing`), so
@@ -22,7 +32,22 @@ partition-and-heal) is layered on via :class:`~repro.topology.schedule.LinkSched
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+import hashlib
+import math
+import struct
+import sys
+from array import array
+from bisect import bisect_left, bisect_right
+from functools import cached_property
+from operator import index as _as_int
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+
+from ..sim.traceindex import numpy_enabled
+
+try:  # pragma: no cover - exercised via the both-backend fixtures
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy genuinely absent
+    _np = None
 
 __all__ = ["Topology", "LinkKey", "canonical_link"]
 
@@ -38,8 +63,80 @@ def canonical_link(u: int, v: int) -> LinkKey:
     return (u, v) if u <= v else (v, u)
 
 
+def _check_node(n: int, pid: int) -> None:
+    if not 0 <= pid < n:
+        raise ValueError(f"node {pid} outside 0..{n - 1}")
+
+
+def _check_edge(n: int, u: int, v: int) -> None:
+    _check_node(n, u)
+    _check_node(n, v)
+    if u == v:
+        raise ValueError(f"self-loop {u}-{v} is not a link")
+
+
+def _csr_python(n: int, edges: Iterable[Tuple[int, int]]) -> Tuple[array, array]:
+    """Sorted CSR of an edge list, one edge at a time.
+
+    Each link ``u-v`` becomes the directed keys ``u*n+v`` and ``v*n+u``;
+    the sorted distinct keys are the CSR row by row, neighbors ascending.
+    """
+    keys = set()
+    for u, v in edges:
+        u, v = _as_int(u), _as_int(v)
+        _check_edge(n, u, v)
+        keys.add(u * n + v)
+        keys.add(v * n + u)
+    ordered = sorted(keys)
+    indptr = array("q", (bisect_left(ordered, node * n)
+                         for node in range(n + 1)))
+    return indptr, array("q", (key % n for key in ordered))
+
+
+def _csr_numpy(n: int, edges: Any) -> Tuple[array, array]:
+    """:func:`_csr_python` vectorized; accepts an (m, 2) integer array."""
+    np = _np
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    pairs = np.asarray(edges)
+    if pairs.size == 0:
+        pairs = np.zeros((0, 2), dtype=np.int64)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
+    if pairs.dtype.kind not in "iu":
+        raise TypeError(f"edge endpoints must be integers, got {pairs.dtype}")
+    u = pairs[:, 0].astype(np.int64, copy=False)
+    v = pairs[:, 1].astype(np.int64, copy=False)
+    bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
+    if bad.any():
+        first = int(np.argmax(bad))
+        _check_edge(n, int(u[first]), int(v[first]))
+    keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+    repeated = keys[1:] == keys[:-1]
+    if repeated.any():
+        keys = keys[np.concatenate([[True], ~repeated])]
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    return (array("q", indptr.astype(np.int64).tobytes()),
+            array("q", (keys % n).tobytes()))
+
+
+def _little_endian(table: array) -> array:
+    if sys.byteorder == "little":
+        return table
+    swapped = array("q", table)
+    swapped.byteswap()
+    return swapped
+
+
 class Topology:
-    """An immutable undirected communication graph with per-link overrides."""
+    """An immutable undirected communication graph with per-link overrides.
+
+    ``edges`` is any iterable of ``(u, v)`` pairs or an (m, 2) integer array;
+    duplicates and reversed pairs collapse into one undirected link.  The
+    graph lives in :attr:`indptr` / :attr:`indices` (node ``u``'s neighbors
+    are ``indices[indptr[u]:indptr[u + 1]]``, ascending); treat them as
+    read-only.
+    """
 
     def __init__(
         self,
@@ -53,64 +150,70 @@ class Topology:
             raise ValueError(f"a topology needs at least one node, got n={n}")
         self.n = int(n)
         self.name = name
-        self._adjacency: Dict[int, set] = {pid: set() for pid in range(self.n)}
-        links = set()
-        for u, v in edges:
-            self._check_node(u)
-            self._check_node(v)
-            if u == v:
-                raise ValueError(f"self-loop {u}-{v} is not a link")
-            links.add(canonical_link(u, v))
-            self._adjacency[u].add(v)
-            self._adjacency[v].add(u)
-        self._links = frozenset(links)
+        build = _csr_numpy if _np is not None and numpy_enabled() else _csr_python
+        self.indptr, self.indices = build(self.n, edges)
         self._extra_delay = self._normalize_overrides(extra_delay, "extra_delay",
                                                       minimum=0.0)
         self._drop = self._normalize_overrides(drop_probability, "drop_probability",
                                                minimum=0.0, maximum=1.0)
 
-    def _check_node(self, pid: int) -> None:
-        if not 0 <= pid < self.n:
-            raise ValueError(f"node {pid} outside 0..{self.n - 1}")
-
     def _normalize_overrides(self, overrides, label: str, minimum: float,
                              maximum: Optional[float] = None) -> Dict[LinkKey, float]:
         normalized: Dict[LinkKey, float] = {}
         for (u, v), value in (overrides or {}).items():
-            key = canonical_link(u, v)
-            if key not in self._links:
+            if not self.has_link(u, v):
                 raise ValueError(f"{label} given for non-existent link {u}-{v}")
-            if value < minimum or (maximum is not None and value > maximum):
-                bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+            value = float(value)
+            if not (math.isfinite(value) and value >= minimum
+                    and (maximum is None or value <= maximum)):
+                bound = (f"finite and >= {minimum}" if maximum is None
+                         else f"in [{minimum}, {maximum}]")
                 raise ValueError(f"{label} for link {u}-{v} must be {bound}, got {value}")
-            normalized[key] = float(value)
+            # + 0.0 folds -0.0 into 0.0, so equal topologies share a digest.
+            normalized[canonical_link(u, v)] = value + 0.0
         return normalized
 
     # -- structure ---------------------------------------------------------------
+    def _row(self, pid: int) -> Tuple[int, int]:
+        return self.indptr[pid], self.indptr[pid + 1]
+
     def links(self) -> List[LinkKey]:
         """All undirected links, sorted."""
-        return sorted(self._links)
+        indices = self.indices
+        links: List[LinkKey] = []
+        for u in range(self.n):
+            lo, hi = self._row(u)
+            start = bisect_right(indices, u, lo, hi)
+            links.extend((u, v) for v in indices[start:hi])
+        return links
 
     @property
     def link_count(self) -> int:
-        return len(self._links)
+        return len(self.indices) // 2
 
     def has_link(self, u: int, v: int) -> bool:
         """Whether ``u`` and ``v`` are directly connected (symmetric)."""
-        return canonical_link(u, v) in self._links
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            return False
+        lo, hi = self._row(u)
+        at = bisect_left(self.indices, v, lo, hi)
+        return at < hi and self.indices[at] == v
 
     def neighbors(self, pid: int) -> Tuple[int, ...]:
         """The direct neighbors of a node, in ascending order."""
-        self._check_node(pid)
-        return tuple(sorted(self._adjacency[pid]))
+        _check_node(self.n, pid)
+        lo, hi = self._row(pid)
+        return tuple(self.indices[lo:hi])
 
     def degree(self, pid: int) -> int:
-        return len(self._adjacency[pid])
+        _check_node(self.n, pid)
+        lo, hi = self._row(pid)
+        return hi - lo
 
     @property
     def is_complete(self) -> bool:
         """True when every pair of distinct nodes is directly linked."""
-        return len(self._links) == self.n * (self.n - 1) // 2
+        return self.link_count == self.n * (self.n - 1) // 2
 
     # -- per-link overrides --------------------------------------------------------
     def extra_delay(self, u: int, v: int) -> float:
@@ -137,22 +240,23 @@ class Topology:
         :class:`~repro.topology.schedule.LinkSchedule` frozen at one instant —
         this is how partitions are *detected* from a schedule.
         """
-        seen: set = set()
+        seen = bytearray(self.n)
         components: List[List[int]] = []
         for root in range(self.n):
-            if root in seen:
+            if seen[root]:
                 continue
             stack, component = [root], []
-            seen.add(root)
+            seen[root] = 1
             while stack:
                 node = stack.pop()
                 component.append(node)
-                for peer in self._adjacency[node]:
-                    if peer in seen:
+                lo, hi = self._row(node)
+                for peer in self.indices[lo:hi]:
+                    if seen[peer]:
                         continue
                     if link_up is not None and not link_up(node, peer):
                         continue
-                    seen.add(peer)
+                    seen[peer] = 1
                     stack.append(peer)
             components.append(sorted(component))
         return components
@@ -163,13 +267,14 @@ class Topology:
     def hop_distances(self, source: int,
                       link_up: Optional[LinkPredicate] = None) -> Dict[int, int]:
         """BFS hop counts from ``source`` to every reachable node."""
-        self._check_node(source)
+        _check_node(self.n, source)
         distances = {source: 0}
         frontier = [source]
         while frontier:
             next_frontier: List[int] = []
             for node in frontier:
-                for peer in sorted(self._adjacency[node]):
+                lo, hi = self._row(node)
+                for peer in self.indices[lo:hi]:
                     if peer in distances:
                         continue
                     if link_up is not None and not link_up(node, peer):
@@ -191,14 +296,34 @@ class Topology:
             worst = max(worst, max(distances.values()))
         return worst
 
-    # -- misc ------------------------------------------------------------------------
+    # -- identity ----------------------------------------------------------------------
+    @cached_property
+    def digest(self) -> str:
+        """sha256 of ``n``, the CSR and the overrides, platform-independent.
+
+        Integers are hashed as little-endian int64 and override values as
+        little-endian IEEE doubles, so equal topologies hash alike on every
+        machine; computed once per instance.
+        """
+        sha = hashlib.sha256(struct.pack("<q", self.n))
+        sha.update(_little_endian(self.indptr))
+        sha.update(_little_endian(self.indices))
+        for overrides in (self._extra_delay, self._drop):
+            sha.update(struct.pack("<q", len(overrides)))
+            for (u, v), value in sorted(overrides.items()):
+                sha.update(struct.pack("<qqd", u, v, value))
+        return sha.hexdigest()
+
     def describe(self) -> str:
         shape = "complete" if self.is_complete else f"diameter {self.diameter()}"
         return (f"{self.name}: n={self.n}, {self.link_count} links, {shape}, "
                 f"{len(self.components())} component(s)")
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Topology({self.describe()})"
+    def __repr__(self) -> str:
+        # Content-addressed: RunSpec reprs embed it, and store keys and
+        # manifest spec hashes are sha256(repr(spec)).
+        return (f"Topology(name={self.name!r}, n={self.n}, "
+                f"links={self.link_count}, digest={self.digest})")
 
     def __getstate__(self) -> Dict[str, object]:
         # The memoized TopologyIndex (repro.topology.index) holds large numpy
@@ -210,9 +335,10 @@ class Topology:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Topology):
             return NotImplemented
-        return (self.n == other.n and self._links == other._links
+        return (self.n == other.n and self.indptr == other.indptr
+                and self.indices == other.indices
                 and self._extra_delay == other._extra_delay
                 and self._drop == other._drop)
 
     def __hash__(self) -> int:
-        return hash((self.n, self._links))
+        return hash(self.digest)

@@ -23,9 +23,15 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
+from ..sim.traceindex import numpy_enabled
 from .base import Topology, canonical_link
+
+try:  # pragma: no cover - exercised via the both-backend fixtures
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy genuinely absent
+    _np = None
 
 __all__ = [
     "complete",
@@ -41,10 +47,31 @@ __all__ = [
 ]
 
 
+def _clique_edges(groups: Sequence[Sequence[int]],
+                  extra: Sequence[Tuple[int, int]] = ()) -> Any:
+    """Every pair within each group, plus ``extra`` links.
+
+    An (m, 2) array built with ``np.triu_indices`` when numpy is enabled
+    (the complete graph at n=1000 has ~500k links), a list of pairs
+    otherwise; :class:`Topology` accepts either.
+    """
+    if _np is None or not numpy_enabled():
+        edges = [(u, v) for group in groups
+                 for i, u in enumerate(group) for v in group[i + 1:]]
+        return edges + list(extra)
+    np = _np
+    blocks = []
+    for group in groups:
+        members = np.asarray(group, dtype=np.int64)
+        first, second = np.triu_indices(len(members), 1)
+        blocks.append(np.stack([members[first], members[second]], axis=1))
+    blocks.append(np.asarray(extra, dtype=np.int64).reshape(-1, 2))
+    return np.concatenate(blocks)
+
+
 def complete(n: int, seed: int = 0) -> Topology:
     """Every pair directly linked — the paper's assumption A3 setting."""
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return Topology(n, edges, name="complete")
+    return Topology(n, _clique_edges([range(n)]), name="complete")
 
 
 def ring(n: int, seed: int = 0) -> Topology:
@@ -122,22 +149,19 @@ def clustered(n: int, clusters: int = 2, bridges: int = 1,
     if bridges < 1:
         raise ValueError(f"need at least one bridge link, got {bridges}")
     groups = cluster_groups(n, clusters)
-    edges: List[Tuple[int, int]] = []
-    for group in groups:
-        edges.extend((u, v) for i, u in enumerate(group) for v in group[i + 1:])
-    for left, right in zip(groups, groups[1:]):
-        for index in range(min(bridges, len(left), len(right))):
-            edges.append((left[index], right[index]))
-    return Topology(n, edges, name="clustered")
+    bridge_links = [(left[index], right[index])
+                    for left, right in zip(groups, groups[1:])
+                    for index in range(min(bridges, len(left), len(right)))]
+    return Topology(n, _clique_edges(groups, bridge_links), name="clustered")
 
 
 def hierarchy(n: int, hubs: int = 0, seed: int = 0) -> Topology:
-    """A star-of-stars: one core, a ring of mid-tier hubs, leaf fan-out.
+    """A star-of-stars: one core, mid-tier hubs, leaf fan-out.
 
     Node 0 is the core; nodes ``1..hubs`` are mid-tier hubs linked to the
     core; every remaining node is a leaf attached round-robin to one mid-tier
-    hub.  This is the NTP-style stratum shape ROADMAP item 3 names — a small
-    sync core serving a huge leaf population — with diameter 4
+    hub.  This is the NTP-style stratum shape — a small sync core serving a
+    huge leaf population — with diameter 4
     (leaf→hub→core→hub→leaf) regardless of n, so the relay-corrected
     ``(δ', ε')`` envelope stays bounded while n scales to 10^4–10^5.
     ``hubs`` defaults to ⌈√n⌉, balancing hub degree against leaf fan-out.

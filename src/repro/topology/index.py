@@ -2,10 +2,11 @@
 
 Large-n execution (:mod:`repro.sim.roundengine`) needs the graph as flat
 numpy arrays — a CSR neighbor table for multi-source BFS, per-sender RNG
-draw totals, and hop-distance rows — instead of the per-node python
-dict-of-sets a :class:`~repro.topology.base.Topology` keeps.  Building those
-arrays costs O(n + edges) (plus one BFS sweep for the distance summaries),
-so the index is **memoized**: once per Topology *instance* (an attribute on
+draw totals, and hop-distance rows.  The CSR table is a read-only
+``np.frombuffer`` view of the sorted CSR buffers a
+:class:`~repro.topology.base.Topology` already stores, so it costs no copy.
+The rest costs one BFS sweep (skipped for the complete graph), so the
+index is **memoized**: once per Topology *instance* (an attribute on
 the object, excluded from pickling) and across *equal* instances through a
 small LRU keyed by topology equality — repeated ``execute()`` calls of one
 spec rebuild the Topology object every time, and the LRU is what lets them
@@ -53,6 +54,13 @@ _LRU_CAPACITY = 8
 _lru: "OrderedDict[Topology, TopologyIndex]" = OrderedDict()
 
 
+def _view(table: Any) -> Any:
+    """A read-only int64 numpy view of one of a Topology's CSR buffers."""
+    view = _np.frombuffer(table, dtype=_np.int64)
+    view.flags.writeable = False
+    return view
+
+
 def _count_cache_hit() -> None:
     from ..telemetry import get_active
     telemetry = get_active()
@@ -68,7 +76,8 @@ class TopologyIndex:
     n, edge_count : int
         node and undirected-link counts.
     indptr, indices : numpy arrays
-        CSR neighbor table (both directions of every link).
+        CSR neighbor table (both directions of every link): read-only views
+        sharing memory with the topology's own buffers.
     draw_totals : (n,) int64
         per-sender RNG draws one broadcast consumes in the serial ledger:
         ``Σ_r dist_eff(s, r)`` with ``dist_eff(s, s) = 1`` (the loopback
@@ -87,21 +96,11 @@ class TopologyIndex:
         np = _np
         self.topology = topology
         self.n = n = topology.n
-        links = topology.links()
-        self.edge_count = len(links)
+        self.edge_count = topology.link_count
         self.is_complete = topology.is_complete
-        if links:
-            pairs = np.asarray(links, dtype=np.int64)
-            heads = np.concatenate([pairs[:, 0], pairs[:, 1]])
-            tails = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        else:
-            heads = np.zeros(0, dtype=np.int64)
-            tails = np.zeros(0, dtype=np.int64)
-        order = np.argsort(tails, kind="stable")
-        self.indices = heads[order]
-        degrees = np.bincount(tails, minlength=n)
-        self.indptr = np.concatenate([np.zeros(1, dtype=np.int64),
-                                      np.cumsum(degrees)])
+        self.indptr = _view(topology.indptr)
+        self.indices = _view(topology.indices)
+        degrees = np.diff(self.indptr)
         self._isolated = degrees == 0
         # Trailing isolated nodes make indptr[:-1] contain len(indices),
         # which reduceat rejects; _bfs pads one False column so that offset

@@ -20,11 +20,14 @@ under the pure-python backend the engine reports itself unavailable and
 ``execute`` must degrade to the serial loop, so parity is trivially exact
 there too — the property then guards the fallback wiring.  The same file
 also pins the topology-index satellites: the memoized index cache (hits
-counted in telemetry) and the ``delay_envelope`` fast path's equality with
-the python route walk.
+counted in telemetry), the ``delay_envelope`` fast path's equality with
+the python route walk, and the Topology's CSR storage: the numpy and the
+per-edge builds give identical arrays, and the index views them in place.
 """
 
 import dataclasses
+import pickle
+from collections import OrderedDict
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -34,7 +37,8 @@ from repro.analysis.experiments import default_parameters
 from repro.runner.spec import RunSpec, execute
 from repro.sim import roundengine, traceindex
 from repro.telemetry import Telemetry
-from repro.topology.generators import make_topology
+from repro.topology.base import Topology, canonical_link
+from repro.topology.generators import TOPOLOGY_GENERATORS, make_topology
 from repro.topology.routing import delay_envelope
 
 SLOW = settings(max_examples=10, deadline=None,
@@ -250,6 +254,22 @@ class TestTopologyIndex:
             "topology.index_cache_hits", {}).get("value", 0.0)
         assert hits >= 1.0
 
+    def test_index_views_the_topology_csr(self, backend, monkeypatch):
+        """The index's CSR is the topology's own buffer, not a copy."""
+        from repro.topology import index as index_module
+
+        if backend == "python":
+            pytest.skip("index needs the numpy backend")
+        import numpy as np
+
+        monkeypatch.setattr(index_module, "_lru", OrderedDict())
+        topology = make_topology("grid", 12)
+        index = index_module.topology_index(topology)
+        for view, table in ((index.indices, topology.indices),
+                            (index.indptr, topology.indptr)):
+            assert np.shares_memory(view, np.frombuffer(table, dtype=np.int64))
+            assert not view.flags.writeable
+
     def test_equal_topologies_share_index(self, backend):
         """The equality-keyed LRU serves rebuilt-but-equal topologies."""
         from repro.topology.index import maybe_index
@@ -335,3 +355,105 @@ class TestTopologyIndex:
         assert topology.diameter() == 4
         hubs = make_topology("hierarchy", 50, hubs=3)
         assert len(hubs.neighbors(0)) == 3
+
+
+@st.composite
+def edge_lists(draw):
+    """``(n, edges)`` with duplicates, reversed pairs and isolated nodes.
+
+    Edges only touch the first ``core`` nodes, so up to three trailing
+    nodes stay isolated; ``core == 1`` has no edges and covers n=1.
+    """
+    core = draw(st.integers(1, 9))
+    n = core + draw(st.integers(0, 3))
+    edges = []
+    if core > 1:
+        node = st.integers(0, core - 1)
+        edges = draw(st.lists(st.tuples(node, node).filter(
+            lambda pair: pair[0] != pair[1]), max_size=30))
+    if edges:
+        again = draw(st.lists(st.sampled_from(edges), max_size=6))
+        edges += again + [(v, u) for u, v in again]
+    return n, draw(st.permutations(edges))
+
+
+def _build_both(n, edges, **kwargs):
+    """The same topology built with the numpy and the per-edge backend."""
+    previous = traceindex.numpy_enabled()
+    try:
+        traceindex.use_numpy(True)
+        vectorized = Topology(n, edges, **kwargs)
+        traceindex.use_numpy(False)
+        looped = Topology(n, edges, **kwargs)
+    finally:
+        traceindex.use_numpy(previous)
+    return vectorized, looped
+
+
+def _assert_same_graph(a, b):
+    assert a.indptr == b.indptr and a.indices == b.indices
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert a.links() == b.links()
+    assert a.components() == b.components()
+    for pid in range(a.n):
+        assert a.neighbors(pid) == b.neighbors(pid)
+        assert a.hop_distances(pid) == b.hop_distances(pid)
+        # Same BFS discovery order, not just the same distances.
+        assert list(a.hop_distances(pid)) == list(b.hop_distances(pid))
+
+
+class TestTopologyCSR:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=edge_lists())
+    def test_backends_build_identical_csr(self, backend, case):
+        """numpy on and off normalize any edge list to the same CSR."""
+        n, edges = case
+        vectorized, looped = _build_both(n, edges)
+        _assert_same_graph(vectorized, looped)
+        links = sorted({canonical_link(u, v) for u, v in edges})
+        assert vectorized.links() == links
+        assert vectorized.link_count == len(links)
+        for pid in range(n):
+            expected = sorted({v for u, v in edges if u == pid}
+                              | {u for u, v in edges if v == pid})
+            assert vectorized.neighbors(pid) == tuple(expected)
+            assert vectorized.degree(pid) == len(expected)
+
+    @pytest.mark.parametrize("kind", sorted(TOPOLOGY_GENERATORS))
+    @pytest.mark.parametrize("n", [4, 9, 30])
+    def test_generators_build_identical_csr(self, backend, kind, n):
+        """Every generator gives the same graph under both backends."""
+        previous = traceindex.numpy_enabled()
+        try:
+            traceindex.use_numpy(True)
+            vectorized = make_topology(kind, n, seed=3)
+            traceindex.use_numpy(False)
+            looped = make_topology(kind, n, seed=3)
+        finally:
+            traceindex.use_numpy(previous)
+        _assert_same_graph(vectorized, looped)
+        rebuilt, _ = _build_both(n, looped.links())
+        assert rebuilt == looped
+        if backend == "numpy":
+            # A topology built with numpy off indexes like one built with it.
+            from repro.topology.index import TopologyIndex
+            a, b = TopologyIndex(vectorized), TopologyIndex(looped)
+            assert (a.indptr == b.indptr).all()
+            assert (a.indices == b.indices).all()
+            assert (a.draw_totals == b.draw_totals).all()
+            assert (a.diameter, a.connected) == (b.diameter, b.connected)
+
+    def test_pickle_round_trip_preserves_equality(self, backend):
+        from repro.topology.index import maybe_index
+
+        topology = Topology(6, [(0, 1), (1, 2), (4, 2)], name="line",
+                            extra_delay={(2, 1): 0.003},
+                            drop_probability={(0, 1): 0.25})
+        maybe_index(topology)
+        copy = pickle.loads(pickle.dumps(topology))
+        assert "_topology_index" not in copy.__dict__
+        assert copy == topology and hash(copy) == hash(topology)
+        assert repr(copy) == repr(topology)
+        assert copy.links() == topology.links()
+        assert copy.extra_delay(1, 2) == 0.003

@@ -1,5 +1,6 @@
 """Unit tests for the durable content-addressed result store."""
 
+import dataclasses
 import errno
 import sqlite3
 import time
@@ -17,6 +18,7 @@ from repro.runner import (
     store_key,
 )
 from repro.telemetry import spec_hash
+from repro.topology import Topology
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +44,32 @@ class TestContentAddressing:
     def test_key_is_stable_and_spec_determined(self, spec):
         assert store_key(spec) == store_key(spec)
         assert store_key(spec) != store_key(spec.with_seed(1))
+
+    def test_distinct_topologies_get_distinct_keys(self, params):
+        # Same name, n and link count, different wiring: different runs.
+        line = Topology(4, [(0, 1), (1, 2), (2, 3)], name="line")
+        other = Topology(4, [(0, 2), (2, 1), (1, 3)], name="line")
+        a = RunSpec.maintenance(params, rounds=2, topology=line)
+        b = RunSpec.maintenance(params, rounds=2, topology=other)
+        assert a != b
+        assert store_key(a) != store_key(b)
+        assert spec_hash(a) != spec_hash(b)
+
+    def test_equal_topologies_get_equal_keys(self, params):
+        edges = [(0, 1), (1, 2), (2, 3)]
+        variants = [edges, edges[::-1], [(v, u) for u, v in edges],
+                    edges + [(2, 1), (0, 1)]]
+        keys = {store_key(RunSpec.maintenance(
+            params, rounds=2, topology=Topology(4, variant, name="line")))
+            for variant in variants}
+        assert len(keys) == 1
+
+    def test_keys_of_named_and_default_topologies_are_stable(self, spec):
+        # Literal digests: stores written by earlier builds keep resuming.
+        assert store_key(spec) == (
+            "1e1c2c0c7e0903fb740b923a1811b2b34785acebeddef0b80dd608cca7064be6")
+        assert store_key(dataclasses.replace(spec, topology="ring")) == (
+            "1460635d8ba53f3add0c7310fa115888a0a822fccb9bb0d096963a7b10ab1f24")
 
     def test_key_extends_manifest_hash(self, spec):
         # Manifest lines carry the truncated digest; store rows the full

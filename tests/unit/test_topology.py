@@ -1,7 +1,10 @@
 """Unit tests for the repro.topology package (graphs, specs, routing)."""
 
+import math
+
 import pytest
 
+from repro.sim.traceindex import numpy_available
 from repro.topology import (
     Router,
     Topology,
@@ -43,12 +46,44 @@ class TestTopologyBasics:
             Topology(3, [(0, 1)], extra_delay={(1, 2): 0.001})
         with pytest.raises(ValueError):
             Topology(3, [(0, 1)], drop_probability={(0, 1): 1.5})
+        # NaN slips past both range comparisons; reject it (and an infinite
+        # delay) instead of letting the link read as plain.
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                Topology(3, [(0, 1), (1, 2)], extra_delay={(0, 1): bad})
+        with pytest.raises(ValueError):
+            Topology(3, [(0, 1)], drop_probability={(0, 1): math.nan})
         topology = Topology(3, [(0, 1)], extra_delay={(1, 0): 0.002},
                             drop_probability={(0, 1): 0.25})
         # Overrides are symmetric regardless of key orientation.
         assert topology.extra_delay(0, 1) == topology.extra_delay(1, 0) == 0.002
         assert topology.drop_probability(1, 0) == 0.25
         assert topology.has_lossy_links
+
+    def test_has_link_outside_the_node_range_is_false(self):
+        topology = Topology(3, [(0, 1)])
+        assert not topology.has_link(0, 3)
+        assert not topology.has_link(-1, 0)
+        assert not topology.has_link(1, 1)
+
+    def test_accepts_an_edge_array(self):
+        if not numpy_available():
+            pytest.skip("numpy not installed")
+        import numpy as np
+
+        edges = np.array([[2, 1], [1, 2], [0, 3]])
+        assert Topology(4, edges) == Topology(4, [(0, 3), (1, 2)])
+
+    def test_repr_is_content_addressed(self):
+        line = Topology(4, [(0, 1), (1, 2), (2, 3)], name="line")
+        other = Topology(4, [(0, 2), (2, 1), (1, 3)], name="line")
+        assert line != other
+        assert repr(line) != repr(other)
+        shuffled = Topology(4, [(3, 2), (1, 0), (2, 1), (0, 1)], name="line")
+        assert shuffled == line and repr(shuffled) == repr(line)
+        delayed = Topology(4, line.links(), name="line",
+                           extra_delay={(0, 1): 0.001})
+        assert repr(delayed) != repr(line)
 
     def test_components_and_connectivity(self):
         topology = Topology(5, [(0, 1), (1, 2), (3, 4)])

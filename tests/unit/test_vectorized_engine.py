@@ -18,6 +18,7 @@ from repro.analysis.experiments import default_parameters
 from repro.analysis.statistics import summarize
 from repro.runner import BatchRunner, RunSpec, execute, replicate
 from repro.sim import vectorized
+from repro.sim.traceindex import numpy_enabled
 from repro.telemetry import Telemetry
 
 
@@ -35,10 +36,10 @@ def _spec(**overrides):
 @pytest.fixture
 def engine_enabled():
     """Make sure the module toggle is on for the test, then restore it."""
-    previous = vectorized.vectorized_available()
+    previous = vectorized._vectorize_disabled
     vectorized.use_vectorized(True)
     yield
-    vectorized.use_vectorized(previous)
+    vectorized._vectorize_disabled = previous
 
 
 class TestSupportsSpec:
@@ -74,15 +75,19 @@ class TestShouldVectorize:
         assert not vectorized.should_vectorize(spec)
 
     def test_global_toggle(self):
-        previous = vectorized.vectorized_available()
+        # Restore the module flag itself: vectorized_available() also reads
+        # numpy, so restoring from it would leave the engine disabled.
+        previous = vectorized._vectorize_disabled
         try:
             vectorized.use_vectorized(False)
             assert not vectorized.vectorized_available()
             assert not vectorized.should_vectorize(_spec())
             vectorized.use_vectorized(True)
+            if not numpy_enabled():
+                pytest.skip("the enabled half needs numpy")
             assert vectorized.should_vectorize(_spec())
         finally:
-            vectorized.use_vectorized(previous)
+            vectorized._vectorize_disabled = previous
 
     def test_unsupported_spec_never_vectorizes(self, engine_enabled):
         assert not vectorized.should_vectorize(_spec(record_trace=True))
