@@ -25,14 +25,13 @@ Run with::
 
 from __future__ import annotations
 
-import dataclasses
 import time
 
 from repro import default_parameters
 from repro.analysis.experiments import effective_parameters
 from repro.core.bounds import agreement_bound
 from repro.runner import RunSpec, execute
-from repro.sim.roundengine import roundengine_available
+from repro.sim.roundengine import decline_reason
 from repro.topology.generators import make_topology
 
 CONTROL_N = 400
@@ -40,28 +39,29 @@ FULL_N = 10_000
 ROUNDS = 2
 
 
-def spec_for(n: int, engine: bool) -> RunSpec:
+def spec_for(n: int) -> RunSpec:
     params = default_parameters(n=n, f=2)
     return RunSpec.maintenance(
         params, rounds=ROUNDS, fault_kind=None, topology="hierarchy",
         record_trace=False, observers=("skew", "validity"), seed=7,
-        max_events=4 * n * n * ROUNDS + 10_000,
-        round_engine=engine, vectorize=None if engine else False)
+        max_events=4 * n * n * ROUNDS + 10_000)
 
 
 def main() -> None:
-    if not roundengine_available():
-        print("numpy not available — the per-round engine is offline; "
-              "skipping the large-n demonstration")
+    reason = decline_reason(spec_for(CONTROL_N))
+    if reason is not None:
+        print(f"the per-round engine declines the spec ({reason}); "
+              f"skipping the large-n demonstration")
         return
 
     print(f"== control slice: n={CONTROL_N} hierarchy, serial vs round "
           f"engine")
+    control = spec_for(CONTROL_N)
     start = time.perf_counter()
-    serial = execute(spec_for(CONTROL_N, engine=False))
+    serial = execute(control, engine="serial")
     serial_seconds = time.perf_counter() - start
     start = time.perf_counter()
-    engine = execute(spec_for(CONTROL_N, engine=True))
+    engine = execute(control, engine="round")
     engine_seconds = time.perf_counter() - start
 
     serial_skew = serial.online("skew").max_skew
@@ -74,9 +74,9 @@ def main() -> None:
 
     print(f"== full population: n={FULL_N} hierarchy, round engine, "
           f"streaming")
-    spec = spec_for(FULL_N, engine=True)
+    spec = spec_for(FULL_N)
     start = time.perf_counter()
-    result = execute(spec)
+    result = execute(spec, engine="round")
     seconds = time.perf_counter() - start
     stats = result.trace.stats
     topology = make_topology("hierarchy", FULL_N)

@@ -8,9 +8,10 @@ algorithm under two-faced Byzantine attackers through
 :func:`repro.runner.replicate` twice:
 
 * once with the struct-of-arrays batch engine (:mod:`repro.sim.vectorized`)
-  engaged — the default for vectorizable streaming specs;
-* once with the engine opted out (``vectorize=False`` on the spec), so every
-  replica walks the serial event loop.
+  engaged — the default (``engine="auto"``) for replicated streaming specs
+  the engine accepts;
+* once on a runner with ``engine="serial"``, so every replica walks the
+  serial event loop.
 
 Both passes return bit-identical summaries (the engine's contract); the point
 of running both is the wall-clock ratio printed at the end.  The measured
@@ -25,13 +26,12 @@ Run with::
 
 from __future__ import annotations
 
-import dataclasses
 import time
 
 from repro import default_parameters
 from repro.core.bounds import agreement_bound, lower_bound
-from repro.runner import RunSpec, replicate
-from repro.sim.vectorized import vectorized_available
+from repro.runner import BatchRunner, RunSpec, replicate
+from repro.sim.vectorized import decline_reason
 
 REPLICAS = 1000
 
@@ -45,16 +45,17 @@ def main() -> None:
 
     print(f"replicating n={params.n} f={params.f} rounds=5 two-faced "
           f"maintenance over {REPLICAS} seeds")
-    if not vectorized_available():
-        print("note: numpy unavailable — both passes run the serial loop")
+    reason = decline_reason(spec)
+    if reason is not None:
+        print(f"note: the batch engine declines the spec ({reason}) — both "
+              f"passes run the serial loop")
 
     begin = time.perf_counter()
     fast = replicate(spec, seeds)
     vector_seconds = time.perf_counter() - begin
 
-    serial_spec = dataclasses.replace(spec, vectorize=False)
     begin = time.perf_counter()
-    slow = replicate(serial_spec, seeds)
+    slow = replicate(spec, seeds, runner=BatchRunner(engine="serial"))
     serial_seconds = time.perf_counter() - begin
 
     if fast.agreement_values != slow.agreement_values:

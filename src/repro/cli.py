@@ -48,20 +48,20 @@ multi-hop and every audit uses the topology-effective (δ', ε') constants.
 ``--jobs N`` fans independent simulations out over N worker processes (with
 results bit-identical to serial execution), and ``--replicate-seeds S1 S2 …``
 replicates the experiment across seeds, reporting mean/min/max and 95%
-confidence intervals instead of single-draw numbers.  Vectorizable replicated
-groups (complete graph, uniform/fixed delays, streaming mode) are executed by
-the struct-of-arrays batch engine (:mod:`repro.sim.vectorized`) — results
-stay bit-identical to the serial loop; ``--vectorize`` forces the batch path
-and ``--no-vectorize`` disables it.  Large single runs (streaming, n in the
-thousands) auto-engage the per-round engine (:mod:`repro.sim.roundengine`),
-which advances whole rounds over flat arrays instead of per-message events;
-``--round-engine`` forces it, ``--no-round-engine`` disables it everywhere
-(including pool workers), and ``--max-events`` raises the event budget that
-large-n runs would otherwise exhaust.  Both kill switches set their
-environment flags (``REPRO_NO_VECTORIZE`` / ``REPRO_NO_ROUNDENGINE``) so the
-disable reaches spawn-context pool workers, and both are scoped to the
-invocation: a later programmatic :func:`main` call in the same process starts
-with the engines re-enabled.
+confidence intervals instead of single-draw numbers.
+
+``run`` alone picks the engine, through one mutually exclusive flag group
+that maps onto :func:`repro.runner.spec.engine_for`: by default (``auto``)
+large streaming runs (n ≥ 512) take the per-round engine
+(:mod:`repro.sim.roundengine`) and replicated streaming groups the
+struct-of-arrays batch engine (:mod:`repro.sim.vectorized`);
+``--vectorize`` asks for the batch engine at any group size,
+``--round-engine`` for the round engine at any n, and ``--no-vectorize`` /
+``--no-round-engine`` for the serial event loop.  Every engine returns the
+serial loop's exact bits, so the choice never changes a result, a store key
+or a manifest hash.  ``run --max-events N`` raises the event budget that
+large-n runs would otherwise exhaust; a run that still exhausts it ends with
+one ``error:`` line and exit status 2.
 
 Every sub-command prints plain-text tables (see
 :mod:`repro.analysis.reporting`) and exits with a non-zero status if a paper
@@ -71,11 +71,9 @@ claim it audits is violated, so the CLI can be dropped into CI.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
-import os
 import sys
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from .analysis.comparison import run_comparison, run_replicated_comparison
 from .analysis.experiments import (
@@ -111,11 +109,10 @@ from .analysis.workloads import (
     build_parameters,
     build_spec,
     get_workload,
-    run_workload,
     workload_names,
 )
 from .core.bounds import agreement_bound, startup_limit
-from .runner import replicate
+from .runner import BatchRunner, StoreError, execute, replicate
 from .topology.spec import build_topology, describe_topologies
 
 __all__ = ["main", "build_parser"]
@@ -146,6 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run the maintenance algorithm and audit it against the paper")
     _add_common_options(run_parser)
     _add_runner_options(run_parser)
+    _add_engine_options(run_parser)
     _add_telemetry_options(run_parser)
     run_parser.add_argument("--json", metavar="PATH",
                             help="export the full scenario (trace included) as JSON")
@@ -418,28 +416,33 @@ def _add_runner_options(parser: argparse.ArgumentParser) -> None:
                         metavar="SEED",
                         help="replicate the experiment across these seeds and "
                              "report mean/min/max and 95%% CIs")
-    vector = parser.add_mutually_exclusive_group()
-    vector.add_argument("--vectorize", dest="vectorize", action="store_true",
-                        default=None,
-                        help="force the struct-of-arrays batch engine for "
-                             "replicated runs (default: auto-selected for "
-                             "vectorizable streaming specs; results are "
-                             "bit-identical to serial)")
-    vector.add_argument("--no-vectorize", dest="vectorize",
-                        action="store_false",
-                        help="disable the batch engine and run every replica "
-                             "through the serial event loop")
+
+
+def _add_engine_options(parser: argparse.ArgumentParser) -> None:
+    """The engine choice (see :func:`repro.runner.spec.engine_for`)."""
     engine = parser.add_mutually_exclusive_group()
-    engine.add_argument("--round-engine", dest="round_engine",
-                        action="store_true", default=None,
-                        help="force the per-round large-n engine for "
-                             "supported maintenance runs (default: "
+    parser.set_defaults(engine="auto")
+    engine.add_argument("--vectorize", dest="engine", action="store_const",
+                        const="batch",
+                        help="use the struct-of-arrays batch engine for "
+                             "every supported spec, replicated or not "
+                             "(default: auto-selected for replicated "
+                             "streaming runs; results are bit-identical to "
+                             "serial)")
+    engine.add_argument("--no-vectorize", dest="engine", action="store_const",
+                        const="serial",
+                        help="run every replica through the serial event "
+                             "loop")
+    engine.add_argument("--round-engine", dest="engine", action="store_const",
+                        const="round",
+                        help="use the per-round large-n engine for every "
+                             "supported spec at any n (default: "
                              "auto-selected for streaming specs with n >= "
                              "512; results are bit-identical to serial)")
-    engine.add_argument("--no-round-engine", dest="round_engine",
-                        action="store_false",
-                        help="disable the per-round engine everywhere, "
-                             "including sweep/replication pool workers")
+    engine.add_argument("--no-round-engine", dest="engine",
+                        action="store_const", const="serial",
+                        help="run through the serial event loop, replicas "
+                             "included")
     parser.add_argument("--max-events", type=int, default=None, metavar="N",
                         help="override the per-run event budget (default "
                              "2,000,000); large-n runs dispatch ~n^2 "
@@ -468,11 +471,9 @@ def _audit(result, samples: int = 200):
     return check_maintenance_run(result, samples=samples)
 
 
-def _apply_engine_options(spec, args: argparse.Namespace):
-    """Thread --round-engine/--max-events into a built spec."""
-    if getattr(args, "round_engine", None) is not None:
-        spec = dataclasses.replace(spec, round_engine=args.round_engine)
-    if getattr(args, "max_events", None) is not None:
+def _with_max_events(spec, args: argparse.Namespace):
+    """Thread ``run --max-events`` into a built spec."""
+    if args.max_events is not None:
         spec = dataclasses.replace(spec, max_events=args.max_events)
     return spec
 
@@ -509,10 +510,10 @@ def _cmd_run_replicated(args: argparse.Namespace) -> int:
                           seed=args.seed,
                           topology=args.topology or workload.topology,
                           **overrides)
-        if args.vectorize is not None:
-            spec = dataclasses.replace(spec, vectorize=args.vectorize)
-        spec = _apply_engine_options(spec, args)
-        rep = replicate(spec, args.replicate_seeds, jobs=args.jobs)
+        spec = _with_max_events(spec, args)
+        rep = replicate(spec, args.replicate_seeds,
+                        runner=BatchRunner(jobs=args.jobs,
+                                           engine=args.engine))
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -580,8 +581,6 @@ def _cmd_run_replicated(args: argparse.Namespace) -> int:
 
 def _cmd_run_streaming(args: argparse.Namespace) -> int:
     """One run through the streaming pipeline; audit from online observers."""
-    from .runner import execute
-
     workload = get_workload(args.workload)
     record_trace = not (args.no_trace or not workload.record_trace)
     names = _observer_names(args, workload)
@@ -600,11 +599,11 @@ def _cmd_run_streaming(args: argparse.Namespace) -> int:
                           horizon=args.horizon,
                           checkpoint_every=args.checkpoint_every,
                           samples=args.samples)
-        spec = _apply_engine_options(spec, args)
+        spec = _with_max_events(spec, args)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    result = execute(spec)
+    result = execute(spec, engine=args.engine)
     params = result.params
     mode = "streaming (no trace)" if not record_trace else "recorded trace"
     print(f"workload {workload.name}: n={params.n} f={params.f} "
@@ -667,8 +666,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return _cmd_run_streaming(args)
     topology = build_topology(args.topology or workload.topology,
                               n=args.n, seed=args.seed)
-    result = run_workload(workload, n=args.n, f=args.f, rounds=args.rounds,
-                          seed=args.seed, topology=topology)
+    try:
+        spec = _with_max_events(
+            build_spec(workload, n=args.n, f=args.f, rounds=args.rounds,
+                       seed=args.seed, topology=topology), args)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    result = execute(spec, engine=args.engine)
     params = result.params
     print(f"workload {workload.name}: n={params.n} f={params.f} "
           f"rho={params.rho} delta={params.delta} epsilon={params.epsilon} "
@@ -920,14 +925,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    from .runner import ResultStore, StoreError
+    from .runner import ResultStore
 
-    try:
-        store = ResultStore(args.store, create=False)
-    except StoreError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    with store:
+    with ResultStore(args.store, create=False) as store:
         if args.action == "status":
             status = store.status()
             rows = [[key, value] for key, value in status.items()
@@ -981,7 +981,7 @@ def _cmd_net(args: argparse.Namespace) -> int:
     # net run: build the (non-pure) net spec and route it through the
     # standard dispatcher, so telemetry spans/manifests apply unchanged.
     from .core.bounds import validity_parameters
-    from .runner import RunSpec, execute
+    from .runner import RunSpec
 
     try:
         spec = RunSpec.net(
@@ -1123,51 +1123,26 @@ _COMMANDS = {
 }
 
 
-@contextlib.contextmanager
-def _engine_kill_switches(args: argparse.Namespace) -> Iterator[None]:
-    """Scope ``--no-vectorize`` / ``--no-round-engine`` to one command.
-
-    Both levers are process-global: the module toggle (which reaches every
-    spec regardless of which layer constructs it) and the environment flag
-    (which — unlike the toggle — survives a spawn start method, where
-    ``--jobs`` pool workers re-import the engine modules instead of
-    inheriting mutated globals).  Everything is snapshotted on entry and
-    restored on exit, so a later programmatic ``main([...])`` call in the
-    same process (tests, notebooks) starts with both engines enabled again.
-    """
-    from .sim import roundengine, vectorized
-
-    saved_toggles = (vectorized._vectorize_disabled,
-                     roundengine._roundengine_disabled)
-    saved_env = {name: os.environ.get(name)
-                 for name in ("REPRO_NO_VECTORIZE", "REPRO_NO_ROUNDENGINE")}
-    try:
-        if getattr(args, "vectorize", None) is False:
-            os.environ["REPRO_NO_VECTORIZE"] = "1"
-            vectorized.use_vectorized(False)
-        if getattr(args, "round_engine", None) is False:
-            os.environ["REPRO_NO_ROUNDENGINE"] = "1"
-            roundengine.use_round_engine(False)
-        yield
-    finally:
-        vectorized._vectorize_disabled = saved_toggles[0]
-        roundengine._roundengine_disabled = saved_toggles[1]
-        for name, value in saved_env.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit code."""
+    from .sim.events import EventBudgetExceeded
+
     parser = build_parser()
     args = parser.parse_args(list(argv) if argv is not None else None)
     command = _COMMANDS[args.command]
-    with _engine_kill_switches(args):
+    try:
         if _telemetry_requested(args):
             return _with_telemetry(args, command)
         return command(args)
+    except EventBudgetExceeded as error:
+        # Exit 1 means a violated paper claim; a run that never finished
+        # audited nothing, so it is a usage error like any other.
+        print(f"error: {error}\nhint: raise the budget with run "
+              f"--max-events N", file=sys.stderr)
+        return 2
+    except StoreError as error:  # a missing store, or another schema's
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via python -m repro

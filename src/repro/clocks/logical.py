@@ -80,6 +80,33 @@ class CorrectionHistory:
         self._times: List[float] = [float("-inf")]
         self._corrections: List[float] = [initial]
 
+    @classmethod
+    def from_rounds(cls, times: Sequence[float], adjustments: Sequence[float],
+                    updated: Sequence[bool],
+                    max_entries: Optional[int] = None) -> "CorrectionHistory":
+        """The history that ``apply(times[r], adjustments[r], r)`` for every
+        round ``r`` with ``updated[r]`` would build from CORR = 0.
+
+        The inputs are an array engine's per-round trajectories as python
+        floats and bools.  Trimming once at the end keeps exactly what
+        trimming after every apply keeps.
+        """
+        history = cls(max_entries=max_entries)
+        if True not in updated:
+            return history
+        events, stamps = history._events, history._times
+        corrections = history._corrections
+        corr = corrections[-1]
+        for index, flag in enumerate(updated):
+            if flag:
+                corr = corr + adjustments[index]
+                events.append(CorrectionEvent(times[index], adjustments[index],
+                                              corr, index))
+                stamps.append(times[index])
+                corrections.append(corr)
+        history._trim()
+        return history
+
     @property
     def initial_correction(self) -> float:
         return self._initial
@@ -141,17 +168,22 @@ class CorrectionHistory:
                                             round_index=round_index))
         self._times.append(real_time)
         self._corrections.append(new_corr)
+        self._trim()
+        return new_corr
+
+    def _trim(self) -> None:
+        """Streaming mode: forget the oldest breakpoints beyond the bound.
+
+        The -inf sentinel inherits the correction in force just before the
+        earliest retained breakpoint, so lookups at or after the trim
+        horizon stay exact; lookups before it get the horizon value.
+        """
         if self._max_entries is not None and len(self._times) > self._max_entries:
-            # Streaming mode: forget the oldest breakpoints.  The -inf
-            # sentinel inherits the correction in force just before the
-            # earliest retained breakpoint, so lookups at or after the trim
-            # horizon stay exact; lookups before it get the horizon value.
             excess = len(self._times) - self._max_entries
             self._corrections[0] = self._corrections[excess]
             del self._times[1:1 + excess]
             del self._corrections[1:1 + excess]
             del self._events[1:1 + excess]
-        return new_corr
 
     def correction_at(self, real_time: float) -> float:
         """CORR_p(t): the correction in force at real time ``t``."""

@@ -30,13 +30,14 @@ specs, which is how replicated long-horizon studies stay bounded-memory.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import traceback
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING
 
-from .spec import RunSpec, execute
+from .spec import RunSpec, engine_for, execute
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids the cycle
     from ..analysis.experiments import ScenarioResult
@@ -72,23 +73,23 @@ def _capture_failure(spec: RunSpec, err: BaseException) -> SpecFailure:
                        traceback=traceback.format_exc())
 
 
-def _execute_tolerant(spec: RunSpec):
+def _execute_tolerant(spec: RunSpec, engine: str = "auto"):
     """Pool-shippable execute that returns failures instead of raising."""
     try:
-        return "ok", execute(spec)
+        return "ok", execute(spec, engine=engine)
     except Exception as err:
         return "fail", _capture_failure(spec, err)
 
 
-def _execute_tolerant_instrumented(spec: RunSpec):
+def _execute_tolerant_instrumented(spec: RunSpec, engine: str = "auto"):
     """Tolerant variant of :func:`_execute_instrumented`."""
     try:
-        return "ok", _execute_instrumented(spec)
+        return "ok", _execute_instrumented(spec, engine=engine)
     except Exception as err:
         return "fail", _capture_failure(spec, err)
 
 
-def _execute_instrumented(spec: RunSpec):
+def _execute_instrumented(spec: RunSpec, engine: str = "auto"):
     """Pool-shippable instrumented execute: (result, metrics snapshot, manifests).
 
     Builds a fresh, run-local :class:`~repro.telemetry.Telemetry` so workers
@@ -100,7 +101,7 @@ def _execute_instrumented(spec: RunSpec):
     from ..telemetry import Telemetry
 
     local = Telemetry()
-    result = execute(spec, telemetry=local)
+    result = execute(spec, telemetry=local, engine=engine)
     return result, local.registry.snapshot(), local.manifests
 
 
@@ -131,14 +132,21 @@ class BatchRunner:
     :func:`repro.telemetry.set_active`), so ``--telemetry`` on the CLI
     reaches pool workers without every intermediate layer threading the
     argument through.
+
+    ``engine`` (one of :data:`~repro.runner.spec.ENGINES`) picks the engine
+    for every spec, through :func:`~repro.runner.spec.engine_for`; pool
+    workers receive it with each task.  Results are bit-identical under
+    every choice, so cached results serve any engine.
     """
 
-    def __init__(self, jobs: int = 1, cache: bool = True, telemetry=None):
+    def __init__(self, jobs: int = 1, cache: bool = True, telemetry=None,
+                 engine: str = "auto"):
         from ..telemetry import get_active
 
         if jobs < 1:
             jobs = available_parallelism()
         self.jobs = int(jobs)
+        self.engine = engine
         self.telemetry = telemetry if telemetry is not None else get_active()
         self._cache: Optional[Dict[RunSpec, "ScenarioResult"]] = \
             {} if cache else None
@@ -244,22 +252,21 @@ class BatchRunner:
                                tolerant: bool = False) -> Dict[RunSpec, "ScenarioResult"]:
         """Run seed-replica groups through the batch engine; return results.
 
-        Specs that are identical modulo seed and qualify for the vectorized
-        executor (see :func:`repro.sim.vectorized.should_vectorize`) run as
-        one lockstep batch when the group has at least two members — or even
-        alone when the spec opts in with ``vectorize=True``.  Everything else
-        (and everything on a forced-serial or unsupported spec) stays on the
-        per-spec path, whose results are bit-identical by construction.
+        Specs identical modulo seed form one group; a group runs as one
+        lockstep batch when :func:`~repro.runner.spec.engine_for` picks the
+        batch engine for it at its size (under ``auto``: 2 or more members
+        the engine accepts, below the round engine's n).  Everything else
+        stays on the per-spec path, whose results are bit-identical by
+        construction.
         """
-        from ..sim.vectorized import execute_batch, should_vectorize
+        from ..sim.vectorized import execute_batch
 
         groups: Dict[RunSpec, List[RunSpec]] = {}
         for spec in pending:
-            if should_vectorize(spec):
-                groups.setdefault(spec.with_seed(0), []).append(spec)
+            groups.setdefault(spec.with_seed(0), []).append(spec)
         results: Dict[RunSpec, "ScenarioResult"] = {}
         for members in groups.values():
-            if len(members) < 2 and members[0].vectorize is not True:
+            if engine_for(members[0], self.engine, len(members)) != "batch":
                 continue
             try:
                 batch_results = execute_batch(members,
@@ -288,6 +295,9 @@ class BatchRunner:
                          else _execute_tolerant)
         else:
             worker_fn = _execute_instrumented if instrumented else execute
+        # The engine rides with every task, so it holds in pool workers
+        # under any start method.
+        worker_fn = functools.partial(worker_fn, engine=self.engine)
         if workers <= 1:
             for spec in pending:
                 yield spec, self._collect(worker_fn(spec), tolerant=tolerant)

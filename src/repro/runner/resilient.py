@@ -158,12 +158,12 @@ def _worker_main(conn, chaos: Optional["ChaosSchedule"],
             return
         if task is None:  # orderly shutdown
             return
-        index, attempt, spec = task
+        index, attempt, spec, engine = task
         try:
             if chaos is not None:
                 chaos.inject(index, attempt)
-            payload = (_execute_instrumented(spec) if instrumented
-                       else execute(spec))
+            payload = (_execute_instrumented(spec, engine=engine)
+                       if instrumented else execute(spec, engine=engine))
             conn.send(("ok", payload))
         except Exception as err:
             conn.send(("err", f"{type(err).__name__}: {err}",
@@ -219,7 +219,8 @@ class SupervisedPool:
     worker; the parent-side ``interrupt`` action aborts dispatch exactly as a
     signal would.  Telemetry counters (``resilient.retries`` / ``.timeouts``
     / ``.crashes`` / ``.errors`` / ``.quarantined``) record what supervision
-    had to do.
+    had to do.  ``engine`` (see :func:`~repro.runner.spec.engine_for`)
+    travels to the workers with every task.
     """
 
     def __init__(self, jobs: int = 1, max_retries: int = 2,
@@ -227,7 +228,7 @@ class SupervisedPool:
                  backoff_base: float = 0.05, backoff_cap: float = 2.0,
                  backoff_seed: int = 0,
                  chaos: Optional["ChaosSchedule"] = None,
-                 telemetry=None):
+                 telemetry=None, engine: str = "auto"):
         if jobs < 1:
             jobs = available_parallelism()
         if max_retries < 0:
@@ -242,6 +243,7 @@ class SupervisedPool:
         self.backoff_cap = backoff_cap
         self.chaos = chaos
         self.telemetry = telemetry
+        self.engine = engine
         self._rng = random.Random(backoff_seed)
         self._interrupted: Optional[str] = None
 
@@ -368,7 +370,7 @@ class SupervisedPool:
                             pending.append(task)
                             break
                         worker.conn.send((task.index, task.attempt,
-                                          task.spec))
+                                          task.spec, self.engine))
                         worker.task = task
                         worker.deadline = (now + self.spec_timeout
                                            if self.spec_timeout is not None
@@ -481,12 +483,14 @@ class ResilientRunner(BatchRunner):
       retry with backoff, crash respawn, quarantine — instead of a bare
       ``multiprocessing.Pool``.
 
-    The vectorized lockstep fast path is intentionally bypassed: supervision
+    The vectorized lockstep grouping is intentionally bypassed: supervision
     is per-spec, and results are bit-identical either way (the parity suite
     guards exactly that equivalence), so robustness costs correctness
-    nothing.  A simulated-full ``store`` (chaos) degrades gracefully: the
-    failed write is counted (``resilient.store.write_errors``), the result
-    still flows to the caller, and the spec simply re-runs on resume.
+    nothing.  The engine choice is not part of a spec's store key, so a
+    store filled under one ``engine`` resumes under any other.  A
+    simulated-full ``store`` (chaos) degrades gracefully: the failed write
+    is counted (``resilient.store.write_errors``), the result still flows
+    to the caller, and the spec simply re-runs on resume.
     """
 
     def __init__(self, jobs: int = 1, cache: bool = True, telemetry=None,
@@ -494,8 +498,10 @@ class ResilientRunner(BatchRunner):
                  spec_timeout: Optional[float] = None,
                  backoff_base: float = 0.05, backoff_cap: float = 2.0,
                  backoff_seed: int = 0,
-                 chaos: Optional["ChaosSchedule"] = None):
-        super().__init__(jobs=jobs, cache=cache, telemetry=telemetry)
+                 chaos: Optional["ChaosSchedule"] = None,
+                 engine: str = "auto"):
+        super().__init__(jobs=jobs, cache=cache, telemetry=telemetry,
+                         engine=engine)
         if isinstance(store, (str, bytes)):
             store = ResultStore(str(store), chaos=chaos)
         self.store: Optional[ResultStore] = store
@@ -508,7 +514,7 @@ class ResilientRunner(BatchRunner):
                                    backoff_base=backoff_base,
                                    backoff_cap=backoff_cap,
                                    backoff_seed=backoff_seed, chaos=chaos,
-                                   telemetry=self.telemetry)
+                                   telemetry=self.telemetry, engine=engine)
 
     # -- telemetry helpers ---------------------------------------------------
     def _count(self, name: str, amount: float = 1.0) -> None:

@@ -32,6 +32,13 @@ the machine and the moment — a net spec's ``params`` carry only the inputs
 Batch/replication layers must never cache or fan out net specs (the CLI
 routes them directly), and both pool engines decline them by kind.
 
+Which engine executes a spec — the serial event loop, the lockstep batch
+engine (:mod:`repro.sim.vectorized`) or the large-n round engine
+(:mod:`repro.sim.roundengine`) — is not part of the spec: every engine
+returns the serial loop's exact bits, so the choice is a speed argument
+(``engine=``) that travels beside the spec and leaves its hash alone.
+:func:`engine_for` is the one place that decides.
+
 Imports from :mod:`repro.analysis` are deferred into the functions so that
 ``repro.runner`` can be imported by the analysis layer (sweeps, comparison,
 workloads) without an import cycle.
@@ -49,7 +56,8 @@ from ..topology.base import Topology
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids the cycle
     from ..analysis.experiments import ScenarioResult
 
-__all__ = ["RunSpec", "execute", "SCENARIO_KINDS", "DELAY_KINDS"]
+__all__ = ["RunSpec", "execute", "engine_for", "ENGINES", "SCENARIO_KINDS",
+           "DELAY_KINDS"]
 
 #: the scenario kinds :func:`execute` can dispatch.
 SCENARIO_KINDS = ("maintenance", "algorithm", "startup", "reintegration",
@@ -79,6 +87,9 @@ _NO_FAULT_KINDS = frozenset({"reintegration", "partition_heal", "net"})
 #: kinds whose builders accept the streaming pipeline knobs
 #: (observers / record_trace / horizon / checkpoint_every / max_events).
 _STREAMING_KINDS = frozenset({"maintenance", "algorithm"})
+
+#: the ``engine=`` choices of :func:`execute` and the batch runners.
+ENGINES = ("auto", "serial", "batch", "round")
 
 #: online observer names a spec may request (mirrors
 #: :data:`repro.analysis.online.ONLINE_OBSERVER_NAMES`; the factory
@@ -162,17 +173,6 @@ class RunSpec:
     #: default of 200 agreement / 100 validity samples); only meaningful
     #: together with ``observers``.
     samples: Optional[int] = None
-    #: batch-execution policy: ``None`` = auto (replication/batch layers use
-    #: the vectorized engine when the spec qualifies), ``True`` = prefer it
-    #: even for small batches, ``False`` = always take the serial path.  An
-    #: execution *strategy* knob — results are bit-identical either way.
-    vectorize: Optional[bool] = None
-    #: large-n round-engine policy: ``None`` = auto (:func:`execute` routes
-    #: qualifying streaming maintenance specs with n ≥
-    #: :data:`repro.sim.roundengine.AUTO_MIN_N` through the round engine),
-    #: ``True`` = use it at any n, ``False`` = always serial.  Like
-    #: ``vectorize``, a strategy knob — results are bit-identical either way.
-    round_engine: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.kind not in SCENARIO_KINDS:
@@ -247,13 +247,6 @@ class RunSpec:
             raise ValueError(f"max_events must be >= 1, got {self.max_events}")
         if self.samples is not None and self.samples < 2:
             raise ValueError(f"samples must be >= 2, got {self.samples}")
-        if self.vectorize is not None and not isinstance(self.vectorize, bool):
-            raise TypeError(f"vectorize must be None or a bool, "
-                            f"got {self.vectorize!r}")
-        if self.round_engine is not None and \
-                not isinstance(self.round_engine, bool):
-            raise TypeError(f"round_engine must be None or a bool, "
-                            f"got {self.round_engine!r}")
 
     # -- convenience ---------------------------------------------------------
     def options_dict(self) -> Dict[str, Any]:
@@ -303,8 +296,6 @@ class RunSpec:
                     checkpoint_every: Optional[float] = None,
                     max_events: Optional[int] = None,
                     samples: Optional[int] = None,
-                    vectorize: Optional[bool] = None,
-                    round_engine: Optional[bool] = None,
                     **options: Any) -> "RunSpec":
         """The Welch-Lynch maintenance algorithm under a chosen fault load."""
         return cls(kind="maintenance", params=params, rounds=rounds,
@@ -315,8 +306,7 @@ class RunSpec:
                    options=_freeze_options(options, "options"),
                    record_trace=record_trace, observers=tuple(observers),
                    horizon=horizon, checkpoint_every=checkpoint_every,
-                   max_events=max_events, samples=samples,
-                   vectorize=vectorize, round_engine=round_engine)
+                   max_events=max_events, samples=samples)
 
     @classmethod
     def algorithm_run(cls, algorithm: str, params: SyncParameters,
@@ -451,7 +441,42 @@ def _streaming_kwargs(spec: RunSpec) -> Dict[str, Any]:
     return kwargs
 
 
-def execute(spec: RunSpec, telemetry: Optional[Any] = None) -> "ScenarioResult":
+def engine_for(spec: RunSpec, engine: str = "auto", replicas: int = 1) -> str:
+    """Which engine runs ``spec``: ``"serial"``, ``"batch"`` or ``"round"``.
+
+    ``replicas`` is the size of the seed-replica group the spec runs in (1
+    for a lone spec).  ``engine`` is one of :data:`ENGINES`:
+
+    * ``auto`` — the round engine when it accepts the spec and n ≥
+      :data:`~repro.sim.roundengine.AUTO_MIN_N`; otherwise the batch engine
+      for groups of 2 or more that it accepts; otherwise serial;
+    * ``batch`` — the batch engine whenever it accepts the spec, at any
+      group size; otherwise serial;
+    * ``round`` — the round engine whenever it accepts the spec, at any n;
+      otherwise serial;
+    * ``serial`` — the serial event loop.
+
+    Each engine's ``decline_reason`` says why it does not accept a spec.
+    """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; "
+                         f"choose from {', '.join(ENGINES)}")
+    if engine == "serial":
+        return "serial"
+    from ..sim import roundengine, vectorized
+    if engine in ("auto", "round") \
+            and roundengine.decline_reason(spec) is None \
+            and (engine == "round"
+                 or spec.params.n >= roundengine.AUTO_MIN_N):
+        return "round"
+    if (engine == "batch" or (engine == "auto" and replicas >= 2)) \
+            and vectorized.decline_reason(spec) is None:
+        return "batch"
+    return "serial"
+
+
+def execute(spec: RunSpec, telemetry: Optional[Any] = None,
+            engine: str = "auto") -> "ScenarioResult":
     """Run the scenario a spec describes; pure and deterministic per spec.
 
     This is the single dispatcher every experiment entry point (sweeps,
@@ -472,17 +497,26 @@ def execute(spec: RunSpec, telemetry: Optional[Any] = None) -> "ScenarioResult":
     sweep cells stay in the audit trail.  Telemetry reads wall clocks only;
     the simulation itself (RNG draws, traces, results) is bit-identical with
     or without it.
+
+    ``engine`` picks the engine through :func:`engine_for` (as a group of
+    one); like telemetry, it changes speed, never the result.
     """
     from ..analysis import experiments
     from ..sim.events import EventBudgetExceeded
     from ..topology.spec import build_topology
     from ..telemetry import activated, build_manifest, get_active
 
+    choice = engine_for(spec, engine)
+    if choice == "batch":
+        # A batch of one; the batch engine books its own telemetry.
+        from ..sim.vectorized import execute_batch
+        return execute_batch([spec], telemetry=telemetry)[0]
+    round_engine = choice == "round"
     if telemetry is None:
         telemetry = get_active()
     if telemetry is None:
         try:
-            return _execute(spec, experiments, build_topology)
+            return _execute(spec, experiments, build_topology, round_engine)
         except EventBudgetExceeded as err:
             err.spec = spec
             raise
@@ -496,7 +530,8 @@ def execute(spec: RunSpec, telemetry: Optional[Any] = None) -> "ScenarioResult":
             with telemetry.span("execute", spec=spec.describe(),
                                 kind=spec.kind, seed=spec.seed):
                 with telemetry.memory_probe() as probe:
-                    result = _execute(spec, experiments, build_topology)
+                    result = _execute(spec, experiments, build_topology,
+                                      round_engine)
         except EventBudgetExceeded as err:
             err.spec = spec
             telemetry.registry.counter("runner.budget_exceeded").inc()
@@ -515,7 +550,8 @@ def execute(spec: RunSpec, telemetry: Optional[Any] = None) -> "ScenarioResult":
     return result
 
 
-def _execute(spec: RunSpec, experiments, build_topology) -> "ScenarioResult":
+def _execute(spec: RunSpec, experiments, build_topology,
+             round_engine: bool) -> "ScenarioResult":
     if spec.kind == "net":
         # Real sockets, real clocks: explicitly NOT a pure function of the
         # spec (see the module docstring).  execute_net_spec attaches the
@@ -529,11 +565,11 @@ def _execute(spec: RunSpec, experiments, build_topology) -> "ScenarioResult":
     options = spec.options_dict()
     if spec.kind == "maintenance":
         result = None
-        from ..sim import roundengine
-        if roundengine.should_use(spec):
-            # The large-n round engine; None means it declined (out-of-scope
-            # topology or a mid-run clean-path exit) and the serial loop —
-            # the bit-identical reference — runs instead.
+        if round_engine:
+            # None means the engine declined (out-of-scope topology or a
+            # mid-run clean-path exit) and the serial loop — the
+            # bit-identical reference — runs instead.
+            from ..sim import roundengine
             result = roundengine.try_execute(spec, topology)
         if result is None:
             result = experiments.run_maintenance_scenario(

@@ -17,8 +17,10 @@ Design points:
   most the in-flight result, never corrupts the committed ones; readers (a
   ``store status`` in another terminal) never block the writer.
 * **Schema versioning** — the ``meta`` table records ``schema_version``; a
-  store written by a *newer* layout raises :class:`StoreVersionError` instead
-  of silently misreading rows.
+  store written by any other layout raises :class:`StoreVersionError` instead
+  of silently misreading rows or missing them.  v2 keys specs that no longer
+  carry engine settings, so every v1 key differs: a v1 store would miss every
+  row on resume.
 * **Quarantine ledger** — specs the supervisor gives up on are recorded with
   their failure count and last traceback.  Quarantine rows are forensic, not
   authoritative: a later successful ``put`` of the same spec clears them, and
@@ -61,8 +63,9 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 __all__ = ["ResultStore", "StoreError", "StoreVersionError", "store_key",
            "SCHEMA_VERSION"]
 
-#: the store layout this build reads and writes.
-SCHEMA_VERSION = 1
+#: the store layout this build reads and writes.  v2: store keys hash a
+#: spec repr without engine fields (engine choice left the spec).
+SCHEMA_VERSION = 2
 
 
 class StoreError(RuntimeError):
@@ -70,7 +73,7 @@ class StoreError(RuntimeError):
 
 
 class StoreVersionError(StoreError):
-    """The store was written by a newer schema than this build understands."""
+    """The store was written by a schema other than this build's."""
 
 
 def store_key(spec: "RunSpec") -> str:
@@ -159,7 +162,12 @@ class ResultStore:
                     f"{self.path} uses store schema v{row[0]}; this build "
                     f"reads up to v{SCHEMA_VERSION} — upgrade the code, not "
                     f"the store")
-            # older versions would migrate here; v1 is the first layout.
+            elif int(row[0]) < SCHEMA_VERSION:
+                raise StoreVersionError(
+                    f"{self.path} uses store schema v{row[0]}, whose keys "
+                    f"this build (v{SCHEMA_VERSION}) cannot match, so a "
+                    f"resume would re-run every spec; start a fresh store "
+                    f"(a new --store path, without --resume)")
 
     @property
     def schema_version(self) -> int:

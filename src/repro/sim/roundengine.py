@@ -34,21 +34,18 @@ missed round, a non-positive delay, the event budget — raises an internal
 fallback and the caller transparently re-runs the spec through the serial
 :func:`~repro.analysis.experiments.run_maintenance_scenario`.
 
-``REPRO_NO_ROUNDENGINE=1`` (or :func:`use_round_engine`) disables the engine
-outright; ``RunSpec.round_engine`` forces it on (any n) or off per spec.
+Which engine runs is decided by :func:`repro.runner.spec.engine_for` (at or
+above :data:`AUTO_MIN_N` by default, at any n when asked for); the engine
+shares its set-up and its result tail with the batch engine, as a batch of
+one (``repro.sim.vectorized._EngineState``).
 """
 
 from __future__ import annotations
 
-import os
-from collections import Counter
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
-from ..clocks.drift import make_clock_ensemble
-from ..clocks.logical import CorrectionHistory
-from .trace import ExecutionTrace, MessageStats
-from .traceindex import numpy_enabled
-from .vectorized import DEFAULT_EVENT_BUDGET, _fault_count, _mirror_rng
+from .vectorized import (DEFAULT_EVENT_BUDGET, _EngineState, _fault_count,
+                         _mirror_rng, scope_reason)
 
 try:  # pragma: no cover - exercised via the parity suite on both backends
     import numpy as _np
@@ -56,10 +53,7 @@ except ImportError:  # pragma: no cover - numpy genuinely absent
     _np = None
 
 __all__ = [
-    "supports_spec",
-    "roundengine_available",
-    "use_round_engine",
-    "should_use",
+    "decline_reason",
     "try_execute",
     "ROUND_FAULT_KINDS",
     "AUTO_MIN_N",
@@ -71,8 +65,8 @@ __all__ = [
 ROUND_FAULT_KINDS = frozenset({"silent", "crash"})
 
 #: below this n the per-event serial loop (or the batch engine, when
-#: replicating) wins; the engine only auto-engages at or above it.  An
-#: explicit ``RunSpec.round_engine=True`` overrides.
+#: replicating) wins; the engine only engages by default at or above it.
+#: Asking for it by name (``engine="round"``) lifts the floor.
 AUTO_MIN_N = 512
 
 #: dense per-receiver fault columns; above this many cells the crash/silent
@@ -82,70 +76,24 @@ _MAX_FAULT_CELLS = 1 << 22
 #: sender-chunk sizing: aim for ~4M (chunk × n) cells per kernel.
 _CHUNK_CELLS = 1 << 22
 
-_roundengine_disabled = bool(os.environ.get("REPRO_NO_ROUNDENGINE"))
 
+def decline_reason(spec: Any) -> Optional[str]:
+    """Why the round engine declines ``spec`` (None when it accepts it).
 
-def roundengine_available() -> bool:
-    """True when the round engine can run (numpy present and not disabled)."""
-    return _np is not None and numpy_enabled() and not _roundengine_disabled
-
-
-def use_round_engine(enabled: bool) -> None:
-    """Globally enable/disable the round engine (tests and benchmarks)."""
-    global _roundengine_disabled
-    _roundengine_disabled = not enabled
-
-
-def supports_spec(spec: Any) -> bool:
-    """Structurally round-executable: streaming maintenance, supported models.
-
-    Purely a property of the spec; :func:`should_use` adds the runtime gates
-    and :func:`try_execute` checks the *built* topology (connectivity, extra
-    delays, drops).  Unlike the batch engine, sparse topologies and explicit
-    ``max_events`` budgets are in scope.
+    The numpy engines' common :func:`~repro.sim.vectorized.scope_reason`
+    with the silent/crash fault kinds.  Unlike the batch engine, sparse
+    topologies and explicit ``max_events`` budgets are in scope;
+    :func:`try_execute` still checks the *built* topology (connectivity,
+    extra delays, drops).
     """
-    try:
-        if spec.kind != "maintenance":
-            return False
-        if spec.record_trace:
-            return False
-        if spec.delay not in ("uniform", "fixed") or spec.delay_options:
-            return False
-        if spec.clock_kind not in ("constant", "perfect"):
-            return False
-        if spec.options or spec.checkpoint_every is not None:
-            return False
-        if not set(spec.observers) <= {"skew", "validity"}:
-            return False
-        if spec.fault_kind is not None and \
-                spec.fault_kind not in ROUND_FAULT_KINDS:
-            return False
-        params = spec.params
-        if params.n < 2:
-            return False
-        fault_count = _fault_count(spec)
-        if not 0 <= fault_count < params.n:
-            return False
-        return True
-    except AttributeError:
-        return False
-
-
-def should_use(spec: Any) -> bool:
-    """Whether the runner should route this spec through the round engine."""
-    forced = getattr(spec, "round_engine", None)
-    if forced is False:
-        return False
-    if not (roundengine_available() and supports_spec(spec)):
-        return False
-    return forced is True or spec.params.n >= AUTO_MIN_N
+    return scope_reason(spec, ROUND_FAULT_KINDS)
 
 
 class _Fallback(Exception):
     """Internal: this execution left the clean path; run it serially."""
 
 
-class RoundSystem:
+class RoundSystem(_EngineState):
     """Round-at-a-time executor for one large-n maintenance spec.
 
     Holds per-process clock state, corrections, timer deadlines and the
@@ -158,20 +106,12 @@ class RoundSystem:
     """
 
     def __init__(self, spec: Any, topology: Optional[Any]):
-        if _np is None:  # pragma: no cover - callers gate on availability
-            raise RuntimeError("numpy is required for round execution")
         np = _np
-        from ..analysis.experiments import (effective_parameters,
-                                            maintenance_end_time)
-        self.spec = spec
+        from ..analysis.experiments import effective_parameters
+        super().__init__(spec, effective_parameters(spec.params, topology),
+                         [spec.seed], ())
+        n, fc = self.n, self.fault_count
         self.topology = topology
-        base = spec.params
-        self.params = params = effective_parameters(base, topology)
-        self.n = n = params.n
-        self.rounds = spec.rounds
-        self.fault_count = fc = _fault_count(spec)
-        self.n_correct = n - fc
-        self.fault_kind = spec.fault_kind if fc else None
 
         # Graph view: ``None`` index means the complete-graph fast path
         # (topology omitted entirely); a complete Topology object routes
@@ -187,48 +127,8 @@ class RoundSystem:
             self.complete = self.index.is_complete
             self.edge_count = self.index.edge_count
 
-        # Real clock ensemble from the serial constructor (effective params).
-        self.clocks = make_clock_ensemble(n, rho=params.rho, beta=params.beta,
-                                          seed=spec.seed,
-                                          kind=spec.clock_kind)
-        self.off = np.array([c.offset for c in self.clocks])
-        if spec.clock_kind == "perfect":
-            self.rt = np.ones(n)
-        else:
-            self.rt = np.array([c.rate for c in self.clocks])
-
-        end = maintenance_end_time(params, self.rounds)
-        if spec.horizon is not None:
-            end = max(end, float(spec.horizon))
-        self.end_time = end
-
-        # START delivery: real_time_at(T0 − CORR) with CORR = 0.
-        t0 = params.initial_round_time
-        self.start_t = ((t0 - 0.0) - self.off) / self.rt
-
-        # Crash faults run the correct algorithm until a fixed real time.
-        if self.fault_kind == "crash":
-            crash_time = (params.initial_round_time
-                          + (self.rounds / 2.0) * params.round_length)
-            self.crash_t = np.where(np.arange(n) < self.n_correct,
-                                    np.inf, crash_time)
-            self.is_upd = np.ones(n, dtype=bool)
-        else:
-            self.crash_t = np.full(n, np.inf)
-            self.is_upd = np.arange(n) < self.n_correct
-
-        # Delay model constants from the *base* params (the serial path
-        # builds the model before the topology-corrected derivation).
-        self.uniform = spec.delay == "uniform"
-        self.delay_lo = base.delta - base.epsilon
-        self.delay_span = ((base.delta + base.epsilon)
-                           - (base.delta - base.epsilon))
-        self.delay_fixed = base.delta
+        self.delay_fixed = spec.params.delta
         self.rng = _mirror_rng(spec.seed) if self.uniform else None
-
-        # Mutable per-process state.
-        self.corr = np.zeros(n)
-        self.last_u = np.full(n, -np.inf)
         self.prev_block_max = -np.inf
 
         # Dense fault columns: [receiver, fault_index] value-in-force and its
@@ -237,13 +137,6 @@ class RoundSystem:
             self.fa_val = np.zeros((n, fc))
             self.fa_t = np.full((n, fc), -np.inf)
             self.fa_has = np.zeros((n, fc), dtype=bool)
-
-        # Correction trajectories for histories and observers.
-        R = self.rounds
-        self.u_hist = np.full((n, R), np.inf)
-        self.adj_hist = np.zeros((n, R))
-        self.corr_hist = np.zeros((n, R + 1))
-        self.did_update = np.zeros((n, R), dtype=bool)
 
         # MessageStats counters (python ints: they reach 10^9 at n≈2·10^4).
         self.sent = 0
@@ -480,151 +373,6 @@ class RoundSystem:
             raise _Fallback("event budget exceeded")
 
 
-# ---------------------------------------------------------------------------
-# Observer reconstruction and result synthesis.
-# ---------------------------------------------------------------------------
-
-#: receiver rows per observer-grid kernel (rows × rounds × grid cells).
-_OBS_CHUNK_ROWS = 4096
-
-
-def _build_observers(rs: RoundSystem) -> Dict[str, object]:
-    """Finalized online observers, bit-identical to the serial pipeline.
-
-    Same elementwise math as :func:`repro.sim.vectorized._observer_batch`
-    with the replica axis dropped and the receiver axis chunked, so the
-    ``(nc, rounds, grid)`` lookup tensor never materializes at n≈10^5.
-    """
-    np = _np
-    from ..analysis.online import OnlineSkew, OnlineValidity
-    spec = rs.spec
-    params = rs.params
-    nc = rs.n_correct
-    if not spec.observers:
-        return {}
-    samples = spec.samples if spec.samples is not None else 200
-    starts_nf = rs.start_t[:nc]
-    tmin0 = float(starts_nf.min())
-    tmax0 = float(starts_nf.max())
-    start = tmax0 + params.round_length
-    u = rs.u_hist[:nc]
-    csteps = rs.corr_hist[:nc]
-    off = rs.off[:nc]
-    rt = rs.rt[:nc]
-    clocks = dict(enumerate(rs.clocks))
-    corr_final = dict(enumerate(rs.corr.tolist()))
-    pids = list(range(nc))
-    observers: Dict[str, object] = {}
-    for name in spec.observers:
-        # sample_grid(start, end, count): start + i*(end − start)/(count − 1).
-        count = samples if name == "skew" else max(50, samples // 2)
-        step = (rs.end_time - start) / (count - 1)
-        grid = start + np.arange(count) * step
-        if name == "skew":
-            lmax = np.full(count, -np.inf)
-            lmin = np.full(count, np.inf)
-        else:
-            from ..core.bounds import validity_parameters
-            vp = validity_parameters(params)
-            low = (vp.alpha1 * (grid - tmax0) - vp.alpha3) - 1e-9
-            high = (vp.alpha2 * (grid - tmin0) + vp.alpha3) + 1e-9
-            violations = 0
-        for r0 in range(0, nc, _OBS_CHUNK_ROWS):
-            r1 = min(r0 + _OBS_CHUNK_ROWS, nc)
-            # CORR in force at each grid time: the last update at or before.
-            idx = (u[r0:r1, :, None] <= grid[None, None, :]).sum(axis=1)
-            corr_g = np.take_along_axis(csteps[r0:r1], idx, axis=1)
-            L = (off[r0:r1, None] + rt[r0:r1, None] * grid[None, :]) + corr_g
-            if name == "skew":
-                lmax = np.maximum(lmax, L.max(axis=0))
-                lmin = np.minimum(lmin, L.min(axis=0))
-            else:
-                elapsed = L - params.initial_round_time
-                ok = (low[None, :] <= elapsed) & (elapsed <= high[None, :])
-                violations += int((~ok).sum())
-        if name == "skew":
-            top = float((lmax - lmin).max()) if nc >= 2 else 0.0
-            obs = OnlineSkew.from_batch(
-                grid=grid.tolist(), pids=pids, clocks=clocks,
-                corr=corr_final, max_skew=top if top > 0.0 else 0.0,
-                samples=count)
-        else:
-            captures = {}
-            for t in (start, rs.end_time):
-                idx_t = (u <= t).sum(axis=1)
-                corr_t = np.take_along_axis(csteps, idx_t[:, None],
-                                            axis=1)[:, 0]
-                captures[t] = dict(zip(pids, ((off + rt * t)
-                                              + corr_t).tolist()))
-            obs = OnlineValidity.from_batch(
-                params=params, tmin0=tmin0, tmax0=tmax0,
-                grid=grid.tolist(), start=start, end=rs.end_time,
-                pids=pids, clocks=clocks, corr=corr_final,
-                violations=violations, samples=nc * count,
-                captures=captures)
-        observers[obs.name] = obs
-    return observers
-
-
-def _synthesize_result(rs: RoundSystem, spec: Any) -> Any:
-    """One serial-shaped ScenarioResult from the engine's final arrays."""
-    from ..analysis.experiments import ScenarioResult
-    from ..clocks.logical import CorrectionEvent
-    n = rs.n
-    did_rows = rs.did_update.tolist()
-    u_rows = rs.u_hist.tolist()
-    adj_rows = rs.adj_hist.tolist()
-    histories = {}
-    for pid in range(n):
-        history = CorrectionHistory(0.0, max_entries=8)
-        did = did_rows[pid]
-        if True in did:
-            # Fill the history's internal lists directly — identical to a
-            # sequence of apply() calls (see vectorized._synthesize_result).
-            times = history._times
-            corrections = history._corrections
-            events = history._events
-            u_row = u_rows[pid]
-            adj_row = adj_rows[pid]
-            corr = 0.0
-            for r, updated in enumerate(did):
-                if not updated:
-                    continue
-                ut = u_row[r]
-                adj = adj_row[r]
-                corr = corr + adj
-                events.append(CorrectionEvent(real_time=ut, adjustment=adj,
-                                              new_correction=corr,
-                                              round_index=r))
-                times.append(ut)
-                corrections.append(corr)
-            if len(times) > 8:
-                excess = len(times) - 8
-                corrections[0] = corrections[excess]
-                del times[1:1 + excess]
-                del corrections[1:1 + excess]
-                del events[1:1 + excess]
-        histories[pid] = history
-    stats = MessageStats(
-        sent=rs.sent, delivered=rs.delivered, relayed=rs.relayed,
-        timers_set=rs.timers_set, timers_fired=rs.timers_fired,
-        per_process_sent=Counter(
-            {pid: count for pid, count in enumerate(rs.pps.tolist())
-             if count}))
-    trace = ExecutionTrace(clocks=dict(enumerate(rs.clocks)),
-                           histories=histories,
-                           faulty_ids=sorted(range(rs.n_correct, n)),
-                           events=[], stats=stats,
-                           end_time=rs.end_time, copy=False)
-    result = ScenarioResult(
-        params=rs.params, trace=trace,
-        start_times=dict(enumerate(rs.start_t.tolist())),
-        rounds=rs.rounds, end_time=rs.end_time,
-        observers=_build_observers(rs), checkpoints=0)
-    result.spec = spec
-    return result
-
-
 def try_execute(spec: Any, topology: Optional[Any],
                 telemetry: Optional[Any] = None) -> Optional[Any]:
     """Run the spec through the round engine, or return None to go serial.
@@ -669,7 +417,7 @@ def try_execute(spec: Any, topology: Optional[Any],
     try:
         engine = RoundSystem(spec, topology)
         engine.run()
-        result = _synthesize_result(engine, spec)
+        result, = engine.results([spec])
     except _Fallback:
         fallback()
         return None

@@ -36,16 +36,20 @@ Whenever a replica strays off the common skeleton — a tied send time, a
 missed round, a pending-arrival conflict, an event past the horizon — that
 replica transparently falls back to the serial
 :func:`~repro.runner.spec.execute`, which also defines the behaviour for
-every spec :func:`supports_spec` rejects.  The hypothesis parity suite
-(``tests/property/test_vectorized_parity.py``) enforces the contract on both
-TraceIndex backends; ``REPRO_NO_VECTORIZE=1`` (or :func:`use_vectorized`)
-disables the engine outright.
+every spec :func:`decline_reason` names a reason for.  Which engine runs is
+decided by :func:`repro.runner.spec.engine_for`, never by the spec.  The
+hypothesis parity suite (``tests/property/test_vectorized_parity.py``)
+enforces the contract on both TraceIndex backends.
+
+The set-up and the result tail — observer reconstruction over ``(S, rows,
+grid)`` blocks and ScenarioResult synthesis — live in one base class shared
+with the large-n round engine (:mod:`repro.sim.roundengine`), which runs as
+a batch of one.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import random
 from collections import Counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -61,10 +65,8 @@ except ImportError:  # pragma: no cover - numpy genuinely absent
     _np = None
 
 __all__ = [
-    "supports_spec",
-    "vectorized_available",
-    "use_vectorized",
-    "should_vectorize",
+    "scope_reason",
+    "decline_reason",
     "execute_batch",
     "VECTOR_FAULT_KINDS",
     "DEFAULT_EVENT_BUDGET",
@@ -81,70 +83,50 @@ VECTOR_FAULT_KINDS = frozenset(
 #: :class:`~repro.sim.events.EventBudgetExceeded` exactly as before.
 DEFAULT_EVENT_BUDGET = 2_000_000
 
-_vectorize_disabled = bool(os.environ.get("REPRO_NO_VECTORIZE"))
 
+def scope_reason(spec: Any, fault_kinds: frozenset) -> Optional[str]:
+    """Why ``spec`` is outside what both numpy engines reproduce, or None.
 
-def vectorized_available() -> bool:
-    """True when the batch engine can run (numpy present and not disabled)."""
-    return _np is not None and numpy_enabled() and not _vectorize_disabled
-
-
-def use_vectorized(enabled: bool) -> None:
-    """Globally enable/disable the batch engine (tests and benchmarks)."""
-    global _vectorize_disabled
-    _vectorize_disabled = not enabled
-
-
-def supports_spec(spec: Any) -> bool:
-    """Structurally vectorizable: complete graph, supported models, streaming.
-
-    Purely a property of the spec (independent of numpy availability or the
-    kill switches); :func:`should_vectorize` adds the runtime gates.
+    The common scope: numpy on, a streaming maintenance run with
+    uniform/fixed delays, constant/perfect clocks, no scenario options or
+    checkpoints, only the skew/validity observers, and a fault kind from
+    ``fault_kinds``.  Each engine's :func:`decline_reason` adds its own
+    limits on top.
     """
-    try:
-        if spec.kind != "maintenance":
-            return False
-        if spec.topology is not None or spec.record_trace:
-            return False
-        if spec.delay not in ("uniform", "fixed") or spec.delay_options:
-            return False
-        if spec.clock_kind not in ("constant", "perfect"):
-            return False
-        if spec.options or spec.checkpoint_every is not None:
-            return False
-        if spec.max_events is not None:
-            return False
-        if not set(spec.observers) <= {"skew", "validity"}:
-            return False
-        if spec.fault_kind is not None and \
-                spec.fault_kind not in VECTOR_FAULT_KINDS:
-            return False
-        params = spec.params
-        if params.n < 2:
-            return False
-        fault_count = _fault_count(spec)
-        if not 0 <= fault_count < params.n:
-            return False
-        return True
-    except AttributeError:
-        return False
+    if _np is None or not numpy_enabled():
+        return "numpy is off"
+    if spec.kind != "maintenance":
+        return f"kind {spec.kind!r} is not maintenance"
+    if spec.record_trace:
+        return "the spec records a trace"
+    if spec.delay not in ("uniform", "fixed") or spec.delay_options:
+        return f"delay model {spec.delay!r} is not plain uniform/fixed"
+    if spec.clock_kind not in ("constant", "perfect"):
+        return f"clock kind {spec.clock_kind!r}"
+    if spec.options or spec.checkpoint_every is not None:
+        return "scenario options or checkpoints"
+    if not set(spec.observers) <= {"skew", "validity"}:
+        return f"observers {spec.observers}"
+    if spec.fault_kind is not None and spec.fault_kind not in fault_kinds:
+        return f"fault kind {spec.fault_kind!r}"
+    if spec.params.n < 2:
+        return "fewer than 2 processes"
+    if not 0 <= _fault_count(spec) < spec.params.n:
+        return f"fault count {_fault_count(spec)} of n={spec.params.n}"
+    return None
 
 
-def should_vectorize(spec: Any) -> bool:
-    """Whether the runner should route this spec through the batch engine."""
-    if getattr(spec, "vectorize", None) is False:
-        return False
-    if not (vectorized_available() and supports_spec(spec)):
-        return False
-    if getattr(spec, "vectorize", None) is not True:
-        # At large n the O(S·n²) ARR planes of the lockstep batch dominate
-        # memory; each replica is better served by the per-replica round
-        # engine (which the serial execute() it falls back to engages).
-        from . import roundengine
-        if roundengine.should_use(spec) \
-                and spec.params.n >= roundengine.AUTO_MIN_N:
-            return False
-    return True
+def decline_reason(spec: Any) -> Optional[str]:
+    """Why the batch engine declines ``spec`` (None when it accepts it).
+
+    On top of :func:`scope_reason`: the complete graph only, and the
+    default event budget.
+    """
+    if spec.topology is not None:
+        return "the spec names a topology"
+    if spec.max_events is not None:
+        return "the spec sets max_events"
+    return scope_reason(spec, VECTOR_FAULT_KINDS)
 
 
 def _fault_count(spec: Any) -> int:
@@ -167,10 +149,6 @@ def _mirror_rng(seed: int) -> "Any":
     mirrored = _np.random.RandomState()
     mirrored.set_state(("MT19937", _np.array(keys, dtype=_np.uint32), pos))
     return mirrored
-
-
-class _Fallback(Exception):
-    """Internal: this replica left the common skeleton; run it serially."""
 
 
 class _AttackerSchedule:
@@ -258,46 +236,53 @@ def _attacker_schedule(kind: str, params: Any, rounds: int, n: int,
     return sched
 
 
-class VectorSystem:
-    """Lockstep executor for S replicas of one vectorizable maintenance spec.
+#: receiver rows per observer-grid kernel, divided among the replicas, so
+#: the (replicas × rows × rounds × grid) lookup tensor stays bounded.
+_OBS_CHUNK_ROWS = 4096
 
-    Builds the per-replica clock ensembles and RNG mirrors, then advances all
-    replicas round by round over shared ``(S, n)`` arrays.  :meth:`run`
-    returns per-replica payload dicts (histories, stats, start times,
-    observer state) for the replicas that stayed on the common skeleton and
-    flags the rest for serial fallback.
+
+class _EngineState:
+    """What both numpy engines start from and end with: the shared set-up,
+    over ``lead + (n,)`` arrays, and the result tail (:meth:`results`).
+
+    Clock ensembles from the serial constructor (the draws and the objects
+    both, so there is nothing to mirror), the run's end, START times, the
+    crash schedule, the delay bounds, CORR and its per-round trajectories.
+    The batch engine passes its S seeds with ``lead=(S,)``; the round engine
+    one seed with ``lead=()``.  ``params`` are the run's effective constants;
+    the delay bounds come from ``spec.params``, because the serial path
+    builds its delay model before any topology correction.
     """
 
-    def __init__(self, spec: Any, seeds: Sequence[int]):
-        if _np is None:  # pragma: no cover - callers gate on availability
-            raise RuntimeError("numpy is required for vectorized execution")
+    def __init__(self, spec: Any, params: Any, seeds: Sequence[int],
+                 lead: Tuple[int, ...]):
+        if _np is None:  # pragma: no cover - callers gate on decline_reason
+            raise RuntimeError("numpy is required for array execution")
         np = _np
+        from ..analysis.experiments import maintenance_end_time
         self.spec = spec
-        self.seeds = [int(seed) for seed in seeds]
-        self.params = params = spec.params
+        self.params = params
         self.n = n = params.n
-        self.S = S = len(self.seeds)
-        self.rounds = spec.rounds
+        self.rounds = R = spec.rounds
         self.fault_count = fc = _fault_count(spec)
         self.n_correct = n - fc
         self.fault_kind = spec.fault_kind if fc else None
+        self.lead = lead
+        shape = lead + (n,)
 
-        # Real clock ensembles, per replica — the draws and the objects both
-        # come from the serial constructor, so there is nothing to mirror.
         self.clocks = [make_clock_ensemble(n, rho=params.rho, beta=params.beta,
                                            seed=seed, kind=spec.clock_kind)
-                       for seed in self.seeds]
+                       for seed in seeds]
         self.off = np.array([[c.offset for c in ensemble]
-                             for ensemble in self.clocks])
+                             for ensemble in self.clocks]).reshape(shape)
         if spec.clock_kind == "perfect":
-            self.rt = np.ones((S, n))
+            self.rt = np.ones(shape)
         else:
             self.rt = np.array([[c.rate for c in ensemble]
-                                for ensemble in self.clocks])
+                                for ensemble in self.clocks]).reshape(shape)
 
         # End of run: the serial formula from experiments._run.
-        from ..analysis.experiments import maintenance_end_time
-        end = maintenance_end_time(params, self.rounds)
+        end = maintenance_end_time(params, R)
         if spec.horizon is not None:
             end = max(end, float(spec.horizon))
         self.end_time = end
@@ -306,19 +291,208 @@ class VectorSystem:
         t0 = params.initial_round_time
         self.start_t = ((t0 - 0.0) - self.off) / self.rt
 
-        self.bad = np.zeros(S, dtype=bool)
-        self.bad_reason: Dict[int, str] = {}
-
         # Crash faults run the correct algorithm until a fixed real time.
+        correct = np.arange(n) < self.n_correct
         if self.fault_kind == "crash":
             crash_time = (params.initial_round_time
-                          + (self.rounds / 2.0) * params.round_length)
-            self.crash_t = np.where(np.arange(n) < self.n_correct,
-                                    np.inf, crash_time)
+                          + (R / 2.0) * params.round_length)
+            self.crash_t = np.where(correct, np.inf, crash_time)
             self.is_upd = np.ones(n, dtype=bool)
         else:
             self.crash_t = np.full(n, np.inf)
-            self.is_upd = np.arange(n) < self.n_correct
+            self.is_upd = correct
+
+        # Delay model constants (bounds exactly as UniformDelayModel.delay).
+        base = spec.params
+        self.uniform = spec.delay == "uniform"
+        self.delay_lo = base.delta - base.epsilon
+        self.delay_span = ((base.delta + base.epsilon)
+                           - (base.delta - base.epsilon))
+
+        # CORR, and its trajectories for histories and observers.
+        self.corr = np.zeros(shape)
+        self.last_u = np.full(shape, -np.inf)
+        self.u_hist = np.full(shape + (R,), np.inf)
+        self.adj_hist = np.zeros(shape + (R,))
+        self.corr_hist = np.zeros(shape + (R + 1,))
+        self.did_update = np.zeros(shape + (R,), dtype=bool)
+
+    # -- the result tail ---------------------------------------------------
+    def results(self, specs: Sequence[Any],
+                skip: Optional[Sequence[bool]] = None) -> List[Any]:
+        """Serial-shaped ScenarioResults from the final arrays.
+
+        ``specs`` are the replicas, in seed order; the round engine's arrays
+        have no replica axis and go through as a batch of one.  Replicas
+        flagged in ``skip`` (fell back to the serial loop) get ``None``:
+        their rows are skipped, never copied out of the planes.
+        """
+        from ..analysis.experiments import ScenarioResult
+        arrays = {name: _np.asarray(getattr(self, name)) for name in (
+            "off", "rt", "start_t", "corr", "u_hist", "adj_hist",
+            "corr_hist", "did_update", "pps", "sent", "delivered", "relayed",
+            "timers_set", "timers_fired")}
+        if not self.lead:
+            arrays = {name: value[None] for name, value in arrays.items()}
+        keep = [True] * len(specs) if skip is None else [not b for b in skip]
+        clocks = [dict(enumerate(ensemble)) if kept else None
+                  for ensemble, kept in zip(self.clocks, keep)]
+        corrs = [dict(enumerate(corr)) if kept else None
+                 for corr, kept in zip(arrays["corr"].tolist(), keep)]
+        observers = self._observers(arrays, clocks, corrs)
+        # Python natives once for the whole batch — per-element numpy
+        # indexing in the per-replica loop below is the single biggest cost
+        # at large S — built after the observer kernels, so the lists and
+        # the kernels' temporaries never coexist.
+        rows = {name: value.tolist() for name, value in arrays.items()
+                if name not in ("off", "rt", "corr", "corr_hist")}
+        faulty = list(range(self.n_correct, self.n))
+        results: List[Any] = []
+        for s, spec in enumerate(specs):
+            if not keep[s]:
+                results.append(None)
+                continue
+            histories = {
+                pid: CorrectionHistory.from_rounds(times, adjustments,
+                                                   updated, max_entries=8)
+                for pid, (times, adjustments, updated) in enumerate(zip(
+                    rows["u_hist"][s], rows["adj_hist"][s],
+                    rows["did_update"][s]))}
+            stats = MessageStats(
+                sent=rows["sent"][s], delivered=rows["delivered"][s],
+                relayed=rows["relayed"][s], timers_set=rows["timers_set"][s],
+                timers_fired=rows["timers_fired"][s],
+                per_process_sent=Counter({pid: count for pid, count
+                                          in enumerate(rows["pps"][s])
+                                          if count}))
+            trace = ExecutionTrace(clocks=clocks[s], histories=histories,
+                                   faulty_ids=faulty, events=[], stats=stats,
+                                   end_time=self.end_time, copy=False)
+            result = ScenarioResult(
+                params=self.params, trace=trace,
+                start_times=dict(enumerate(rows["start_t"][s])),
+                rounds=spec.rounds, end_time=self.end_time,
+                observers=observers[s], checkpoints=0)
+            result.spec = spec
+            results.append(result)
+        return results
+
+    def _observers(self, arrays: Dict[str, Any], clocks: List[Any],
+                   corrs: List[Any]) -> List[Dict[str, object]]:
+        """Finalized online observers per replica, as the serial run ends.
+
+        Every per-grid-point computation of the serial observers — sample
+        grids, CORR lookup, local times, spreads, envelope checks, captures
+        — is an elementwise float expression, so evaluating it over ``(S,
+        rows, grid)`` blocks gives the same bits as one python loop per
+        replica and process.  Receiver rows go in chunks, so the (replicas ×
+        rows × rounds × grid) lookup tensor stays bounded at any n and S.
+        ``clocks``/``corrs`` hold each replica's pid maps, or None for
+        replicas to skip.
+        """
+        np = _np
+        from ..analysis.online import OnlineSkew, OnlineValidity
+        from ..core.bounds import validity_parameters
+        spec, params, end = self.spec, self.params, self.end_time
+        observers: List[Dict[str, object]] = [{} for _ in clocks]
+        if not spec.observers:
+            return observers
+        S, nc = len(clocks), self.n_correct
+        samples = spec.samples if spec.samples is not None else 200
+        # audit_window: extrema of the non-faulty START times.
+        starts_nf = arrays["start_t"][:, :nc]
+        tmin0 = starts_nf.min(axis=1)
+        tmax0 = starts_nf.max(axis=1)
+        start = tmax0 + params.round_length
+        u = arrays["u_hist"][:, :nc]
+        csteps = arrays["corr_hist"][:, :nc]
+        off = arrays["off"][:, :nc]
+        rt = arrays["rt"][:, :nc]
+        chunk = max(1, _OBS_CHUNK_ROWS // S)
+        pids = list(range(nc))
+        starts, tmins, tmaxs = start.tolist(), tmin0.tolist(), tmax0.tolist()
+        for name in spec.observers:
+            # sample_grid(start, end, count):
+            # start + i*(end − start)/(count − 1).
+            count = samples if name == "skew" else max(50, samples // 2)
+            step = (end - start) / (count - 1)
+            grid = start[:, None] + np.arange(count)[None, :] * step[:, None]
+            if name == "skew":
+                lmax = np.full((S, count), -np.inf)
+                lmin = np.full((S, count), np.inf)
+            else:
+                vp = validity_parameters(params)
+                low = (vp.alpha1 * (grid - tmax0[:, None]) - vp.alpha3) - 1e-9
+                high = (vp.alpha2 * (grid - tmin0[:, None]) + vp.alpha3) + 1e-9
+                violations = np.zeros(S, dtype=np.int64)
+            for r0 in range(0, nc, chunk):
+                r1 = min(r0 + chunk, nc)
+                # CORR in force at each grid time: the last update at or
+                # before it.
+                idx = (u[:, r0:r1, :, None]
+                       <= grid[:, None, None, :]).sum(axis=2)
+                corr_g = np.take_along_axis(csteps[:, r0:r1], idx, axis=2)
+                L = ((off[:, r0:r1, None]
+                      + rt[:, r0:r1, None] * grid[:, None, :]) + corr_g)
+                if name == "skew":
+                    lmax = np.maximum(lmax, L.max(axis=1))
+                    lmin = np.minimum(lmin, L.min(axis=1))
+                else:
+                    elapsed = L - params.initial_round_time
+                    ok = ((low[:, None, :] <= elapsed)
+                          & (elapsed <= high[:, None, :]))
+                    violations += (~ok).sum(axis=(1, 2))
+            grids = grid.tolist()
+            if name == "skew":
+                peaks = ((lmax - lmin).max(axis=1) if nc >= 2
+                         else np.zeros(S)).tolist()
+            else:
+                captures = []
+                for tcol in (start, np.full(S, end)):
+                    idx_t = (u <= tcol[:, None, None]).sum(axis=2)
+                    corr_t = np.take_along_axis(csteps, idx_t[:, :, None],
+                                                axis=2)[:, :, 0]
+                    captures.append(
+                        ((off + rt * tcol[:, None]) + corr_t).tolist())
+                counts = violations.tolist()
+            for s, clock_map in enumerate(clocks):
+                if clock_map is None:
+                    continue
+                if name == "skew":
+                    top = peaks[s]
+                    obs = OnlineSkew.from_batch(
+                        grid=grids[s], pids=pids, clocks=clock_map,
+                        corr=corrs[s], max_skew=top if top > 0.0 else 0.0,
+                        samples=count)
+                else:
+                    obs = OnlineValidity.from_batch(
+                        params=params, tmin0=tmins[s], tmax0=tmaxs[s],
+                        grid=grids[s], start=starts[s], end=end, pids=pids,
+                        clocks=clock_map, corr=corrs[s],
+                        violations=counts[s], samples=nc * count,
+                        captures={t: dict(zip(pids, cap[s])) for t, cap
+                                  in zip((starts[s], end), captures)})
+                observers[s][obs.name] = obs
+        return observers
+
+
+class VectorSystem(_EngineState):
+    """Lockstep executor for S replicas of one vectorizable maintenance spec.
+
+    Builds the per-replica clock ensembles and RNG mirrors, then advances all
+    replicas round by round over shared ``(S, n)`` arrays.  After :meth:`run`
+    the replicas that left the common skeleton are flagged in ``bad`` (they
+    re-run serially); :meth:`results` synthesizes the rest.
+    """
+
+    def __init__(self, spec: Any, seeds: Sequence[int]):
+        np = _np
+        self.seeds = [int(seed) for seed in seeds]
+        self.S = S = len(self.seeds)
+        super().__init__(spec, spec.params, self.seeds, (S,))
+        params, n = self.params, self.n
+        self.bad = np.zeros(S, dtype=bool)
+        self.bad_reason: Dict[int, str] = {}
 
         # Byzantine schedules (python, per replica × attacker).
         self.schedules: Dict[int, List[_AttackerSchedule]] = {}
@@ -332,17 +506,10 @@ class VectorSystem:
                                        self.end_time)
                     for s in range(S)]
 
-        # Delay model constants (bounds exactly as UniformDelayModel.delay).
-        self.uniform = spec.delay == "uniform"
-        self.delay_lo = params.delta - params.epsilon
-        self.delay_span = ((params.delta + params.epsilon)
-                           - (params.delta - params.epsilon))
         self.rngs = [_mirror_rng(seed) for seed in self.seeds] \
             if self.uniform else None
 
         # Mutable lockstep state.
-        self.corr = np.zeros((S, n))
-        self.last_u = np.full((S, n), -np.inf)
         self.arr_val = np.zeros((S, n, n))   # [replica, receiver, sender]
         self.arr_has = np.zeros((S, n, n), dtype=bool)
         self.arr_t = np.full((S, n, n), -np.inf)  # arrival time of the value
@@ -351,16 +518,10 @@ class VectorSystem:
         self.pend_has = np.zeros((S, n, n), dtype=bool)
         self.prev_block_max = np.full(S, -np.inf)
 
-        # Correction trajectories for histories and observers.
-        R = self.rounds
-        self.u_hist = np.full((S, n, R), np.inf)
-        self.adj_hist = np.zeros((S, n, R))
-        self.corr_hist = np.zeros((S, n, R + 1))
-        self.did_update = np.zeros((S, n, R), dtype=bool)
-
-        # Per-replica MessageStats counters.
+        # Per-replica MessageStats counters (complete graph: nothing relays).
         self.sent = np.zeros(S, dtype=np.int64)
         self.delivered = np.zeros(S, dtype=np.int64)
+        self.relayed = np.zeros(S, dtype=np.int64)
         self.timers_set = np.zeros(S, dtype=np.int64)
         self.timers_fired = np.zeros(S, dtype=np.int64)
         self.dispatched = np.zeros(S, dtype=np.int64)
@@ -794,196 +955,13 @@ class VectorSystem:
                        "event budget exceeded")
 
 
-# ---------------------------------------------------------------------------
-# Observer reconstruction and result synthesis.
-# ---------------------------------------------------------------------------
-
-def _observer_batch(vs: VectorSystem) -> Dict[str, Any]:
-    """Batch the observer math for every replica at once.
-
-    Every per-grid-point computation of the serial observers — sample grids,
-    CORR lookup, local times, spreads, envelope checks, captures — is an
-    elementwise float expression, so evaluating it over ``(S, nc, G)`` tensors
-    produces the same bits as S independent python loops.  The per-replica
-    :func:`_build_observers` then just slices this state into the restored
-    observer objects.
-    """
-    np = _np
-    spec = vs.spec
-    params = vs.params
-    nc = vs.n_correct
-    samples = spec.samples if spec.samples is not None else 200
-    # audit_window, vectorized: extrema of the non-faulty START times.
-    starts_nf = vs.start_t[:, :nc]
-    tmin0 = starts_nf.min(axis=1)
-    tmax0 = starts_nf.max(axis=1)
-    start = tmax0 + params.round_length
-    u = vs.u_hist[:, :nc, :]
-    csteps = vs.corr_hist[:, :nc, :]
-    off = vs.off[:, :nc]
-    rt = vs.rt[:, :nc]
-    batch: Dict[str, Any] = {}
-    for name in spec.observers:
-        # sample_grid(start, end, count): start + i*(end − start)/(count − 1).
-        count = samples if name == "skew" else max(50, samples // 2)
-        step = (vs.end_time - start) / (count - 1)
-        grid = start[:, None] + np.arange(count)[None, :] * step[:, None]
-        # CORR in force at each grid time: the last update at or before it.
-        idx = (u[:, :, :, None] <= grid[:, None, None, :]).sum(axis=2)
-        corr_g = np.take_along_axis(csteps, idx, axis=2)
-        L = (off[:, :, None] + rt[:, :, None] * grid[:, None, :]) + corr_g
-        if name == "skew":
-            if nc < 2:
-                peak = np.zeros(vs.S)
-            else:
-                spreads = L.max(axis=1) - L.min(axis=1)
-                peak = spreads.max(axis=1)
-            batch["skew"] = (grid.tolist(), peak.tolist())
-        elif name == "validity":
-            from ..core.bounds import validity_parameters
-            vp = validity_parameters(params)
-            lower = vp.alpha1 * (grid - tmax0[:, None]) - vp.alpha3
-            upper = vp.alpha2 * (grid - tmin0[:, None]) + vp.alpha3
-            low = lower - 1e-9
-            high = upper + 1e-9
-            elapsed = L - params.initial_round_time
-            ok = (low[:, None, :] <= elapsed) & (elapsed <= high[:, None, :])
-            violations = (~ok).sum(axis=(1, 2))
-            captures = []
-            for tcol in (start, np.full(vs.S, vs.end_time)):
-                idx_t = (u <= tcol[:, None, None]).sum(axis=2)
-                corr_t = np.take_along_axis(csteps, idx_t[:, :, None],
-                                            axis=2)[:, :, 0]
-                captures.append(((off + rt * tcol[:, None]) + corr_t).tolist())
-            batch["validity"] = (grid.tolist(), violations.tolist(),
-                                 nc * count, captures)
-        else:  # pragma: no cover - supports_spec rejects other names
-            raise AssertionError(name)
-    batch["tmin0"] = tmin0.tolist()
-    batch["tmax0"] = tmax0.tolist()
-    batch["start"] = start.tolist()
-    # Scalar state, converted to python natives once for the whole batch —
-    # per-element numpy indexing in the per-replica synthesis loop is the
-    # single biggest cost at large S.
-    batch["corr"] = vs.corr.tolist()
-    batch["start_t"] = vs.start_t.tolist()
-    batch["u"] = vs.u_hist.tolist()
-    batch["adj"] = vs.adj_hist.tolist()
-    batch["did"] = vs.did_update.tolist()
-    batch["sent"] = vs.sent.tolist()
-    batch["delivered"] = vs.delivered.tolist()
-    batch["timers_set"] = vs.timers_set.tolist()
-    batch["timers_fired"] = vs.timers_fired.tolist()
-    batch["pps"] = vs.pps.tolist()
-    return batch
-
-
-def _build_observers(vs: VectorSystem, s: int, batch: Dict[str, Any],
-                     pids: List[int]) -> Dict[str, object]:
-    """Finalized online observers for replica ``s`` from the batched state."""
-    from ..analysis.online import OnlineSkew, OnlineValidity
-    spec = vs.spec
-    if not spec.observers:
-        return {}
-    clocks = dict(enumerate(vs.clocks[s]))
-    corr_final = dict(enumerate(batch["corr"][s]))
-    tmin0 = batch["tmin0"][s]
-    tmax0 = batch["tmax0"][s]
-    start = batch["start"][s]
-    observers: Dict[str, object] = {}
-    for name in spec.observers:
-        if name == "skew":
-            grid, peak = batch["skew"]
-            top = peak[s]
-            obs = OnlineSkew.from_batch(
-                grid=grid[s], pids=pids, clocks=clocks,
-                corr=corr_final, max_skew=top if top > 0.0 else 0.0,
-                samples=len(grid[s]))
-        else:
-            grid, violations, samples, caps = batch["validity"]
-            captures = {
-                t: dict(zip(pids, cap[s]))
-                for t, cap in zip((start, vs.end_time), caps)}
-            obs = OnlineValidity.from_batch(
-                params=vs.params, tmin0=tmin0, tmax0=tmax0,
-                grid=grid[s], start=start, end=vs.end_time,
-                pids=pids, clocks=clocks, corr=corr_final,
-                violations=violations[s], samples=samples,
-                captures=captures)
-        observers[obs.name] = obs
-    return observers
-
-
-def _synthesize_result(vs: VectorSystem, s: int, spec: Any,
-                       batch: Dict[str, Any]) -> Any:
-    """One serial-shaped ScenarioResult from replica ``s``'s final arrays."""
-    from ..analysis.experiments import ScenarioResult
-    from ..clocks.logical import CorrectionEvent
-    n = vs.n
-    faulty = frozenset(range(vs.n_correct, n))
-    pids = list(range(vs.n_correct))
-    did_rows = batch["did"][s]
-    u_rows = batch["u"][s]
-    adj_rows = batch["adj"][s]
-    histories = {}
-    for pid in range(n):
-        history = CorrectionHistory(0.0, max_entries=8)
-        did = did_rows[pid]
-        if True in did:
-            # Fill the history's internal lists directly — identical to a
-            # sequence of apply() calls (the -inf sentinel event is never
-            # rebuilt by trimming; only _corrections[0] inherits).
-            times = history._times
-            corrections = history._corrections
-            events = history._events
-            u_row = u_rows[pid]
-            adj_row = adj_rows[pid]
-            corr = 0.0
-            for r, updated in enumerate(did):
-                if not updated:
-                    continue
-                ut = u_row[r]
-                adj = adj_row[r]
-                corr = corr + adj
-                events.append(CorrectionEvent(real_time=ut, adjustment=adj,
-                                              new_correction=corr,
-                                              round_index=r))
-                times.append(ut)
-                corrections.append(corr)
-            if len(times) > 8:
-                excess = len(times) - 8
-                corrections[0] = corrections[excess]
-                del times[1:1 + excess]
-                del corrections[1:1 + excess]
-                del events[1:1 + excess]
-        histories[pid] = history
-    pps = batch["pps"][s]
-    stats = MessageStats(
-        sent=batch["sent"][s], delivered=batch["delivered"][s],
-        timers_set=batch["timers_set"][s],
-        timers_fired=batch["timers_fired"][s],
-        per_process_sent=Counter({pid: count
-                                  for pid, count in enumerate(pps) if count}))
-    clocks = dict(enumerate(vs.clocks[s]))
-    trace = ExecutionTrace(clocks=clocks, histories=histories,
-                           faulty_ids=sorted(faulty), events=[], stats=stats,
-                           end_time=vs.end_time, copy=False)
-    result = ScenarioResult(
-        params=vs.params, trace=trace,
-        start_times=dict(enumerate(batch["start_t"][s])),
-        rounds=vs.rounds, end_time=vs.end_time,
-        observers=_build_observers(vs, s, batch, pids), checkpoints=0)
-    result.spec = spec
-    return result
-
-
 def execute_batch(specs: Sequence[Any],
                   telemetry: Optional[Any] = None) -> List[Any]:
     """Execute S replicas of one spec (identical modulo seed) in lockstep.
 
     Returns results aligned with ``specs``.  Replicas whose event skeleton
-    diverges from the lockstep assumptions — and every replica, when the spec
-    is unsupported or the engine is disabled — transparently fall back to the
+    diverges from the lockstep assumptions — and every replica, when
+    :func:`decline_reason` names a reason — transparently fall back to the
     serial :func:`~repro.runner.spec.execute`, so the output is always the
     serial output.
     """
@@ -1001,8 +979,9 @@ def execute_batch(specs: Sequence[Any],
     if telemetry is None:
         from ..telemetry import get_active
         telemetry = get_active()
-    if not (vectorized_available() and supports_spec(base)):
-        return [execute(spec, telemetry=telemetry) for spec in specs]
+    if decline_reason(base) is not None:
+        return [execute(spec, telemetry=telemetry, engine="serial")
+                for spec in specs]
 
     # Deduplicate (BatchRunner already does; direct callers may not).
     unique: List[Any] = []
@@ -1015,14 +994,16 @@ def execute_batch(specs: Sequence[Any],
     start = perf_counter()
     vs = VectorSystem(base, [spec.seed for spec in unique])
     vs.run()
-    batch = _observer_batch(vs) if not vs.bad.all() else {}
+    synthesized = (vs.results(unique, skip=vs.bad) if not vs.bad.all()
+                   else [None] * len(unique))
     results: Dict[Any, Any] = {}
     vector_specs = []
-    for i, spec in enumerate(unique):
-        if vs.bad[i]:
-            results[spec] = execute(spec, telemetry=telemetry)
+    for spec, result in zip(unique, synthesized):
+        if result is None:
+            results[spec] = execute(spec, telemetry=telemetry,
+                                    engine="serial")
         else:
-            results[spec] = _synthesize_result(vs, i, spec, batch)
+            results[spec] = result
             vector_specs.append(spec)
     wall = perf_counter() - start
 

@@ -87,9 +87,9 @@ class TestBatchCache:
         assert [r.end_time for r in warm] == [r.end_time for r in cold]
 
 
-def _execute_in_worker(spec):
+def _execute_in_worker(spec, engine="auto"):
     """``execute`` that also reports which process ran the spec."""
-    return os.getpid(), execute(spec)
+    return os.getpid(), execute(spec, engine=engine)
 
 
 class TestPoolExecution:

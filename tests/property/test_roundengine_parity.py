@@ -16,16 +16,16 @@ engine actually *ran* (``roundengine.rounds`` advanced, zero fallbacks) —
 a silent serial fallback would make parity trivially true and test nothing.
 
 The suite runs on both TraceIndex backends (the ``REPRO_NO_NUMPY`` toggle):
-under the pure-python backend the engine reports itself unavailable and
-``execute`` must degrade to the serial loop, so parity is trivially exact
-there too — the property then guards the fallback wiring.  The same file
-also pins the topology-index satellites: the memoized index cache (hits
-counted in telemetry), the ``delay_envelope`` fast path's equality with
-the python route walk, and the Topology's CSR storage: the numpy and the
-per-edge builds give identical arrays, and the index views them in place.
+under the pure-python backend the engine declines every spec ("numpy is
+off") and ``execute`` must degrade to the serial loop, so parity is
+trivially exact there too — the property then guards the fallback wiring.
+The same file also pins the topology-index satellites: the memoized index
+cache (hits counted in telemetry), the ``delay_envelope`` fast path's
+equality with the python route walk, and the Topology's CSR storage: the
+numpy and the per-edge builds give identical arrays, and the index views
+them in place.
 """
 
-import dataclasses
 import pickle
 from collections import OrderedDict
 
@@ -34,7 +34,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.experiments import default_parameters
-from repro.runner.spec import RunSpec, execute
+from repro.runner.spec import RunSpec, engine_for, execute
 from repro.sim import roundengine, traceindex
 from repro.telemetry import Telemetry
 from repro.topology.base import Topology, canonical_link
@@ -81,7 +81,6 @@ def engine_specs(draw):
         record_trace=False,
         observers=draw(st.sampled_from(
             [("skew", "validity"), ("skew",), ()])),
-        round_engine=True,
     )
     return spec
 
@@ -121,7 +120,7 @@ def _assert_identical(spec, a, b):
         assert val_a._captures == val_b._captures
 
 
-def _run_engine(spec, expect_engine):
+def _run_engine(spec, expect_engine, engine="round"):
     """Execute with telemetry; assert the round engine did (not) run.
 
     ``expect_engine`` is tri-state: ``True`` — the engine must complete every
@@ -131,7 +130,7 @@ def _run_engine(spec, expect_engine):
     over fixed delays, legitimately trip the tied-send-time guard).
     """
     telemetry = Telemetry()
-    result = execute(spec, telemetry=telemetry)
+    result = execute(spec, telemetry=telemetry, engine=engine)
     snapshot = telemetry.registry.snapshot()
     rounds = snapshot.get("roundengine.rounds", {}).get("value", 0.0)
     fallbacks = snapshot.get("roundengine.fallbacks", {}).get("value", 0.0)
@@ -150,10 +149,9 @@ class TestRoundEngineParity:
     @given(spec=engine_specs())
     def test_engine_is_bit_identical_to_serial(self, backend, spec):
         """Engine run == serial run on every observable surface."""
-        assert roundengine.supports_spec(spec)
-        serial_spec = dataclasses.replace(spec, round_engine=False,
-                                          vectorize=False)
-        serial = execute(serial_spec)
+        assert roundengine.decline_reason(spec) == (
+            None if backend == "numpy" else "numpy is off")
+        serial = execute(spec, engine="serial")
         # Constant clocks (distinct random rates) must take the clean path;
         # perfect clocks can align logical clocks exactly after a correction
         # and legitimately trip the tied-send-time fallback — parity must
@@ -171,23 +169,19 @@ class TestRoundEngineParity:
     @given(spec=engine_specs())
     def test_engine_availability_tracks_backend(self, backend, spec):
         """The engine is live exactly when the numpy backend is active."""
-        assert roundengine.roundengine_available() == (backend == "numpy")
+        assert (roundengine.decline_reason(spec) is None) == \
+            (backend == "numpy")
 
-    def test_kill_switch_falls_back_to_serial(self, backend):
-        """use_round_engine(False) degrades to the serial loop, identically."""
+    def test_serial_engine_falls_back_to_serial(self, backend):
+        """engine="serial" runs the serial loop, identically."""
         params = default_parameters(n=7, f=2)
         spec = RunSpec.maintenance(params, rounds=3, fault_kind="crash",
                                    fault_count=2, topology="star",
                                    record_trace=False,
-                                   observers=("skew", "validity"),
-                                   round_engine=True)
+                                   observers=("skew", "validity"))
         reference = _run_engine(spec, expect_engine=(backend == "numpy"))
-        roundengine.use_round_engine(False)
-        try:
-            assert not roundengine.should_use(spec)
-            disabled = _run_engine(spec, expect_engine=False)
-        finally:
-            roundengine.use_round_engine(True)
+        assert engine_for(spec, "serial") == "serial"
+        disabled = _run_engine(spec, expect_engine=False, engine="serial")
         _assert_identical(spec, reference, disabled)
 
     def test_unexpected_error_degrades_to_serial(self, backend, monkeypatch):
@@ -204,17 +198,15 @@ class TestRoundEngineParity:
         spec = RunSpec.maintenance(params, rounds=3, fault_kind="crash",
                                    fault_count=2, topology="star",
                                    record_trace=False,
-                                   observers=("skew", "validity"),
-                                   round_engine=True)
-        serial = execute(dataclasses.replace(spec, round_engine=False,
-                                             vectorize=False))
+                                   observers=("skew", "validity"))
+        serial = execute(spec, engine="serial")
 
         def boom(self):
             raise RuntimeError("injected engine failure")
 
         monkeypatch.setattr(roundengine.RoundSystem, "run", boom)
         telemetry = Telemetry()
-        result = execute(spec, telemetry=telemetry)
+        result = execute(spec, telemetry=telemetry, engine="round")
         snapshot = telemetry.registry.snapshot()
         assert snapshot["roundengine.errors"]["value"] == 1.0
         assert snapshot["roundengine.fallbacks"]["value"] == 1.0
@@ -227,10 +219,8 @@ class TestRoundEngineParity:
         spec = RunSpec.maintenance(params, rounds=6, fault_kind="silent",
                                    fault_count=3, topology="hierarchy",
                                    record_trace=False,
-                                   observers=("skew", "validity"),
-                                   round_engine=True)
-        serial = execute(dataclasses.replace(spec, round_engine=False,
-                                             vectorize=False))
+                                   observers=("skew", "validity"))
+        serial = execute(spec, engine="serial")
         engine = _run_engine(spec, expect_engine=(backend == "numpy"))
         _assert_identical(spec, serial, engine)
 

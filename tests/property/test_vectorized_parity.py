@@ -12,9 +12,9 @@ seeds) these properties compare every observable surface of the results:
   points and capture tables.
 
 The suite runs on both TraceIndex backends (the ``REPRO_NO_NUMPY`` toggle):
-under the pure-python backend the engine reports itself unavailable and
-``execute_batch`` must degrade to the serial loop, so parity is trivially
-exact there too — the property then guards the fallback wiring.
+under the pure-python backend the engine declines every spec ("numpy is
+off") and ``execute_batch`` must degrade to the serial loop, so parity is
+trivially exact there too — the property then guards the fallback wiring.
 """
 
 import pytest
@@ -26,9 +26,8 @@ from repro.runner.spec import RunSpec, execute
 from repro.sim import traceindex
 from repro.sim.vectorized import (
     VECTOR_FAULT_KINDS,
+    decline_reason,
     execute_batch,
-    supports_spec,
-    vectorized_available,
 )
 
 SLOW = settings(max_examples=10, deadline=None,
@@ -116,8 +115,9 @@ class TestVectorizedParity:
     def test_batch_is_bit_identical_to_serial(self, backend, case):
         """execute_batch == [execute(s) for s] on every observable surface."""
         spec, seeds = case
-        assert supports_spec(spec)
-        serial = [execute(spec.with_seed(s)) for s in seeds]
+        assert decline_reason(spec) == (None if backend == "numpy"
+                                        else "numpy is off")
+        serial = [execute(spec.with_seed(s), engine="serial") for s in seeds]
         vectorized = execute_batch([spec.with_seed(s) for s in seeds])
         _assert_identical(spec, serial, vectorized)
 
@@ -125,7 +125,8 @@ class TestVectorizedParity:
     @given(case=vector_specs())
     def test_engine_availability_tracks_backend(self, backend, case):
         """The engine is live exactly when the numpy backend is active."""
-        assert vectorized_available() == (backend == "numpy")
+        spec, _ = case
+        assert (decline_reason(spec) is None) == (backend == "numpy")
 
     def test_larger_batch_smoke(self, backend):
         """One deterministic n=13, S=16 case beyond hypothesis' sizes."""
@@ -134,6 +135,6 @@ class TestVectorizedParity:
                                    record_trace=False,
                                    observers=("skew", "validity"))
         seeds = list(range(16))
-        serial = [execute(spec.with_seed(s)) for s in seeds]
+        serial = [execute(spec.with_seed(s), engine="serial") for s in seeds]
         vectorized = execute_batch([spec.with_seed(s) for s in seeds])
         _assert_identical(spec, serial, vectorized)

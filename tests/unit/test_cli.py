@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sim.traceindex import numpy_enabled
 
 
 class TestParser:
@@ -384,110 +385,114 @@ class TestNetParser:
         assert "HOST:PORT" in capsys.readouterr().err
 
 
-class TestEngineKillSwitchScoping:
-    """--no-vectorize / --no-round-engine must not leak across main() calls.
+def _counter(stderr, name):
+    """A counter's value from the --telemetry registry table (0 if absent)."""
+    for line in stderr.splitlines():
+        fields = line.split()
+        if fields and fields[0] == name:
+            return float(fields[-1])
+    return 0.0
 
-    Both levers are process-global (a module toggle plus an environment
-    flag), so one programmatic ``main([...])`` call disabling an engine
-    must not leave the next call in the same process running degraded.
-    """
 
-    @pytest.fixture
-    def spy(self, monkeypatch):
-        import os
+needs_numpy = pytest.mark.skipif(not numpy_enabled(),
+                                 reason="the engines need numpy")
 
-        import repro.cli as cli
-        from repro.sim import roundengine, vectorized
 
-        seen = {}
+class TestEngineFlags:
+    """run's engine flags are one choice, passed along, never global."""
 
-        def fake_run(args):
-            seen["vectorize_disabled"] = vectorized._vectorize_disabled
-            seen["roundengine_disabled"] = roundengine._roundengine_disabled
-            seen["env_vectorize"] = os.environ.get("REPRO_NO_VECTORIZE")
-            seen["env_roundengine"] = os.environ.get("REPRO_NO_ROUNDENGINE")
-            return 0
-
-        monkeypatch.setitem(cli._COMMANDS, "run", fake_run)
-        return seen
-
-    @pytest.fixture
-    def baseline(self):
-        import os
-
-        from repro.sim import roundengine, vectorized
-
-        return {
-            "vectorize_disabled": vectorized._vectorize_disabled,
-            "roundengine_disabled": roundengine._roundengine_disabled,
-            "env_vectorize": os.environ.get("REPRO_NO_VECTORIZE"),
-            "env_roundengine": os.environ.get("REPRO_NO_ROUNDENGINE"),
-        }
-
-    def current(self):
-        import os
-
-        from repro.sim import roundengine, vectorized
-
-        return {
-            "vectorize_disabled": vectorized._vectorize_disabled,
-            "roundengine_disabled": roundengine._roundengine_disabled,
-            "env_vectorize": os.environ.get("REPRO_NO_VECTORIZE"),
-            "env_roundengine": os.environ.get("REPRO_NO_ROUNDENGINE"),
-        }
-
-    def test_no_vectorize_scoped_to_one_invocation(self, spy, baseline):
-        assert main(["run", "--no-vectorize"]) == 0
-        # during the command: both levers thrown for the vectorized engine
-        assert spy["vectorize_disabled"] is True
-        assert spy["env_vectorize"] == "1"
-        # the round engine was untouched
-        assert spy["roundengine_disabled"] == baseline["roundengine_disabled"]
-        # after the command: everything restored
-        assert self.current() == baseline
-
-    def test_no_round_engine_scoped_to_one_invocation(self, spy, baseline):
-        assert main(["run", "--no-round-engine"]) == 0
-        assert spy["roundengine_disabled"] is True
-        assert spy["env_roundengine"] == "1"
-        assert spy["vectorize_disabled"] == baseline["vectorize_disabled"]
-        assert self.current() == baseline
-
-    def test_second_main_call_runs_with_engines_reenabled(self, spy,
-                                                          baseline):
-        # The acceptance regression: back-to-back programmatic main() calls
-        # in one process; the second must see both engines enabled again.
-        assert main(["run", "--no-vectorize", "--no-round-engine"]) == 0
-        assert spy["vectorize_disabled"] is True
-        assert spy["roundengine_disabled"] is True
-        assert main(["run"]) == 0
-        assert spy["vectorize_disabled"] is False
-        assert spy["roundengine_disabled"] is False
-        assert spy["env_vectorize"] is None
-        assert spy["env_roundengine"] is None
-        assert self.current() == baseline
-
-    def test_preexisting_env_value_restored(self, spy, monkeypatch):
-        import os
-
-        monkeypatch.setenv("REPRO_NO_VECTORIZE", "legacy")
-        from repro.sim import vectorized
-
-        saved_toggle = vectorized._vectorize_disabled
-        assert main(["run", "--no-vectorize"]) == 0
-        # inside: overwritten with "1"; after: the caller's value is back
-        assert spy["env_vectorize"] == "1"
-        assert os.environ["REPRO_NO_VECTORIZE"] == "legacy"
-        assert vectorized._vectorize_disabled == saved_toggle
-
-    def test_restored_even_when_the_command_raises(self, monkeypatch,
-                                                   baseline):
+    @pytest.mark.parametrize("flags,engine", [
+        ([], "auto"),
+        (["--vectorize"], "batch"),
+        (["--round-engine"], "round"),
+        (["--no-vectorize"], "serial"),
+        (["--no-round-engine"], "serial"),
+    ])
+    def test_each_flag_maps_to_its_engine(self, flags, engine, monkeypatch):
         import repro.cli as cli
 
-        def exploding_run(args):
-            raise RuntimeError("mid-command failure")
+        seen = []
+        real = cli.execute
 
-        monkeypatch.setitem(cli._COMMANDS, "run", exploding_run)
-        with pytest.raises(RuntimeError, match="mid-command failure"):
-            main(["run", "--no-vectorize", "--no-round-engine"])
-        assert self.current() == baseline
+        def spy(spec, telemetry=None, engine="auto"):
+            seen.append(engine)
+            return real(spec, telemetry=telemetry, engine=engine)
+
+        monkeypatch.setattr(cli, "execute", spy)
+        assert build_parser().parse_args(["run", *flags]).engine == engine
+        assert main(["run", "--no-trace", "--observe", "skew,validity",
+                     "--rounds", "2", *flags]) == 0
+        assert seen == [engine]
+
+    def test_engine_flags_are_mutually_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["run", "--vectorize",
+                                       "--round-engine"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", [
+        ["compare"], ["sweep", "--axis", "n", "--values", "7"]])
+    @pytest.mark.parametrize("flag", [
+        ["--vectorize"], ["--no-vectorize"], ["--round-engine"],
+        ["--no-round-engine"], ["--max-events", "1"]])
+    def test_only_run_accepts_engine_flags(self, command, flag, capsys):
+        # compare and sweep specs are ones both engines decline, so the
+        # flags would do nothing there: argparse refuses them instead.
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + flag)
+        assert excinfo.value.code == 2
+
+    @needs_numpy
+    def test_default_after_no_vectorize_still_batches(self, capsys):
+        argv = ["run", "--no-trace", "--observe", "skew,validity",
+                "--rounds", "3", "--replicate-seeds", "0", "1", "2",
+                "--telemetry"]
+        assert main(argv + ["--no-vectorize"]) == 0
+        first = capsys.readouterr()
+        assert _counter(first.err, "runner.vectorized_replicas") == 0
+        assert main(argv) == 0
+        second = capsys.readouterr()
+        assert _counter(second.err, "runner.vectorized_replicas") == 3
+        assert first.out == second.out
+
+    @needs_numpy
+    def test_round_engine_flag_runs_the_round_engine(self, capsys):
+        argv = ["run", "--workload", "grid-lan", "--no-trace", "--observe",
+                "skew,validity", "--rounds", "3", "-n", "9", "--telemetry"]
+        main(argv + ["--round-engine"])
+        forced = capsys.readouterr()
+        assert _counter(forced.err, "roundengine.rounds") == 3
+        main(argv)  # auto: n=9 is below the round engine's floor
+        auto = capsys.readouterr()
+        assert _counter(auto.err, "roundengine.rounds") == 0
+        assert forced.out == auto.out
+
+
+class TestEventBudget:
+    """An exhausted --max-events budget ends in one error line, exit 2."""
+
+    STREAMING = ["run", "--no-trace", "--observe", "skew,validity",
+                 "--rounds", "3", "--max-events", "1"]
+
+    def _assert_budget_error(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: exceeded the budget of 1 events")
+        assert "spec maintenance:n=7" in err
+        assert "--max-events" in err.splitlines()[-1]
+
+    def test_single_streaming_run(self, capsys):
+        self._assert_budget_error(capsys, self.STREAMING)
+
+    def test_replicated_run(self, capsys):
+        self._assert_budget_error(
+            capsys, self.STREAMING + ["--replicate-seeds", "0", "1"])
+
+    def test_traced_run_honours_max_events(self, capsys):
+        self._assert_budget_error(capsys, ["run", "--rounds", "3",
+                                           "--max-events", "1"])
+        # a budget the run fits in changes nothing
+        assert main(["run", "--rounds", "3"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["run", "--rounds", "3", "--max-events", "10000000"]) == 0
+        assert capsys.readouterr().out == plain

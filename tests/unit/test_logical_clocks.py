@@ -53,6 +53,33 @@ class TestCorrectionHistory:
         assert history.events[0].round_index == -1
 
 
+class TestFromRounds:
+    """``from_rounds`` equals one ``apply`` per updated round."""
+
+    @staticmethod
+    def key(history):
+        return (tuple(history.times), tuple(history.corrections),
+                history.events)
+
+    @pytest.mark.parametrize("max_entries", [None, 2, 3, 8])
+    @pytest.mark.parametrize("updated", [
+        [False] * 5,
+        [True] * 5,
+        [True, False, True, True, False, True, True, True, False, True],
+    ])
+    def test_matches_repeated_apply(self, max_entries, updated):
+        times = [0.5 + 1.25 * r for r in range(len(updated))]
+        adjustments = [(-1) ** r * 0.1 * (r + 1) for r in range(len(updated))]
+        applied = CorrectionHistory(0.0, max_entries=max_entries)
+        for r, flag in enumerate(updated):
+            if flag:
+                applied.apply(times[r], adjustments[r], r)
+        built = CorrectionHistory.from_rounds(times, adjustments, updated,
+                                              max_entries=max_entries)
+        assert self.key(built) == self.key(applied)
+        assert built.max_entries == max_entries
+
+
 class TestLogicalClockView:
     def make_view(self):
         clock = ConstantRateClock(offset=2.0, rate=1.0, rho=1e-4)

@@ -216,6 +216,34 @@ class TestStoreIntegration:
         assert_identical(runner.run(specs), reference)
         assert runner.store is store
 
+    @pytest.mark.parametrize("engine", ["serial", "round"])
+    def test_store_resumes_under_any_engine(self, tmp_path, engine):
+        # The engine is a speed choice beside the spec, not part of its
+        # key: a store filled under one engine serves every row to another.
+        streaming = [RunSpec.maintenance(default_parameters(n=7, f=2),
+                                         rounds=3, fault_kind="crash",
+                                         record_trace=False,
+                                         observers=("skew", "validity"),
+                                         seed=seed)
+                     for seed in range(3)]
+        store_path = str(tmp_path / "s.sqlite")
+        filled = ResilientRunner(jobs=1, store=store_path, engine="auto",
+                                 **FAST).run(streaming)
+        telemetry = Telemetry()
+        resumed = ResilientRunner(jobs=1, store=store_path, resume=True,
+                                  cache=False, telemetry=telemetry,
+                                  engine=engine, **FAST).run(streaming)
+        snapshot = telemetry.registry.snapshot()
+        assert snapshot["resilient.store.hits"]["value"] == \
+            float(len(streaming))
+        assert "resilient.store.misses" not in snapshot
+        for a, b in zip(filled, resumed):
+            assert a.trace.stats == b.trace.stats
+            assert a.start_times == b.start_times
+            assert a.online("skew").max_skew == b.online("skew").max_skew
+            assert a.online("validity").report() == \
+                b.online("validity").report()
+
 
 class TestInterruptAndResume:
     def test_chaos_interrupt_raises_resumable(self, tmp_path, specs):

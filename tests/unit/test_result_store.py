@@ -9,6 +9,7 @@ import pytest
 
 from repro.analysis import default_parameters
 from repro.runner import (
+    SCHEMA_VERSION,
     ChaosSchedule,
     ResultStore,
     RunSpec,
@@ -65,11 +66,13 @@ class TestContentAddressing:
         assert len(keys) == 1
 
     def test_keys_of_named_and_default_topologies_are_stable(self, spec):
-        # Literal digests: stores written by earlier builds keep resuming.
+        # Literal schema-v2 digests: stores written by earlier v2 builds
+        # keep resuming.  Each is the sha256 of the schema-v1 repr with
+        # its two trailing engine fields (both None) cut out.
         assert store_key(spec) == (
-            "1e1c2c0c7e0903fb740b923a1811b2b34785acebeddef0b80dd608cca7064be6")
+            "ee75eef86e221c81df7d92691a759db88f81d2f3b2b6fbed10d1d887a19da5e5")
         assert store_key(dataclasses.replace(spec, topology="ring")) == (
-            "1460635d8ba53f3add0c7310fa115888a0a822fccb9bb0d096963a7b10ab1f24")
+            "cea9e82a431ab2807150d78a2fdf3b06b1ca36520f73b4c3b0d6767713671666")
 
     def test_key_extends_manifest_hash(self, spec):
         # Manifest lines carry the truncated digest; store rows the full
@@ -141,9 +144,44 @@ class TestSchemaVersioning:
         with pytest.raises(StoreVersionError, match="v999"):
             ResultStore(path)
 
+    @staticmethod
+    def v1_store(tmp_path, spec, result):
+        path = str(tmp_path / "v1.sqlite")
+        with ResultStore(path) as store:
+            store.put(spec, result)
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute("UPDATE meta SET value = '1' "
+                         "WHERE key = 'schema_version'")
+        conn.close()
+        return path
+
+    def test_older_schema_refused_with_the_fix(self, tmp_path, spec,
+                                              result):
+        # A v1 store keys specs by a repr with engine fields, so a resume
+        # would silently miss every row; it is refused instead.
+        path = self.v1_store(tmp_path, spec, result)
+        with pytest.raises(StoreVersionError, match="v1") as excinfo:
+            ResultStore(path)
+        message = str(excinfo.value)
+        assert "fresh store" in message and "without --resume" in message
+
+    def test_cli_refuses_older_store_with_one_error_line(self, tmp_path,
+                                                         spec, result,
+                                                         capsys):
+        from repro.cli import main
+
+        path = self.v1_store(tmp_path, spec, result)
+        for argv in (["store", "status", path],
+                     ["sweep", "--axis", "n", "--values", "4", "--rounds",
+                      "2", "--store", path, "--resume"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "fresh store" in err
+
     def test_schema_version_property(self, tmp_path):
         with make_store(tmp_path) as store:
-            assert store.schema_version == 1
+            assert store.schema_version == SCHEMA_VERSION
 
 
 class TestQuarantineLedger:
@@ -184,7 +222,7 @@ class TestStatusAndGc:
         assert status["results"] == 2
         assert status["quarantined"] == 1
         assert status["by_kind"] == {"maintenance": 2}
-        assert status["schema_version"] == 1
+        assert status["schema_version"] == SCHEMA_VERSION
         assert status["size_bytes"] > 0
         assert status["oldest_created_at"] <= status["newest_created_at"]
 

@@ -151,9 +151,9 @@ class TestBatchRunner:
     def test_duplicates_computed_once(self, params, monkeypatch):
         calls = []
 
-        def counting_execute(spec):
+        def counting_execute(spec, engine="auto"):
             calls.append(spec)
-            return execute(spec)
+            return execute(spec, engine=engine)
 
         monkeypatch.setattr(batch_module, "execute", counting_execute)
         spec = RunSpec.maintenance(params, rounds=3, seed=0)
@@ -164,9 +164,9 @@ class TestBatchRunner:
     def test_cache_persists_across_batches(self, params, monkeypatch):
         calls = []
 
-        def counting_execute(spec):
+        def counting_execute(spec, engine="auto"):
             calls.append(spec)
-            return execute(spec)
+            return execute(spec, engine=engine)
 
         monkeypatch.setattr(batch_module, "execute", counting_execute)
         runner = BatchRunner()
@@ -182,9 +182,9 @@ class TestBatchRunner:
     def test_cache_can_be_disabled(self, params, monkeypatch):
         calls = []
 
-        def counting_execute(spec):
+        def counting_execute(spec, engine="auto"):
             calls.append(spec)
-            return execute(spec)
+            return execute(spec, engine=engine)
 
         monkeypatch.setattr(batch_module, "execute", counting_execute)
         runner = BatchRunner(cache=False)
@@ -209,9 +209,9 @@ class TestBatchRunner:
     def test_run_iter_is_lazy_when_serial(self, params, monkeypatch):
         executed = []
 
-        def counting_execute(spec):
+        def counting_execute(spec, engine="auto"):
             executed.append(spec.seed)
-            return execute(spec)
+            return execute(spec, engine=engine)
 
         monkeypatch.setattr(batch_module, "execute", counting_execute)
         specs = [RunSpec.maintenance(params, rounds=3, seed=seed)
@@ -278,9 +278,9 @@ class TestReplicate:
     def test_shared_runner_reuses_cached_results(self, params, monkeypatch):
         calls = []
 
-        def counting_execute(spec):
+        def counting_execute(spec, engine="auto"):
             calls.append(spec)
-            return execute(spec)
+            return execute(spec, engine=engine)
 
         monkeypatch.setattr(batch_module, "execute", counting_execute)
         runner = BatchRunner()
@@ -294,10 +294,10 @@ class TestTolerateFailures:
     def test_poison_spec_becomes_specfailure_slot(self, params, monkeypatch):
         from repro.runner import SpecFailure
 
-        def flaky(spec):
+        def flaky(spec, engine="auto"):
             if spec.seed == 2:
                 raise ValueError("poison seed")
-            return execute(spec)
+            return execute(spec, engine=engine)
 
         monkeypatch.setattr(batch_module, "execute", flaky)
         specs = [RunSpec.maintenance(params, rounds=3, seed=s)
@@ -314,7 +314,7 @@ class TestTolerateFailures:
             assert results[i].trace.events == execute(specs[i]).trace.events
 
     def test_default_still_raises(self, params, monkeypatch):
-        def always(spec):
+        def always(spec, engine="auto"):
             raise ValueError("poison")
 
         monkeypatch.setattr(batch_module, "execute", always)
@@ -325,7 +325,7 @@ class TestTolerateFailures:
     def test_failures_are_cached_like_results(self, params, monkeypatch):
         calls = []
 
-        def flaky(spec):
+        def flaky(spec, engine="auto"):
             calls.append(spec)
             raise ValueError("poison")
 
@@ -356,10 +356,10 @@ class TestTolerateFailures:
 
 class TestReplicatePartial:
     def test_failing_seed_yields_partial_result(self, params, monkeypatch):
-        def flaky(spec):
+        def flaky(spec, engine="auto"):
             if spec.seed == 2:
                 raise ValueError("poison seed")
-            return execute(spec)
+            return execute(spec, engine=engine)
 
         monkeypatch.setattr(batch_module, "execute", flaky)
         spec = RunSpec.maintenance(params, rounds=3)
@@ -380,7 +380,7 @@ class TestReplicatePartial:
                                                         monkeypatch):
         from repro.runner import ReplicationError
 
-        def always(spec):
+        def always(spec, engine="auto"):
             raise ValueError("dead")
 
         monkeypatch.setattr(batch_module, "execute", always)
@@ -400,7 +400,7 @@ class TestReplicatePartial:
         assert rep.failed_seeds == ()
 
     def test_default_replication_still_raises(self, params, monkeypatch):
-        def always(spec):
+        def always(spec, engine="auto"):
             raise ValueError("dead")
 
         monkeypatch.setattr(batch_module, "execute", always)

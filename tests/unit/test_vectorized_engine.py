@@ -2,9 +2,10 @@
 
 The bit-identity of the engine's *output* is the property suite's job
 (``tests/property/test_vectorized_parity.py``); here we pin the plumbing:
-which specs the engine claims, how the kill switches compose, how the batch
-runner groups replicas, what telemetry a vectorized batch emits, and the
-degenerate single-seed confidence interval of :func:`repro.runner.replicate`.
+which specs the engine declines and why, how :func:`engine_for` picks an
+engine for every ``engine=`` value, how the batch runner groups replicas,
+what telemetry a vectorized batch emits, and the degenerate single-seed
+confidence interval of :func:`repro.runner.replicate`.
 """
 
 import math
@@ -16,8 +17,10 @@ import pytest
 
 from repro.analysis.experiments import default_parameters
 from repro.analysis.statistics import summarize
-from repro.runner import BatchRunner, RunSpec, execute, replicate
-from repro.sim import vectorized
+from repro.runner import (BatchRunner, ResilientRunner, RunSpec, execute,
+                          replicate)
+from repro.runner.spec import engine_for
+from repro.sim import traceindex, vectorized
 from repro.sim.traceindex import numpy_enabled
 from repro.telemetry import Telemetry
 
@@ -34,17 +37,22 @@ def _spec(**overrides):
 
 
 @pytest.fixture
-def engine_enabled():
-    """Make sure the module toggle is on for the test, then restore it."""
-    previous = vectorized._vectorize_disabled
-    vectorized.use_vectorized(True)
+def numpy_off():
+    """Switch the numpy backend off for the test, then restore it."""
+    previous = traceindex.numpy_enabled()
+    traceindex.use_numpy(False)
     yield
-    vectorized._vectorize_disabled = previous
+    traceindex.use_numpy(previous)
 
 
-class TestSupportsSpec:
+needs_numpy = pytest.mark.skipif(not numpy_enabled(),
+                                 reason="the engines need numpy")
+
+
+class TestDeclineReason:
     def test_streaming_maintenance_is_supported(self):
-        assert vectorized.supports_spec(_spec())
+        expected = None if numpy_enabled() else "numpy is off"
+        assert vectorized.decline_reason(_spec()) == expected
 
     @pytest.mark.parametrize("overrides", [
         {"record_trace": True},          # trace recording is serial-only
@@ -57,40 +65,94 @@ class TestSupportsSpec:
         {"checkpoint_every": 1.0},       # snapshot/restore is serial-only
     ])
     def test_unsupported_features_are_rejected(self, overrides):
-        assert not vectorized.supports_spec(_spec(**overrides))
+        assert vectorized.decline_reason(_spec(**overrides)) is not None
 
     def test_topology_is_rejected(self):
         spec = _spec(topology="ring")
-        assert not vectorized.supports_spec(spec)
+        assert vectorized.decline_reason(spec) == "the spec names a topology"
 
     def test_startup_kind_is_rejected(self):
         spec = RunSpec.startup(_params(), rounds=3)
-        assert not vectorized.supports_spec(spec)
+        assert vectorized.decline_reason(spec) is not None
+
+    def test_numpy_off_is_a_decline_reason(self, numpy_off):
+        assert vectorized.decline_reason(_spec()) == "numpy is off"
 
 
-class TestShouldVectorize:
-    def test_spec_opt_out_wins(self, engine_enabled):
-        import dataclasses
-        spec = dataclasses.replace(_spec(), vectorize=False)
-        assert not vectorized.should_vectorize(spec)
+def _streaming(n, **overrides):
+    options = dict(rounds=3, fault_kind=None, record_trace=False,
+                   observers=("skew", "validity"))
+    options.update(overrides)
+    return RunSpec.maintenance(default_parameters(n=n, f=1), **options)
 
-    def test_global_toggle(self):
-        # Restore the module flag itself: vectorized_available() also reads
-        # numpy, so restoring from it would leave the engine disabled.
-        previous = vectorized._vectorize_disabled
-        try:
-            vectorized.use_vectorized(False)
-            assert not vectorized.vectorized_available()
-            assert not vectorized.should_vectorize(_spec())
-            vectorized.use_vectorized(True)
-            if not numpy_enabled():
-                pytest.skip("the enabled half needs numpy")
-            assert vectorized.should_vectorize(_spec())
-        finally:
-            vectorized._vectorize_disabled = previous
 
-    def test_unsupported_spec_never_vectorizes(self, engine_enabled):
-        assert not vectorized.should_vectorize(_spec(record_trace=True))
+#: (spec label, engine, replicas, expected engine).  ``both`` is accepted
+#: by both engines, ``batch_only`` (Byzantine faults) and ``round_only`` (a
+#: topology) by one, ``neither`` (a recorded trace) by none.
+ENGINE_TABLE = [
+    ("both", "auto", 1, "serial"),
+    ("both", "auto", 2, "batch"),
+    ("both", "batch", 1, "batch"),
+    ("both", "batch", 3, "batch"),
+    ("both", "round", 1, "round"),
+    ("both", "round", 3, "round"),
+    ("both", "serial", 1, "serial"),
+    ("both", "serial", 3, "serial"),
+    ("n511", "auto", 1, "serial"),
+    ("n511", "auto", 2, "batch"),
+    ("n512", "auto", 1, "round"),
+    ("n512", "auto", 2, "round"),
+    ("n512", "batch", 2, "batch"),
+    ("n512", "serial", 2, "serial"),
+    ("batch_only", "auto", 1, "serial"),
+    ("batch_only", "auto", 2, "batch"),
+    ("batch_only", "round", 1, "serial"),
+    ("batch_only_n512", "auto", 1, "serial"),
+    ("batch_only_n512", "auto", 2, "batch"),
+    ("round_only", "auto", 2, "serial"),
+    ("round_only", "batch", 2, "serial"),
+    ("round_only", "round", 1, "round"),
+    ("neither", "auto", 2, "serial"),
+    ("neither", "batch", 2, "serial"),
+    ("neither", "round", 1, "serial"),
+]
+
+
+def _table_spec(label):
+    return {
+        "both": lambda: _streaming(7),
+        "n511": lambda: _streaming(511),
+        "n512": lambda: _streaming(512),
+        "batch_only": lambda: _streaming(7, fault_kind="two_faced"),
+        "batch_only_n512": lambda: _streaming(512, fault_kind="two_faced"),
+        "round_only": lambda: _streaming(7, topology="ring"),
+        "neither": lambda: _streaming(7, record_trace=True),
+    }[label]()
+
+
+class TestEngineFor:
+    """The one decision function, as a table; nothing runs."""
+
+    @needs_numpy
+    @pytest.mark.parametrize("label,engine,replicas,expected", ENGINE_TABLE)
+    def test_table(self, label, engine, replicas, expected):
+        assert engine_for(_table_spec(label), engine, replicas) == expected
+
+    @pytest.mark.parametrize("engine", ["auto", "batch", "round", "serial"])
+    def test_numpy_off_always_runs_serially(self, numpy_off, engine):
+        assert engine_for(_streaming(512), engine, 4) == "serial"
+
+    def test_unknown_engine_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown engine 'gpu'"):
+            engine_for(_streaming(7), "gpu")
+        with pytest.raises(ValueError, match="unknown engine"):
+            execute(_streaming(7), engine="vectorize")
+
+    def test_serial_wins(self):
+        assert engine_for(_spec(), "serial", 4) == "serial"
+
+    def test_unsupported_spec_never_vectorizes(self):
+        assert engine_for(_spec(record_trace=True), "batch", 4) == "serial"
 
 
 class TestExecuteBatch:
@@ -103,23 +165,18 @@ class TestExecuteBatch:
         with pytest.raises(ValueError, match="identical modulo seed"):
             vectorized.execute_batch([spec.with_seed(0), other.with_seed(1)])
 
-    def test_disabled_engine_falls_back_to_serial(self):
+    def test_declined_spec_falls_back_to_serial(self, numpy_off):
         spec = _spec()
-        previous = vectorized.vectorized_available()
-        try:
-            vectorized.use_vectorized(False)
-            results = vectorized.execute_batch(
-                [spec.with_seed(s) for s in range(2)])
-        finally:
-            vectorized.use_vectorized(previous)
-        serial = [execute(spec.with_seed(s)) for s in range(2)]
+        results = vectorized.execute_batch(
+            [spec.with_seed(s) for s in range(2)])
+        serial = [execute(spec.with_seed(s), engine="serial")
+                  for s in range(2)]
         for a, b in zip(serial, results):
             assert a.trace.stats == b.trace.stats
             assert a.online("skew").max_skew == b.online("skew").max_skew
 
-    def test_duplicate_seeds_share_one_replica(self, engine_enabled):
-        if not vectorized.vectorized_available():
-            pytest.skip("numpy not installed")
+    @needs_numpy
+    def test_duplicate_seeds_share_one_replica(self):
         spec = _spec()
         results = vectorized.execute_batch(
             [spec.with_seed(0), spec.with_seed(1), spec.with_seed(0)])
@@ -129,9 +186,8 @@ class TestExecuteBatch:
 
 
 class TestBatchRunnerRouting:
-    def test_replicated_group_is_vectorized(self, engine_enabled):
-        if not vectorized.vectorized_available():
-            pytest.skip("numpy not installed")
+    @needs_numpy
+    def test_replicated_group_is_vectorized(self):
         telemetry = Telemetry()
         spec = _spec()
         specs = [spec.with_seed(s) for s in range(4)]
@@ -140,28 +196,36 @@ class TestBatchRunnerRouting:
         assert telemetry.registry.value("runner.vectorized_batches") == 1
         assert telemetry.registry.value("runner.vectorized_replicas") == 4
 
-    def test_single_spec_stays_serial_unless_forced(self, engine_enabled):
-        if not vectorized.vectorized_available():
-            pytest.skip("numpy not installed")
-        import dataclasses
+    @needs_numpy
+    def test_single_spec_stays_serial_unless_asked(self):
         spec = _spec()
         telemetry = Telemetry()
         BatchRunner(telemetry=telemetry).run([spec])
         assert telemetry.registry.value("runner.vectorized_batches") == 0
-        forced = dataclasses.replace(spec, vectorize=True)
         telemetry = Telemetry()
-        BatchRunner(telemetry=telemetry).run([forced])
+        BatchRunner(telemetry=telemetry, engine="batch").run([spec])
         assert telemetry.registry.value("runner.vectorized_batches") == 1
         assert telemetry.registry.value("runner.vectorized_replicas") == 1
 
-    def test_opted_out_group_stays_serial(self, engine_enabled):
-        import dataclasses
-        spec = dataclasses.replace(_spec(), vectorize=False)
+    def test_serial_engine_group_stays_serial(self):
+        spec = _spec()
         telemetry = Telemetry()
-        results = BatchRunner(telemetry=telemetry).run(
+        results = BatchRunner(telemetry=telemetry, engine="serial").run(
             [spec.with_seed(s) for s in range(3)])
         assert len(results) == 3
         assert telemetry.registry.value("runner.vectorized_batches") == 0
+
+    @needs_numpy
+    @pytest.mark.parametrize("runner_class", [BatchRunner, ResilientRunner])
+    def test_engine_travels_to_pool_workers(self, runner_class):
+        # The choice rides with each task, so workers honour it without
+        # any process-global state.
+        spec = _spec(fault_kind="crash")
+        telemetry = Telemetry()
+        runner = runner_class(jobs=2, telemetry=telemetry, engine="round")
+        runner.run([spec.with_seed(s) for s in range(2)])
+        assert telemetry.registry.value("roundengine.rounds") == \
+            2 * spec.rounds
 
 
 class TestSingleSeedReplication:
