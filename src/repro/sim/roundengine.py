@@ -10,13 +10,19 @@ round collapses into flat-array kernels over ``(chunk, n)`` blocks:
 
 * per round, the active senders are sorted by real send time and their delay
   draws replayed from one mirrored Mersenne-Twister stream in exactly the
-  serial global send order (the PR 7 argsort/cumsum transplant, here with
-  per-*hop* draw positions so multi-hop relays accumulate
-  ``time += delay`` in the serial order);
-* arrivals scatter into running bottom-(f+1)/top-(f+1) buffers per receiver
+  serial global send order, with per-*hop* draw positions so multi-hop
+  relays accumulate ``time += delay`` in the serial order — one dense
+  gather-and-add per hop level;
+* the senders go through in chunks bounded by *draws*, not by
+  sender×receiver pairs (:data:`_CHUNK_CELLS`, ~1M draws), so the working
+  set stays a few ``(chunk, n)`` arrays of ~8 MB whatever n and the
+  diameter (a 3-round n=2000 hierarchy run peaks at ~85 MB RSS in all);
+* arrivals merge into running bottom-(f+1)/top-(f+1) buffers per receiver
   — the midpoint ``(sorted[f] + sorted[n-1-f]) / 2`` only needs the f+1
   extreme values from the correct senders plus the (dense, small) fault
-  columns, so per-round memory is O(n·f) instead of O(n²);
+  columns, so per-round memory is O(n·f) instead of O(n²); a clock value
+  never decreases with the arrival time, so only each chunk's f+1
+  earliest and latest arrivals per receiver become values;
 * sparse topologies go through :class:`~repro.topology.index.TopologyIndex`
   (CSR adjacency, chunked multi-source BFS), so per-round work is
   O(edges)-proportional and leaf-heavy graphs at n≈5·10^4 stay tractable
@@ -73,8 +79,11 @@ AUTO_MIN_N = 512
 #: bookkeeping would dominate memory, so the spec runs serially.
 _MAX_FAULT_CELLS = 1 << 22
 
-#: sender-chunk sizing: aim for ~4M (chunk × n) cells per kernel.
-_CHUNK_CELLS = 1 << 22
+#: chunk sizing: at most ~1M delay draws (8 MB as float64) per kernel, and
+#: so at most ~1M (sender, receiver) cells, since every message draws at
+#: least once; a sender whose one broadcast draws more forms a chunk of its
+#: own.  Fixed delays draw nothing but keep the same cell bound.
+_CHUNK_CELLS = 1 << 20
 
 
 def decline_reason(spec: Any) -> Optional[str]:
@@ -98,10 +107,11 @@ class RoundSystem(_EngineState):
 
     Holds per-process clock state, corrections, timer deadlines and the
     per-round extreme-value buffers as ``(n,)``-shaped arrays; broadcasts are
-    processed in sender chunks of ``(chunk, n)`` arrival matrices.  The
-    caller supplies the *base* spec params (for the delay model, which the
-    serial path builds before topology correction) and the already-built
-    topology; effective parameters are derived here exactly as
+    processed in sender chunks of at most :data:`_CHUNK_CELLS` delay draws,
+    one ``(chunk, n)`` arrival matrix each.  The caller supplies the *base*
+    spec params (for the delay model, which the serial path builds before
+    topology correction) and the already-built topology; effective
+    parameters are derived here exactly as
     :func:`~repro.analysis.experiments.run_maintenance_scenario` does.
     """
 
@@ -148,15 +158,82 @@ class RoundSystem(_EngineState):
         self.pps = np.zeros(n, dtype=np.int64)
         self.budget = (spec.max_events if spec.max_events is not None
                        else DEFAULT_EVENT_BUDGET)
-        self.chunk = max(1, _CHUNK_CELLS // n)
+        # Draws one broadcast consumes, per sender: chunks are sized by them.
+        self.draw_totals = (np.full(n, n, dtype=np.int64) if self.index is None
+                            else self.index.draw_totals)
 
-    def _dist_rows(self, pids: Any) -> Any:
-        """Effective hop distances for the chunk: diagonal lifted to 1 draw."""
+    def _chunks(self, ssort: Any) -> Any:
+        """Split the round's ordered senders into runs of bounded draws.
+
+        Yields ``(c0, c1, draws)``: senders ``ssort[c0:c1]`` consume
+        ``draws`` ≤ :data:`_CHUNK_CELLS` delay draws between them; a sender
+        whose own broadcast draws more forms a chunk of one.
+        """
         np = _np
+        ends = np.cumsum(self.draw_totals[ssort])
+        c0 = done = 0
+        while c0 < len(ssort):
+            c1 = max(c0 + 1, int(np.searchsorted(
+                ends, done + _CHUNK_CELLS, side="right")))
+            yield c0, c1, int(ends[c1 - 1]) - done
+            c0, done = c1, int(ends[c1 - 1])
+
+    def _arrivals(self, pids: Any, sent: Any, draws: int) -> Any:
+        """One chunk's ``(C, n)`` arrival times and its hop distances.
+
+        Message ``(s, r)`` relays over ``dist(s, r)`` hops (the loopback copy
+        over one) and accumulates ``time += delay`` hop by hop, as the serial
+        loop does.  Uniform delays are one contiguous slice of the serial
+        draw ledger — sender-major, then receiver, then hop — so hop level
+        ``h`` gathers every message's ``h``-th draw and adds it densely;
+        cells already past their last hop add ``+0.0``, which leaves them
+        bit-for-bit unchanged (an arrival time is never ``-0.0``).  ``dist``
+        is None on the complete graph (one hop everywhere).
+        """
+        np = _np
+        C, n = len(pids), self.n
         if self.complete:
-            return np.ones((len(pids), self.n), dtype=np.int32)
-        dist = self.index.dist_rows(pids)
-        return np.where(dist == 0, np.int32(1), dist)
+            dist, levels = None, 1
+        else:
+            dist = self.index.dist_rows(pids)
+            if (dist < 0).any():  # pragma: no cover - gated on connectivity
+                raise _Fallback("unroutable pair")
+            dist[np.arange(C), pids] = 1        # the loopback copy draws once
+            levels = int(dist.max())
+        AT = np.repeat(sent[:, None], n, axis=1)
+        if self.uniform:
+            # Splitting random_sample per chunk is exact (same MT state
+            # walk).  lo + span·x is formed in place: IEEE * and + commute,
+            # so the bits are the serial draw's.  With lo > 0 (always, for
+            # validated parameters) no draw can be non-positive.
+            delays = self.rng.random_sample(draws)
+            delays *= self.delay_span
+            delays += self.delay_lo
+            if self.delay_lo <= 0 and (delays <= 0).any():
+                raise _Fallback("non-positive delay")
+        if levels == 1:             # one hop each: the draws are the block
+            AT += delays.reshape(C, n) if self.uniform else self.delay_fixed
+            return AT, dist
+
+        step = np.full((C, n), self.delay_fixed)
+        if self.uniform:
+            # Each message's first draw: its row's base plus the draws of
+            # the receivers before it.
+            hop = np.cumsum(dist, axis=1,
+                            dtype=np.int32 if draws < 2 ** 31 else np.int64)
+            hop -= dist
+            counts = self.draw_totals[pids]
+            hop += (np.cumsum(counts) - counts).astype(hop.dtype)[:, None]
+        for h in range(levels):
+            if self.uniform:
+                # delays[h:][hop] is each message's h-th draw; a cell past
+                # its last hop reads some other draw (clipped at the end)
+                # and is zeroed just below.
+                np.take(delays[h:], hop, out=step, mode="clip")
+            if h:
+                np.copyto(step, 0.0, where=dist <= h)
+            AT += step
+        return AT, dist
 
     def _deliver_round(self, b: Any, act_b: Any, u: Any, act_u: Any) -> Any:
         """One round's broadcasts: draws, arrivals, stats, value buffers.
@@ -195,67 +272,48 @@ class RoundSystem(_EngineState):
         if not self.uniform and self.delay_fixed <= 0:
             raise _Fallback("non-positive delay")
 
-        for c0 in range(0, len(ssort), self.chunk):
-            pids = ssort[c0:c0 + self.chunk]
+        for c0, c1, draws in self._chunks(ssort):
+            pids = ssort[c0:c1]
             C = len(pids)
-            dist = self._dist_rows(pids)
-            if (dist < 0).any():  # pragma: no cover - gated on connectivity
-                raise _Fallback("unroutable pair")
-            counts = dist.astype(np.int64)
-            cum = np.cumsum(counts, axis=1)
-            pos = cum - counts                      # per-message draw start
-            AT = np.repeat(bsort[c0:c0 + C, None], n, axis=1)
-            if self.uniform:
-                # One contiguous slice of the serial draw stream; splitting
-                # random_sample per chunk is exact (same MT state walk).
-                delays = (self.delay_lo
-                          + self.delay_span * self.rng.random_sample(
-                              int(cum[:, -1].sum())))
-                if (delays <= 0).any():
-                    raise _Fallback("non-positive delay")
-                row_base = np.concatenate(
-                    [np.zeros(1, dtype=np.int64),
-                     np.cumsum(cum[:, -1])])[:C, None]
-                idx = row_base + pos
-                # Multi-hop relays accumulate serially: time += delay, hop
-                # by hop, preserving the serial float order.
-                for h in range(int(dist.max())):
-                    sel = dist > h
-                    AT[sel] += delays[idx[sel] + h]
-            else:
-                for h in range(int(dist.max())):
-                    sel = dist > h
-                    AT[sel] += self.delay_fixed
-
+            AT, dist = self._arrivals(pids, bsort[c0:c1], draws)
             arrived = AT <= self.end_time
             arrived_count = int(arrived.sum())
             self.delivered += arrived_count
             self.dispatched += arrived_count
             self.sent += C * n
             self.pps[pids] += n
-            if not self.complete:
+            if dist is not None:
                 self.relayed += int((dist >= 2).sum())
             if not need_values:
                 continue
 
-            correct_rows = pids < self.n_correct
-            if correct_rows.any():
-                ATc = AT[correct_rows][:, act_idx]
+            correct = np.flatnonzero(pids < self.n_correct)
+            if correct.size:
+                # Each updater's arrivals from the chunk's correct senders,
+                # in order.  A clock value (off + rt·t) + corr never
+                # decreases with t (rt > 0, correctly rounded ops), so the
+                # chunk's f+1 extreme values are those of its f+1 extreme
+                # arrivals.
+                ranked = AT[correct]
+                if len(act_idx) < n:
+                    ranked = ranked[:, act_idx]
+                ranked.sort(axis=0)
                 # Clean path: every value an updater reads landed inside the
                 # window it is read in.  Anything else means the serial loop
                 # reads a stale cell or a pending stash — run it serially.
-                if not ((ATc > self.last_u[act_idx])
-                        & (ATc <= u[act_idx])).all():
+                if not ((ranked[0] > self.last_u[act_idx])
+                        & (ranked[-1] <= u[act_idx])).all():
                     raise _Fallback("arrival outside the collection window")
-                vals = ((self.off[act_idx] + self.rt[act_idx] * ATc)
-                        + self.corr[act_idx])
+                off, rt = self.off[act_idx], self.rt[act_idx]
+                corr = self.corr[act_idx]
+                lows = ((off + rt * ranked[:width]) + corr).T
+                highs = ((off + rt * ranked[-width:]) + corr).T
                 low_buf = np.partition(
-                    np.concatenate([low_buf, vals.T], axis=1),
-                    low_buf.shape[1] - 1, axis=1)[:, :low_buf.shape[1]]
-                keep = high_buf.shape[1]
-                merged = np.concatenate([high_buf, vals.T], axis=1)
+                    np.concatenate([low_buf, lows], axis=1),
+                    width - 1, axis=1)[:, :width]
+                merged = np.concatenate([high_buf, highs], axis=1)
                 high_buf = np.partition(
-                    merged, merged.shape[1] - keep, axis=1)[:, -keep:]
+                    merged, merged.shape[1] - width, axis=1)[:, -width:]
 
             fault_rows = pids >= self.n_correct
             if fault_rows.any() and self.fault_kind == "crash":

@@ -122,7 +122,7 @@ class TopologyIndex:
             self._dist = np.empty((n, n), dtype=np.int32)
         connected = True
         worst = 0
-        min_pair = 0
+        min_pair = n                    # above any hop count: no pair yet
         chunk = max(1, _BFS_CHUNK_CELLS // max(len(self.indices), 1))
         for lo in range(0, n, chunk):
             sources = np.arange(lo, min(lo + chunk, n))
@@ -131,16 +131,15 @@ class TopologyIndex:
                 self._dist[lo:lo + len(sources)] = dist
             reachable = dist >= 0
             connected = connected and bool(reachable.all())
-            off = dist[reachable & (dist > 0)]
-            if off.size:
-                worst = max(worst, int(off.max()))
-                min_pair = (int(off.min()) if min_pair == 0
-                            else min(min_pair, int(off.min())))
-            eff = np.where(dist == 0, 1, np.where(reachable, dist, 0))
-            self.draw_totals[sources] = eff.sum(axis=1, dtype=np.int64)
+            # -1 (unreachable) and 0 (the source) never win the max.
+            worst = max(worst, int(dist.max()))
+            min_pair = min(min_pair,
+                           int(dist.min(where=dist > 0, initial=n)))
+            # Reachable receivers draw once per hop, the loopback copy once.
+            self.draw_totals[sources] = dist.sum(axis=1, where=reachable) + 1
         self.connected = connected
         self.diameter = worst
-        self.min_pair_hops = min_pair
+        self.min_pair_hops = 0 if min_pair == n else min_pair
         self.max_pair_hops = worst
 
     def _bfs(self, sources: Any) -> Any:

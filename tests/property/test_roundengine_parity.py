@@ -225,6 +225,93 @@ class TestRoundEngineParity:
         _assert_identical(spec, serial, engine)
 
 
+@pytest.fixture
+def numpy_on():
+    """Force the numpy backend (the engine's chunked kernels need it)."""
+    if not traceindex.numpy_available():
+        pytest.skip("numpy not installed")
+    previous = traceindex.numpy_enabled()
+    traceindex.use_numpy(True)
+    yield
+    traceindex.use_numpy(previous)
+
+
+class _RecordingRNG:
+    """Wraps the engine's mirrored RNG and records each draw request."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.sizes = []
+
+    def random_sample(self, size):
+        self.sizes.append(size)
+        return self.rng.random_sample(size)
+
+
+class TestChunkedRelayKernel:
+    """Rounds split into many draw-bounded chunks stay bit-identical.
+
+    The parity properties above use n ≤ 40, where every round is one chunk.
+    Here ``_CHUNK_CELLS`` is patched down to a few draws, so the serial
+    draw ledger is split between chunks (down to one sender per chunk), on
+    both distance sources: the index's dense (n, n) cache and, with
+    ``_DENSE_DIST_MAX_N`` patched to 0, the per-chunk BFS.
+    """
+
+    @pytest.mark.parametrize("dense", [True, False],
+                             ids=["dense-dist", "bfs-dist"])
+    @pytest.mark.parametrize("delay", ["uniform", "fixed"])
+    @pytest.mark.parametrize("fault_kind", ["silent", "crash"])
+    @pytest.mark.parametrize("topology", ["hierarchy", "grid", "star"])
+    def test_chunk_boundaries_are_exact(self, numpy_on, monkeypatch,
+                                        topology, fault_kind, delay, dense):
+        from repro.topology import index as index_module
+
+        monkeypatch.setattr(index_module, "_lru", OrderedDict())
+        if not dense:
+            monkeypatch.setattr(index_module, "_DENSE_DIST_MAX_N", 0)
+        params = default_parameters(n=26, f=2)
+        spec = RunSpec.maintenance(params, rounds=4, fault_kind=fault_kind,
+                                   fault_count=2, delay=delay,
+                                   topology=topology, seed=11,
+                                   record_trace=False,
+                                   observers=("skew", "validity"))
+        serial = execute(spec, engine="serial")
+        for chunk in (3, 150):
+            monkeypatch.setattr(roundengine, "_CHUNK_CELLS", chunk)
+            engine = _run_engine(spec, expect_engine=True)
+            _assert_identical(spec, serial, engine)
+        index = index_module.topology_index(make_topology(topology, 26))
+        assert (index._dist is not None) == dense
+
+    def test_draws_stay_within_the_chunk_bound(self, numpy_on, monkeypatch):
+        """No single draw request exceeds ``_CHUNK_CELLS`` values.
+
+        At n=60 on the hierarchy a sender's broadcast draws ~200 delays, so a
+        1000-draw bound packs a few senders per chunk; sizing chunks by
+        sender×receiver pairs instead asks for several thousand at once.
+        """
+        monkeypatch.setattr(roundengine, "_CHUNK_CELLS", 1000)
+        mirror_rng = roundengine._mirror_rng
+        rngs = []
+
+        def recording_rng(seed):
+            rngs.append(_RecordingRNG(mirror_rng(seed)))
+            return rngs[-1]
+
+        monkeypatch.setattr(roundengine, "_mirror_rng", recording_rng)
+        params = default_parameters(n=60, f=3)
+        spec = RunSpec.maintenance(params, rounds=4, fault_kind="crash",
+                                   fault_count=3, topology="hierarchy",
+                                   record_trace=False,
+                                   observers=("skew", "validity"))
+        engine = _run_engine(spec, expect_engine=True)
+        sizes = [size for rng in rngs for size in rng.sizes]
+        assert len(rngs) == 1 and len(sizes) > spec.rounds
+        assert max(sizes) <= 1000
+        _assert_identical(spec, execute(spec, engine="serial"), engine)
+
+
 class TestTopologyIndex:
     def test_index_memoized_with_telemetry_counter(self, backend):
         """Repeat access returns the same index and counts a cache hit."""
@@ -322,6 +409,36 @@ class TestTopologyIndex:
                 distances = topology.hop_distances(source)
                 for node in range(topology.n):
                     assert rows[source][node] == distances.get(node, -1)
+
+    @pytest.mark.parametrize("n,links", [
+        (8, [(0, 1), (1, 2), (2, 3), (4, 5)]),          # 6, 7 isolated
+        (6, [(0, 2), (2, 4), (4, 0), (1, 3)]),          # 5 isolated
+        (5, []),                                        # no links at all
+        (7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]),
+    ])
+    def test_draw_totals_match_python_walk(self, backend, n, links):
+        """draw_totals and the hop extrema equal a pure-python BFS walk.
+
+        A broadcast draws once per hop to every reachable receiver and once
+        for its loopback copy; unreachable receivers draw nothing.
+        """
+        from repro.topology.index import maybe_index
+
+        topology = Topology(n, links)
+        index = maybe_index(topology)
+        if backend == "python":
+            assert index is None
+            return
+        totals, hops = [], []
+        for source in range(n):
+            distances = topology.hop_distances(source)
+            totals.append(1 + sum(distances.values()))
+            hops += [d for node, d in distances.items() if node != source]
+        assert index.draw_totals.tolist() == totals
+        assert index.min_pair_hops == (min(hops) if hops else 0)
+        assert index.max_pair_hops == (max(hops) if hops else 0)
+        assert index.diameter == index.max_pair_hops
+        assert index.connected == (len(topology.components()) == 1)
 
     def test_distance_arrays_are_int32(self, backend):
         """Regression: int16 hop levels overflow (OverflowError on numpy 2.x)
