@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""A 10,000-process star-of-stars synchronized by the per-round engine.
+"""A 10,000-process star-of-stars synchronized by the round kernel.
 
 Real NTP-style deployments synchronize huge leaf populations through a small
 core via strata.  This example builds the ``hierarchy`` topology — one core,
@@ -11,10 +11,11 @@ dispatch ~2·10^8 deliveries.
 Two passes make the engineering point:
 
 * a **control slice** (n=400, same workload): the serial loop and the
-  per-round engine (:mod:`repro.sim.roundengine`) both run it, their wall
-  clocks are compared, and the online skew envelope plus the full message
-  statistics are asserted *bit-identical* — the engine's contract;
-* the **full population** (n=10,000): round engine only, streamed through
+  round kernel running the spec alone (:mod:`repro.sim.roundengine`) both
+  run it, their wall clocks are compared, and the online skew envelope plus
+  the full message statistics are asserted *bit-identical* — the kernel's
+  contract;
+* the **full population** (n=10,000): the kernel only, streamed through
   the online observers at O(n) memory, audited against the
   topology-corrected agreement bound γ'.
 
@@ -50,7 +51,7 @@ def spec_for(n: int) -> RunSpec:
 def main() -> None:
     reason = decline_reason(spec_for(CONTROL_N))
     if reason is not None:
-        print(f"the per-round engine declines the spec ({reason}); "
+        print(f"the round kernel declines the spec ({reason}); "
               f"skipping the large-n demonstration")
         return
 

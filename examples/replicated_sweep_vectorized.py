@@ -7,13 +7,13 @@ replicas.  This example drives a 1000-seed replication of the maintenance
 algorithm under two-faced Byzantine attackers through
 :func:`repro.runner.replicate` twice:
 
-* once with the struct-of-arrays batch engine (:mod:`repro.sim.vectorized`)
-  engaged — the default (``engine="auto"``) for replicated streaming specs
-  the engine accepts;
+* once with the round kernel running the replicas in lockstep
+  (:mod:`repro.sim.vectorized`) — the default (``engine="auto"``) for
+  replicated streaming groups the kernel accepts;
 * once on a runner with ``engine="serial"``, so every replica walks the
   serial event loop.
 
-Both passes return bit-identical summaries (the engine's contract); the point
+Both passes return bit-identical summaries (the kernel's contract); the point
 of running both is the wall-clock ratio printed at the end.  The measured
 agreement envelope is then placed between the paper's two bounds: the
 ε(1 − 1/n) lower bound no algorithm can beat (Theorem 21) and the γ upper
@@ -31,7 +31,7 @@ import time
 from repro import default_parameters
 from repro.core.bounds import agreement_bound, lower_bound
 from repro.runner import BatchRunner, RunSpec, replicate
-from repro.sim.vectorized import decline_reason
+from repro.sim.roundengine import decline_reason
 
 REPLICAS = 1000
 
@@ -45,9 +45,9 @@ def main() -> None:
 
     print(f"replicating n={params.n} f={params.f} rounds=5 two-faced "
           f"maintenance over {REPLICAS} seeds")
-    reason = decline_reason(spec)
+    reason = decline_reason(spec, len(seeds))
     if reason is not None:
-        print(f"note: the batch engine declines the spec ({reason}) — both "
+        print(f"note: the round kernel declines the group ({reason}) — both "
               f"passes run the serial loop")
 
     begin = time.perf_counter()

@@ -249,8 +249,8 @@ def maintenance_end_time(params: SyncParameters, rounds: int,
 
     The slack after the last round (one collection window, ten δ, one β)
     lets every in-flight message land and every observer grid finish.  Both
-    the serial :func:`_run` and the vectorized batch engine
-    (:mod:`repro.sim.vectorized`) use this exact expression, so their
+    the serial :func:`_run` and the round kernel
+    (:mod:`repro.sim.roundengine`) use this exact expression, so their
     horizons — and therefore their observer grids — agree bit for bit.
     """
     return (params.initial_round_time + rounds * params.round_length

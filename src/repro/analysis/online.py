@@ -129,7 +129,7 @@ class _GridObserver(Observer):
                              corr: Dict[int, float]) -> None:
         """Install final clock/correction state without a system attach.
 
-        Used by the ``from_batch`` constructors: the batch engine already
+        Used by the ``from_batch`` constructors: the round kernel already
         knows every process' clock and final correction, so the observer can
         be brought to its end-of-run state without replaying the run.
         """
@@ -215,9 +215,9 @@ class OnlineSkew(_GridObserver):
     def from_batch(cls, grid: Sequence[float], pids: Sequence[int],
                    clocks: Dict[int, object], corr: Dict[int, float],
                    max_skew: float, samples: int) -> "OnlineSkew":
-        """A finalized observer restored from batch-engine state.
+        """A finalized observer restored from round-kernel state.
 
-        The vectorized executor (:mod:`repro.sim.vectorized`) evaluates the
+        The round kernel (:mod:`repro.sim.roundengine`) evaluates the
         whole grid as array expressions and rebuilds the observer object the
         serial run would have finished with: cursor exhausted, per-process
         corrections at their final values, ``max_skew``/``samples`` filled.
@@ -377,7 +377,7 @@ def audit_window(params: SyncParameters, start_times: Dict[int, float],
     ``tmin0``/``tmax0`` are the earliest/latest nonfaulty START times (0.0
     with no nonfaulty process) and ``start`` — one round after ``tmax0`` —
     is where the audit grids begin.  Shared by :func:`build_observers` and
-    the vectorized batch engine so both derive identical grids.
+    the round kernel so both derive identical grids.
     """
     faulty = set(faulty)
     nonfaulty_starts = [t for pid, t in start_times.items()

@@ -52,16 +52,16 @@ confidence intervals instead of single-draw numbers.
 
 ``run`` alone picks the engine, through one mutually exclusive flag group
 that maps onto :func:`repro.runner.spec.engine_for`: by default (``auto``)
-large streaming runs (n ≥ 512) take the per-round engine
-(:mod:`repro.sim.roundengine`) and replicated streaming groups the
-struct-of-arrays batch engine (:mod:`repro.sim.vectorized`);
-``--vectorize`` asks for the batch engine at any group size,
-``--round-engine`` for the round engine at any n, and ``--no-vectorize`` /
-``--no-round-engine`` for the serial event loop.  Every engine returns the
-serial loop's exact bits, so the choice never changes a result, a store key
-or a manifest hash.  ``run --max-events N`` raises the event budget that
-large-n runs would otherwise exhaust; a run that still exhausts it ends with
-one ``error:`` line and exit status 2.
+large streaming runs (n ≥ 512) run alone on the round kernel
+(:mod:`repro.sim.roundengine`) and replicated streaming groups run on it in
+lockstep (:mod:`repro.sim.vectorized`); ``--vectorize`` asks for the
+lockstep grouping at any group size, ``--round-engine`` for each spec alone
+at any n, and ``--no-vectorize`` / ``--no-round-engine`` for the serial
+event loop.  Every engine returns the serial loop's exact bits, so the
+choice never changes a result, a store key or a manifest hash.
+``run --max-events N`` raises the event budget that large-n runs would
+otherwise exhaust; a run that still exhausts it ends with one ``error:``
+line and exit status 2.
 
 Every sub-command prints plain-text tables (see
 :mod:`repro.analysis.reporting`) and exits with a non-zero status if a paper
@@ -424,8 +424,8 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.set_defaults(engine="auto")
     engine.add_argument("--vectorize", dest="engine", action="store_const",
                         const="batch",
-                        help="use the struct-of-arrays batch engine for "
-                             "every supported spec, replicated or not "
+                        help="run every supported group on the round "
+                             "kernel in lockstep, replicated or not "
                              "(default: auto-selected for replicated "
                              "streaming runs; results are bit-identical to "
                              "serial)")
@@ -435,8 +435,8 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
                              "loop")
     engine.add_argument("--round-engine", dest="engine", action="store_const",
                         const="round",
-                        help="use the per-round large-n engine for every "
-                             "supported spec at any n (default: "
+                        help="run every supported spec alone on the round "
+                             "kernel at any n (default: "
                              "auto-selected for streaming specs with n >= "
                              "512; results are bit-identical to serial)")
     engine.add_argument("--no-round-engine", dest="engine",

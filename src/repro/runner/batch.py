@@ -250,12 +250,12 @@ class BatchRunner:
 
     def _execute_vector_groups(self, pending: Sequence[RunSpec],
                                tolerant: bool = False) -> Dict[RunSpec, "ScenarioResult"]:
-        """Run seed-replica groups through the batch engine; return results.
+        """Run seed-replica groups on the round kernel; return results.
 
         Specs identical modulo seed form one group; a group runs as one
         lockstep batch when :func:`~repro.runner.spec.engine_for` picks the
-        batch engine for it at its size (under ``auto``: 2 or more members
-        the engine accepts, below the round engine's n).  Everything else
+        lockstep grouping for it at its size (under ``auto``: 2 or more
+        members the kernel accepts, below the lone-run n).  Everything else
         stays on the per-spec path, whose results are bit-identical by
         construction.
         """

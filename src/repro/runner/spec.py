@@ -32,11 +32,12 @@ the machine and the moment — a net spec's ``params`` carry only the inputs
 Batch/replication layers must never cache or fan out net specs (the CLI
 routes them directly), and both pool engines decline them by kind.
 
-Which engine executes a spec — the serial event loop, the lockstep batch
-engine (:mod:`repro.sim.vectorized`) or the large-n round engine
-(:mod:`repro.sim.roundengine`) — is not part of the spec: every engine
-returns the serial loop's exact bits, so the choice is a speed argument
-(``engine=``) that travels beside the spec and leaves its hash alone.
+Which engine executes a spec — the serial event loop, or the round kernel
+(:mod:`repro.sim.roundengine`) running the spec alone or its replica group
+in lockstep (:mod:`repro.sim.vectorized`) — is not part of the spec: every
+engine returns the serial loop's exact bits, so the choice is a speed
+argument (``engine=``) that travels beside the spec and leaves its hash
+alone.
 :func:`engine_for` is the one place that decides.
 
 Imports from :mod:`repro.analysis` are deferred into the functions so that
@@ -445,32 +446,34 @@ def engine_for(spec: RunSpec, engine: str = "auto", replicas: int = 1) -> str:
     """Which engine runs ``spec``: ``"serial"``, ``"batch"`` or ``"round"``.
 
     ``replicas`` is the size of the seed-replica group the spec runs in (1
-    for a lone spec).  ``engine`` is one of :data:`ENGINES`:
+    for a lone spec).  ``batch`` and ``round`` are the two groupings of one
+    numpy kernel (:class:`~repro.sim.roundengine.RoundSystem`): the whole
+    group in lockstep, or each spec alone.  ``engine`` is one of
+    :data:`ENGINES`:
 
-    * ``auto`` — the round engine when it accepts the spec and n ≥
-      :data:`~repro.sim.roundengine.AUTO_MIN_N`; otherwise the batch engine
-      for groups of 2 or more that it accepts; otherwise serial;
-    * ``batch`` — the batch engine whenever it accepts the spec, at any
-      group size; otherwise serial;
-    * ``round`` — the round engine whenever it accepts the spec, at any n;
+    * ``auto`` — each spec alone when the kernel accepts it alone and n ≥
+      :data:`~repro.sim.roundengine.AUTO_MIN_N`; otherwise the group in
+      lockstep for groups of 2 or more that it accepts; otherwise serial;
+    * ``batch`` — the group in lockstep whenever the kernel accepts it, at
+      any group size; otherwise serial;
+    * ``round`` — each spec alone whenever the kernel accepts it, at any n;
       otherwise serial;
     * ``serial`` — the serial event loop.
 
-    Each engine's ``decline_reason`` says why it does not accept a spec.
+    :func:`~repro.sim.roundengine.decline_reason` says why the kernel does
+    not accept a spec in a group of a given size.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; "
                          f"choose from {', '.join(ENGINES)}")
     if engine == "serial":
         return "serial"
-    from ..sim import roundengine, vectorized
-    if engine in ("auto", "round") \
-            and roundengine.decline_reason(spec) is None \
-            and (engine == "round"
-                 or spec.params.n >= roundengine.AUTO_MIN_N):
+    from ..sim.roundengine import AUTO_MIN_N, decline_reason
+    if engine in ("auto", "round") and decline_reason(spec) is None \
+            and (engine == "round" or spec.params.n >= AUTO_MIN_N):
         return "round"
     if (engine == "batch" or (engine == "auto" and replicas >= 2)) \
-            and vectorized.decline_reason(spec) is None:
+            and decline_reason(spec, replicas) is None:
         return "batch"
     return "serial"
 
@@ -508,7 +511,7 @@ def execute(spec: RunSpec, telemetry: Optional[Any] = None,
 
     choice = engine_for(spec, engine)
     if choice == "batch":
-        # A batch of one; the batch engine books its own telemetry.
+        # A group of one; execute_batch books its own telemetry.
         from ..sim.vectorized import execute_batch
         return execute_batch([spec], telemetry=telemetry)[0]
     round_engine = choice == "round"

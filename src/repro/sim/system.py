@@ -53,9 +53,9 @@ def draw_broadcast_delays(delay_model, sender: int, n: int, now: float, rng):
     This is the canonical RNG ledger for a complete-graph broadcast: one
     delay-model draw per recipient, in ascending recipient id order, on the
     system RNG.  :meth:`System.broadcast_from` consumes it directly, and the
-    vectorized batch engine (:mod:`repro.sim.vectorized`) replays exactly
-    this sequence from mirrored generator streams — sharing the kernel is
-    what keeps the two paths' draw order provably identical.  ``delay`` is
+    round kernel (:mod:`repro.sim.roundengine`) replays exactly this
+    sequence from mirrored generator streams — sharing the ledger is what
+    keeps the two paths' draw order provably identical.  ``delay`` is
     ``None`` when the model drops the message.
     """
     delay_of = delay_model.delay

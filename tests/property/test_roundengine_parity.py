@@ -1,9 +1,18 @@
-"""Hypothesis parity suite: the per-round large-n engine vs the serial loop.
+"""Hypothesis parity suite: the round kernel vs the serial loop.
 
-The round engine (:mod:`repro.sim.roundengine`) promises *bit identity* with
-the serial event loop — not statistical agreement.  For random supported
-configurations (system size, topology, fault mix, clock/delay family, seed)
-these properties compare every observable surface of the results:
+The round kernel (:class:`repro.sim.roundengine.RoundSystem`) promises *bit
+identity* with the serial event loop — not statistical agreement — in both
+of its groupings:
+
+* ``lone``: one spec through ``execute(engine="round")``, on the complete
+  graph or any connected topology;
+* ``grouped``: seed replicas of one spec in lockstep through
+  :func:`~repro.sim.vectorized.execute_batch`, on the complete graph with
+  Byzantine attackers.
+
+For random supported configurations (system size, topology, fault mix,
+clock/delay family, seeds) these properties compare every observable surface
+of the results:
 
 * message statistics and per-process send counts;
 * start times, end time, faulty sets;
@@ -11,13 +20,16 @@ these properties compare every observable surface of the results:
 * the online skew and validity observers, down to their internal sample
   points and capture tables.
 
-Each engine-side run is telemetry-instrumented so the properties assert the
-engine actually *ran* (``roundengine.rounds`` advanced, zero fallbacks) —
-a silent serial fallback would make parity trivially true and test nothing.
+Each kernel-side run is telemetry-instrumented so the properties assert the
+kernel actually *ran* (``roundengine.rounds`` or
+``runner.vectorized_replicas`` advanced, zero fallbacks) — a silent serial
+fallback would make parity trivially true and test nothing.  Every reason
+the kernel records for leaving its clean path is forced once, and the event
+budget's boundary is pinned for both groupings.
 
 The suite runs on both TraceIndex backends (the ``REPRO_NO_NUMPY`` toggle):
-under the pure-python backend the engine declines every spec ("numpy is
-off") and ``execute`` must degrade to the serial loop, so parity is
+under the pure-python backend the kernel declines every spec ("numpy is
+off") and both entry points must degrade to the serial loop, so parity is
 trivially exact there too — the property then guards the fallback wiring.
 The same file also pins the topology-index satellites: the memoized index
 cache (hits counted in telemetry), the ``delay_envelope`` fast path's
@@ -26,6 +38,7 @@ numpy and the per-edge builds give identical arrays, and the index views
 them in place.
 """
 
+import dataclasses
 import pickle
 from collections import OrderedDict
 
@@ -33,19 +46,31 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.experiments import default_parameters
+from repro.analysis import experiments
+from repro.analysis.experiments import default_parameters, maintenance_end_time
+from repro.clocks.drift import ConstantRateClock, make_clock_ensemble
+from repro.runner import BatchRunner
+from repro.runner import spec as spec_module
 from repro.runner.spec import RunSpec, engine_for, execute
 from repro.sim import roundengine, traceindex
+from repro.sim.events import EventBudgetExceeded
+from repro.sim.vectorized import execute_batch
 from repro.telemetry import Telemetry
 from repro.topology.base import Topology, canonical_link
 from repro.topology.generators import TOPOLOGY_GENERATORS, make_topology
 from repro.topology.routing import delay_envelope
+from repro.topology.spec import build_topology
 
 SLOW = settings(max_examples=10, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow,
                                        HealthCheck.function_scoped_fixture])
 
 TOPOLOGIES = (None, "star", "grid", "complete", "hierarchy")
+
+#: the fault kinds the kernel runs on an explicit topology.
+TOPOLOGY_FAULT_KINDS = ("crash", "silent")
+
+GROUPINGS = ("lone", "grouped")
 
 
 @pytest.fixture(params=["numpy", "python"])
@@ -59,16 +84,26 @@ def backend(request):
     traceindex.use_numpy(previous)
 
 
+@pytest.fixture
+def numpy_on():
+    """Force the numpy backend (the kernel needs it)."""
+    if not traceindex.numpy_available():
+        pytest.skip("numpy not installed")
+    previous = traceindex.numpy_enabled()
+    traceindex.use_numpy(True)
+    yield
+    traceindex.use_numpy(previous)
+
+
 @st.composite
-def engine_specs(draw):
-    """A random spec the round engine claims to support."""
+def lone_specs(draw):
+    """A random spec the kernel runs alone, and its one seed."""
     f = draw(st.integers(min_value=0, max_value=2))
     tolerated = max(1, f)
     n = draw(st.integers(min_value=3 * tolerated + 1,
                          max_value=3 * tolerated + 3))
     params = default_parameters(n=n, f=tolerated)
-    fault_kind = draw(st.sampled_from(
-        sorted(roundengine.ROUND_FAULT_KINDS))) if f else None
+    fault_kind = draw(st.sampled_from(TOPOLOGY_FAULT_KINDS)) if f else None
     spec = RunSpec.maintenance(
         params,
         rounds=draw(st.integers(min_value=1, max_value=4)),
@@ -82,7 +117,37 @@ def engine_specs(draw):
         observers=draw(st.sampled_from(
             [("skew", "validity"), ("skew",), ()])),
     )
-    return spec
+    return spec, [spec.seed]
+
+
+@st.composite
+def group_specs(draw):
+    """A random spec the kernel runs as a replica group, plus a seed batch."""
+    f = draw(st.integers(min_value=0, max_value=2))
+    tolerated = max(1, f)
+    n = draw(st.integers(min_value=3 * tolerated + 1,
+                         max_value=3 * tolerated + 2))
+    params = default_parameters(n=n, f=tolerated)
+    fault_kind = draw(st.sampled_from(sorted(roundengine.FAULT_KINDS))) if f \
+        else None
+    spec = RunSpec.maintenance(
+        params,
+        rounds=draw(st.integers(min_value=1, max_value=4)),
+        fault_kind=fault_kind,
+        fault_count=f if f else None,
+        clock_kind=draw(st.sampled_from(["constant", "perfect"])),
+        delay=draw(st.sampled_from(["uniform", "fixed"])),
+        record_trace=False,
+        observers=draw(st.sampled_from(
+            [("skew", "validity"), ("skew",), ()])),
+    )
+    base = draw(st.integers(min_value=0, max_value=2 ** 16))
+    seeds = list(range(base, base + draw(st.integers(min_value=2,
+                                                     max_value=5))))
+    return spec, seeds
+
+
+STRATEGIES = {"lone": lone_specs(), "grouped": group_specs()}
 
 
 def _history_key(history):
@@ -120,56 +185,80 @@ def _assert_identical(spec, a, b):
         assert val_a._captures == val_b._captures
 
 
-def _run_engine(spec, expect_engine, engine="round"):
-    """Execute with telemetry; assert the round engine did (not) run.
+def _assert_all_serial(spec, seeds, results):
+    """Each result equals the serial run of its seed."""
+    assert len(results) == len(seeds)
+    for seed, result in zip(seeds, results):
+        _assert_identical(spec, execute(spec.with_seed(seed), engine="serial"),
+                          result)
 
-    ``expect_engine`` is tri-state: ``True`` — the engine must complete every
-    round with no fallback; ``False`` — it must never run; ``None`` — either
-    a clean engine run or a counted whole-run fallback is acceptable (clock
-    configurations that align logical clocks exactly, e.g. perfect rates
-    over fixed delays, legitimately trip the tied-send-time guard).
+
+def _run_engine(spec, seeds, expect_engine, grouping="lone", engine="round"):
+    """Run ``spec`` under ``seeds`` with telemetry; check the kernel ran.
+
+    ``lone`` runs each seed through ``execute(engine=...)`` and reads the
+    ``roundengine.*`` counters; ``grouped`` runs them all through
+    ``execute_batch`` and reads ``runner.vectorized_*``.  ``expect_engine``
+    is tri-state: ``True`` — every seed ran on the kernel with no fallback;
+    ``False`` — none did; ``None`` — each seed either ran or was counted as
+    a fallback (clock configurations that align logical clocks exactly,
+    e.g. perfect rates over fixed delays, legitimately trip the
+    tied-send-time exit).
     """
     telemetry = Telemetry()
-    result = execute(spec, telemetry=telemetry, engine=engine)
-    snapshot = telemetry.registry.snapshot()
-    rounds = snapshot.get("roundengine.rounds", {}).get("value", 0.0)
-    fallbacks = snapshot.get("roundengine.fallbacks", {}).get("value", 0.0)
-    if expect_engine:
-        assert rounds == spec.rounds and fallbacks == 0.0
-    elif expect_engine is False:
-        assert rounds == 0.0
+    registry = telemetry.registry
+    specs = [spec.with_seed(seed) for seed in seeds]
+    if grouping == "lone":
+        results = [execute(one, telemetry=telemetry, engine=engine)
+                   for one in specs]
+        ran = registry.value("roundengine.rounds") / spec.rounds
+        fell = registry.value("roundengine.fallbacks")
     else:
-        assert (rounds == spec.rounds and fallbacks == 0.0) \
-            or (rounds == 0.0 and fallbacks >= 1.0)
-    return result
+        results = execute_batch(specs, telemetry=telemetry)
+        ran = registry.value("runner.vectorized_replicas")
+        fell = registry.value("runner.vectorized_fallbacks")
+    unique = len(set(seeds))
+    if expect_engine:
+        assert (ran, fell) == (unique, 0)
+    elif expect_engine is False:
+        assert ran == 0
+    else:
+        assert ran + fell == unique
+    return results
 
 
-class TestRoundEngineParity:
+class TestParity:
+    @pytest.mark.parametrize("grouping", GROUPINGS)
     @SLOW
-    @given(spec=engine_specs())
-    def test_engine_is_bit_identical_to_serial(self, backend, spec):
-        """Engine run == serial run on every observable surface."""
-        assert roundengine.decline_reason(spec) == (
+    @given(data=st.data())
+    def test_kernel_is_bit_identical_to_serial(self, backend, grouping, data):
+        """Kernel run == serial run on every observable surface."""
+        spec, seeds = data.draw(STRATEGIES[grouping])
+        assert roundengine.decline_reason(spec, len(seeds)) == (
             None if backend == "numpy" else "numpy is off")
-        serial = execute(spec, engine="serial")
+        serial = [execute(spec.with_seed(s), engine="serial") for s in seeds]
         # Constant clocks (distinct random rates) must take the clean path;
         # perfect clocks can align logical clocks exactly after a correction
-        # and legitimately trip the tied-send-time fallback — parity must
-        # hold either way.
+        # and legitimately trip the tied-send-time exit — parity must hold
+        # either way.
         if backend != "numpy":
             expect = False
         elif spec.clock_kind == "perfect":
             expect = None
         else:
             expect = True
-        engine = _run_engine(spec, expect_engine=expect)
-        _assert_identical(spec, serial, engine)
+        results = _run_engine(spec, seeds, expect, grouping)
+        for a, b in zip(serial, results):
+            _assert_identical(spec, a, b)
 
+    @pytest.mark.parametrize("grouping", GROUPINGS)
     @SLOW
-    @given(spec=engine_specs())
-    def test_engine_availability_tracks_backend(self, backend, spec):
-        """The engine is live exactly when the numpy backend is active."""
-        assert (roundengine.decline_reason(spec) is None) == \
+    @given(data=st.data())
+    def test_kernel_availability_tracks_backend(self, backend, grouping,
+                                                data):
+        """The kernel is live exactly when the numpy backend is active."""
+        spec, seeds = data.draw(STRATEGIES[grouping])
+        assert (roundengine.decline_reason(spec, len(seeds)) is None) == \
             (backend == "numpy")
 
     def test_serial_engine_falls_back_to_serial(self, backend):
@@ -179,39 +268,12 @@ class TestRoundEngineParity:
                                    fault_count=2, topology="star",
                                    record_trace=False,
                                    observers=("skew", "validity"))
-        reference = _run_engine(spec, expect_engine=(backend == "numpy"))
+        reference, = _run_engine(spec, [spec.seed],
+                                 expect_engine=(backend == "numpy"))
         assert engine_for(spec, "serial") == "serial"
-        disabled = _run_engine(spec, expect_engine=False, engine="serial")
+        disabled, = _run_engine(spec, [spec.seed], expect_engine=False,
+                                engine="serial")
         _assert_identical(spec, reference, disabled)
-
-    def test_unexpected_error_degrades_to_serial(self, backend, monkeypatch):
-        """A non-_Fallback engine crash takes the serial path, counted.
-
-        The docstring contract is that try_execute never escapes: unexpected
-        numpy errors from the index build or the engine are absorbed into
-        ``roundengine.errors`` (plus the usual fallback count) and the serial
-        reference result comes back unchanged.
-        """
-        if backend == "python":
-            pytest.skip("engine needs the numpy backend")
-        params = default_parameters(n=7, f=2)
-        spec = RunSpec.maintenance(params, rounds=3, fault_kind="crash",
-                                   fault_count=2, topology="star",
-                                   record_trace=False,
-                                   observers=("skew", "validity"))
-        serial = execute(spec, engine="serial")
-
-        def boom(self):
-            raise RuntimeError("injected engine failure")
-
-        monkeypatch.setattr(roundengine.RoundSystem, "run", boom)
-        telemetry = Telemetry()
-        result = execute(spec, telemetry=telemetry, engine="round")
-        snapshot = telemetry.registry.snapshot()
-        assert snapshot["roundengine.errors"]["value"] == 1.0
-        assert snapshot["roundengine.fallbacks"]["value"] == 1.0
-        assert snapshot.get("roundengine.rounds", {}).get("value", 0.0) == 0.0
-        _assert_identical(spec, serial, result)
 
     def test_larger_run_smoke(self, backend):
         """One deterministic n=40 hierarchy case beyond hypothesis' sizes."""
@@ -221,19 +283,357 @@ class TestRoundEngineParity:
                                    record_trace=False,
                                    observers=("skew", "validity"))
         serial = execute(spec, engine="serial")
-        engine = _run_engine(spec, expect_engine=(backend == "numpy"))
+        engine, = _run_engine(spec, [spec.seed],
+                              expect_engine=(backend == "numpy"))
         _assert_identical(spec, serial, engine)
 
+    def test_larger_batch_smoke(self, backend):
+        """One deterministic n=13, S=16 case beyond hypothesis' sizes."""
+        params = default_parameters(n=13, f=4)
+        spec = RunSpec.maintenance(params, rounds=5, fault_kind="two_faced",
+                                   record_trace=False,
+                                   observers=("skew", "validity"))
+        seeds = list(range(16))
+        results = _run_engine(spec, seeds, backend == "numpy", "grouped")
+        _assert_all_serial(spec, seeds, results)
 
-@pytest.fixture
-def numpy_on():
-    """Force the numpy backend (the engine's chunked kernels need it)."""
-    if not traceindex.numpy_available():
-        pytest.skip("numpy not installed")
-    previous = traceindex.numpy_enabled()
-    traceindex.use_numpy(True)
-    yield
-    traceindex.use_numpy(previous)
+    def test_group_of_one_with_topology(self, numpy_on):
+        """engine="batch" on a lone topology spec: the kernel accepts a
+        topology at S = 1, so execute_batch builds it as the serial path
+        does."""
+        params = default_parameters(n=12, f=2)
+        spec = RunSpec.maintenance(params, rounds=3, fault_kind="crash",
+                                   topology="grid", seed=5,
+                                   record_trace=False,
+                                   observers=("skew", "validity"))
+        assert engine_for(spec, "batch") == "batch"
+        result, = _run_engine(spec, [spec.seed], True, "grouped")
+        _assert_identical(spec, execute(spec, engine="serial"), result)
+        assert result.trace.stats.relayed > 0
+
+    @pytest.mark.parametrize("fault_kind",
+                             ["two_faced", "skew_early", "skew_late"])
+    def test_lone_byzantine_run(self, backend, fault_kind):
+        """A lone spec with Byzantine attackers runs on the kernel too."""
+        params = default_parameters(n=13, f=4)
+        spec = RunSpec.maintenance(params, rounds=5, fault_kind=fault_kind,
+                                   seed=7, record_trace=False,
+                                   observers=("skew", "validity"))
+        result, = _run_engine(spec, [spec.seed], backend == "numpy")
+        _assert_identical(spec, execute(spec, engine="serial"), result)
+
+    def test_unequal_attacker_schedules_send_no_phantoms(self, numpy_on):
+        """Regression: replicas whose attackers send fewer slots than their
+        group's longest schedule counted phantom sends in the attacker tail
+        (the inf padding compared as due against the tail's inf boundary).
+        """
+        params = default_parameters(n=4, f=1)
+        spec = RunSpec.maintenance(
+            params.with_round_length(0.3 * params.round_length), rounds=3,
+            fault_kind="two_faced", fault_count=1, record_trace=False,
+            observers=("skew", "validity"))
+        seeds = [0, 1, 2, 3]
+        engine = roundengine.RoundSystem(spec, seeds)
+        (_, slot_t, _, _, _), = engine.slots
+        assert len(set((slot_t < float("inf")).sum(axis=1).tolist())) > 1
+        results = _run_engine(spec, seeds, True, "grouped")
+        _assert_all_serial(spec, seeds, results)
+
+
+def _crash_star_spec():
+    params = default_parameters(n=7, f=2)
+    return RunSpec.maintenance(params, rounds=3, fault_kind="crash",
+                               fault_count=2, topology="star",
+                               record_trace=False,
+                               observers=("skew", "validity"))
+
+
+def _boom(self):
+    raise RuntimeError("injected engine failure")
+
+
+class TestFailurePolicy:
+    """Both entry points absorb unexpected kernel errors into serial runs."""
+
+    def test_unexpected_error_degrades_to_serial(self, backend, monkeypatch):
+        """A kernel crash in a lone run takes the serial path, counted.
+
+        The docstring contract is that try_execute never escapes: unexpected
+        numpy errors from the index build or the kernel are absorbed into
+        ``roundengine.errors`` (plus the usual fallback count) and the serial
+        reference result comes back unchanged.
+        """
+        if backend == "python":
+            pytest.skip("engine needs the numpy backend")
+        spec = _crash_star_spec()
+        serial = execute(spec, engine="serial")
+        monkeypatch.setattr(roundengine.RoundSystem, "run", _boom)
+        telemetry = Telemetry()
+        result = execute(spec, telemetry=telemetry, engine="round")
+        snapshot = telemetry.registry.snapshot()
+        assert snapshot["roundengine.errors"]["value"] == 1.0
+        assert snapshot["roundengine.fallbacks"]["value"] == 1.0
+        assert snapshot.get("roundengine.rounds", {}).get("value", 0.0) == 0.0
+        _assert_identical(spec, serial, result)
+
+    @pytest.mark.parametrize("entry", ["execute", "BatchRunner"])
+    def test_group_error_degrades_to_serial(self, numpy_on, monkeypatch,
+                                            entry):
+        """A kernel crash in a replica group re-runs every replica serially."""
+        params = default_parameters(n=7, f=2)
+        spec = RunSpec.maintenance(params, rounds=3, fault_kind="two_faced",
+                                   record_trace=False,
+                                   observers=("skew", "validity"))
+        seeds = [0] if entry == "execute" else [0, 1, 2]
+        monkeypatch.setattr(roundengine.RoundSystem, "run", _boom)
+        telemetry = Telemetry()
+        if entry == "execute":
+            results = [execute(spec, telemetry=telemetry, engine="batch")]
+        else:
+            results = BatchRunner(telemetry=telemetry).run(
+                [spec.with_seed(seed) for seed in seeds])
+        registry = telemetry.registry
+        assert registry.value("runner.vectorized_errors") == 1
+        assert registry.value("runner.vectorized_fallbacks") == len(seeds)
+        assert registry.value("runner.vectorized_replicas") == 0
+        _assert_all_serial(spec, seeds, results)
+
+    def test_every_replica_off_path_counts_fallbacks(self, numpy_on):
+        """A group whose replicas all leave the path counts each of them."""
+        params = default_parameters(n=7, f=2)
+        spec = RunSpec.maintenance(params, rounds=4, clock_kind="perfect",
+                                   delay="fixed", record_trace=False,
+                                   observers=("skew", "validity"))
+        seeds = [0, 1, 2, 3]
+        telemetry = Telemetry()
+        results = execute_batch([spec.with_seed(s) for s in seeds],
+                                telemetry=telemetry)
+        registry = telemetry.registry
+        assert registry.value("runner.vectorized_batches") == 1
+        assert registry.value("runner.vectorized_replicas") == 0
+        assert registry.value("runner.vectorized_fallbacks") == len(seeds)
+        _assert_all_serial(spec, seeds, results)
+
+
+def _record_serial_reruns(monkeypatch):
+    """Seeds the serial ``execute`` runs from here on, in call order."""
+    seeds = []
+    real = spec_module.execute
+
+    def recording(spec, *args, **kwargs):
+        seeds.append(spec.seed)
+        return real(spec, *args, **kwargs)
+
+    monkeypatch.setattr(spec_module, "execute", recording)
+    return seeds
+
+
+def _group_case(n, f, fault_count, scale, rounds, clock_kind, delay):
+    params = default_parameters(n=n, f=f)
+    return RunSpec.maintenance(
+        params.with_round_length(scale * params.round_length), rounds=rounds,
+        fault_kind="two_faced", fault_count=fault_count,
+        clock_kind=clock_kind, delay=delay, record_trace=False,
+        observers=("skew", "validity"))
+
+
+#: (reason, spec) groups of seeds 0-3 in which some replicas, not all,
+#: leave the path for that reason: P below the Section 5.2 bound, or more
+#: two-faced attackers than the f the parameters tolerate.
+GROUP_EXITS = [
+    ("tied send times", lambda: _group_case(6, 1, 3, 0.1, 3, "perfect",
+                                            "fixed")),
+    ("missed round (P below the Section 5.2 bound)",
+     lambda: _group_case(6, 1, 5, 0.05, 2, "perfect", "fixed")),
+    ("arrival outside the collection window",
+     lambda: _group_case(7, 2, 4, 1.0, 3, "constant", "uniform")),
+    ("send-order inversion across rounds",
+     lambda: _group_case(8, 2, 6, 0.05, 2, "constant", "uniform")),
+]
+
+
+class TestOffPathExits:
+    """Every reason the kernel records, forced once, ends in the serial result.
+
+    In a group, only the replicas the kernel marked re-run serially.
+    """
+
+    @pytest.mark.parametrize("reason,make_spec", GROUP_EXITS, ids=[
+        reason.split(" (")[0] for reason, _ in GROUP_EXITS])
+    def test_group_reruns_only_marked_replicas(self, numpy_on, monkeypatch,
+                                               reason, make_spec):
+        spec, seeds = make_spec(), [0, 1, 2, 3]
+        engine = roundengine.RoundSystem(spec, seeds)
+        engine.run()
+        marked = [seed for seed, bad in zip(seeds, engine.bad) if bad]
+        assert set(engine.reason) == {None, reason}
+        reruns = _record_serial_reruns(monkeypatch)
+        results = execute_batch([spec.with_seed(seed) for seed in seeds])
+        assert reruns == marked
+        _assert_all_serial(spec, seeds, results)
+
+    def _assert_lone_exit(self, spec, reason):
+        topology = build_topology(spec.topology, n=spec.params.n,
+                                  seed=spec.seed) if spec.topology else None
+        engine = roundengine.RoundSystem(spec, [spec.seed], topology)
+        engine.run()
+        assert engine.reason == [reason]
+        telemetry = Telemetry()
+        result = execute(spec, telemetry=telemetry, engine="round")
+        assert telemetry.registry.value("roundengine.fallbacks") == 1
+        assert telemetry.registry.value("roundengine.errors") == 0
+        _assert_identical(spec, execute(spec, engine="serial"), result)
+
+    def test_disconnected_topology(self, numpy_on):
+        spec = RunSpec.maintenance(
+            default_parameters(n=6, f=1), rounds=4, seed=3, fault_kind=None,
+            topology="random_gnp:p=0.2,connect=0", record_trace=False,
+            observers=("skew", "validity"))
+        self._assert_lone_exit(spec, "disconnected topology")
+
+    def test_collection_window_not_in_the_future(self, numpy_on):
+        # At T0 = 1e15 the window (~0.05 s) is below one ulp of T0.
+        params = dataclasses.replace(default_parameters(n=4, f=1),
+                                     initial_round_time=1e15)
+        spec = RunSpec.maintenance(params, rounds=3, record_trace=False)
+        self._assert_lone_exit(spec, "collection window not in the future")
+
+    def test_non_positive_delay(self, numpy_on):
+        """SyncParameters requires ε < δ; bypassed, a zero delay becomes
+        possible, which the kernel refuses up front and the serial delay
+        model rejects with the same error on both paths."""
+        params = default_parameters(n=4, f=1)
+        object.__setattr__(params, "epsilon", params.delta)
+        spec = RunSpec.maintenance(params, rounds=3, record_trace=False)
+        engine = roundengine.RoundSystem(spec, [spec.seed])
+        engine.run()
+        assert engine.reason == ["non-positive delay"]
+        for engine_name in ("round", "serial"):
+            with pytest.raises(ValueError, match="delta > epsilon"):
+                execute(spec, engine=engine_name)
+
+    def test_extra_link_delays(self, numpy_on):
+        """A built topology the kernel cannot relay over: try_execute
+        declines it, and the caller runs the serial loop."""
+        ring = make_topology("ring", 6)
+        topology = Topology(6, ring.links(), name="ring",
+                            extra_delay={(0, 1): 0.005})
+        spec = RunSpec.maintenance(default_parameters(n=6, f=1), rounds=3,
+                                   fault_kind=None, record_trace=False)
+        engine = roundengine.RoundSystem(spec, [spec.seed], topology)
+        engine.run()
+        assert engine.reason == ["extra link delays or drops"]
+        telemetry = Telemetry()
+        assert roundengine.try_execute(spec, topology, telemetry) is None
+        assert telemetry.registry.value("roundengine.fallbacks") == 1
+
+    def test_correct_sender_missing_from_round(self, numpy_on, monkeypatch):
+        """Seed 1's process 0 sleeps past the run's end, so the others
+        update without its value; seed 0 runs on the kernel."""
+        params = default_parameters(n=4, f=1)
+        spec = RunSpec.maintenance(params, rounds=3, record_trace=False)
+        end = maintenance_end_time(params, spec.rounds)
+
+        def sleeper(n, rho, beta, seed=0, kind="constant",
+                    reference_time=0.0):
+            clocks = make_clock_ensemble(n, rho, beta, seed=seed, kind=kind,
+                                         reference_time=reference_time)
+            if seed == 1:
+                clocks[0] = ConstantRateClock(offset=-2 * end, rho=rho)
+            return clocks
+
+        monkeypatch.setattr(roundengine, "make_clock_ensemble", sleeper)
+        monkeypatch.setattr(experiments, "make_clock_ensemble", sleeper)
+        engine = roundengine.RoundSystem(spec, [0, 1])
+        engine.run()
+        assert engine.reason == [None, "correct sender missing from round"]
+        reruns = _record_serial_reruns(monkeypatch)
+        results = execute_batch([spec.with_seed(0), spec.with_seed(1)])
+        assert reruns == [1]
+        _assert_all_serial(spec, [0, 1], results)
+
+    def test_fault_column_guards(self, numpy_on):
+        """The ARR-column guards, driven directly: an arrival before the
+        receiver's previous update, and equal arrival times in a cell and
+        in the pending stash.  Real specs cannot reach them — a slot joins
+        the ledger after every window of the round before, and one
+        sender's arrivals at one receiver never tie but by an exact float
+        coincidence — so they are forced here on hand-made arrivals."""
+        np = pytest.importorskip("numpy")
+        spec = RunSpec.maintenance(default_parameters(n=7, f=2), rounds=3,
+                                   fault_kind="crash", record_trace=False)
+        engine = roundengine.RoundSystem(spec, [0, 1, 2])
+        n, sender = 7, np.array([6])          # the last crash column
+        window = (np.full((3, n), 0.5), np.ones((3, n), dtype=bool),
+                  np.ones((3, n), dtype=bool))
+        fault = np.array([[True], [True], [False]])
+        rows = np.zeros((3, 1), dtype=int)
+
+        def deliver(at):
+            engine._fault_arrivals(np.full((3, 1, n), at), fault, rows,
+                                   sender, None, window)
+
+        engine.last_u[1] = 0.4
+        deliver(0.3)        # replica 1: before its previous update
+        assert engine.reason == [None, "arrival before previous update",
+                                 None]
+        deliver(0.3)        # replica 0: the same cell at the same time
+        assert engine.reason[0] == "tied ARR arrivals"
+        engine = roundengine.RoundSystem(spec, [0, 1, 2])
+        deliver(0.6)        # past the window: stashed for the next round
+        assert not engine.bad.any() and engine.pend_has[0].any()
+        deliver(0.6)
+        assert engine.reason == ["tied ARR arrivals"] * 2 + [None]
+
+
+class TestEventBudget:
+    """The budget trips exactly where the serial loop's does, both groupings.
+
+    At n=13, f=2 over 3 rounds the serial run dispatches 585 events on the
+    complete graph, 557 on hierarchy+crash and 497 on star+silent.  One
+    event fewer raises EventBudgetExceeded carrying the serial count; the
+    exact count runs on the kernel with no fallback.
+    """
+
+    CASES = [(None, None, 585), ("hierarchy", "crash", 557),
+             ("star", "silent", 497)]
+
+    @staticmethod
+    def _spec(topology, fault_kind, budget):
+        return RunSpec.maintenance(
+            default_parameters(n=13, f=2), rounds=3, fault_kind=fault_kind,
+            topology=topology, max_events=budget, record_trace=False,
+            observers=("skew", "validity"))
+
+    @staticmethod
+    def _serial_processed(spec):
+        with pytest.raises(EventBudgetExceeded) as raised:
+            execute(spec, engine="serial")
+        return raised.value.processed
+
+    @pytest.mark.parametrize("topology,fault_kind,count", CASES)
+    def test_lone_boundary(self, numpy_on, topology, fault_kind, count):
+        short = self._spec(topology, fault_kind, count - 1)
+        with pytest.raises(EventBudgetExceeded) as raised:
+            execute(short, engine="round")
+        assert raised.value.processed == self._serial_processed(short)
+        exact = self._spec(topology, fault_kind, count)
+        result, = _run_engine(exact, [exact.seed], True)
+        _assert_identical(exact, execute(exact, engine="serial"), result)
+
+    def test_grouped_boundary(self, numpy_on):
+        seeds = [0, 1, 2]
+        short = self._spec(None, None, 584)
+        engine = roundengine.RoundSystem(short, seeds)
+        engine.run()
+        assert engine.reason == ["event budget exceeded"] * len(seeds)
+        with pytest.raises(EventBudgetExceeded) as raised:
+            execute_batch([short.with_seed(seed) for seed in seeds])
+        assert raised.value.processed == self._serial_processed(short)
+        exact = self._spec(None, None, 585)
+        assert engine_for(exact, "auto", len(seeds)) == "batch"
+        results = _run_engine(exact, seeds, True, "grouped")
+        _assert_all_serial(exact, seeds, results)
 
 
 class _RecordingRNG:
@@ -279,7 +679,7 @@ class TestChunkedRelayKernel:
         serial = execute(spec, engine="serial")
         for chunk in (3, 150):
             monkeypatch.setattr(roundengine, "_CHUNK_CELLS", chunk)
-            engine = _run_engine(spec, expect_engine=True)
+            engine, = _run_engine(spec, [spec.seed], True)
             _assert_identical(spec, serial, engine)
         index = index_module.topology_index(make_topology(topology, 26))
         assert (index._dist is not None) == dense
@@ -305,11 +705,30 @@ class TestChunkedRelayKernel:
                                    fault_count=3, topology="hierarchy",
                                    record_trace=False,
                                    observers=("skew", "validity"))
-        engine = _run_engine(spec, expect_engine=True)
+        engine, = _run_engine(spec, [spec.seed], True)
         sizes = [size for rng in rngs for size in rng.sizes]
         assert len(rngs) == 1 and len(sizes) > spec.rounds
         assert max(sizes) <= 1000
         _assert_identical(spec, execute(spec, engine="serial"), engine)
+
+    @pytest.mark.parametrize("chunk", [3, 150])
+    def test_group_chunk_boundaries_are_exact(self, numpy_on, monkeypatch,
+                                              chunk):
+        """A replica group's ledger splits between chunks exactly too.
+
+        The bound counts the draws of all replicas together, so at 3 every
+        chunk holds one send event of one rank across the S=3 replicas,
+        and at 150 a few; crash senders' broadcasts land in the fault
+        columns from chunks of their own.
+        """
+        monkeypatch.setattr(roundengine, "_CHUNK_CELLS", chunk)
+        params = default_parameters(n=13, f=2)
+        spec = RunSpec.maintenance(params, rounds=4, fault_kind="crash",
+                                   record_trace=False,
+                                   observers=("skew", "validity"))
+        seeds = [4, 5, 6]
+        results = _run_engine(spec, seeds, True, "grouped")
+        _assert_all_serial(spec, seeds, results)
 
 
 class TestTopologyIndex:

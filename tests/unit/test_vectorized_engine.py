@@ -1,11 +1,11 @@
-"""Unit tests for the struct-of-arrays batch engine's routing and gates.
+"""Unit tests for the round kernel's routing and gates.
 
-The bit-identity of the engine's *output* is the property suite's job
-(``tests/property/test_vectorized_parity.py``); here we pin the plumbing:
-which specs the engine declines and why, how :func:`engine_for` picks an
-engine for every ``engine=`` value, how the batch runner groups replicas,
-what telemetry a vectorized batch emits, and the degenerate single-seed
-confidence interval of :func:`repro.runner.replicate`.
+The bit-identity of the kernel's *output* is the property suite's job
+(``tests/property/test_roundengine_parity.py``); here we pin the plumbing:
+which specs the one scope function declines and why, how
+:func:`engine_for` picks a grouping for every ``engine=`` value, how the
+batch runner groups replicas, what telemetry a replica group emits, and the
+degenerate single-seed confidence interval of :func:`repro.runner.replicate`.
 """
 
 import math
@@ -20,7 +20,7 @@ from repro.analysis.statistics import summarize
 from repro.runner import (BatchRunner, ResilientRunner, RunSpec, execute,
                           replicate)
 from repro.runner.spec import engine_for
-from repro.sim import traceindex, vectorized
+from repro.sim import roundengine, traceindex, vectorized
 from repro.sim.traceindex import numpy_enabled
 from repro.telemetry import Telemetry
 
@@ -52,7 +52,7 @@ needs_numpy = pytest.mark.skipif(not numpy_enabled(),
 class TestDeclineReason:
     def test_streaming_maintenance_is_supported(self):
         expected = None if numpy_enabled() else "numpy is off"
-        assert vectorized.decline_reason(_spec()) == expected
+        assert roundengine.decline_reason(_spec()) == expected
 
     @pytest.mark.parametrize("overrides", [
         {"record_trace": True},          # trace recording is serial-only
@@ -65,18 +65,19 @@ class TestDeclineReason:
         {"checkpoint_every": 1.0},       # snapshot/restore is serial-only
     ])
     def test_unsupported_features_are_rejected(self, overrides):
-        assert vectorized.decline_reason(_spec(**overrides)) is not None
+        assert roundengine.decline_reason(_spec(**overrides)) is not None
 
     def test_topology_is_rejected(self):
         spec = _spec(topology="ring")
-        assert vectorized.decline_reason(spec) == "the spec names a topology"
+        assert roundengine.decline_reason(spec, replicas=2) == \
+            "a topology in a replica group"
 
     def test_startup_kind_is_rejected(self):
         spec = RunSpec.startup(_params(), rounds=3)
-        assert vectorized.decline_reason(spec) is not None
+        assert roundengine.decline_reason(spec) is not None
 
     def test_numpy_off_is_a_decline_reason(self, numpy_off):
-        assert vectorized.decline_reason(_spec()) == "numpy is off"
+        assert roundengine.decline_reason(_spec()) == "numpy is off"
 
 
 def _streaming(n, **overrides):
@@ -86,9 +87,10 @@ def _streaming(n, **overrides):
     return RunSpec.maintenance(default_parameters(n=n, f=1), **options)
 
 
-#: (spec label, engine, replicas, expected engine).  ``both`` is accepted
-#: by both engines, ``batch_only`` (Byzantine faults) and ``round_only`` (a
-#: topology) by one, ``neither`` (a recorded trace) by none.
+#: (spec label, engine, replicas, expected engine).  ``batch`` and ``round``
+#: are the two groupings of one kernel.  ``both`` runs in either,
+#: ``batch_only`` (Byzantine faults) in either too, ``round_only`` (a
+#: topology) only alone, ``neither`` (a recorded trace) in none.
 ENGINE_TABLE = [
     ("both", "auto", 1, "serial"),
     ("both", "auto", 2, "batch"),
@@ -106,9 +108,9 @@ ENGINE_TABLE = [
     ("n512", "serial", 2, "serial"),
     ("batch_only", "auto", 1, "serial"),
     ("batch_only", "auto", 2, "batch"),
-    ("batch_only", "round", 1, "serial"),
-    ("batch_only_n512", "auto", 1, "serial"),
-    ("batch_only_n512", "auto", 2, "batch"),
+    ("batch_only", "round", 1, "round"),
+    ("batch_only_n512", "auto", 1, "round"),
+    ("batch_only_n512", "auto", 2, "round"),
     ("round_only", "auto", 2, "serial"),
     ("round_only", "batch", 2, "serial"),
     ("round_only", "round", 1, "round"),
