@@ -49,7 +49,7 @@ def epsilon_sweep(runner=None):
     return sweep_epsilon(EPSILONS, n=4, f=1, rounds=3, runner=runner)
 
 
-def interrupted_then_resumed(store_path: str) -> None:
+def interrupted_then_resumed(store_path: Path) -> None:
     print("== interrupt midway, then resume ==")
     # Chaos stages the outage: the worker on spec 0 is SIGKILLed once (the
     # supervisor respawns it and retries), and the sweep is cut down right
@@ -100,7 +100,7 @@ def poison_spec_is_quarantined() -> None:
     print()
 
 
-def store_introspection(store_path: str) -> None:
+def store_introspection(store_path: Path) -> None:
     print("== the durable store is inspectable ==")
     with ResultStore(store_path) as store:
         status = store.status()
@@ -116,7 +116,7 @@ def store_introspection(store_path: str) -> None:
 
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="repro-resilient-") as scratch:
-        store_path = str(Path(scratch) / "sweep.sqlite")
+        store_path = Path(scratch) / "sweep.sqlite"
         interrupted_then_resumed(store_path)
         poison_spec_is_quarantined()
         store_introspection(store_path)

@@ -19,7 +19,7 @@ Two evaluation paths exist:
   :class:`~repro.runner.spec.RunSpec` and measured from its result, so the
   whole cartesian product (times any replication seeds) fans out through a
   :class:`~repro.runner.batch.BatchRunner` — ``jobs=N`` runs N simulations at
-  once with results bit-identical to serial execution.
+  once on supervised workers, bit-identical to serial execution.
 
 All the ready-made ``sweep_*`` helpers run on the spec path and uniformly
 accept ``seed`` (single run per point), ``seeds`` (replication: outputs become
@@ -41,7 +41,7 @@ from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
 
 from ..core.bounds import agreement_bound, lower_bound, steady_state_beta
 from ..core.config import SyncParameters
-from ..runner.batch import BatchRunner, SpecFailure
+from ..runner.batch import BatchRunner
 from ..runner.resilient import QuarantinedResult
 from ..runner.spec import RunSpec
 from ..telemetry import span
@@ -214,10 +214,9 @@ def run_spec_sweep(
     ``runner`` substitutes any :class:`BatchRunner`-compatible executor — in
     particular a :class:`~repro.runner.resilient.ResilientRunner`, which
     makes the sweep durable and resumable.  Failures such a runner returns
-    as data (:class:`~repro.runner.batch.SpecFailure`,
-    :class:`~repro.runner.resilient.QuarantinedResult`) do not abort the
-    sweep: the affected cell keeps its surviving replicas and gains a
-    ``failed_runs`` output column counting the casualties.
+    as data (a :class:`~repro.runner.resilient.QuarantinedResult`) do not
+    abort the sweep: the affected cell keeps its surviving replicas and
+    gains a ``failed_runs`` output column counting the casualties.
     """
     axes = list(axes)
     if not axes:
@@ -257,10 +256,10 @@ def run_spec_sweep(
             for _ in specs:
                 outcome = next(results)
                 # A tolerant or resilient runner hands failures back as data
-                # (SpecFailure / QuarantinedResult): the cell keeps whatever
-                # replicas survived and reports the casualty count instead of
+                # (QuarantinedResult): the cell keeps whatever replicas
+                # survived and reports the casualty count instead of
                 # aborting the sweep.
-                if isinstance(outcome, (SpecFailure, QuarantinedResult)):
+                if isinstance(outcome, QuarantinedResult):
                     failed += 1
                     continue
                 per_seed.append(dict(measure(outcome, **inputs)))

@@ -15,9 +15,9 @@ Installed as the ``repro-clocksync`` console script (also reachable as
   topology or tightness axes (the data behind the paper's trade-off
   discussions); ``--store PATH`` commits every completed spec to a durable
   sqlite store as it finishes, ``--resume`` serves already-stored specs
-  bit-identically, and ``--retries``/``--spec-timeout`` enable the
-  supervised pool (crash respawn, retry with backoff, quarantine) — an
-  interrupted sweep exits 130 and continues where it left off;
+  bit-identically, and ``--retries``/``--spec-timeout`` turn on retries
+  (crash respawn, retry with backoff, quarantine) — an interrupted sweep
+  exits 130 and continues where it left off;
 * ``store``      — inspect (``store status``) or prune (``store gc``) a
   durable sweep result store;
 * ``certify``    — run the shifting-argument lower-bound certifier: build the
@@ -46,9 +46,10 @@ multi-hop and every audit uses the topology-effective (δ', ε') constants.
 
 ``run``, ``compare`` and ``sweep`` go through :mod:`repro.runner`:
 ``--jobs N`` fans independent simulations out over N worker processes (with
-results bit-identical to serial execution), and ``--replicate-seeds S1 S2 …``
-replicates the experiment across seeds, reporting mean/min/max and 95%
-confidence intervals instead of single-draw numbers.
+results bit-identical to serial execution; a killed worker ends the command
+with exit status 2), and ``--replicate-seeds S1 S2 …`` replicates the
+experiment across seeds, reporting mean/min/max and 95% confidence intervals
+instead of single-draw numbers.
 
 ``run`` alone picks the engine, through one mutually exclusive flag group
 that maps onto :func:`repro.runner.spec.engine_for`: by default (``auto``)
@@ -112,7 +113,7 @@ from .analysis.workloads import (
     workload_names,
 )
 from .core.bounds import agreement_bound, startup_limit
-from .runner import BatchRunner, StoreError, execute, replicate
+from .runner import BatchRunner, SpecLost, StoreError, execute, replicate
 from .topology.spec import build_topology, describe_topologies
 
 __all__ = ["main", "build_parser"]
@@ -213,16 +214,16 @@ def build_parser() -> argparse.ArgumentParser:
                               help="serve specs already in --store without "
                                    "re-running them (bit-identical); "
                                    "quarantined specs are re-attempted")
-    sweep_parser.add_argument("--retries", type=int, default=2, metavar="N",
+    sweep_parser.add_argument("--retries", type=int, default=None, metavar="N",
                               help="supervised retries per failing spec "
-                                   "before quarantine (default 2; only "
-                                   "active with --store/--resume/"
-                                   "--spec-timeout)")
+                                   "before quarantine (default 2 once "
+                                   "--store/--resume/--spec-timeout is "
+                                   "given; giving it enables retries too)")
     sweep_parser.add_argument("--spec-timeout", type=float, default=None,
                               metavar="T",
                               help="per-spec wall-clock timeout in seconds; "
                                    "a worker past it is killed and the spec "
-                                   "retried (enables the supervised pool)")
+                                   "retried (enables retries)")
 
     store_parser = subparsers.add_parser(
         "store", help="inspect or prune a durable sweep result store")
@@ -874,18 +875,21 @@ _SWEEPS = {
 def _sweep_runner(args: argparse.Namespace):
     """The ResilientRunner for a sweep, or None for the plain path.
 
-    Any of ``--store`` / ``--resume`` / ``--spec-timeout`` opts the sweep
-    into the resilient engine (durable commits, supervised workers,
-    quarantine); without them the sweep runs exactly as before.
+    Any of ``--store`` / ``--resume`` / ``--spec-timeout`` / ``--retries``
+    opts the sweep into the resilient engine (durable commits, retries,
+    quarantine); without them the sweep runs on the plain batch runner.
     """
-    if not (args.store or args.resume or args.spec_timeout is not None):
+    if not (args.store or args.resume or args.spec_timeout is not None
+            or args.retries is not None):
         return None
     from .runner import ResilientRunner
 
     if args.resume and not args.store:
         raise SystemExit("error: --resume requires --store PATH")
     return ResilientRunner(jobs=args.jobs, cache=False, store=args.store,
-                           resume=args.resume, max_retries=args.retries,
+                           resume=args.resume,
+                           max_retries=(2 if args.retries is None
+                                        else args.retries),
                            spec_timeout=args.spec_timeout)
 
 
@@ -1140,7 +1144,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {error}\nhint: raise the budget with run "
               f"--max-events N", file=sys.stderr)
         return 2
-    except StoreError as error:  # a missing store, or another schema's
+    except (StoreError, SpecLost) as error:  # a bad store; a dead worker
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -7,17 +7,17 @@ The execution layer every experiment entry point funnels through:
   delay/clock models, topology, seed, rounds);
 * :func:`~repro.runner.spec.execute` — the single ``spec -> ScenarioResult``
   dispatcher (pure and deterministic per spec);
-* :class:`~repro.runner.batch.BatchRunner` — fans spec lists out over a
-  ``multiprocessing`` pool with result caching and ordered collection, with a
-  bit-identical-to-serial guarantee;
+* :class:`~repro.runner.batch.BatchRunner` — runs spec lists in-process or
+  on :class:`~repro.runner.resilient.SupervisedPool` workers, with result
+  caching, ordered collection and a bit-identical-to-serial guarantee;
 * :func:`~repro.runner.replication.replicate` — multi-seed replication with
   mean/min/max/CI summaries of the agreement and validity metrics;
 * :class:`~repro.runner.resilient.ResilientRunner` — the crash-safe variant:
   durable content-addressed :class:`~repro.runner.store.ResultStore`
-  (sqlite), supervised workers (per-spec timeouts, retry with backoff,
-  crash respawn, quarantine) and ``resume`` that serves already-stored specs
-  bit-identically, all testable under deterministic fault injection
-  (:class:`~repro.runner.chaos.ChaosSchedule`).
+  (sqlite), supervised workers with retries (per-spec timeouts, retry with
+  backoff, crash respawn, quarantine) and ``resume`` that serves
+  already-stored specs bit-identically, all testable under deterministic
+  fault injection (:class:`~repro.runner.chaos.ChaosSchedule`).
 
 Quick start::
 
@@ -31,8 +31,7 @@ Quick start::
 """
 
 from .spec import RunSpec, SCENARIO_KINDS, execute
-from .batch import BatchRunner, SpecFailure, available_parallelism, \
-    execute_many
+from .batch import BatchRunner, SpecLost, available_parallelism
 from .replication import ReplicatedResult, ReplicationError, SeedFailure, \
     replicate
 from .chaos import CHAOS_ACTIONS, ChaosFault, ChaosInjectedError, \
@@ -47,9 +46,8 @@ __all__ = [
     "SCENARIO_KINDS",
     "execute",
     "BatchRunner",
-    "SpecFailure",
+    "SpecLost",
     "available_parallelism",
-    "execute_many",
     "ReplicatedResult",
     "ReplicationError",
     "SeedFailure",

@@ -1,8 +1,9 @@
 """Batch execution of :class:`~repro.runner.spec.RunSpec` lists.
 
-:class:`BatchRunner` turns a list of specs into a list of results, optionally
-fanning the work out over a :mod:`multiprocessing` pool.  Three properties the
-layers above (sweeps, comparison, replication, CLI) rely on:
+:class:`BatchRunner` turns a list of specs into a list of results, in-process
+or, with ``jobs > 1``, on a :class:`~repro.runner.resilient.SupervisedPool`
+of worker processes.  Three properties the layers above (sweeps, comparison,
+replication, CLI) rely on:
 
 * **Ordered collection** — ``run(specs)[i]`` always corresponds to
   ``specs[i]``, no matter which worker finished first.
@@ -20,21 +21,21 @@ points bit-for-bit identical to the pre-runner code paths.
 A run that blows its interrupt budget raises
 :class:`~repro.sim.events.EventBudgetExceeded` out of :meth:`BatchRunner.run`
 with the counts *and* the offending :class:`RunSpec` attached (``err.spec``,
-set by :func:`~repro.runner.spec.execute`); the exception reconstructs itself
-across the multiprocessing boundary, so pool execution surfaces exactly the
-same diagnostics as serial execution.  Streaming results travel whole:
-``ScenarioResult.observers`` (online metrics state) pickles back from the
-workers alongside the trace — or instead of one, for ``record_trace=False``
-specs, which is how replicated long-horizon studies stay bounded-memory.
+set by :func:`~repro.runner.spec.execute`); a pool worker ships the
+exception back whole, so pool execution surfaces exactly the same
+diagnostics as serial execution.  A worker that dies mid-spec (SIGKILL, the
+OOM killer) ends the batch with :class:`SpecLost` instead of a hang.
+Streaming results travel whole: ``ScenarioResult.observers`` (online metrics
+state) pickles back from the workers alongside the trace — or instead of
+one, for ``record_trace=False`` specs, which is how replicated long-horizon
+studies stay bounded-memory.
 """
 
 from __future__ import annotations
 
-import functools
-import multiprocessing
+import contextlib
 import os
 import traceback
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING
 
 from .spec import RunSpec, engine_for, execute
@@ -42,67 +43,52 @@ from .spec import RunSpec, engine_for, execute
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids the cycle
     from ..analysis.experiments import ScenarioResult
 
-__all__ = ["BatchRunner", "SpecFailure", "execute_many",
-           "available_parallelism"]
+__all__ = ["BatchRunner", "SpecLost", "available_parallelism"]
 
 #: callback signature: invoked once per *computed* spec, as results stream in.
 OnResult = Callable[[RunSpec, "ScenarioResult"], None]
 
 
-@dataclass(frozen=True)
-class SpecFailure:
-    """One spec's failure, captured instead of raised (tolerant batches).
+class SpecLost(RuntimeError):
+    """A pool worker died mid-spec (or its error could not be pickled).
 
-    With ``tolerate_failures=True`` a failing spec produces one of these in
-    its result slot instead of aborting the whole batch: the spec, a
-    one-line ``error`` (``TypeName: message``) and the full traceback text.
-    Everything is plain data, so failures survive the multiprocessing
-    round trip no matter how unpicklable the original exception was.
+    ``quarantined`` is the spec's
+    :class:`~repro.runner.resilient.QuarantinedResult`, which a
+    ``tolerate_failures=True`` batch puts in the spec's slot instead.
     """
 
-    spec: RunSpec
-    error: str
-    traceback: str = ""
-
-    def describe(self) -> str:
-        return f"{self.spec.describe()} failed: {self.error}"
+    def __init__(self, quarantined):
+        super().__init__(quarantined.last_error)
+        self.quarantined = quarantined
 
 
-def _capture_failure(spec: RunSpec, err: BaseException) -> SpecFailure:
-    return SpecFailure(spec=spec, error=f"{type(err).__name__}: {err}",
-                       traceback=traceback.format_exc())
+def _run_task(spec: RunSpec, engine: str, instrumented: bool):
+    """Execute one spec: the in-process loop and every pool worker call this.
 
-
-def _execute_tolerant(spec: RunSpec, engine: str = "auto"):
-    """Pool-shippable execute that returns failures instead of raising."""
-    try:
-        return "ok", execute(spec, engine=engine)
-    except Exception as err:
-        return "fail", _capture_failure(spec, err)
-
-
-def _execute_tolerant_instrumented(spec: RunSpec, engine: str = "auto"):
-    """Tolerant variant of :func:`_execute_instrumented`."""
-    try:
-        return "ok", _execute_instrumented(spec, engine=engine)
-    except Exception as err:
-        return "fail", _capture_failure(spec, err)
-
-
-def _execute_instrumented(spec: RunSpec, engine: str = "auto"):
-    """Pool-shippable instrumented execute: (result, metrics snapshot, manifests).
-
-    Builds a fresh, run-local :class:`~repro.telemetry.Telemetry` so workers
-    never contend on shared state, then returns its registry snapshot and
-    manifest records for the parent to merge.  Serial and pool execution use
-    this same wrapper when a batch runs with telemetry, which is what makes
-    merged worker totals equal a serial run's by construction.
+    It calls this module's ``execute``, which tests patch and forked workers
+    inherit.  ``instrumented`` runs it against a fresh, run-local
+    :class:`~repro.telemetry.Telemetry` and returns ``(result, metrics
+    snapshot, manifests)`` for :func:`_fold`, which is what makes merged
+    worker totals equal a serial run's by construction.
     """
+    if not instrumented:
+        return execute(spec, engine=engine)
     from ..telemetry import Telemetry
 
     local = Telemetry()
     result = execute(spec, telemetry=local, engine=engine)
     return result, local.registry.snapshot(), local.manifests
+
+
+def _fold(telemetry, payload):
+    """Unwrap one :func:`_run_task` payload, folding its telemetry in."""
+    if telemetry is None:
+        return payload
+    result, snapshot, manifests = payload
+    telemetry.registry.merge(snapshot)
+    for record in manifests:
+        telemetry.emit_manifest(record)
+    return result
 
 
 def available_parallelism() -> int:
@@ -114,11 +100,13 @@ def available_parallelism() -> int:
 
 
 class BatchRunner:
-    """Execute batches of specs, serially or over a worker pool.
+    """Execute batches of specs, in-process or on a supervised worker pool.
 
     ``jobs`` is the maximum number of worker processes (1 = run in-process;
-    0 or negative = one per available CPU).  ``cache=True`` (the default)
-    memoizes results by spec for the lifetime of the runner.
+    0 or negative = one per available CPU; more than 1 runs on a
+    :class:`~repro.runner.resilient.SupervisedPool` with no retries).
+    ``cache=True`` (the default) memoizes results by spec for the lifetime
+    of the runner.
 
     ``telemetry`` (a :class:`~repro.telemetry.Telemetry`) instruments every
     computed spec: each run executes against a fresh run-local bundle —
@@ -169,15 +157,16 @@ class BatchRunner:
         """Execute every spec and return results in input order.
 
         Duplicate specs (and specs already in the cache) are executed once;
-        ``on_result(spec, result)`` fires once per spec actually computed, in
-        first-occurrence order, as soon as its result is available — the
-        observability hook for long batches.
+        ``on_result(spec, result)`` fires once per spec actually computed, as
+        soon as its result is available — the observability hook for long
+        batches.
 
-        ``tolerate_failures=True`` turns per-spec exceptions into
-        :class:`SpecFailure` records in the corresponding result slots
-        instead of aborting the batch — one poison spec no longer discards
-        every completed sibling (failures are cached like results, so a
-        cached runner will not silently re-run a known-bad spec).
+        ``tolerate_failures=True`` turns per-spec failures into
+        :class:`~repro.runner.resilient.QuarantinedResult` records in the
+        corresponding result slots instead of aborting the batch — one
+        poison spec no longer discards every completed sibling (failures are
+        cached like results, so a cached runner will not silently re-run a
+        known-bad spec).
         """
         return list(self.run_iter(specs, on_result=on_result,
                                   tolerate_failures=tolerate_failures))
@@ -230,23 +219,16 @@ class BatchRunner:
                 del lookup[spec]
             yield result
 
-    def run_one(self, spec: RunSpec) -> "ScenarioResult":
-        """Execute (or fetch from cache) a single spec."""
-        return self.run([spec])[0]
-
     def _execute_pending(self, pending: Sequence[RunSpec],
                          tolerant: bool = False):
-        """Yield (spec, result) pairs in ``pending`` order."""
+        """Yield one (spec, result) pair per pending spec."""
         if not pending:
             return
         vectorized = self._execute_vector_groups(pending, tolerant=tolerant)
-        serial = [spec for spec in pending if spec not in vectorized]
-        arrivals = self._execute_serial(serial, tolerant=tolerant)
-        for spec in pending:
-            if spec in vectorized:
-                yield spec, vectorized.pop(spec)
-            else:
-                yield next(arrivals)
+        yield from vectorized.items()
+        yield from self._execute_serial(
+            [spec for spec in pending if spec not in vectorized],
+            tolerant=tolerant)
 
     def _execute_vector_groups(self, pending: Sequence[RunSpec],
                                tolerant: bool = False) -> Dict[RunSpec, "ScenarioResult"]:
@@ -277,7 +259,7 @@ class BatchRunner:
                 # One bad replica poisons the whole lockstep batch; in
                 # tolerant mode, leave the group to the per-spec serial path
                 # so siblings complete (bit-identical by contract) and only
-                # the offender becomes a SpecFailure.
+                # the offender becomes a QuarantinedResult.
                 continue
             for spec, result in zip(members, batch_results):
                 results[spec] = result
@@ -285,60 +267,41 @@ class BatchRunner:
 
     def _execute_serial(self, pending: Sequence[RunSpec],
                         tolerant: bool = False):
-        """The per-spec path: in-process loop or multiprocessing pool."""
-        if not pending:
+        """The per-spec path: an in-process loop, or a supervised pool.
+
+        A failing spec raises its own exception (else :class:`SpecLost`) or,
+        ``tolerant``, yields a QuarantinedResult in its slot.
+        """
+        from .resilient import FailureRecord, QuarantinedResult, \
+            SupervisedPool
+
+        if self.jobs > 1 and len(pending) > 1:
+            pool = SupervisedPool(jobs=self.jobs, max_retries=0,
+                                  telemetry=self.telemetry,
+                                  engine=self.engine)
+            done: Dict[RunSpec, object] = {}
+            with contextlib.closing(pool.run(pending)) as arrivals:
+                # Hand over in input order, so the failure raised is the
+                # first in input order, whichever worker finished first.
+                for spec in pending:
+                    while spec not in done:
+                        arrived, outcome = next(arrivals)
+                        done[arrived] = outcome
+                    outcome = done.pop(spec)
+                    if not tolerant and isinstance(outcome, QuarantinedResult):
+                        error = outcome.failures[-1].exception
+                        raise SpecLost(outcome) if error is None else error
+                    yield spec, outcome
             return
-        workers = min(self.jobs, len(pending))
-        instrumented = self.telemetry is not None
-        if tolerant:
-            worker_fn = (_execute_tolerant_instrumented if instrumented
-                         else _execute_tolerant)
-        else:
-            worker_fn = _execute_instrumented if instrumented else execute
-        # The engine rides with every task, so it holds in pool workers
-        # under any start method.
-        worker_fn = functools.partial(worker_fn, engine=self.engine)
-        if workers <= 1:
-            for spec in pending:
-                yield spec, self._collect(worker_fn(spec), tolerant=tolerant)
-            return
-        # chunksize > 1 amortizes IPC for large batches of small runs while
-        # keeping enough chunks (4 per worker) for the pool to load-balance.
-        chunksize = max(1, len(pending) // (workers * 4))
-        pool = multiprocessing.Pool(processes=workers)
-        try:
-            for spec, arrival in zip(pending,
-                                     pool.imap(worker_fn, pending,
-                                               chunksize=chunksize)):
-                yield spec, self._collect(arrival, tolerant=tolerant)
-            pool.close()
-        except BaseException:
-            # KeyboardInterrupt (and generator close): stop the children
-            # promptly instead of letting them finish a doomed batch — the
-            # join in `finally` then guarantees no process outlives the
-            # runner, and the interrupt re-raises to the caller intact.
-            pool.terminate()
-            raise
-        finally:
-            pool.join()
-
-    def _collect(self, arrival, tolerant: bool = False):
-        """Unpack one instrumented arrival, folding its telemetry in."""
-        if tolerant:
-            tag, payload = arrival
-            if tag == "fail":
-                return payload  # a SpecFailure: nothing ran, nothing to merge
-            arrival = payload
-        if self.telemetry is None:
-            return arrival
-        result, snapshot, manifests = arrival
-        self.telemetry.registry.merge(snapshot)
-        for record in manifests:
-            self.telemetry.emit_manifest(record)
-        return result
-
-
-def execute_many(specs: Iterable[RunSpec], jobs: int = 1,
-                 on_result: Optional[OnResult] = None) -> List["ScenarioResult"]:
-    """One-shot convenience: ``BatchRunner(jobs).run(specs, on_result)``."""
-    return BatchRunner(jobs=jobs).run(specs, on_result=on_result)
+        for spec in pending:
+            try:
+                outcome = _fold(self.telemetry, _run_task(
+                    spec, self.engine, self.telemetry is not None))
+            except Exception as err:
+                if not tolerant:
+                    raise
+                outcome = QuarantinedResult(spec, (FailureRecord(
+                    attempt=0, kind="error",
+                    error=f"{type(err).__name__}: {err}",
+                    traceback=traceback.format_exc(), exception=err),))
+            yield spec, outcome

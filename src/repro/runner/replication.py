@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from .batch import BatchRunner, SpecFailure
+from .batch import BatchRunner
+from .resilient import QuarantinedResult
 from .spec import RunSpec
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports, avoid the cycle
@@ -147,8 +148,6 @@ def replicate(spec: RunSpec, seeds: Sequence[int], jobs: int = 1,
         raise ValueError(
             "replicating a record_trace=False spec needs online metrics: "
             "construct it with observers=('skew', 'validity')")
-    from .resilient import QuarantinedResult
-
     batch = runner if runner is not None else BatchRunner(jobs=jobs)
     raw = batch.run([spec.with_seed(seed) for seed in seeds],
                     tolerate_failures=tolerate_failures)
@@ -156,10 +155,7 @@ def replicate(spec: RunSpec, seeds: Sequence[int], jobs: int = 1,
     kept_seeds: List[int] = []
     results: List["ScenarioResult"] = []
     for seed, outcome in zip(seeds, raw):
-        if isinstance(outcome, SpecFailure):
-            failures.append(SeedFailure(seed=seed, error=outcome.error,
-                                        traceback=outcome.traceback))
-        elif isinstance(outcome, QuarantinedResult):
+        if isinstance(outcome, QuarantinedResult):
             failures.append(SeedFailure(seed=seed, error=outcome.last_error,
                                         traceback=outcome.last_traceback))
         else:

@@ -1,11 +1,8 @@
-"""Crash-safe supervised execution: the resilient layer over BatchRunner.
+"""Crash-safe supervised execution: the one worker pool, and durable sweeps.
 
-:class:`~repro.runner.batch.BatchRunner` assumes a well-behaved world: every
-worker returns, every spec terminates, the process lives to the end of the
-batch.  A multi-hour sweep meets the other world — OOM-killed workers, one
-poison spec that hangs, an operator ``kill`` — and with an in-memory cache a
-single such event used to cost every completed result.  This module adds the
-three missing guarantees:
+A multi-hour sweep meets OOM-killed workers, one poison spec that hangs, an
+operator ``kill`` — and with an in-memory cache a single such event used to
+cost every completed result.  This module holds three guarantees:
 
 * **Supervision** (:class:`SupervisedPool`) — each worker is an owned
   ``multiprocessing.Process`` on a private duplex pipe, so the parent can
@@ -19,10 +16,10 @@ three missing guarantees:
   (atomic write-then-commit), so an interrupted sweep keeps everything it
   finished; with ``resume=True`` already-stored specs are served from the
   store bit-identically (the stored bytes *are* the prior result).
-* **Graceful interruption** — SIGINT/SIGTERM (and the chaos ``interrupt``
-  action) stop dispatching, leave the store consistent, and raise
-  :class:`SweepInterrupted` with the completed count: the operator reruns
-  with ``--resume`` and loses nothing.
+* **Graceful interruption** — under :class:`ResilientRunner`, SIGINT/SIGTERM
+  (and the chaos ``interrupt`` action) stop dispatching, leave the store
+  consistent, and raise :class:`SweepInterrupted` with the completed count:
+  the operator reruns with ``--resume`` and loses nothing.
 
 Failures are injectable on a deterministic schedule
 (:class:`~repro.runner.chaos.ChaosSchedule`), which is what makes every one
@@ -40,15 +37,16 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.connection
 import os
+import pickle
 import random
 import signal
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from .batch import BatchRunner, available_parallelism, _execute_instrumented
-from .spec import RunSpec, execute
+from .batch import BatchRunner, available_parallelism, _fold, _run_task
+from .spec import RunSpec
 from .store import ResultStore
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -71,22 +69,26 @@ class FailureRecord:
     ``kind`` is ``"error"`` (the spec raised), ``"crash"`` (the worker died —
     SIGKILL, segfault, OOM) or ``"timeout"`` (the supervisor reclaimed a
     worker past the per-spec deadline).  ``attempt`` is 0-based.
+    ``exception`` is the spec's own exception, when it pickled.
     """
 
     attempt: int
     kind: str
     error: str
     traceback: str = ""
+    exception: Optional[BaseException] = field(default=None, compare=False,
+                                               repr=False)
 
 
 @dataclass(frozen=True)
 class QuarantinedResult:
-    """A spec the supervisor gave up on, with its full failure history.
+    """A spec a runner gave up on, with its full failure history.
 
-    Takes the result slot of its spec (sweeps skip it and count it in
-    ``failed_runs``); the sweep itself continues.  Quarantine is forensic,
-    not final — resumed sweeps re-attempt quarantined specs, since the fault
-    may have been environmental.
+    Every runner (in-process or pooled, plain or resilient) puts this in the
+    result slot of a failed spec it tolerates; sweeps skip it and count it
+    in ``failed_runs``, and the sweep itself continues.  Quarantine is
+    forensic, not final — resumed sweeps re-attempt quarantined specs, since
+    the fault may have been environmental.
     """
 
     spec: RunSpec
@@ -127,14 +129,29 @@ class SweepInterrupted(RuntimeError):
 _ORPHAN_POLL_SECONDS = 1.0
 
 
+def _count(telemetry, name: str) -> None:
+    """Count one ``resilient.<name>`` event when telemetry is on."""
+    if telemetry is not None:
+        telemetry.registry.counter(f"resilient.{name}").inc()
+
+
+def _portable(err: BaseException) -> Optional[BaseException]:
+    """``err`` if it survives a pickle round trip, else None."""
+    try:
+        pickle.loads(pickle.dumps(err))
+    except Exception:
+        return None
+    return err
+
+
 def _worker_main(conn, chaos: Optional["ChaosSchedule"],
                  instrumented: bool) -> None:
     """A supervised worker: recv task, inject chaos, execute, send outcome.
 
-    Workers ignore SIGINT — interruption policy belongs to the parent, which
-    stops dispatching and shuts workers down (or SIGKILLs a hung one).  Every
-    outcome is plain data (``("ok", payload)`` or ``("err", msg, tb)``), so
-    unpicklable exceptions cannot wedge the pipe.
+    Workers ignore SIGINT — interruption policy belongs to the parent.  An
+    outcome is ``("ok", payload)`` or ``("error", msg, tb, exception)``; the
+    exception travels only if it survives pickling, so none can wedge the
+    pipe.
 
     A blocking ``recv`` cannot be relied on to notice a SIGKILLed parent:
     under the fork start method the worker itself inherited the parent's end
@@ -162,12 +179,10 @@ def _worker_main(conn, chaos: Optional["ChaosSchedule"],
         try:
             if chaos is not None:
                 chaos.inject(index, attempt)
-            payload = (_execute_instrumented(spec, engine=engine)
-                       if instrumented else execute(spec, engine=engine))
-            conn.send(("ok", payload))
+            conn.send(("ok", _run_task(spec, engine, instrumented)))
         except Exception as err:
-            conn.send(("err", f"{type(err).__name__}: {err}",
-                       traceback.format_exc()))
+            conn.send(("error", f"{type(err).__name__}: {err}",
+                       traceback.format_exc(), _portable(err)))
 
 
 class _Task:
@@ -198,21 +213,20 @@ class _Worker:
 class SupervisedPool:
     """A worker pool that survives crashes, hangs and poison specs.
 
-    Unlike ``multiprocessing.Pool`` — which wedges forever if a worker is
-    SIGKILLed mid-task — every worker here is an owned process on a private
-    duplex pipe: a crash reads as pipe EOF, a hang is reclaimed by the
-    per-spec ``spec_timeout`` (SIGKILL + respawn), and either counts as one
-    failed attempt for the in-flight spec.  Failed specs retry up to
-    ``max_retries`` times with exponential backoff
+    Every worker is an owned process on a private duplex pipe: a crash
+    reads as pipe EOF, a hang is reclaimed by the per-spec ``spec_timeout``
+    (SIGKILL + respawn), and either counts as one failed attempt for the
+    in-flight spec; a worker found dead while idle is replaced at no cost.
+    Failed specs retry up to ``max_retries`` times with exponential backoff
     (``backoff_base * 2**k``, capped at ``backoff_cap``) times a
     deterministic jitter in ``[0.5, 1.5)`` drawn from
     ``random.Random(backoff_seed)``; specs still failing are yielded as
     :class:`QuarantinedResult` and the sweep continues.
 
     :meth:`run` yields ``(spec, result)`` in **completion** order (the layer
-    above — :meth:`BatchRunner.run_iter` — reorders to input order).  SIGINT
-    and SIGTERM are trapped for the duration of a run: dispatching stops and
-    :class:`SweepInterrupted` is raised once in-flight bookkeeping is safe.
+    above — :meth:`BatchRunner.run_iter` — reorders to input order), once
+    the worker holds its next spec.  Leaving it early (an exception, a
+    ``close()``) SIGKILLs the workers still mid-spec.
 
     ``chaos`` (a :class:`~repro.runner.chaos.ChaosSchedule`) injects
     deterministic faults: worker-side actions ship with the schedule to every
@@ -247,21 +261,6 @@ class SupervisedPool:
         self._rng = random.Random(backoff_seed)
         self._interrupted: Optional[str] = None
 
-    # -- telemetry helpers ---------------------------------------------------
-    def _count(self, name: str, amount: float = 1.0) -> None:
-        if self.telemetry is not None:
-            self.telemetry.registry.counter(f"resilient.{name}").inc(amount)
-
-    def _collect(self, payload):
-        """Unwrap one worker payload, folding its telemetry snapshot in."""
-        if self.telemetry is None:
-            return payload
-        result, snapshot, manifests = payload
-        self.telemetry.registry.merge(snapshot)
-        for record in manifests:
-            self.telemetry.emit_manifest(record)
-        return result
-
     # -- worker lifecycle ----------------------------------------------------
     def _spawn(self) -> _Worker:
         parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
@@ -276,18 +275,25 @@ class SupervisedPool:
         child_conn.close()
         return _Worker(process, parent_conn)
 
-    def _kill(self, worker: _Worker) -> None:
-        """SIGKILL a worker and reap it (used for hung workers + shutdown)."""
+    def _replace(self, workers: List[_Worker], position: int) -> _Worker:
+        """SIGKILL and reap the worker at ``position``; spawn its successor."""
+        worker = workers[position]
         if worker.process.is_alive():
             worker.process.kill()
         worker.process.join()
         worker.conn.close()
+        workers[position] = self._spawn()
+        return workers[position]
 
     def _shutdown(self, workers: Sequence[_Worker]) -> None:
+        """Dismiss idle workers; SIGKILL any abandoned mid-spec."""
         for worker in workers:
+            if worker.task is not None:
+                worker.process.kill()
+                continue
             try:
                 worker.conn.send(None)
-            except (BrokenPipeError, OSError):
+            except OSError:
                 pass
         deadline = time.monotonic() + 5.0
         for worker in workers:
@@ -299,15 +305,17 @@ class SupervisedPool:
             worker.conn.close()
 
     # -- failure bookkeeping -------------------------------------------------
-    def _record_failure(self, task: _Task, kind: str, error: str,
-                        tb: str = "") -> Optional[QuarantinedResult]:
+    def _record_failure(self, task: _Task, kind: str, error: str, tb: str = "",
+                        exception: Optional[BaseException] = None
+                        ) -> Optional[QuarantinedResult]:
         """Book one failed attempt; requeue with backoff or quarantine."""
         task.failures.append(FailureRecord(attempt=task.attempt, kind=kind,
-                                           error=error, traceback=tb))
-        self._count({"error": "errors", "crash": "crashes",
-                     "timeout": "timeouts"}[kind])
+                                           error=error, traceback=tb,
+                                           exception=exception))
+        _count(self.telemetry, {"error": "errors", "crash": "crashes",
+                                "timeout": "timeouts"}[kind])
         if len(task.failures) > self.max_retries:
-            self._count("quarantined")
+            _count(self.telemetry, "quarantined")
             quarantined = QuarantinedResult(spec=task.spec,
                                             failures=tuple(task.failures))
             if self.telemetry is not None:
@@ -316,7 +324,7 @@ class SupervisedPool:
                     task.spec, outcome="quarantined",
                     error=quarantined.last_error))
             return quarantined
-        self._count("retries")
+        _count(self.telemetry, "retries")
         attempt = len(task.failures)  # 1-based count of failures so far
         delay = min(self.backoff_cap,
                     self.backoff_base * (2.0 ** (attempt - 1)))
@@ -335,30 +343,25 @@ class SupervisedPool:
 
         Yields ``(spec, result)`` where ``result`` is a ScenarioResult (or
         the instrumented payload already folded into telemetry) or a
-        :class:`QuarantinedResult`.  Raises :class:`SweepInterrupted` on
-        SIGINT/SIGTERM/chaos-interrupt once it is safe to do so.
+        :class:`QuarantinedResult`.  Raises :class:`SweepInterrupted` once a
+        chaos interrupt or a trapped signal stopped dispatching.
         """
         tasks = [_Task(index, spec) for index, spec in enumerate(specs)]
         if not tasks:
             return
         self._interrupted = None
-        previous_handlers = {}
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                previous_handlers[signum] = signal.signal(
-                    signum, self._signal_handler)
-            except ValueError:  # pragma: no cover - non-main thread
-                pass
         workers = [self._spawn()
                    for _ in range(min(self.jobs, len(tasks)))]
         pending: List[_Task] = list(tasks)  # FIFO; retries append at the end
+        finished: List[Tuple[RunSpec, object]] = []
         completed = 0
         try:
-            while completed < len(tasks):
+            while True:
                 now = time.monotonic()
-                # 1. dispatch ready tasks to idle workers (unless interrupted)
+                # 1. dispatch ready tasks to idle workers (unless interrupted),
+                #    then hand over what finished: its worker is busy again.
                 if self._interrupted is None:
-                    for worker in workers:
+                    for position, worker in enumerate(workers):
                         if worker.task is not None:
                             continue
                         task = self._next_ready(pending, now)
@@ -369,12 +372,25 @@ class SupervisedPool:
                             self._interrupted = "chaos interrupt"
                             pending.append(task)
                             break
-                        worker.conn.send((task.index, task.attempt,
-                                          task.spec, self.engine))
+                        message = (task.index, task.attempt, task.spec,
+                                   self.engine)
+                        try:
+                            worker.conn.send(message)
+                        except OSError:
+                            # The worker died while idle (OOM killer, kill -9):
+                            # replace it; the spec is not charged an attempt.
+                            worker = self._replace(workers, position)
+                            worker.conn.send(message)
                         worker.task = task
                         worker.deadline = (now + self.spec_timeout
                                            if self.spec_timeout is not None
                                            else None)
+                for outcome in finished:
+                    completed += 1
+                    yield outcome
+                finished.clear()
+                if completed == len(tasks):
+                    return
                 busy = [worker for worker in workers
                         if worker.task is not None]
                 if self._interrupted is not None and not busy:
@@ -399,63 +415,39 @@ class SupervisedPool:
                 ready = multiprocessing.connection.wait(
                     [worker.conn for worker in busy], timeout)
                 now = time.monotonic()
-                by_conn = {worker.conn: worker for worker in busy}
-                for conn in ready:
-                    worker = by_conn[conn]
-                    task = worker.task
-                    if task is None:  # pragma: no cover - already handled
-                        continue
-                    try:
-                        message = conn.recv()
-                    except EOFError:
-                        # The worker died mid-spec (SIGKILL/OOM/segfault).
-                        self._kill(worker)
-                        workers[workers.index(worker)] = self._spawn()
-                        worker.task = None
-                        outcome = self._record_failure(
-                            task, "crash",
-                            f"worker pid {worker.process.pid} crashed while "
-                            f"running {task.spec.describe()}")
-                        if outcome is None:
-                            pending.append(task)
-                        else:
-                            completed += 1
-                            yield task.spec, outcome
-                        continue
-                    worker.task = None
-                    worker.deadline = None
-                    if message[0] == "ok":
-                        completed += 1
-                        yield task.spec, self._collect(message[1])
-                    else:
-                        outcome = self._record_failure(task, "error",
-                                                       message[1], message[2])
-                        if outcome is None:
-                            pending.append(task)
-                        else:
-                            completed += 1
-                            yield task.spec, outcome
-                # 3. reclaim workers past their per-spec deadline.
+                # 3. collect outcomes: a result, an error, a dead worker
+                #    (SIGKILL/OOM/segfault) or one past its deadline.
                 for position, worker in enumerate(workers):
-                    if worker.task is None or worker.deadline is None \
-                            or now < worker.deadline:
-                        continue
                     task = worker.task
-                    self._kill(worker)
-                    workers[position] = self._spawn()
-                    outcome = self._record_failure(
-                        task, "timeout",
-                        f"spec exceeded {self.spec_timeout}s wall-clock "
-                        f"timeout; worker killed")
+                    if task is None:
+                        continue
+                    if worker.conn in ready:
+                        try:
+                            message = worker.conn.recv()
+                        except EOFError:
+                            message = ("crash", f"worker pid "
+                                       f"{worker.process.pid} crashed while "
+                                       f"running {task.spec.describe()}")
+                    elif worker.deadline is not None and now >= worker.deadline:
+                        message = ("timeout", f"spec exceeded "
+                                   f"{self.spec_timeout}s wall-clock "
+                                   f"timeout; worker killed")
+                    else:
+                        continue
+                    worker.task = worker.deadline = None
+                    if message[0] == "ok":
+                        finished.append((task.spec, _fold(self.telemetry,
+                                                          message[1])))
+                        continue
+                    if message[0] != "error":
+                        self._replace(workers, position)
+                    outcome = self._record_failure(task, *message)
                     if outcome is None:
                         pending.append(task)
                     else:
-                        completed += 1
-                        yield task.spec, outcome
+                        finished.append((task.spec, outcome))
         finally:
             self._shutdown(workers)
-            for signum, handler in previous_handlers.items():
-                signal.signal(signum, handler)
 
     @staticmethod
     def _next_ready(pending: List[_Task], now: float) -> Optional[_Task]:
@@ -479,9 +471,9 @@ class ResilientRunner(BatchRunner):
       from the store without running (bit-identical: the stored bytes are
       the prior run's result).  Quarantined specs are *re-attempted* on
       resume;
-    * execution goes through :class:`SupervisedPool` — per-spec timeouts,
-      retry with backoff, crash respawn, quarantine — instead of a bare
-      ``multiprocessing.Pool``.
+    * execution always goes through :class:`SupervisedPool` with retries —
+      per-spec timeouts, retry with backoff, crash respawn, quarantine — and
+      SIGINT/SIGTERM raise :class:`SweepInterrupted` once in-flight specs land.
 
     The vectorized lockstep grouping is intentionally bypassed: supervision
     is per-spec, and results are bit-identical either way (the parity suite
@@ -502,8 +494,8 @@ class ResilientRunner(BatchRunner):
                  engine: str = "auto"):
         super().__init__(jobs=jobs, cache=cache, telemetry=telemetry,
                          engine=engine)
-        if isinstance(store, (str, bytes)):
-            store = ResultStore(str(store), chaos=chaos)
+        if isinstance(store, (str, bytes, os.PathLike)):
+            store = ResultStore(os.fsdecode(store), chaos=chaos)
         self.store: Optional[ResultStore] = store
         if resume and store is None:
             raise ValueError("resume=True requires a result store")
@@ -517,10 +509,6 @@ class ResilientRunner(BatchRunner):
                                    telemetry=self.telemetry, engine=engine)
 
     # -- telemetry helpers ---------------------------------------------------
-    def _count(self, name: str, amount: float = 1.0) -> None:
-        if self.telemetry is not None:
-            self.telemetry.registry.counter(f"resilient.{name}").inc(amount)
-
     def _store_size_gauge(self) -> None:
         if self.telemetry is not None and self.store is not None:
             self.telemetry.registry.gauge(
@@ -542,27 +530,38 @@ class ResilientRunner(BatchRunner):
             stored = (self.store.get(spec)
                       if self.resume and self.store is not None else None)
             if stored is not None:
-                self._count("store.hits")
+                _count(self.telemetry, "store.hits")
                 yield spec, stored
             else:
                 if self.resume and self.store is not None:
-                    self._count("store.misses")
+                    _count(self.telemetry, "store.misses")
                 misses.append(spec)
-        for spec, result in self.pool.run(misses):
-            if self.store is not None:
-                if isinstance(result, QuarantinedResult):
-                    self.store.quarantine(spec, result.attempts,
-                                          result.last_error,
-                                          result.last_traceback)
-                else:
-                    try:
-                        self.store.put(spec, result)
-                        self._count("store.writes")
-                    except OSError as err:
-                        # Disk full (real or chaos-simulated): degraded, not
-                        # fatal — the result still flows to the caller; the
-                        # spec re-runs on resume.
-                        self._count("store.write_errors")
-                        del err
-                self._store_size_gauge()
-            yield spec, result
+        previous_handlers = {}
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            try:
+                previous_handlers[signum] = signal.signal(
+                    signum, self.pool._signal_handler)
+            except ValueError:  # pragma: no cover - non-main thread
+                pass
+        try:
+            for spec, result in self.pool.run(misses):
+                if self.store is not None:
+                    if isinstance(result, QuarantinedResult):
+                        self.store.quarantine(spec, result.attempts,
+                                              result.last_error,
+                                              result.last_traceback)
+                    else:
+                        try:
+                            self.store.put(spec, result)
+                            _count(self.telemetry, "store.writes")
+                        except OSError as err:
+                            # Disk full (real or chaos-simulated): degraded,
+                            # not fatal — the result still flows to the
+                            # caller; the spec re-runs on resume.
+                            _count(self.telemetry, "store.write_errors")
+                            del err
+                    self._store_size_gauge()
+                yield spec, result
+        finally:
+            for signum, handler in previous_handlers.items():
+                signal.signal(signum, handler)

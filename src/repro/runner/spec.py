@@ -483,14 +483,14 @@ def execute(spec: RunSpec, telemetry: Optional[Any] = None,
     """Run the scenario a spec describes; pure and deterministic per spec.
 
     This is the single dispatcher every experiment entry point (sweeps,
-    comparison, workloads, CLI) funnels through, and the function
-    :class:`~repro.runner.batch.BatchRunner` ships to pool workers.  The
+    comparison, workloads, CLI) funnels through, and the function every
+    :class:`~repro.runner.resilient.SupervisedPool` worker runs.  The
     returned result carries the spec back in ``result.spec`` so batched
     results stay self-describing.  An
     :class:`~repro.sim.events.EventBudgetExceeded` raised by the simulator is
     re-raised with the offending spec attached (``err.spec``), so batch and
     replication callers can tell exactly which run blew its budget — the
-    counts and the spec survive the multiprocessing round trip.
+    counts and the spec survive the trip back from a pool worker.
 
     ``telemetry`` (explicit, or the process-local active bundle installed via
     :func:`repro.telemetry.set_active`) turns on observability for the run:

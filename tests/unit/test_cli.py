@@ -286,6 +286,23 @@ class TestSweepCommand:
         assert main(argv + ["--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial
 
+    @pytest.mark.parametrize("flags, retries", [
+        ([], None),
+        (["--retries", "7"], 7),
+        (["--retries", "0"], 0),
+        (["--spec-timeout", "30"], 2),
+    ])
+    def test_retries_opts_the_sweep_into_supervision(self, flags, retries):
+        from repro.cli import _sweep_runner
+
+        args = build_parser().parse_args(
+            ["sweep", "--axis", "n", "--values", "7", "--jobs", "2", *flags])
+        runner = _sweep_runner(args)
+        if retries is None:
+            assert runner is None
+        else:
+            assert runner.pool.max_retries == retries
+
     def test_replicated_sweep_adds_ci_columns(self, capsys):
         exit_code = main(["sweep", "--axis", "epsilon", "--values", "0.002",
                           "--rounds", "3", "--replicate-seeds", "0", "1"])
@@ -487,6 +504,13 @@ class TestEventBudget:
     def test_replicated_run(self, capsys):
         self._assert_budget_error(
             capsys, self.STREAMING + ["--replicate-seeds", "0", "1"])
+
+    def test_traced_replicas_in_pool_workers(self, capsys):
+        # Traced replicas take the per-spec path: the budget trips inside a
+        # pool worker and its exception travels back whole.
+        self._assert_budget_error(capsys, [
+            "run", "--rounds", "3", "--max-events", "1",
+            "--replicate-seeds", "0", "1", "--jobs", "2"])
 
     def test_traced_run_honours_max_events(self, capsys):
         self._assert_budget_error(capsys, ["run", "--rounds", "3",

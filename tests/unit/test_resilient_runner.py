@@ -113,6 +113,46 @@ class TestRetryPaths:
             "resilient.retries"]["value"] == 2.0
 
 
+class TestIdleWorkerDeath:
+    def test_dead_idle_worker_is_replaced_at_no_charge(self, monkeypatch):
+        # Worker 0 runs specs 0 and 2, then idles while spec 1 hangs on
+        # worker 1.  Worker 0 is SIGKILLed while idle; the retry after the
+        # timeout goes to its slot, which must be respawned, not crash.
+        import multiprocessing
+        import signal
+        import time
+
+        from repro.runner import batch, execute
+
+        def execute_with_pid(spec, telemetry=None, engine="auto"):
+            return os.getpid(), execute(spec, telemetry=telemetry,
+                                        engine=engine)
+
+        monkeypatch.setattr(batch, "execute", execute_with_pid)
+        specs = [RunSpec.maintenance(default_parameters(n=7, f=2), rounds=3,
+                                     seed=seed) for seed in range(3)]
+        telemetry = Telemetry()
+        arrivals = SupervisedPool(
+            jobs=2, max_retries=2, spec_timeout=2.0, telemetry=telemetry,
+            chaos=ChaosSchedule.single(1, "hang", hang_seconds=30.0)
+        ).run(specs)
+        first, (idle_pid, _) = next(arrivals)
+        second, (pid, _) = next(arrivals)
+        assert (first, second, pid) == (specs[0], specs[2], idle_pid)
+        os.kill(idle_pid, signal.SIGKILL)
+        while any(child.pid == idle_pid
+                  for child in multiprocessing.active_children()):
+            time.sleep(0.01)
+        last, (pid, result) = next(arrivals)
+        assert last == specs[1] and pid != idle_pid
+        assert result.trace.events == execute(specs[1]).trace.events
+        assert list(arrivals) == []
+        snapshot = telemetry.registry.snapshot()
+        assert snapshot["resilient.timeouts"]["value"] == 1.0
+        assert snapshot["resilient.retries"]["value"] == 1.0
+        assert "resilient.crashes" not in snapshot
+
+
 class TestQuarantine:
     def test_quarantined_after_max_retries(self, specs, reference):
         telemetry = Telemetry()
@@ -215,6 +255,11 @@ class TestStoreIntegration:
         runner = ResilientRunner(jobs=1, store=store, **FAST)
         assert_identical(runner.run(specs), reference)
         assert runner.store is store
+
+    def test_accepts_a_pathlike_store(self, tmp_path, specs, reference):
+        runner = ResilientRunner(jobs=1, store=tmp_path / "s.sqlite", **FAST)
+        assert_identical(runner.run(specs), reference)
+        assert len(runner.store) == len(specs)
 
     @pytest.mark.parametrize("engine", ["serial", "round"])
     def test_store_resumes_under_any_engine(self, tmp_path, engine):

@@ -1,9 +1,14 @@
 """Unit tests for repro.runner (RunSpec, execute, BatchRunner, replicate)."""
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis import default_parameters
 from repro.analysis.experiments import (
     PartitionHealResult,
@@ -15,7 +20,6 @@ from repro.runner import (
     ReplicatedResult,
     RunSpec,
     execute,
-    execute_many,
     replicate,
 )
 from repro.runner import batch as batch_module
@@ -232,11 +236,6 @@ class TestBatchRunner:
             assert a.trace.events == b.trace.events
             assert a.start_times == b.start_times
 
-    def test_execute_many_convenience(self, params):
-        spec = RunSpec.maintenance(params, rounds=3, seed=0)
-        results = execute_many([spec], jobs=1)
-        assert results[0].spec == spec
-
     def test_jobs_below_one_maps_to_cpu_count(self):
         assert BatchRunner(jobs=0).jobs >= 1
 
@@ -291,8 +290,8 @@ class TestReplicate:
 
 
 class TestTolerateFailures:
-    def test_poison_spec_becomes_specfailure_slot(self, params, monkeypatch):
-        from repro.runner import SpecFailure
+    def test_poison_spec_becomes_quarantined_slot(self, params, monkeypatch):
+        from repro.runner import QuarantinedResult
 
         def flaky(spec, engine="auto"):
             if spec.seed == 2:
@@ -304,11 +303,13 @@ class TestTolerateFailures:
                  for s in range(4)]
         results = BatchRunner().run(specs, tolerate_failures=True)
         failure = results[2]
-        assert isinstance(failure, SpecFailure)
+        assert isinstance(failure, QuarantinedResult)
         assert failure.spec == specs[2]
-        assert failure.error == "ValueError: poison seed"
-        assert "poison seed" in failure.traceback
-        assert "failed: ValueError" in failure.describe()
+        assert [record.kind for record in failure.failures] == ["error"]
+        assert failure.last_error == "ValueError: poison seed"
+        assert "poison seed" in failure.last_traceback
+        assert "quarantined after 1 attempts: ValueError" in \
+            failure.describe()
         # Completed siblings are intact.
         for i in (0, 1, 3):
             assert results[i].trace.events == execute(specs[i]).trace.events
@@ -337,7 +338,7 @@ class TestTolerateFailures:
         assert len(calls) == 1  # the known-bad spec did not re-run
 
     def test_pool_path_ships_failures_home(self, params):
-        from repro.runner import SpecFailure
+        from repro.runner import QuarantinedResult
         from repro.sim.events import EventBudgetExceeded
 
         good = [RunSpec.maintenance(params, rounds=3, seed=s)
@@ -347,11 +348,99 @@ class TestTolerateFailures:
         bad = RunSpec.maintenance(params, rounds=3, seed=9, max_events=3)
         results = BatchRunner(jobs=2).run(good + [bad],
                                           tolerate_failures=True)
-        assert isinstance(results[3], SpecFailure)
-        assert EventBudgetExceeded.__name__ in results[3].error
+        assert isinstance(results[3], QuarantinedResult)
+        assert EventBudgetExceeded.__name__ in results[3].last_error
         serial = BatchRunner().run(good)
         for got, expected in zip(results, serial):
             assert got.trace.events == expected.trace.events
+
+    def test_unpicklable_error_arrives_as_text(self, params, monkeypatch):
+        from repro.runner import SpecLost
+
+        class Local(Exception):  # a local class cannot be pickled
+            pass
+
+        def poison(spec, engine="auto"):
+            if spec.seed == 1:
+                raise Local("cannot travel")
+            return execute(spec, engine=engine)
+
+        monkeypatch.setattr(batch_module, "execute", poison)
+        specs = [RunSpec.maintenance(params, rounds=3, seed=s)
+                 for s in range(3)]
+        with pytest.raises(SpecLost, match="Local: cannot travel") as excinfo:
+            BatchRunner(jobs=2).run(specs)
+        lost = excinfo.value.quarantined
+        assert lost.spec == specs[1]
+        assert "cannot travel" in lost.last_traceback
+
+
+#: patches ``batch.execute`` so that the worker running seed 1 SIGKILLs
+#: itself, as the OOM killer would.
+_KILL_SEED_1 = """
+import os, signal, sys
+from repro.analysis import default_parameters
+from repro.runner import BatchRunner, RunSpec, SpecLost, batch
+
+original = batch.execute
+
+def execute(spec, telemetry=None, engine="auto"):
+    if spec.seed == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return original(spec, telemetry=telemetry, engine=engine)
+
+batch.execute = execute
+specs = [RunSpec.maintenance(default_parameters(n=7, f=2), rounds=3, seed=s)
+         for s in range(3)]
+"""
+
+
+def _run_child(script: str):
+    """Run ``script`` in a fresh interpreter; a hang fails, not wedges."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
+                               if env.get("PYTHONPATH") else "")
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+class TestKilledWorker:
+    """A worker SIGKILLed mid-spec ends a plain batch; it never hangs it."""
+
+    def test_default_mode_raises_spec_lost(self):
+        done = _run_child(_KILL_SEED_1 + """
+try:
+    BatchRunner(jobs=2).run(specs)
+except SpecLost as lost:
+    print(lost.quarantined.spec.seed, lost.quarantined.failures[-1].kind)
+""")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1", "crash"]
+
+    def test_tolerant_mode_quarantines_the_lost_spec(self):
+        done = _run_child(_KILL_SEED_1 + """
+results = BatchRunner(jobs=2).run(specs, tolerate_failures=True)
+lost = results[1]
+print(type(lost).__name__, lost.spec.seed, lost.failures[-1].kind)
+for index in (0, 2):
+    assert results[index].trace.events == original(specs[index]).trace.events
+print("siblings identical")
+""")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["QuarantinedResult 1 crash",
+                                            "siblings identical"]
+
+    def test_cli_ends_with_one_error_line(self):
+        done = _run_child(_KILL_SEED_1 + """
+from repro.cli import main
+sys.exit(main(["run", "--rounds", "3", "--replicate-seeds", "0", "1", "2",
+               "--jobs", "2"]))
+""")
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.splitlines()[-1].startswith("error: worker pid ")
+        assert "crashed while running" in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 class TestReplicatePartial:
