@@ -81,29 +81,30 @@ class CorrectionHistory:
         self._corrections: List[float] = [initial]
 
     @classmethod
-    def from_rounds(cls, times: Sequence[float], adjustments: Sequence[float],
-                    updated: Sequence[bool],
-                    max_entries: Optional[int] = None) -> "CorrectionHistory":
-        """The history that ``apply(times[r], adjustments[r], r)`` for every
-        round ``r`` with ``updated[r]`` would build from CORR = 0.
+    def from_breakpoints(cls, horizon: float, times: Sequence[float],
+                         adjustments: Sequence[float],
+                         corrections: Sequence[float], rounds: Sequence[int],
+                         max_entries: Optional[int] = None
+                         ) -> "CorrectionHistory":
+        """The history a run of ``apply`` calls from CORR = 0 leaves, built
+        from only the breakpoints it retains.
 
-        The inputs are an array engine's per-round trajectories as python
-        floats and bools.  Trimming once at the end keeps exactly what
-        trimming after every apply keeps.
+        Breakpoint ``i`` is one ``apply(times[i], adjustments[i],
+        rounds[i])`` and its result ``corrections[i]``, in real-time order.
+        ``horizon`` is the CORR in force just before the first of them: the
+        value the -inf sentinel holds once older breakpoints were trimmed
+        (0.0 when none were).  The synthetic initial event keeps CORR = 0,
+        as trimming leaves it.  Nothing is re-added, so an array engine that
+        kept its running CORR sums hands over the serial bits.  More
+        breakpoints than ``max_entries`` allows are trimmed as ``apply``
+        would trim them.
         """
         history = cls(max_entries=max_entries)
-        if True not in updated:
-            return history
-        events, stamps = history._events, history._times
-        corrections = history._corrections
-        corr = corrections[-1]
-        for index, flag in enumerate(updated):
-            if flag:
-                corr = corr + adjustments[index]
-                events.append(CorrectionEvent(times[index], adjustments[index],
-                                              corr, index))
-                stamps.append(times[index])
-                corrections.append(corr)
+        history._corrections[0] = horizon
+        history._events.extend(map(CorrectionEvent, times, adjustments,
+                                   corrections, rounds))
+        history._times.extend(times)
+        history._corrections.extend(corrections)
         history._trim()
         return history
 

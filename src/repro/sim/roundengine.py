@@ -64,6 +64,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..clocks.drift import make_clock_ensemble
 from ..clocks.logical import CorrectionHistory
+from .system import _BOUNDED_HISTORY_ENTRIES
 from .trace import ExecutionTrace, MessageStats
 from .traceindex import numpy_enabled
 
@@ -111,7 +112,8 @@ _MAX_FAULT_CELLS = 1 << 22
 _CHUNK_CELLS = 1 << 20
 
 #: receiver rows per observer-grid kernel, divided among the replicas, so
-#: the (replicas × rows × rounds × grid) lookup tensor stays bounded.
+#: the (replicas × rows × grid) CORR-lookup and local-time blocks stay
+#: bounded.
 _OBS_CHUNK_ROWS = 4096
 
 
@@ -877,33 +879,35 @@ class RoundSystem:
         """
         from ..analysis.experiments import ScenarioResult
         arrays = {name: _np.asarray(getattr(self, name)) for name in (
-            "off", "rt", "start_t", "corr", "u_hist", "adj_hist",
-            "corr_hist", "did_update", "pps", "sent", "delivered", "relayed",
-            "timers_set", "timers_fired")}
+            "off", "rt", "start_t", "corr", "u_hist", "corr_hist", "pps",
+            "sent", "delivered", "relayed", "timers_set", "timers_fired")}
         keep = [True] * len(specs) if skip is None else [not b for b in skip]
         clocks = [dict(enumerate(ensemble)) if kept else None
                   for ensemble, kept in zip(self.clocks, keep)]
         corrs = [dict(enumerate(corr)) if kept else None
                  for corr, kept in zip(arrays["corr"].tolist(), keep)]
         observers = self._observers(arrays, clocks, corrs)
+        horizons, tails, bounds = self._history_tails()
         # Python natives once for the whole batch — per-element numpy
         # indexing in the per-replica loop below is the single biggest cost
-        # at large S — built after the observer kernels, so the lists and
-        # the kernels' temporaries never coexist.
-        rows = {name: value.tolist() for name, value in arrays.items()
-                if name not in ("off", "rt", "corr", "corr_hist")}
-        faulty = list(range(self.n_correct, self.n))
+        # at large S.
+        rows = {name: arrays[name].tolist() for name in (
+            "start_t", "pps", "sent", "delivered", "relayed", "timers_set",
+            "timers_fired")}
+        n = self.n
+        faulty = list(range(self.n_correct, n))
         results: List[Any] = []
         for s, spec in enumerate(specs):
             if not keep[s]:
                 results.append(None)
                 continue
-            histories = {
-                pid: CorrectionHistory.from_rounds(times, adjustments,
-                                                   updated, max_entries=8)
-                for pid, (times, adjustments, updated) in enumerate(zip(
-                    rows["u_hist"][s], rows["adj_hist"][s],
-                    rows["did_update"][s]))}
+            histories = {}
+            for pid in range(n):
+                row = s * n + pid
+                a, b = bounds[row], bounds[row + 1]
+                histories[pid] = CorrectionHistory.from_breakpoints(
+                    horizons[row], *(tail[a:b] for tail in tails),
+                    max_entries=_BOUNDED_HISTORY_ENTRIES)
             stats = MessageStats(
                 sent=rows["sent"][s], delivered=rows["delivered"][s],
                 relayed=rows["relayed"][s], timers_set=rows["timers_set"][s],
@@ -923,6 +927,35 @@ class RoundSystem:
             results.append(result)
         return results
 
+    def _history_tails(self) -> Tuple[List[float], List[List[Any]],
+                                      List[int]]:
+        """The breakpoints each process's bounded history retains.
+
+        The serial history keeps its last ``_BOUNDED_HISTORY_ENTRIES − 1``
+        updates, and its −inf sentinel holds the CORR in force before the
+        first of them: ``corr_hist`` at that round (0.0, the initial value,
+        for a process that never updated).  ``corr_hist`` holds the serial
+        running sums, added in the serial order, so CORR values are read
+        off it, never re-added.  Returns, per ``(replica, process)`` row in
+        row-major order, that horizon CORR; the retained updates of all
+        rows as flat ``[times, adjustments, corrections, rounds]`` lists;
+        and the bounds of each row's slice of them.
+        """
+        np = _np
+        updated = self.did_update
+        seen = np.cumsum(updated, axis=2)
+        tail = updated & (seen > seen[:, :, -1:]
+                          - (_BOUNDED_HISTORY_ENTRIES - 1))
+        s, p, r = np.nonzero(tail)
+        first = tail.argmax(axis=2)[:, :, None]
+        horizons = np.take_along_axis(self.corr_hist, first, axis=2)
+        bounds = np.zeros(tail.shape[0] * tail.shape[1] + 1, dtype=np.int64)
+        np.cumsum(tail.sum(axis=2), out=bounds[1:])
+        tails = (self.u_hist[s, p, r], self.adj_hist[s, p, r],
+                 self.corr_hist[s, p, r + 1], r)
+        return (horizons.ravel().tolist(), [x.tolist() for x in tails],
+                bounds.tolist())
+
     def _observers(self, arrays: Dict[str, Any], clocks: List[Any],
                    corrs: List[Any]) -> List[Dict[str, object]]:
         """Finalized online observers per replica, as the serial run ends.
@@ -931,8 +964,11 @@ class RoundSystem:
         grids, CORR lookup, local times, spreads, envelope checks, captures
         — is an elementwise float expression, so evaluating it over ``(S,
         rows, grid)`` blocks gives the same bits as one python loop per
-        replica and process.  Receiver rows go in chunks, so the (replicas ×
-        rows × rounds × grid) lookup tensor stays bounded at any n and S.
+        replica and process.  The CORR in force at a grid time is indexed by
+        the count of updates at or before it, which one ``searchsorted`` per
+        replica and a ``bincount`` give in O(rows·(rounds + grid)).
+        Receiver rows go in chunks, so the (replicas × rows × grid) blocks
+        stay bounded at any n and S.
         ``clocks``/``corrs`` hold each replica's pid maps, or None for
         replicas to skip.
         """
@@ -971,12 +1007,24 @@ class RoundSystem:
                 low = (vp.alpha1 * (grid - tmax0[:, None]) - vp.alpha3) - 1e-9
                 high = (vp.alpha2 * (grid - tmin0[:, None]) + vp.alpha3) + 1e-9
                 violations = np.zeros(S, dtype=np.int64)
+            # Each update's first grid index g with u <= grid[g]: the grid
+            # is non-decreasing, so u <= grid[g'] exactly for g' >= g.  An
+            # update at inf (none) lands past the grid.
+            first = np.stack([np.searchsorted(grid[s], u[s], side="left")
+                              for s in range(S)])
             for r0 in range(0, nc, chunk):
                 r1 = min(r0 + chunk, nc)
-                # CORR in force at each grid time: the last update at or
-                # before it.
-                idx = (u[:, r0:r1, :, None]
-                       <= grid[:, None, None, :]).sum(axis=2)
+                rows = r1 - r0
+                # CORR in force at each grid time: the count of updates at
+                # or before it indexes the per-round CORR steps.  Each row
+                # bins its updates by first grid index; the running sum of
+                # the bins is that count.
+                keys = first[:, r0:r1] + (count + 1) * np.arange(
+                    S * rows).reshape(S, rows, 1)
+                bins = np.bincount(keys.ravel(),
+                                   minlength=S * rows * (count + 1))
+                idx = bins.reshape(S, rows, count + 1)[:, :, :count].cumsum(
+                    axis=2)
                 corr_g = np.take_along_axis(csteps[:, r0:r1], idx, axis=2)
                 L = ((off[:, r0:r1, None]
                       + rt[:, r0:r1, None] * grid[:, None, :]) + corr_g)

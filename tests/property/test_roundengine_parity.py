@@ -54,6 +54,7 @@ from repro.runner import spec as spec_module
 from repro.runner.spec import RunSpec, engine_for, execute
 from repro.sim import roundengine, traceindex
 from repro.sim.events import EventBudgetExceeded
+from repro.sim.system import _BOUNDED_HISTORY_ENTRIES
 from repro.sim.vectorized import execute_batch
 from repro.telemetry import Telemetry
 from repro.topology.base import Topology, canonical_link
@@ -728,6 +729,64 @@ class TestChunkedRelayKernel:
                                    observers=("skew", "validity"))
         seeds = [4, 5, 6]
         results = _run_engine(spec, seeds, True, "grouped")
+        _assert_all_serial(spec, seeds, results)
+
+
+def _long_spec(fault_kind, topology, rounds):
+    return RunSpec.maintenance(default_parameters(n=10, f=3), rounds=rounds,
+                               fault_kind=fault_kind, topology=topology,
+                               seed=9, record_trace=False,
+                               observers=("skew", "validity"))
+
+
+#: (grouping, fault kind, topology): crash processes stop updating halfway,
+#: so their histories stop early; two-faced attackers never update.
+LONG_CASES = [("lone", "crash", "star"), ("lone", "two_faced", None),
+              ("grouped", "crash", None), ("grouped", "two_faced", None)]
+
+
+class TestTrimmedHistories:
+    """Runs longer than the bounded history stay bit-identical.
+
+    A streaming history keeps its last ``_BOUNDED_HISTORY_ENTRIES`` − 1
+    updates, and its −inf sentinel takes the CORR in force before them.
+    The hypothesis specs above run at most 4 rounds, so only these cases
+    reach the trim: at 12 rounds the crash processes' histories (6
+    updates) still fit, at 25 they are trimmed too.
+    """
+
+    @pytest.mark.parametrize("rounds", [12, 25])
+    @pytest.mark.parametrize("grouping,fault_kind,topology", LONG_CASES)
+    def test_trimmed_histories_match_serial(self, backend, grouping,
+                                            fault_kind, topology, rounds):
+        spec = _long_spec(fault_kind, topology, rounds)
+        seeds = [spec.seed] if grouping == "lone" else [9, 10, 11]
+        results = _run_engine(spec, seeds, backend == "numpy", grouping)
+        _assert_all_serial(spec, seeds, results)
+        history = results[0].trace.correction_history(0)
+        assert len(history.times) == _BOUNDED_HISTORY_ENTRIES
+        assert history.events[1].round_index == \
+            rounds - (_BOUNDED_HISTORY_ENTRIES - 1)
+        assert history.corrections[0] != history.events[0].new_correction
+
+
+class TestObserverChunks:
+    """Observer rows split into many chunks stay bit-identical.
+
+    ``_OBS_CHUNK_ROWS`` receiver rows, divided among the replicas, go
+    through the CORR lookup at once; the cases above always fit in one
+    chunk.  Patched down, the skew extremes, the validity count and the
+    rate captures must merge across chunks exactly.
+    """
+
+    @pytest.mark.parametrize("rows", [1, 3, 8])
+    @pytest.mark.parametrize("grouping", GROUPINGS)
+    def test_chunk_boundaries_are_exact(self, numpy_on, monkeypatch,
+                                        grouping, rows):
+        monkeypatch.setattr(roundengine, "_OBS_CHUNK_ROWS", rows)
+        spec = _long_spec("crash", None, 12)
+        seeds = [spec.seed] if grouping == "lone" else [9, 10]
+        results = _run_engine(spec, seeds, True, grouping)
         _assert_all_serial(spec, seeds, results)
 
 

@@ -53,31 +53,58 @@ class TestCorrectionHistory:
         assert history.events[0].round_index == -1
 
 
-class TestFromRounds:
-    """``from_rounds`` equals one ``apply`` per updated round."""
+class TestFromBreakpoints:
+    """``from_breakpoints`` on the retained tail equals one ``apply`` per
+    updated round."""
+
+    UPDATED = [
+        [False] * 5,
+        [True] * 5,
+        [True, False, True, True, False, True, True, True, False, True],
+        [True] * 12,
+    ]
 
     @staticmethod
     def key(history):
         return (tuple(history.times), tuple(history.corrections),
                 history.events)
 
-    @pytest.mark.parametrize("max_entries", [None, 2, 3, 8])
-    @pytest.mark.parametrize("updated", [
-        [False] * 5,
-        [True] * 5,
-        [True, False, True, True, False, True, True, True, False, True],
-    ])
-    def test_matches_repeated_apply(self, max_entries, updated):
-        times = [0.5 + 1.25 * r for r in range(len(updated))]
-        adjustments = [(-1) ** r * 0.1 * (r + 1) for r in range(len(updated))]
-        applied = CorrectionHistory(0.0, max_entries=max_entries)
+    @staticmethod
+    def rounds(updated):
+        """Each updated round's time, adjustment and running CORR."""
+        corr, rows = 0.0, []
         for r, flag in enumerate(updated):
             if flag:
-                applied.apply(times[r], adjustments[r], r)
-        built = CorrectionHistory.from_rounds(times, adjustments, updated,
-                                              max_entries=max_entries)
+                adjustment = (-1) ** r * 0.1 * (r + 1)
+                corr = corr + adjustment
+                rows.append((0.5 + 1.25 * r, adjustment, corr, r))
+        return rows
+
+    @staticmethod
+    def columns(rows):
+        """Times, adjustments, corrections and rounds of ``rows``."""
+        return [list(column) for column in zip(*rows)] or [[], [], [], []]
+
+    @pytest.mark.parametrize("given", ["tail", "all"])
+    @pytest.mark.parametrize("max_entries", [None, 2, 3, 8])
+    @pytest.mark.parametrize("updated", UPDATED)
+    def test_matches_repeated_apply(self, given, max_entries, updated):
+        """Given the retained tail and the CORR before it, or every
+        breakpoint (the bound then trims them as ``apply`` does)."""
+        rows = self.rounds(updated)
+        applied = CorrectionHistory(0.0, max_entries=max_entries)
+        for time, adjustment, _, r in rows:
+            applied.apply(time, adjustment, r)
+        cut = 0
+        if given == "tail" and max_entries is not None:
+            cut = max(0, len(rows) - (max_entries - 1))
+        horizon = rows[cut - 1][2] if cut else 0.0
+        built = CorrectionHistory.from_breakpoints(
+            horizon, *self.columns(rows[cut:]), max_entries=max_entries)
         assert self.key(built) == self.key(applied)
         assert built.max_entries == max_entries
+        # Trimming moves the sentinel's CORR, not the initial event's.
+        assert built.events[0].new_correction == 0.0
 
 
 class TestLogicalClockView:

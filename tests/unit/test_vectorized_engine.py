@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -185,6 +186,37 @@ class TestExecuteBatch:
         assert results[0].trace.stats == results[2].trace.stats
         assert results[0].online("skew").max_skew == \
             results[2].online("skew").max_skew
+
+    @needs_numpy
+    def test_manifest_walls_count_a_serial_rerun_once(self, monkeypatch):
+        """Regression: the kernel replicas' wall share included the serial
+        re-runs, which book their own manifests, so one slow re-run was
+        counted twice and the manifests summed past the batch's wall."""
+        from repro.runner import spec as spec_module
+
+        real_run = roundengine.RoundSystem.run
+        real_execute = spec_module._execute
+
+        def run_then_drop_first(self):
+            real_run(self)
+            self._mark(self._rows == 0, "forced off the path")
+
+        def slow_execute(*args, **kwargs):
+            time.sleep(0.3)
+            return real_execute(*args, **kwargs)
+
+        monkeypatch.setattr(roundengine.RoundSystem, "run",
+                            run_then_drop_first)
+        monkeypatch.setattr(spec_module, "_execute", slow_execute)
+        spec = _spec()
+        telemetry = Telemetry()
+        start = time.perf_counter()
+        vectorized.execute_batch([spec.with_seed(s) for s in range(4)],
+                                 telemetry=telemetry)
+        wall = time.perf_counter() - start
+        assert telemetry.registry.value("runner.vectorized_fallbacks") == 1
+        assert len(telemetry.manifests) == 4
+        assert sum(m["wall_seconds"] for m in telemetry.manifests) <= wall
 
 
 class TestBatchRunnerRouting:
