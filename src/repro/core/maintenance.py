@@ -157,11 +157,9 @@ class WelchLynchProcess(Process):
     def _collected_values(self, ctx: ProcessContext):
         """The ARR array, de-staggered and with missing entries filled."""
         fallback = ctx.local_time()
-        values = []
-        for q in ctx.process_ids:
-            raw = self.arr.get(q, fallback)
-            values.append(raw - q * self.stagger_interval)
-        return values
+        arr = self.arr
+        stagger = self.stagger_interval
+        return [arr.get(q, fallback) - q * stagger for q in ctx.process_ids]
 
     def _schedule_next_round(self, ctx: ProcessContext) -> None:
         target = self.round_time

@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 __all__ = ["MessageKind", "Message", "EventQueue", "EventBudgetExceeded"]
 
@@ -129,10 +129,13 @@ class EventQueue:
     implementing execution property 4.
 
     The heap holds raw field tuples (:data:`EventEntry`) rather than wrapped
-    :class:`Message` objects, so the simulator's delivery loop never pays a
-    per-event allocation: :meth:`push_fields` / :meth:`pop_fields` move bare
-    tuples, while :meth:`push` / :meth:`pop` keep the message-object API for
-    callers that want it.  Both pairs interoperate on the same buffer.
+    :class:`Message` objects, so the simulator never pays a per-event
+    allocation: :meth:`push_fields` / :meth:`pop_fields` move bare tuples,
+    while :meth:`push` / :meth:`pop` keep the message-object API for callers
+    that want it.  Both pairs interoperate on the same buffer.  The
+    simulator's hot paths batch both ends: :meth:`push_send` queues all
+    copies of one send in one call, and the delivery loop pops the heap
+    directly and books its pops once per segment (:meth:`record_pops`).
     """
 
     __slots__ = ("_heap", "_count", "_delivered")
@@ -165,6 +168,38 @@ class EventQueue:
              kind, sender, recipient, payload, send_time),
         )
 
+    def push_send(self, sender: int, recipients: Iterable[int],
+                  payloads: Iterable[Any], delays: Iterable[Optional[float]],
+                  send_time: float) -> int:
+        """Place one send's ordinary copies in the buffer, in recipient order.
+
+        ``delays`` holds one delay per recipient, or ``None`` for a copy the
+        network drops (nothing is queued for it).  The entries and sequence
+        numbers are those of one :meth:`push_fields` per queued copy.
+        Returns the number of copies dropped.  A non-positive delay raises
+        ``ValueError``, with the copies ahead of it queued.
+        """
+        heap = self._heap
+        push = heapq.heappush
+        seq = self._count
+        dropped = 0
+        ordinary = MessageKind.ORDINARY
+        try:
+            for recipient, payload, delay in zip(recipients, payloads, delays):
+                if delay is None:
+                    dropped += 1
+                    continue
+                if delay <= 0:
+                    raise ValueError(
+                        f"delay model produced a non-positive delay {delay}")
+                # Ordinary messages sort before timers (timer_last = 0).
+                push(heap, (send_time + delay, 0, seq, ordinary, sender,
+                            recipient, payload, send_time))
+                seq += 1
+        finally:
+            self._count = seq
+        return dropped
+
     def push(self, message: Message) -> None:
         """Place a message in the buffer."""
         self.push_fields(message.kind, message.sender, message.recipient,
@@ -177,6 +212,10 @@ class EventQueue:
             raise IndexError("pop from an empty event queue")
         self._delivered += 1
         return heapq.heappop(self._heap)
+
+    def record_pops(self, count: int) -> None:
+        """Book ``count`` entries a caller popped off the heap directly."""
+        self._delivered += count
 
     def pop(self) -> Message:
         """Remove and return the next message to be delivered."""

@@ -29,7 +29,7 @@ here.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "DelayModel",
@@ -68,6 +68,23 @@ class DelayModel:
               rng: random.Random) -> Optional[float]:
         """Delay for this message, or ``None`` to drop the message entirely."""
         raise NotImplementedError
+
+    def draws(self, sender: int, recipients: Sequence[int], send_time: float,
+              rng: random.Random) -> List[Optional[float]]:
+        """One :meth:`delay` (or ``None``) per recipient, in recipient order.
+
+        The RNG ledger of the complete graph: the system draws all copies of
+        one send in one call, and the round kernel
+        (:mod:`repro.sim.roundengine`) replays the same sequence from
+        mirrored generator streams.  This form calls :meth:`delay` once per
+        recipient, so stateful and adversarial models consume the RNG
+        exactly as per-message calls would.  :class:`UniformDelayModel`
+        overrides it with the same floats in one loop, so a subclass of it
+        that redefines :meth:`delay` must redefine this too.
+        """
+        delay = self.delay
+        return [delay(sender, recipient, send_time, rng)
+                for recipient in recipients]
 
     def envelope(self) -> Tuple[float, float]:
         """The [δ-ε, δ+ε] envelope this model nominally respects."""
@@ -129,6 +146,15 @@ class UniformDelayModel(DelayModel):
     def delay(self, sender: int, recipient: int, send_time: float,
               rng: random.Random) -> Optional[float]:
         return rng.uniform(self.delta - self.epsilon, self.delta + self.epsilon)
+
+    def draws(self, sender: int, recipients: Sequence[int], send_time: float,
+              rng: random.Random) -> List[Optional[float]]:
+        # random.uniform(a, b) evaluates a + (b - a) * random(); this is the
+        # same expression, hoisted out of the per-recipient loop.
+        low = self.delta - self.epsilon
+        span = (self.delta + self.epsilon) - low
+        rand = rng.random
+        return [low + span * rand() for _ in recipients]
 
 
 class TruncatedGaussianDelayModel(DelayModel):

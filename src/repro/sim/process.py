@@ -112,7 +112,10 @@ class ProcessContext:
 
     def local_time(self) -> float:
         """``local-time()`` of the pseudo-code: physical clock + CORR."""
-        return self.physical_time() + self.correction
+        # physical_time() + correction, inlined: every ARR write reads it.
+        system = self._system
+        return (self._clock.read(system._current_time)
+                + system._histories[self._pid]._corrections[-1])
 
     # -- correction variable ---------------------------------------------------
     def set_initial_correction(self, value: float) -> None:
@@ -138,8 +141,7 @@ class ProcessContext:
 
     def send_divergent(self, payloads: dict) -> None:
         """Send different payloads to different recipients (Byzantine capability)."""
-        for recipient, payload in payloads.items():
-            self._system.post_message(self._pid, recipient, payload)
+        self._system.send_divergent(self._pid, payloads)
 
     # -- timers ------------------------------------------------------------------
     def set_timer(self, logical_time: float, payload: Any = None) -> bool:

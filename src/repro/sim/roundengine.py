@@ -10,9 +10,12 @@ Two groupings share every line of it:
 
 * a **replica group** (:func:`repro.sim.vectorized.execute_batch`): S seeds
   of one spec on the complete graph, Byzantine attackers included;
-* a **lone run** (:func:`try_execute`): S = 1 and n up to ~10^5, on the
-  complete graph or on any connected topology, whose CSR adjacency and
-  multi-source BFS come from :class:`~repro.topology.index.TopologyIndex`.
+* a **lone run** (:func:`try_execute`): S = 1, on the complete graph or on
+  any connected topology, whose CSR adjacency and multi-source BFS come
+  from :class:`~repro.topology.index.TopologyIndex`.  Its cost is bound by
+  the delay draws, one per hop: about n²·(mean hop count) a round, i.e.
+  n² on the complete graph and ~3.9·n² on the hierarchy (~4·10^8 draws a
+  round at n = 10^4, ~4·10^10 at n = 10^5).
 
 Per round and replica, the send events — live broadcasts plus the attacker
 slots that are due — form one ledger sorted by real send time, and their
@@ -38,7 +41,8 @@ kernel reproduces it float for float:
 * delay draws come from per-replica ``numpy.random.RandomState`` streams
   seeded by transplanting ``random.Random(seed)``'s Mersenne-Twister state,
   so ``random_sample(k)`` replays exactly the ``k`` ``rng.random()`` calls of
-  the serial ledger (:func:`repro.sim.system.draw_broadcast_delays`);
+  the serial ledger (:meth:`repro.sim.network.DelayModel.draws`, one call
+  per send);
 * the clock ensembles are not mirrored at all: the kernel calls
   :func:`~repro.clocks.drift.make_clock_ensemble` per replica and reads the
   offsets/rates off the real clock objects (which the results then share).

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import pickle
 import random
+from heapq import heappop
+from itertools import repeat
 from typing import Any, Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING
 
 from ..clocks.base import Clock
@@ -44,27 +46,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
     from ..topology.base import Topology
     from ..topology.schedule import LinkSchedule
 
-__all__ = ["System", "SystemSnapshot", "draw_broadcast_delays"]
+__all__ = ["System", "SystemSnapshot"]
 
-
-def draw_broadcast_delays(delay_model, sender: int, n: int, now: float, rng):
-    """Yield one broadcast's ``(recipient, delay)`` pairs in ledger order.
-
-    This is the canonical RNG ledger for a complete-graph broadcast: one
-    delay-model draw per recipient, in ascending recipient id order, on the
-    system RNG.  :meth:`System.broadcast_from` consumes it directly, and the
-    round kernel (:mod:`repro.sim.roundengine`) replays exactly this
-    sequence from mirrored generator streams — sharing the ledger is what
-    keeps the two paths' draw order provably identical.  ``delay`` is
-    ``None`` when the model drops the message.
-    """
-    delay_of = delay_model.delay
-    for recipient in range(n):
-        delay = delay_of(sender, recipient, now, rng)
-        if delay is not None and delay <= 0:
-            raise ValueError(
-                f"delay model produced a non-positive delay {delay}")
-        yield recipient, delay
 
 #: correction breakpoints kept per process when ``record_trace=False`` (the
 #: current value plus a small tail for in-flight queries; O(1) per process).
@@ -382,6 +365,60 @@ class System:
         """
         if recipient not in self._processes:
             raise KeyError(f"unknown recipient {recipient}")
+        self._send(sender, (recipient,), (payload,))
+
+    def broadcast_from(self, sender: int, payload: Any) -> None:
+        """Send ``payload`` to every process, including the sender."""
+        self._send(sender, range(len(self._processes)), repeat(payload))
+
+    def send_divergent(self, sender: int, payloads: Dict[int, Any]) -> None:
+        """Send ``payloads[r]`` to each recipient ``r``, in the dict's order.
+
+        The Byzantine capability of sending different messages to different
+        processes; one send, so one delay-model call for all its copies.
+        """
+        recipients = list(payloads)
+        for recipient in recipients:
+            if recipient not in self._processes:
+                raise KeyError(f"unknown recipient {recipient}")
+        self._send(sender, recipients, payloads.values())
+
+    def _send(self, sender: int, recipients: Sequence[int],
+              payloads: Iterable[Any]) -> None:
+        """Post one ordinary message per recipient, in recipient order.
+
+        Every send goes through here.  On the complete graph the copies take
+        one :meth:`DelayModel.draws` call and one :meth:`EventQueue.push_send`
+        call, and the counters are booked once: the same queue entries and
+        counters as one :meth:`post_message` per recipient.  A non-positive
+        delay raises ``ValueError`` with the copies ahead of it queued, and
+        counts it and those copies as sent, as the per-recipient path does;
+        only the RNG differs then, as the whole send was drawn first.
+        Topology relays and send observers take the per-recipient path
+        (:meth:`_post_routed`).
+        """
+        if self._router is not None or self._send_sinks:
+            for recipient, payload in zip(recipients, payloads):
+                self._post_routed(sender, recipient, payload)
+            return
+        now = self._current_time
+        delays = self._delay_model.draws(sender, recipients, now, self._rng)
+        stats = self._stats
+        try:
+            dropped = self._queue.push_send(sender, recipients, payloads,
+                                            delays, now)
+        except ValueError:
+            sent = next(i for i, delay in enumerate(delays)
+                        if delay is not None and delay <= 0) + 1
+            stats.record_send(sender, sent)
+            stats.dropped += delays[:sent].count(None)
+            raise
+        if delays:
+            stats.record_send(sender, len(delays))
+            stats.dropped += dropped
+
+    def _post_routed(self, sender: int, recipient: int, payload: Any) -> None:
+        """One message on the per-recipient path (topology or send observers)."""
         self._stats.record_send(sender)
         if self._router is None or sender == recipient:
             delivery_time = self._direct_delivery_time(sender, recipient)
@@ -403,39 +440,10 @@ class System:
         self._queue.push_fields(MessageKind.ORDINARY, sender, recipient,
                                 payload, self._current_time, delivery_time)
 
-    def broadcast_from(self, sender: int, payload: Any) -> None:
-        """Send ``payload`` to every process, including the sender.
-
-        Behaviourally identical to calling :meth:`post_message` once per
-        recipient in id order (same RNG draws, same counters, same queue
-        entries) — but with the per-recipient call stack flattened and the
-        hot lookups hoisted, since broadcast is the algorithms' dominant
-        messaging pattern.  Topology runs take the general path.
-        """
-        if self._router is not None or self._send_sinks:
-            # Topology relays and network-level observers both need the
-            # general per-recipient path (same RNG draws and counters).
-            for recipient in range(len(self._processes)):
-                self.post_message(sender, recipient, payload)
-            return
-        stats = self._stats
-        per_process_sent = stats.per_process_sent
-        push_fields = self._queue.push_fields
-        now = self._current_time
-        ordinary = MessageKind.ORDINARY
-        for recipient, delay in draw_broadcast_delays(
-                self._delay_model, sender, len(self._processes), now,
-                self._rng):
-            stats.sent += 1
-            per_process_sent[sender] += 1
-            if delay is None:
-                stats.dropped += 1
-                continue
-            push_fields(ordinary, sender, recipient, payload, now, now + delay)
-
     def _direct_delivery_time(self, sender: int, recipient: int) -> Optional[float]:
         """One delay-model draw, as in the complete-graph model."""
-        delay = self._delay_model.delay(sender, recipient, self._current_time, self._rng)
+        delay, = self._delay_model.draws(sender, (recipient,),
+                                         self._current_time, self._rng)
         if delay is None:
             return None
         if delay <= 0:
@@ -533,9 +541,11 @@ class System:
         with telemetry.span("sim.run_until", end_time=end_time):
             try:
                 trace = self._run_segment(end_time, max_events)
-            except EventBudgetExceeded as err:
+            except BaseException as err:
+                # Whatever ends the segment, its counts reach the registry.
                 self._flush_telemetry()
-                err.metrics = telemetry.registry.snapshot()
+                if isinstance(err, EventBudgetExceeded):
+                    err.metrics = telemetry.registry.snapshot()
                 raise
         self._flush_telemetry()
         return trace
@@ -543,66 +553,71 @@ class System:
     def _run_segment(self, end_time: float, max_events: int) -> ExecutionTrace:
         """One uninstrumented delivery segment (the simulator's hot loop).
 
-        Events move through the queue as raw field tuples (no per-event
-        Message allocation) and the dispatch is inlined with hoisted lookups.
-        Dispatch observers, when attached, see each popped interrupt after
-        its handler ran; on return every advance observer is told the buffer
-        is drained up to ``end_time``.
+        Entries are popped straight off the heap as raw field tuples (no
+        per-event Message allocation) and dispatched inline with hoisted
+        lookups.  The per-event counts (interrupts, deliveries, timers) live
+        in locals and are booked exactly once when the segment ends, on
+        every exit: the horizon, the budget, an observer error, or a handler
+        that raised (its interrupt was popped, so it counts).  Dispatch
+        observers, when attached, see each popped interrupt after its
+        handler ran; on return every advance observer is told the buffer is
+        drained up to ``end_time``.
         """
-        processed = 0
+        processed = delivered = timers_fired = 0
         queue = self._queue
         heap = queue._heap
-        pop_fields = queue.pop_fields
         processes = self._processes
         contexts = self._contexts
         crashed = self._crashed
-        stats = self._stats
         dispatch_sinks = self._dispatch_sinks
+        ordinary = MessageKind.ORDINARY
+        timer = MessageKind.TIMER
         try:
             while heap:
-                next_time = heap[0][0]
-                if next_time > end_time:
+                if heap[0][0] > end_time:
                     break
-                entry = pop_fields()
+                # (time, timer_last, seq, kind, sender, recipient, payload,
+                # send_time)
+                entry = heappop(heap)
+                processed += 1
                 self._current_time = entry[0]
-                # Inline dispatch: (time, timer_last, seq, kind, sender,
-                # recipient, payload, send_time).
                 pid = entry[5]
                 if pid not in crashed:
                     # A crashed process receives nothing; otherwise deliver.
                     kind = entry[3]
-                    if kind is MessageKind.ORDINARY:
-                        stats.delivered += 1
-                        processes[pid].on_message(contexts[pid], entry[4], entry[6])
-                    elif kind is MessageKind.TIMER:
-                        stats.timers_fired += 1
+                    if kind is ordinary:
+                        delivered += 1
+                        processes[pid].on_message(contexts[pid], entry[4],
+                                                  entry[6])
+                    elif kind is timer:
+                        timers_fired += 1
                         processes[pid].on_timer(contexts[pid], entry[6])
                     else:
                         processes[pid].on_start(contexts[pid])
-                processed += 1
                 if dispatch_sinks:
                     try:
                         for sink in dispatch_sinks:
                             sink(entry[3], entry[4], entry[5], entry[6],
                                  entry[7], entry[0])
                     except Exception as err:
+                        # The interrupt being reported was already fully
+                        # processed (and counted), so the system stays
+                        # consistent; only the broken tap is surfaced.
                         if isinstance(err, ObserverError):
                             raise
                         raise ObserverError("on_dispatch",
                                             sink.__self__) from err
                 if processed > max_events:
-                    self._events_dispatched += processed
                     raise EventBudgetExceeded(
                         processed=processed, max_events=max_events,
                         current_time=self._current_time, end_time=end_time,
                         pending=len(heap))
-        except ObserverError:
-            # The interrupt being reported was already fully processed (and
-            # counted), so the system — stats, trace, event totals — stays
-            # consistent; only the broken tap is surfaced.
+        finally:
             self._events_dispatched += processed
-            raise
-        self._events_dispatched += processed
+            queue.record_pops(processed)
+            stats = self._stats
+            stats.delivered += delivered
+            stats.timers_fired += timers_fired
         self._current_time = max(self._current_time, end_time)
         try:
             for sink in self._advance_sinks:

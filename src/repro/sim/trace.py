@@ -71,9 +71,9 @@ class MessageStats:
         if not isinstance(self.per_process_sent, Counter):
             self.per_process_sent = Counter(self.per_process_sent)
 
-    def record_send(self, sender: int) -> None:
-        self.sent += 1
-        self.per_process_sent[sender] += 1
+    def record_send(self, sender: int, count: int = 1) -> None:
+        self.sent += count
+        self.per_process_sent[sender] += count
 
     def as_dict(self) -> Dict[str, int]:
         """The scalar counters as a plain dict (for manifests and telemetry)."""

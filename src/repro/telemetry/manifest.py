@@ -7,7 +7,9 @@ counts, peak traced memory), and what the network saw (via
 :meth:`~repro.sim.recording.NetworkRecorder.stats` when the spec attached
 one).  Sweeps append these lines as cells complete, so a crashed or
 budget-killed sweep leaves a greppable record of exactly what ran and where
-the time went — the trail ROADMAP item 3's resumable result store keys off.
+the time went.  The spec hash is a prefix of the resumable result store's
+key (:func:`repro.runner.store.store_key`), so manifest lines and store rows
+cross-reference.
 
 The spec hash is ``sha256(repr(spec))`` (truncated) rather than Python's
 ``hash()``: specs are frozen dataclasses with value-repr semantics, and

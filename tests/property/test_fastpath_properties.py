@@ -5,8 +5,13 @@ The indexed/vectorized reconstruction (``repro.sim.traceindex`` +
 implementation (frozen in ``repro.analysis.slowpath``) returns, for every
 history shape, drift model, and grid — and the tuple-based event queue must
 preserve execution property 4 (TIMER messages deliver after non-TIMER
-messages at the same real time) with deterministic FIFO tie-breaking.
+messages at the same real time) with deterministic FIFO tie-breaking.  The
+serial loop's batched delay draws and its one-sort midpoint must equal the
+per-message ``rng.uniform`` calls and the ``Multiset`` pipeline they replace.
 """
+
+import math
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,7 +32,9 @@ from repro.clocks import (
     rho_rate_bounds,
 )
 from repro.core import SyncParameters
+from repro.multiset.operations import Multiset, fault_tolerant_midpoint
 from repro.sim import EventQueue, ExecutionTrace, Message, MessageKind, MessageStats
+from repro.sim import UniformDelayModel
 from repro.sim import traceindex
 
 RHO = 1e-4
@@ -231,3 +238,57 @@ def test_event_queue_tuple_ordering_preserves_property4(specs, raw):
     popped = [queue.pop().payload for _ in specs]
     assert popped == expected
     assert queue.delivered_count == len(specs)
+
+
+# ---------------------------------------------------------------------------
+# Batched delay draws and the one-sort midpoint
+# ---------------------------------------------------------------------------
+
+@st.composite
+def envelopes(draw):
+    delta = draw(st.floats(min_value=1e-6, max_value=10.0))
+    epsilon = draw(st.floats(min_value=0.0, max_value=delta,
+                             exclude_max=True))
+    return delta, epsilon
+
+
+@given(envelope=envelopes(), seed=st.integers(min_value=0, max_value=2**32),
+       count=st.integers(min_value=0, max_value=60),
+       send_time=st.floats(min_value=0.0, max_value=1e6))
+def test_uniform_draws_equal_repeated_uniform_calls(envelope, seed, count,
+                                                    send_time):
+    """One ``draws`` call is bit for bit ``count`` ``rng.uniform`` calls,
+    and leaves the generator in the same state."""
+    delta, epsilon = envelope
+    model = UniformDelayModel(delta, epsilon)
+    batched_rng, reference_rng = random.Random(seed), random.Random(seed)
+    batched = model.draws(3, range(count), send_time, batched_rng)
+    reference = [reference_rng.uniform(delta - epsilon, delta + epsilon)
+                 for _ in range(count)]
+    assert [value.hex() for value in batched] == \
+        [value.hex() for value in reference]
+    assert batched_rng.getstate() == reference_rng.getstate()
+
+
+def _outcome(function, *args):
+    """``('ok', bits)`` or ``('error', type, message)`` of one call."""
+    try:
+        value = function(*args)
+    except Exception as err:  # compared, not swallowed
+        return ("error", type(err), str(err))
+    return ("ok", "nan" if math.isnan(value) else value.hex())
+
+
+clock_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=True, width=64),
+    st.just(float("nan")),
+    st.integers(min_value=-10**6, max_value=10**6))
+
+
+@given(values=st.lists(clock_values, max_size=12),
+       f=st.integers(min_value=-2, max_value=6))
+def test_fault_tolerant_midpoint_matches_multiset(values, f):
+    """Same value, or the same error (NaN, |U| < 2f+1, f < 0), as the
+    paper-shaped ``Multiset(values).reduce(f).mid()``."""
+    assert _outcome(fault_tolerant_midpoint, values, f) == \
+        _outcome(lambda v, k: Multiset(v).reduce(k).mid(), values, f)

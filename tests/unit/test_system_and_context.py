@@ -161,6 +161,30 @@ class TestMessaging:
         assert procs[1].messages[0][2] == "left"
         assert procs[2].messages[0][2] == "right"
 
+    @pytest.mark.parametrize("observed", [False, True],
+                             ids=["batched", "per-recipient"])
+    def test_non_positive_delay_rejected(self, observed):
+        from repro.sim.recording import NetworkRecorder
+
+        class ZeroToLast(FixedDelayModel):
+            def delay(self, sender, recipient, send_time, rng):
+                return 0.0 if recipient == 2 else self.delta
+
+        system = System([Echoer(), Recorder(), Recorder()],
+                        [PerfectClock() for _ in range(3)],
+                        delay_model=ZeroToLast(0.01),
+                        observers=[NetworkRecorder()] if observed else ())
+        system.schedule_start(0, 0.0)
+        with pytest.raises(ValueError, match="non-positive delay 0.0"):
+            system.run_until(1.0)
+        # The copies ahead of the bad one were queued, in order, and both
+        # paths count the copies up to and including the bad one as sent.
+        assert sorted(m.recipient for m in system._queue.pending()) == [0, 1]
+        stats = system.trace().stats
+        assert stats.sent == 3
+        assert stats.per_process_sent == {0: 3}
+        assert stats.dropped == 0
+
 
 class TestCorrectionTracking:
     def test_adjust_correction_is_recorded(self):
@@ -256,3 +280,46 @@ class TestRunControl:
         system.schedule_start(0, 0.5)
         system.run_until(1.0)
         assert replacement.started == [0.5]
+
+    def test_raising_handler_books_every_popped_interrupt(self):
+        # Three processes broadcast at t=0 over a fixed delay, so the pops
+        # are the three STARTs, then p0's three copies, then p1's copy to
+        # p0: p0's second message, whose handler raises.  All seven popped
+        # interrupts count, once, and the telemetry flush still happens.
+        from repro.telemetry import Telemetry
+
+        class FailsOnSecondMessage(Process):
+            def __init__(self, fail):
+                self.fail = fail
+                self.received = 0
+
+            def on_start(self, ctx):
+                ctx.broadcast("hello")
+
+            def on_message(self, ctx, sender, payload):
+                self.received += 1
+                if self.fail and self.received == 2:
+                    raise RuntimeError("handler bug")
+
+        telemetry = Telemetry()
+        procs = [FailsOnSecondMessage(pid == 0) for pid in range(3)]
+        system = System(procs, [PerfectClock() for _ in range(3)],
+                        delay_model=FixedDelayModel(0.01), seed=0,
+                        telemetry=telemetry)
+        for pid in range(3):
+            system.schedule_start(pid, 0.0)
+        with pytest.raises(RuntimeError, match="handler bug"):
+            system.run_until(1.0)
+        stats = system.trace().stats
+        assert stats.delivered == 4
+        assert system.events_dispatched == 7
+        assert system._queue.delivered_count == 7
+        registry = telemetry.registry
+        assert registry.value("sim.events_dispatched") == 7
+        assert registry.value("sim.messages_delivered") == 4
+        # The run resumes after the failure and the totals stay in step.
+        procs[0].fail = False
+        system.run_until(1.0)
+        assert system.events_dispatched == system._queue.delivered_count == 12
+        assert system.trace().stats.delivered == 9
+        assert registry.value("sim.events_dispatched") == 12
