@@ -922,9 +922,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         write_csv(sweep_to_dicts(result), args.csv)
         print(f"wrote sweep CSV to {args.csv}")
     if runner is not None and runner.store is not None:
-        status = runner.store.status()
-        print(f"store {status['path']}: {status['results']} result(s), "
-              f"{status['quarantined']} quarantined", file=sys.stderr)
+        # Row counts only: status() decodes every payload (store status).
+        store = runner.store
+        print(f"store {store.path}: {len(store)} result(s), "
+              f"{len(store.quarantined())} quarantined", file=sys.stderr)
     return 0
 
 

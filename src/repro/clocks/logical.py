@@ -200,6 +200,38 @@ class CorrectionHistory:
                 return event.new_correction
         return None
 
+    def __reduce__(self):
+        # Flat columns instead of one dataclass state per event.  The
+        # sentinel horizon travels in _corrections[0], which differs from
+        # _initial once a bounded history has trimmed.  No __setstate__: a
+        # payload pickled before this method existed still loads through
+        # the default slot-state path.
+        events = self._events
+        return (_history_from_columns, (
+            self._initial, self._max_entries, self._times, self._corrections,
+            [event.real_time for event in events],
+            [event.adjustment for event in events],
+            [event.new_correction for event in events],
+            [event.round_index for event in events]))
+
+
+def _history_from_columns(initial, max_entries, times, corrections,
+                          real_times, adjustments, new_corrections,
+                          round_indices) -> CorrectionHistory:
+    """Unpickle a :meth:`CorrectionHistory.__reduce__` payload.
+
+    Stored payloads name this function: renaming or moving it turns every
+    stored result into a corrupt miss.
+    """
+    history = CorrectionHistory.__new__(CorrectionHistory)
+    history._initial = initial
+    history._max_entries = max_entries
+    history._times = times
+    history._corrections = corrections
+    history._events = list(map(CorrectionEvent, real_times, adjustments,
+                               new_corrections, round_indices))
+    return history
+
 
 class LogicalClockView:
     """Read-only view combining a physical clock and a correction history.

@@ -40,6 +40,7 @@ import os
 import pickle
 import random
 import signal
+import threading
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -125,7 +126,7 @@ class SweepInterrupted(RuntimeError):
         self.completed = completed
 
 
-#: how often an idle worker checks whether its parent is still alive.
+#: how often a worker checks whether its parent is still alive.
 _ORPHAN_POLL_SECONDS = 1.0
 
 
@@ -153,23 +154,21 @@ def _worker_main(conn, chaos: Optional["ChaosSchedule"],
     exception travels only if it survives pickling, so none can wedge the
     pipe.
 
-    A blocking ``recv`` cannot be relied on to notice a SIGKILLed parent:
-    under the fork start method the worker itself inherited the parent's end
-    of the pipe, so the write side never fully closes and EOF never comes.
-    Idle waits therefore poll, and the worker exits when it finds itself
-    reparented — otherwise every killed sweep would leak an orphan worker
-    blocked on ``recv`` forever.
+    The pipe cannot be relied on to notice a SIGKILLed parent: under the
+    fork start method the worker itself inherited the parent's end, so EOF
+    never comes to ``recv``, and a ``send`` larger than the pipe buffer
+    blocks forever.  A watchdog thread therefore exits the worker once it
+    finds itself reparented, idle, mid-spec or mid-send — otherwise every
+    killed sweep would leak an orphan worker.
     """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except ValueError:  # pragma: no cover - non-main-thread spawn
         pass
-    parent_pid = os.getppid()
+    threading.Thread(target=_exit_when_orphaned, args=(os.getppid(),),
+                     daemon=True).start()
     while True:
         try:
-            while not conn.poll(_ORPHAN_POLL_SECONDS):
-                if os.getppid() != parent_pid:  # orphaned by a dead parent
-                    return
             task = conn.recv()
         except (EOFError, OSError, KeyboardInterrupt):  # parent went away
             return
@@ -183,6 +182,13 @@ def _worker_main(conn, chaos: Optional["ChaosSchedule"],
         except Exception as err:
             conn.send(("error", f"{type(err).__name__}: {err}",
                        traceback.format_exc(), _portable(err)))
+
+
+def _exit_when_orphaned(parent_pid: int) -> None:
+    """A worker's watchdog: end the process once its parent has died."""
+    while os.getppid() == parent_pid:
+        time.sleep(_ORPHAN_POLL_SECONDS)
+    os._exit(0)
 
 
 class _Task:

@@ -28,16 +28,28 @@ Design points:
   environmental).
 * **Introspection** — :meth:`status` summarizes the store for the CLI
   (``store status``); :meth:`gc` prunes by age and clears quarantine rows
-  (``store gc``), reclaiming space with ``VACUUM``.
+  (``store gc``), reclaiming space with ``VACUUM``.  :meth:`status` decodes
+  every payload to count the corrupt ones, so only ``store status`` calls
+  it; a sweep's closing line reads row counts alone (``len(store)`` and
+  :meth:`quarantined`).
 
 Payloads are pickled :class:`~repro.analysis.experiments.ScenarioResult`
-objects — the same bytes that already travel across the multiprocessing
-boundary, so anything a pool can run, the store can hold.  A corrupt payload
-(torn disk, partial copy) reads as a *miss* — the spec simply re-runs — but
-never a silent one: each is counted on :attr:`ResultStore.corrupt_reads` and
-the ``resilient.store.corrupt`` telemetry counter, and ``store status``
-reports the store-wide total (:meth:`ResultStore.scan_corrupt`), so rot is
-distinguishable from a cold cache.
+objects, the same bytes a pool worker sends back over its pipe, so anything
+a pool can run, the store can hold.  A traced result pickles as flat columns
+rather than one object state per event: the trace's event log as four
+columns, each correction history as its breakpoint arrays plus event
+columns (see :mod:`repro.sim.trace`).  Compatibility is one way.  This build
+reads payloads that earlier builds pickled with the default slot state
+(``tests/data/slot_state_payload.pickle`` pins one), but an earlier build
+cannot find the column reconstructors: it counts a corrupt read and re-runs
+the spec.
+
+A corrupt payload (torn disk, partial copy) reads as a *miss* — the spec
+simply re-runs — but never a silent one: each is counted on
+:attr:`ResultStore.corrupt_reads` and the ``resilient.store.corrupt``
+telemetry counter, and ``store status`` reports the store-wide total
+(:meth:`ResultStore.scan_corrupt`), so rot is distinguishable from a cold
+cache.
 
 Chaos: a :class:`~repro.runner.chaos.ChaosSchedule` with scheduled
 ``store_full_writes`` makes :meth:`put` raise ``OSError(ENOSPC)`` on exactly

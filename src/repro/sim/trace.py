@@ -25,6 +25,15 @@ per-process breakpoint arrays evaluated in one merged sweep per grid, with an
 optional numpy path — and are guaranteed bit-identical to the naive
 per-sample reconstruction (see :mod:`repro.analysis.slowpath` and the
 fast-path equivalence tests).
+
+Results cross the worker pool's pipes and the result store as pickles, so a
+trace pickles as flat columns: :meth:`ExecutionTrace.__reduce__` sends the
+event log as four lists (``real_time``, ``process_id``, ``name``, ``data``)
+beside the clocks and histories dicts, which go as they are so that pickle
+keeps their sharing with online observers.  The derived caches (the
+``TraceIndex``, the by-name event index) do not travel.  Stored payloads
+name the module-level reconstructor, ``_trace_from_columns``; renaming it
+would turn every stored result into a corrupt miss.
 """
 
 from __future__ import annotations
@@ -223,3 +232,26 @@ class ExecutionTrace:
         """
         from ..adversary.shifting import shift_execution
         return shift_execution(self, shifts).trace
+
+    # -- pickling (see the module docstring) ----------------------------------------
+    def __reduce__(self):
+        events = self._events
+        return (_trace_from_columns, (
+            self._clocks, self._histories, self._faulty,
+            [event.real_time for event in events],
+            [event.process_id for event in events],
+            [event.name for event in events],
+            [event.data for event in events],
+            self._stats, self._end_time))
+
+
+def _trace_from_columns(clocks, histories, faulty_ids, real_times, process_ids,
+                        names, data, stats, end_time) -> ExecutionTrace:
+    """Unpickle an :meth:`ExecutionTrace.__reduce__` payload.
+
+    Stored payloads name this function: renaming or moving it turns every
+    stored result into a corrupt miss.
+    """
+    events = list(map(TraceEvent, real_times, process_ids, names, data))
+    return ExecutionTrace(clocks, histories, faulty_ids, events, stats,
+                          end_time, copy=False)

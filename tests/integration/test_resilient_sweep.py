@@ -140,16 +140,23 @@ def processes_mentioning(marker):
 
 
 def wait_for_store(path, minimum, process, timeout=60.0):
-    """Poll until the store holds ``minimum`` results (or the process exits)."""
+    """Poll until the store holds ``minimum`` results.
+
+    A sweep that exits first fails the test: its signal never landed, so
+    nothing was tested.
+    """
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         if process.poll() is not None:
-            return False  # the sweep finished before we could interfere
+            stderr = process.stderr.read().decode(errors="replace")
+            pytest.fail(f"the sweep exited (status {process.returncode}) "
+                        f"before its store held {minimum} result(s), so "
+                        f"the signal could not land:\n{stderr[-2000:]}")
         if os.path.exists(path):
             try:
                 with ResultStore(path, create=False) as store:
                     if len(store) >= minimum:
-                        return True
+                        return
             except Exception:
                 pass  # store mid-creation; retry
         time.sleep(0.02)
@@ -159,10 +166,12 @@ def wait_for_store(path, minimum, process, timeout=60.0):
 class TestRealSignalsKillResume:
     """Deliver real signals to a real sweep process, then resume."""
 
-    #: slow enough that the killer always wins the race with completion.
+    #: sized from a measurement on a 2-core VM: the sweep stores its
+    #: second result ~1.1 s after spawn and exits 2.4-2.8 s after that, so
+    #: a signal sent on the 20 ms poll lands mid-sweep.
     SWEEP_ARGS = ["sweep", "--axis", "epsilon",
                   "--values", "0.001", "0.002", "0.003", "0.004", "0.005",
-                  "--rounds", "12", "--replicate-seeds", "0", "1"]
+                  "--rounds", "800", "--replicate-seeds", "0", "1"]
 
     def spawn_sweep(self, store, csv):
         env = dict(os.environ)
@@ -187,13 +196,19 @@ class TestRealSignalsKillResume:
         assert done.returncode == 0, done.stderr
         return Path(csv).read_text()
 
-    def test_sigkill_midsweep_then_resume_is_bit_identical(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def clean_csv(self, tmp_path_factory):
+        """An uninterrupted run's CSV: the reference every resume matches."""
+        tmp = tmp_path_factory.mktemp("clean")
+        return self.run_sweep(str(tmp / "clean.sqlite"),
+                              str(tmp / "clean.csv"))
+
+    def test_sigkill_midsweep_then_resume_is_bit_identical(self, tmp_path,
+                                                           clean_csv):
         store = str(tmp_path / "killed.sqlite")
         process = self.spawn_sweep(store, str(tmp_path / "never.csv"))
         try:
-            interfered = wait_for_store(store, minimum=2, process=process)
-            if not interfered:  # pragma: no cover - racy fast machine
-                pytest.skip("sweep finished before SIGKILL could land")
+            wait_for_store(store, minimum=2, process=process)
             process.kill()  # the real thing: no handler, no cleanup
             process.wait(timeout=60)
         finally:
@@ -214,19 +229,15 @@ class TestRealSignalsKillResume:
             assert processes_mentioning(store) == [], \
                 "SIGKILLed sweep leaked orphan worker processes"
         # Resume completes the sweep; a pristine run is the reference.
-        clean_csv = self.run_sweep(str(tmp_path / "clean.sqlite"),
-                                   str(tmp_path / "clean.csv"))
         resumed_csv = self.run_sweep(store, str(tmp_path / "resumed.csv"),
                                      resume=True)
         assert resumed_csv == clean_csv
 
-    def test_sigterm_exits_130_and_resumes(self, tmp_path):
+    def test_sigterm_exits_130_and_resumes(self, tmp_path, clean_csv):
         store = str(tmp_path / "terminated.sqlite")
         process = self.spawn_sweep(store, str(tmp_path / "never.csv"))
         try:
-            interfered = wait_for_store(store, minimum=1, process=process)
-            if not interfered:  # pragma: no cover - racy fast machine
-                pytest.skip("sweep finished before SIGTERM could land")
+            wait_for_store(store, minimum=1, process=process)
             process.send_signal(signal.SIGTERM)
             process.wait(timeout=60)
         finally:
@@ -236,8 +247,6 @@ class TestRealSignalsKillResume:
         assert process.returncode == 130  # graceful, resumable exit
         stderr = process.stderr.read().decode()
         assert "rerun with --resume" in stderr
-        clean_csv = self.run_sweep(str(tmp_path / "clean.sqlite"),
-                                   str(tmp_path / "clean.csv"))
         resumed_csv = self.run_sweep(store, str(tmp_path / "resumed.csv"),
                                      resume=True)
         assert resumed_csv == clean_csv

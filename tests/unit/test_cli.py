@@ -303,6 +303,28 @@ class TestSweepCommand:
         else:
             assert runner.pool.max_retries == retries
 
+    def test_store_line_counts_rows_and_decodes_no_payload(
+            self, capsys, tmp_path, monkeypatch):
+        from repro.analysis import default_parameters
+        from repro.runner import ResultStore, RunSpec
+
+        def decode_all(self):
+            raise AssertionError("the closing line decoded the payloads")
+
+        monkeypatch.setattr(ResultStore, "scan_corrupt", decode_all)
+        path = str(tmp_path / "sweep.sqlite")
+        argv = ["sweep", "--axis", "epsilon", "--values", "0.001", "0.002",
+                "--rounds", "2", "--store", path]
+        assert main(argv) == 0
+        assert capsys.readouterr().err.splitlines()[-1] \
+            == f"store {path}: 2 result(s), 0 quarantined"
+        with ResultStore(path) as store:  # a spec outside this sweep
+            store.quarantine(RunSpec.maintenance(default_parameters(n=4, f=1),
+                                                 rounds=1), 3, "boom")
+        assert main(argv + ["--resume"]) == 0
+        assert capsys.readouterr().err.splitlines()[-1] \
+            == f"store {path}: 2 result(s), 1 quarantined"
+
     def test_replicated_sweep_adds_ci_columns(self, capsys):
         exit_code = main(["sweep", "--axis", "epsilon", "--values", "0.002",
                           "--rounds", "3", "--replicate-seeds", "0", "1"])

@@ -2,12 +2,15 @@
 
 import dataclasses
 import errno
+import pickle
 import sqlite3
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.analysis import default_parameters
+from repro.adversary.shifting import shift_execution
+from repro.analysis import default_parameters, sample_grid, validity_report
 from repro.runner import (
     SCHEMA_VERSION,
     ChaosSchedule,
@@ -18,6 +21,7 @@ from repro.runner import (
     execute,
     store_key,
 )
+from repro.sim import traceindex
 from repro.telemetry import spec_hash
 from repro.topology import Topology
 
@@ -39,6 +43,61 @@ def result(spec):
 
 def make_store(tmp_path, **kwargs):
     return ResultStore(str(tmp_path / "results.sqlite"), **kwargs)
+
+
+#: the fixture spec's payload as the build before the columnar pickles wrote
+#: it (default slot state, one dataclass state per event).
+SLOT_STATE_PAYLOAD = Path(__file__).resolve().parents[1] / "data" \
+    / "slot_state_payload.pickle"
+
+
+def history_fields(history):
+    return {"times": list(history.times),
+            "corrections": list(history.corrections),
+            "events": [(e.real_time, e.adjustment, e.new_correction,
+                        e.round_index) for e in history.events],
+            "initial_correction": history.initial_correction,
+            "max_entries": history.max_entries,
+            "bounded": history.bounded}
+
+
+def trace_fields(trace):
+    return {"events": [(e.real_time, e.process_id, e.name, e.data)
+                       for e in trace.events],
+            "histories": {pid: history_fields(trace.correction_history(pid))
+                          for pid in range(trace.n)},
+            "stats": trace.stats.as_dict(),
+            "per_process_sent": dict(trace.stats.per_process_sent),
+            "faulty_ids": trace.faulty_ids,
+            "end_time": trace.end_time}
+
+
+def assert_same_result(loaded, original):
+    """Field by field and to the bit: repr tells apart every double that
+    == would conflate (0.0 and -0.0)."""
+    expected = trace_fields(original.trace)
+    for name, value in trace_fields(loaded.trace).items():
+        assert repr(value) == repr(expected[name]), name
+    assert repr(loaded.start_times) == repr(original.start_times)
+    assert (loaded.rounds, loaded.end_time, loaded.checkpoints,
+            loaded.spec) == (original.rounds, original.end_time,
+                             original.checkpoints, original.spec)
+    start, end = original.tmax0, original.trace.end_time
+    grid = sample_grid(start, end, 40)
+    previous = traceindex.numpy_enabled()
+    backends = [False] + [True] * traceindex.numpy_available()
+    try:
+        for use_numpy in backends:
+            traceindex.use_numpy(use_numpy)
+            assert repr(loaded.trace.skew_series(grid)) \
+                == repr(original.trace.skew_series(grid))
+            assert repr(validity_report(
+                loaded.trace, loaded.params, loaded.tmin0, loaded.tmax0,
+                start, end, samples=40)) == repr(validity_report(
+                    original.trace, original.params, original.tmin0,
+                    original.tmax0, start, end, samples=40))
+    finally:
+        traceindex.use_numpy(previous)
 
 
 class TestContentAddressing:
@@ -85,7 +144,7 @@ class TestPutGet:
         with make_store(tmp_path) as store:
             store.put(spec, result)
             loaded = store.get(spec)
-        assert loaded.trace.events == result.trace.events
+        assert_same_result(loaded, result)
 
     def test_miss_returns_none(self, tmp_path, spec):
         with make_store(tmp_path) as store:
@@ -125,6 +184,102 @@ class TestPutGet:
         conn.close()
         with ResultStore(path) as store:
             assert store.get(spec) is None  # the spec simply re-runs
+
+
+@pytest.fixture(scope="module", params=["crash", "two_faced", "trimmed",
+                                        "shifted", "checkpointed"])
+def any_result(request):
+    """One result per payload shape a store or a pool pipe carries."""
+    seven, four = default_parameters(n=7, f=2), default_parameters(n=4, f=1)
+    if request.param == "crash":
+        return execute(RunSpec.maintenance(seven, rounds=4, fault_kind="crash",
+                                           seed=1), engine="serial")
+    if request.param == "two_faced":
+        return execute(RunSpec.maintenance(seven, rounds=4, seed=2),
+                       engine="serial")
+    if request.param == "trimmed":
+        result = execute(RunSpec.maintenance(
+            four, rounds=12, record_trace=False,
+            observers=("skew", "validity"), seed=3))
+        # the bounded histories trimmed: the horizon left the initial CORR
+        assert any(h.corrections[0] != h.initial_correction
+                   for h in map(result.trace.correction_history,
+                                range(result.trace.n)))
+        return result
+    if request.param == "shifted":
+        base = execute(RunSpec.maintenance(four, rounds=4, seed=4))
+        shifts = {pid: 1e-3 * pid for pid in range(base.trace.n)}
+        return dataclasses.replace(
+            base, trace=shift_execution(base.trace, shifts).trace)
+    result = execute(RunSpec.maintenance(four, rounds=6, checkpoint_every=1.0,
+                                         seed=5))
+    assert result.checkpoints > 0
+    return result
+
+
+class TestResultPickle:
+    """A result crosses the pool pipe and the store as a pickle: exactly."""
+
+    def test_roundtrip_is_exact_field_by_field(self, any_result):
+        blob = pickle.dumps(any_result, protocol=pickle.HIGHEST_PROTOCOL)
+        assert_same_result(pickle.loads(blob), any_result)
+
+    def test_online_observer_still_shares_the_trace_clocks(self):
+        result = execute(RunSpec.maintenance(default_parameters(n=4, f=1),
+                                             rounds=3, observers=("skew",),
+                                             seed=6))
+        for run in (result, pickle.loads(pickle.dumps(result))):
+            clocks = run.observers["skew"]._clocks
+            assert clocks and all(
+                clock is run.trace.view(pid).physical_clock
+                for pid, clock in clocks.items())
+
+    def test_pickle_carries_no_index(self, spec):
+        result = execute(spec)
+        result.trace.skew_series(sample_grid(0.0, result.end_time, 10))
+        result.trace.events_named("update")
+        assert result.trace._index is not None
+        blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        for name in (b"TraceIndex", b"_events_by_name", b"_nonfaulty"):
+            assert name not in blob
+        loaded = pickle.loads(blob).trace
+        assert loaded._index is None and loaded._events_by_name is None
+
+
+class TestPayloadCompatibility:
+    """Stored payloads outlive the build that wrote them."""
+
+    def test_slot_state_payload_still_loads(self, result):
+        data = SLOT_STATE_PAYLOAD.read_bytes()
+        assert len(data) == 3032
+        assert b"_from_columns" not in data  # really the older layout
+        assert_same_result(pickle.loads(data), result)
+
+    def test_slot_state_payload_is_a_store_hit(self, tmp_path, spec, result):
+        path = str(tmp_path / "older.sqlite")
+        with ResultStore(path) as store:
+            store.put(spec, result)
+        with sqlite3.connect(path) as conn:
+            conn.execute("UPDATE results SET payload = ?",
+                         (sqlite3.Binary(SLOT_STATE_PAYLOAD.read_bytes()),))
+        conn.close()
+        with ResultStore(path) as store:
+            loaded = store.get(spec)
+            assert store.corrupt_reads == 0
+        assert_same_result(loaded, result)
+
+    def test_reconstructor_names_are_pinned(self, result):
+        # Literal names, like the schema-v2 key digests: every stored
+        # payload names these functions, so renaming or moving one turns
+        # each stored result into a counted corrupt miss.
+        pinned = {"repro.sim.trace._trace_from_columns": result.trace,
+                  "repro.clocks.logical._history_from_columns":
+                      result.trace.correction_history(0)}
+        blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        for name, obj in pinned.items():
+            rebuild = obj.__reduce__()[0]
+            assert f"{rebuild.__module__}.{rebuild.__qualname__}" == name
+            assert rebuild.__qualname__.encode() in blob
 
 
 class TestSchemaVersioning:
