@@ -16,8 +16,10 @@ Two passes make the engineering point:
   the full message statistics are asserted *bit-identical* — the kernel's
   contract;
 * the **full population** (n=10,000): the kernel only, streamed through
-  the online observers at O(n) memory, audited against the
-  topology-corrected agreement bound γ'.
+  the online observers at O(n) memory, and judged by
+  :func:`repro.analysis.verification.audit` — Theorem 16 against the
+  topology-corrected γ' the run's effective parameters carry, and Theorem
+  19.
 
 Run with::
 
@@ -29,11 +31,9 @@ from __future__ import annotations
 import time
 
 from repro import default_parameters
-from repro.analysis.experiments import effective_parameters
-from repro.core.bounds import agreement_bound
+from repro.analysis.verification import audit, format_report
 from repro.runner import RunSpec, execute
 from repro.sim.roundengine import decline_reason
-from repro.topology.generators import make_topology
 
 CONTROL_N = 400
 FULL_N = 10_000
@@ -80,18 +80,13 @@ def main() -> None:
     result = execute(spec, engine="round")
     seconds = time.perf_counter() - start
     stats = result.trace.stats
-    topology = make_topology("hierarchy", FULL_N)
-    gamma = agreement_bound(effective_parameters(spec.params, topology))
-    skew = result.online("skew").max_skew
-    validity = result.online("validity").report()
     print(f"   {seconds:.1f}s wall clock, {stats.delivered:,} deliveries "
           f"({stats.delivered / seconds:,.0f}/s), {stats.relayed:,} relayed")
-    print(f"   online max skew {skew:.6f} vs topology-corrected gamma' "
-          f"{gamma:.6f} [{'pass' if skew <= gamma + 1e-9 else 'FAIL'}]")
-    print(f"   online validity: {validity.violations} violations over "
-          f"{validity.samples:,} samples "
-          f"[{'pass' if validity.holds else 'FAIL'}]")
-    assert skew <= gamma + 1e-9 and validity.holds
+    # result.params carry the topology-effective (delta', epsilon'), so the
+    # Theorem 16 row is judged against gamma'.
+    report = audit(result)
+    print(format_report(report))
+    assert report.all_passed
 
 
 if __name__ == "__main__":

@@ -18,7 +18,9 @@ unsynchronized control).  The harness sweeps the cartesian product
     algorithms × fault models × topologies
 
 through :class:`~repro.runner.spec.RunSpec` / the batch runner, audits every
-cell against the axioms, and checks bound compliance differentially: axiom
+cell against the axioms (the rows of
+:func:`repro.analysis.verification.check_axioms`, which ``net run`` reports
+too), and checks bound compliance differentially: axiom
 violations fail the matrix anywhere; bound violations fail it on *nonfaulty*
 configurations (where every algorithm promises its bound) and are recorded —
 not enforced — under fault injection, where the weaker baselines are
@@ -39,7 +41,6 @@ from ..core.bounds import adjustment_bound, agreement_bound
 from ..core.config import SyncParameters
 from ..runner.batch import BatchRunner
 from ..runner.spec import RunSpec
-from ..sim.recording import envelope_violations
 
 __all__ = [
     "ConformanceCase",
@@ -228,55 +229,20 @@ def check_conformance_run(result, case: ConformanceCase,
                           tolerance: float = 1e-9) -> ConformanceOutcome:
     """Audit one finished run against the axioms and its algorithm's bound."""
     from ..analysis.metrics import measured_agreement
-    from ..analysis.verification import ClaimCheck
+    from ..analysis.verification import ClaimCheck, check_axioms
 
     params: SyncParameters = result.params
     trace = result.trace
-    checks: List[ClaimCheck] = []
-
-    # A1: every physical clock's instantaneous rate stays in the ρ band.
-    low_rate, high_rate = rho_rate_bounds(params.rho)
-    probes = [result.end_time * index / 7.0 for index in range(8)]
-    worst_excess = 0.0
-    pids = sorted(set(trace.nonfaulty_ids) | set(trace.faulty_ids))
-    for pid in pids:
-        clock = trace.view(pid).physical_clock
-        for t in probes:
-            rate = clock.rate_at(t)
-            worst_excess = max(worst_excess, rate - high_rate,
-                               low_rate - rate)
-    worst_excess = max(0.0, worst_excess)
-    checks.append(ClaimCheck(
-        claim="axiom_a1_rate_bound",
-        bound=0.0, measured=worst_excess,
-        passed=worst_excess <= 1e-6 + tolerance,
-        detail=f"rates of {len(pids)} clocks probed at {len(probes)} times "
-               f"against [{low_rate:.6f}, {high_rate:.6f}]",
-    ))
-
-    # A2: the realized fault count respects n >= 3f' + 1.
-    faults = len(trace.faulty_ids)
-    checks.append(ClaimCheck(
-        claim="axiom_a2_fault_threshold",
-        bound=float((params.n - 1) // 3), measured=float(faults),
-        passed=params.n >= 3 * faults + 1,
-        detail=f"n={params.n}, {faults} faulty",
-    ))
-
-    # A3: every delivered end-to-end delay inside [δ−ε, δ+ε] (the effective
-    # envelope under a topology — result.params carries δ', ε').
     recorder = result.online("network")
     if recorder is None:
         raise ValueError(f"{case.label}: the conformance spec must attach "
                          f"the 'network' observer for the A3 audit")
-    offenders = envelope_violations(recorder.records, params.delta,
-                                    params.epsilon)
-    checks.append(ClaimCheck(
-        claim="axiom_a3_delay_envelope",
-        bound=0.0, measured=float(len(offenders)),
-        passed=not offenders,
-        detail=f"{len(recorder.records)} end-to-end records",
-    ))
+    # A1-A3 against the run's own (topology-effective) delta and epsilon.
+    pids = sorted(set(trace.nonfaulty_ids) | trace.faulty_ids)
+    checks: List[ClaimCheck] = check_axioms(
+        params, {pid: trace.view(pid).physical_clock for pid in pids},
+        len(trace.faulty_ids), recorder.records, result.end_time,
+        tolerance=tolerance)
 
     # The algorithm's own agreement bound over the settled window.
     start = result.tmax0 + settle_rounds * params.round_length

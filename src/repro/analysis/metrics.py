@@ -15,6 +15,13 @@ quantities the paper's theorems talk about:
 * **per-partition metrics** — agreement *inside* each side of a network
   partition, and the divergence *between* sides (what the topology
   subsystem's partition-and-heal experiments plot).
+
+The grid queries (agreement windows, validity envelopes, per-partition
+skew, divergence series) evaluate the whole grid through the trace's
+:class:`~repro.sim.traceindex.TraceIndex` — one merged sweep per process,
+optional numpy vectorization — and reduce in the seed implementation's
+operation order, so every float is bit-identical to the naive per-sample
+loops the tests keep as their oracle.
 """
 
 from __future__ import annotations
@@ -22,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.bounds import validity_envelope
 from ..core.config import SyncParameters
 from ..sim.trace import ExecutionTrace
 from ..telemetry import span
-from . import fastmetrics
 
 __all__ = [
     "sample_grid",
@@ -153,8 +160,8 @@ class ValidityReport:
         """Assemble a report from raw counts and per-process rate estimates.
 
         The single construction point shared by the batch grid sweep
-        (:func:`repro.analysis.fastmetrics.validity_report_on_grid`) and the
-        streaming observer (:class:`repro.analysis.online.OnlineValidity`),
+        (:func:`validity_report`) and the streaming observer
+        (:class:`repro.analysis.online.OnlineValidity`),
         so the empty-rates convention and min/max handling cannot drift
         between the two paths.
         """
@@ -172,12 +179,29 @@ def validity_report(trace: ExecutionTrace, params: SyncParameters, tmin0: float,
     for each nonfaulty process; Theorem 19 implies these rates stay within
     roughly ``[α₁, α₂]``.
 
-    Evaluated as a single grid sweep (see :mod:`repro.analysis.fastmetrics`);
-    bit-identical to the per-sample seed loop.
+    The local-time matrix is computed in one grid sweep instead of per
+    sample; the counting and rate arithmetic are the seed loop's, so the
+    report is bit-identical to it.
     """
     grid = sample_grid(start, end, samples)
-    return fastmetrics.validity_report_on_grid(trace, params, tmin0, tmax0,
-                                               grid, start, end)
+    pids = trace.nonfaulty_ids
+    rows = trace.index().local_times_rows(pids, grid)
+    violations = 0
+    total = 0
+    initial = params.initial_round_time
+    for position, t in enumerate(grid):
+        lower, upper = validity_envelope(params, t, tmin0, tmax0)
+        low = lower - 1e-9
+        high = upper + 1e-9
+        for row in rows:
+            elapsed = row[position] - initial
+            total += 1
+            if not (low <= elapsed <= high):
+                violations += 1
+    width = end - start
+    rates = [(trace.local_time(pid, end) - trace.local_time(pid, start))
+             / width for pid in pids]
+    return ValidityReport.from_counts(total, violations, rates)
 
 
 def startup_spread_series(trace: ExecutionTrace) -> List[float]:
@@ -223,8 +247,12 @@ def local_time_rate_estimates(trace: ExecutionTrace, start: float,
 # Per-partition metrics (the topology subsystem's partition experiments)
 # ---------------------------------------------------------------------------
 
-# The group-filtering semantics live in one place; fastmetrics owns them.
-_nonfaulty_groups = fastmetrics._nonfaulty_groups
+def _nonfaulty_groups(trace: ExecutionTrace,
+                      groups: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Each group's nonfaulty members, empty groups dropped."""
+    nonfaulty = set(trace.nonfaulty_ids)
+    filtered = [[pid for pid in group if pid in nonfaulty] for group in groups]
+    return [group for group in filtered if group]
 
 
 def group_skew(trace: ExecutionTrace, group: Sequence[int], t: float) -> float:
@@ -249,7 +277,9 @@ def per_partition_agreement(trace: ExecutionTrace,
     per-sample loop).
     """
     grid = sample_grid(start, end, samples)
-    return fastmetrics.per_partition_agreement_on_grid(trace, groups, grid)
+    index = trace.index()
+    return {position: index.max_skew(group, grid)
+            for position, group in enumerate(_nonfaulty_groups(trace, groups))}
 
 
 def cross_group_divergence(trace: ExecutionTrace,
@@ -274,8 +304,20 @@ def divergence_series(trace: ExecutionTrace, groups: Sequence[Sequence[int]],
                       ) -> List[Tuple[float, float]]:
     """(real time, cross-group divergence) samples over a window.
 
-    Batched over the grid (bit-identical to calling
-    :func:`cross_group_divergence` per sample).
+    Batched over the grid, with the centroid sums in the seed's sequential
+    within-group order, so it is bit-identical to calling
+    :func:`cross_group_divergence` per sample.
     """
-    return fastmetrics.divergence_series_on_grid(
-        trace, groups, sample_grid(start, end, samples))
+    grid = sample_grid(start, end, samples)
+    filtered = _nonfaulty_groups(trace, groups)
+    if len(filtered) < 2:
+        return [(t, 0.0) for t in grid]
+    index = trace.index()
+    group_rows = [(index.local_times_rows(group, grid), len(group))
+                  for group in filtered]
+    series: List[Tuple[float, float]] = []
+    for position, t in enumerate(grid):
+        centroids = [sum(row[position] for row in rows) / size
+                     for rows, size in group_rows]
+        series.append((t, max(centroids) - min(centroids)))
+    return series

@@ -1,7 +1,6 @@
 """Streaming (online) forms of the metrics engine — O(n) memory per observer.
 
-The batch metrics in :mod:`repro.analysis.metrics` /
-:mod:`repro.analysis.fastmetrics` need a finished
+The batch metrics in :mod:`repro.analysis.metrics` need a finished
 :class:`~repro.sim.trace.ExecutionTrace`; these observers compute the same
 quantities *while the run happens*, from nothing but per-process
 last-correction state:

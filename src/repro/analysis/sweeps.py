@@ -27,7 +27,7 @@ means with ``*_ci95`` half-width columns), ``jobs``, ``progress`` and
 ``on_result``.
 
 Per-point measurement (agreement windows, spread series) runs on the batched
-trace-reconstruction fast path (:mod:`repro.analysis.fastmetrics`), so the
+trace-reconstruction fast path (:mod:`repro.sim.traceindex`), so the
 metric cost no longer dominates wide sweeps; combined with ``jobs=N``
 fan-out this is the "as fast as the hardware allows" configuration.
 """

@@ -5,20 +5,22 @@ Two deployment shapes around :class:`~repro.net.peer.NetPeer`:
 * :func:`run_loopback_cluster` — **single process**: n peers as asyncio
   tasks on one event loop, TCP over loopback, one shared monotonic axis.
   Because every stamp lives on one axis, one-way delays are *measured
-  exactly*, the PR-4 online observers (:class:`~repro.analysis.online.
+  exactly*, the online observers (:class:`~repro.analysis.online.
   OnlineSkew` / :class:`~repro.analysis.online.OnlineValidity`) receive
   corrections in nondecreasing real-time order (single-threaded loop), and
-  the A1–A3 audits plus the Theorem 16 agreement bound γ re-run against the
-  *measured* delay envelope.  This is the conformance harness pointed at a
-  real (if colocated) deployment, and the acceptance path of ``repro net
-  run``.
+  the conformance harness's A1–A3 rows plus the Theorem 16/19 rows
+  (:mod:`repro.analysis.verification`) are judged against the *measured*
+  delay envelope.  This is the conformance harness pointed at a real (if
+  colocated) deployment, and the acceptance path of ``repro net run``.
 * :func:`serve_peer` — **one OS process per peer** (``repro net serve``),
   the multi-host building block.  No shared clock exists, so measurement
   falls back to RTT/2 and peer 0 acts as leader: it aggregates envelope
   summaries, derives one agreed :class:`~repro.core.config.SyncParameters`,
   broadcasts it with a go time, and after the run estimates cross-process
   skew with probe round-trips (accurate to about the measured ε — the
-  fundamental limit the paper's lower bound formalizes).
+  fundamental limit the paper's lower bound formalizes).  The leader judges
+  that estimate as a Theorem 16 row, γ with the probe's ε as tolerance, and
+  exits 1 when it fails.
 
 Each phase of either shape is ordinary await-able code: measurement →
 parameter derivation → synchronized rounds → audit.  A cluster run is *not*
@@ -38,10 +40,15 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.metrics import sample_grid
 from ..analysis.online import OnlineSkew, OnlineValidity
-from ..clocks.base import rho_rate_bounds
+from ..analysis.verification import (
+    TheoremReport,
+    agreement_check,
+    check_axioms,
+    validity_check,
+)
 from ..core.bounds import agreement_bound
 from ..core.config import SyncParameters
-from ..sim.recording import MessageRecord, envelope_violations
+from ..sim.recording import MessageRecord
 from .measure import DelayEnvelope, MeasuredEnvelope
 from .peer import Axis, NetPeer, PeerConfig, make_net_clock
 
@@ -65,11 +72,11 @@ DEFAULT_SAMPLES = 200
 class NetRunResult:
     """Everything a measured cluster run produced.
 
-    The shape deliberately mirrors the simulator's audit outputs: a skew
-    envelope against the Theorem 16 γ, a Theorem 19 validity report, and
-    the A1–A3 axiom audits — all computed from *measured* delays, so the
-    same acceptance questions the conformance harness asks of a simulation
-    can be asked of a deployment.
+    ``report`` holds the run's claim rows, built by the same functions that
+    audit simulated runs: the conformance harness's A1–A3 rows, Theorem 16
+    against γ on the measured envelope (no tolerance: the shared axis makes
+    the skew exact) and Theorem 19 from the online validity observer.  The
+    verdict (``passed``) and the ``audits`` summary both read those rows.
     """
 
     n: int
@@ -79,11 +86,11 @@ class NetRunResult:
     params: SyncParameters
     envelope: DelayEnvelope
     rounds: int
-    max_skew: float
-    skew_bound: float  # Theorem 16 γ on the measured envelope
     skew_samples: int
-    validity: Optional[Dict[str, Any]]
-    audits: Dict[str, Any]
+    validity: Dict[str, Any]
+    report: TheoremReport
+    #: delay records the A3 row judged: the pings, then the sync frames.
+    a3_records: int
     messages_sent: int
     wall_seconds: float
     spec: Any = None
@@ -95,22 +102,33 @@ class NetRunResult:
         return self.messages_sent / self.wall_seconds
 
     @property
-    def agreement_holds(self) -> bool:
-        return self.max_skew <= self.skew_bound
+    def max_skew(self) -> float:
+        return self.report.check("theorem16_agreement").measured
 
     @property
-    def audits_pass(self) -> bool:
-        checks = [self.audits.get("a1_rho_bounded", False),
-                  self.audits.get("a2_quorum", False),
-                  self.audits.get("a3_envelope", False)]
-        return all(checks)
+    def skew_bound(self) -> float:
+        """Theorem 16's γ on the measured envelope."""
+        return self.report.check("theorem16_agreement").bound
+
+    @property
+    def agreement_holds(self) -> bool:
+        return self.report.check("theorem16_agreement").passed
+
+    @property
+    def audits(self) -> Dict[str, Any]:
+        """The axiom verdicts under their established keys."""
+        a3 = self.report.check("axiom_a3_delay_envelope")
+        return {
+            "a1_rho_bounded": self.report.check("axiom_a1_rate_bound").passed,
+            "a2_quorum": self.report.check("axiom_a2_fault_threshold").passed,
+            "a3_envelope": a3.passed,
+            "a3_violations": int(a3.measured),
+            "a3_records": self.a3_records,
+        }
 
     @property
     def passed(self) -> bool:
-        ok = self.agreement_holds and self.audits_pass
-        if self.validity is not None:
-            ok = ok and bool(self.validity.get("holds", False))
-        return ok
+        return self.report.all_passed
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -159,11 +177,6 @@ class _ObserverHub:
     def finalize(self) -> None:
         for observer in self.observers:
             observer.on_finalize()
-
-
-def _check_a1(clocks: Dict[int, Any], rho: float) -> bool:
-    lo, hi = rho_rate_bounds(rho)
-    return all(lo <= clock.rate <= hi for clock in clocks.values())
 
 
 def _plan_rounds(round_length: float, duration: Optional[float],
@@ -239,28 +252,26 @@ async def _run_loopback(n: int, f: int, seed: int, rho: float,
             for peer in peers))
         hub.finalize()
 
-        # Phase 3 — audits on the measured evidence.
+        # Phase 3 — the claim rows on the measured evidence; f peers are
+        # what A2 admits (none is injected faulty).
         sync_records: List[MessageRecord] = []
         for peer in peers:
             sync_records.extend(peer.sync_records)
         evidence = merged.records + sync_records
-        violations = envelope_violations(evidence, envelope.delta,
-                                         envelope.epsilon)
-        audits = {
-            "a1_rho_bounded": _check_a1(clocks, rho),
-            "a2_quorum": n >= 3 * f + 1,
-            "a3_envelope": not violations,
-            "a3_violations": len(violations),
-            "a3_records": len(evidence),
-        }
+        checks = check_axioms(params, clocks, f, evidence, end)
+        checks.append(agreement_check(
+            agreement_bound(params), skew.max_skew, tolerance=0.0,
+            detail=f"{skew.samples} online samples, shared axis"))
+        checks.append(validity_check(validity.report()))
         wall = time.perf_counter() - wall_start
         messages = sum(peer.frames_sent for peer in peers)
         result = NetRunResult(
             n=n, f=f, seed=seed, mode="asyncio", params=params,
-            envelope=envelope, rounds=rounds,
-            max_skew=skew.max_skew, skew_bound=agreement_bound(params),
-            skew_samples=skew.samples, validity=validity.result(),
-            audits=audits, messages_sent=messages, wall_seconds=wall)
+            envelope=envelope, rounds=rounds, skew_samples=skew.samples,
+            validity=validity.result(),
+            report=TheoremReport(params=params, checks=checks),
+            a3_records=len(evidence), messages_sent=messages,
+            wall_seconds=wall)
         _count_telemetry(result, hub.corrections)
         return result
     finally:
@@ -279,8 +290,7 @@ def _count_telemetry(result: NetRunResult, corrections: int) -> None:
     registry.counter("net.runs").inc()
     registry.counter("net.frames_sent").inc(result.messages_sent)
     registry.counter("net.corrections").inc(corrections)
-    registry.counter("net.a3_violations").inc(
-        result.audits.get("a3_violations", 0))
+    registry.counter("net.a3_violations").inc(result.audits["a3_violations"])
 
 
 def run_loopback_cluster(n: int, f: Optional[int] = None, seed: int = 0,
@@ -396,6 +406,28 @@ def _params_from_frame(body: Dict[str, Any]) -> SyncParameters:
         initial_round_time=0.0)
 
 
+def _leader_report(config: ServeConfig, params: SyncParameters, rounds: int,
+                   skew_estimate: float, messages_sent: int) -> Dict[str, Any]:
+    """The leader's JSON line, verdict included.
+
+    The probe estimates cross-process skew to about the measured ε, so the
+    estimate is judged as a Theorem 16 row against γ with ε of tolerance.
+    """
+    check = agreement_check(agreement_bound(params), skew_estimate,
+                            tolerance=params.epsilon,
+                            detail="post-run probe, accurate to about epsilon")
+    return {
+        "mode": "process", "n": config.n, "f": config.f,
+        "rounds": rounds, "delta_measured": params.delta,
+        "epsilon_measured": params.epsilon,
+        "skew_estimate": skew_estimate,
+        "probe_accuracy": params.epsilon,
+        "skew_bound": check.bound,
+        "messages_sent": messages_sent,
+        "passed": check.passed,
+    }
+
+
 async def _serve(config: ServeConfig) -> int:
     pid, n = config.pid, config.n
     leader = pid == 0
@@ -460,33 +492,29 @@ async def _serve(config: ServeConfig) -> int:
                 offsets[sender] = float(body["local"]) \
                     - peer.local_time(midpoint)
             skew_estimate = max(offsets.values()) - min(offsets.values())
-            gamma = agreement_bound(params)
-            report = {
-                "mode": "process", "n": n, "f": config.f,
-                "rounds": rounds, "delta_measured": params.delta,
-                "epsilon_measured": params.epsilon,
-                "skew_estimate": skew_estimate,
-                "probe_accuracy": params.epsilon,
-                "skew_bound": gamma,
-                "messages_sent": peer.frames_sent,
-            }
+            report = _leader_report(config, params, rounds, skew_estimate,
+                                    peer.frames_sent)
             print(json.dumps(report, sort_keys=True))
             for q in range(1, n):
                 peer._post(q, {"type": "shutdown"})
-        else:
-            await _drain_control(peer, "shutdown", 1,
-                                 (config.duration or 30.0) + 60.0)
-            print(json.dumps({"mode": "process", "pid": pid,
-                              "rounds": peer.round_index,
-                              "messages_sent": peer.frames_sent},
-                             sort_keys=True))
+            return 0 if report["passed"] else 1
+        await _drain_control(peer, "shutdown", 1,
+                             (config.duration or 30.0) + 60.0)
+        print(json.dumps({"mode": "process", "pid": pid,
+                          "rounds": peer.round_index,
+                          "messages_sent": peer.frames_sent},
+                         sort_keys=True))
         return 0
     finally:
         await peer.close()
 
 
 def serve_peer(config: ServeConfig) -> int:
-    """Run one serve-mode peer to completion (blocking); the exit code."""
+    """Run one serve-mode peer to completion (blocking); the exit code.
+
+    Followers return 0.  The leader returns 1 when its post-run skew
+    estimate exceeds γ plus the probe's accuracy, else 0.
+    """
     if config.pid < 0 or config.pid >= config.n:
         raise ValueError(f"pid {config.pid} outside the {config.n}-entry "
                          f"host list")

@@ -23,8 +23,8 @@ Reconstruction queries (``local_time``, ``skew_series``, ``max_skew``) run on
 a lazily built :class:`~repro.sim.traceindex.TraceIndex` — precomputed
 per-process breakpoint arrays evaluated in one merged sweep per grid, with an
 optional numpy path — and are guaranteed bit-identical to the naive
-per-sample reconstruction (see :mod:`repro.analysis.slowpath` and the
-fast-path equivalence tests).
+per-sample reconstruction (the fast-path equivalence tests keep it as their
+oracle, ``tests/slowpath.py``).
 
 Results cross the worker pool's pipes and the result store as pickles, so a
 trace pickles as flat columns: :meth:`ExecutionTrace.__reduce__` sends the

@@ -19,9 +19,18 @@ from typing import Dict, List, Tuple, Union
 from .base import Topology
 from .generators import TOPOLOGY_GENERATORS, make_topology, topology_names
 
-__all__ = ["parse_topology_spec", "build_topology", "describe_topologies"]
+__all__ = ["TopologySpecError", "parse_topology_spec", "build_topology",
+           "describe_topologies"]
 
 OptionValue = Union[int, float, bool, str]
+
+
+class TopologySpecError(ValueError):
+    """A spec string that is empty, malformed or names no generator.
+
+    A usage error wherever the string came from (``--topology``, a sweep's
+    ``--values``), which the CLI reports in one line with exit status 2.
+    """
 
 
 def _parse_value(raw: str) -> OptionValue:
@@ -40,20 +49,20 @@ def parse_topology_spec(spec: str) -> Tuple[str, Dict[str, OptionValue]]:
     """Split ``kind[:key=value,...]`` into the generator name and its options."""
     spec = spec.strip()
     if not spec:
-        raise ValueError("empty topology spec")
+        raise TopologySpecError("empty topology spec")
     kind, _, tail = spec.partition(":")
     kind = kind.strip()
     if kind not in TOPOLOGY_GENERATORS:
-        raise ValueError(f"unknown topology {kind!r}; "
-                         f"choose from {', '.join(topology_names())}")
+        raise TopologySpecError(f"unknown topology {kind!r}; choose from "
+                                f"{', '.join(topology_names())}")
     options: Dict[str, OptionValue] = {}
     if tail:
         for item in tail.split(","):
             key, separator, raw = item.partition("=")
             key = key.strip()
             if not separator or not key:
-                raise ValueError(f"malformed topology option {item!r} "
-                                 f"(expected key=value)")
+                raise TopologySpecError(
+                    f"malformed topology option {item!r} (expected key=value)")
             options[key] = _parse_value(raw.strip())
     return kind, options
 

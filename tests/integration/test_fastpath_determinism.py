@@ -14,7 +14,7 @@ Two guarantees are pinned here:
    a snapshot/restore split and a mid-run ``replace_process``.
 
 2. **Metrics**: the indexed/vectorized reconstruction equals the frozen seed
-   implementations (``repro.analysis.slowpath``) on the traces the real
+   implementations (``tests/slowpath.py``) on the traces the real
    algorithms produce, faults and drops included.
 """
 
@@ -22,7 +22,6 @@ import pytest
 
 from repro.adversary.delays import build_adversarial_delay_model
 from repro.analysis import default_parameters, run_maintenance_scenario
-from repro.analysis import slowpath
 from repro.analysis.experiments import make_fault_process
 from repro.analysis.metrics import measured_agreement, sample_grid
 from repro.clocks import make_clock_ensemble
@@ -38,6 +37,8 @@ from repro.sim.network import (
 )
 from repro.sim.recording import NetworkRecorder
 from repro.topology.generators import ring
+
+import slowpath
 
 
 class SeedPathSystem(System):

@@ -1,8 +1,8 @@
 """Hypothesis guards for the fast path's bit-identical guarantee.
 
-The indexed/vectorized reconstruction (``repro.sim.traceindex`` +
-``repro.analysis.fastmetrics``) must return exactly the floats the seed
-implementation (frozen in ``repro.analysis.slowpath``) returns, for every
+The indexed/vectorized reconstruction (``repro.sim.traceindex`` and the
+grid queries of ``repro.analysis.metrics``) must return exactly the floats
+the seed implementation (frozen in ``tests/slowpath.py``) returns, for every
 history shape, drift model, and grid — and the tuple-based event queue must
 preserve execution property 4 (TIMER messages deliver after non-TIMER
 messages at the same real time) with deterministic FIFO tie-breaking.  The
@@ -17,7 +17,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import slowpath
 from repro.analysis.metrics import (
     measured_agreement,
     per_partition_agreement,
@@ -36,6 +35,8 @@ from repro.multiset.operations import Multiset, fault_tolerant_midpoint
 from repro.sim import EventQueue, ExecutionTrace, Message, MessageKind, MessageStats
 from repro.sim import UniformDelayModel
 from repro.sim import traceindex
+
+import slowpath
 
 RHO = 1e-4
 PARAMS = SyncParameters.derive(n=4, f=1, rho=RHO, delta=0.01, epsilon=0.002)

@@ -23,6 +23,7 @@ from repro.analysis.metrics import (
     validity_report,
 )
 from repro.analysis.online import OnlineSkew, OnlineValidity, build_observers
+from repro.analysis.verification import check_maintenance_run, check_online_run
 from repro.core.config import SyncParameters
 from repro.sim import traceindex
 
@@ -112,12 +113,23 @@ class TestOnlineEqualsBatch:
     @given(config=scenario_configs())
     def test_full_audit_window_agreement(self, backend, config):
         def factory(system, starts, end, params):
-            return build_observers(("skew",), system, params, starts, end)
+            return build_observers(("skew", "validity"), system, params,
+                                   starts, end)
 
         result = _run(config, factory)
         start = result.tmax0 + result.params.round_length
         assert result.observers["skew"].max_skew == measured_agreement(
             result.trace, start, result.end_time, samples=200)
+        # The online rows a streamed run's audit() returns are the trace
+        # audit's Theorem 16/19 rows: same bound, same value, same verdict.
+        online = check_online_run(result)
+        traced = check_maintenance_run(result)
+        assert [check.claim for check in online.checks] == [
+            "theorem16_agreement", "theorem19_validity"]
+        for row in online.checks:
+            reference = traced.check(row.claim)
+            assert (row.bound, row.measured, row.passed) == (
+                reference.bound, reference.measured, reference.passed)
 
 
 class TestCheckpointInvariance:

@@ -29,12 +29,13 @@ from repro.adversary.shifting import (
     indistinguishability_report,
     shift_execution,
 )
-from repro.analysis import slowpath
 from repro.clocks import ConstantRateClock, CorrectionHistory, rho_rate_bounds
 from repro.sim import ExecutionTrace, MessageStats
 from repro.sim import traceindex
 from repro.sim.recording import MessageRecord
 from repro.sim.trace import TraceEvent
+
+import slowpath
 
 RHO = 1e-4
 

@@ -18,11 +18,11 @@ from __future__ import annotations
 import bisect
 from typing import Dict, List, Sequence, Tuple
 
-from ..clocks.logical import CorrectionHistory
-from ..core.bounds import validity_envelope
-from ..core.config import SyncParameters
-from ..sim.trace import ExecutionTrace
-from .metrics import ValidityReport, sample_grid
+from repro.analysis.metrics import ValidityReport, sample_grid
+from repro.clocks.logical import CorrectionHistory
+from repro.core.bounds import validity_envelope
+from repro.core.config import SyncParameters
+from repro.sim.trace import ExecutionTrace
 
 __all__ = [
     "seed_correction_at",

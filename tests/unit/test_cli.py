@@ -63,7 +63,9 @@ class TestStreamingRun:
         out = capsys.readouterr().out
         assert code == 0
         assert "streaming (no trace)" in out
-        assert "online agreement" in out and "online validity" in out
+        assert "theorem16_agreement" in out and "theorem19_validity" in out
+        assert "theorem4a_adjustment" not in out  # no trace, no Theorem 4
+        assert "all claims hold" in out
 
     def test_no_trace_requires_auditing_observers(self, capsys):
         code = main(["run", "--no-trace", "--observe", "network",
@@ -118,6 +120,10 @@ class TestTopologiesCommand:
             assert name in out
 
 
+_BAD_TOPOLOGY = "unknown topology 'moebius'; choose from "
+_BELOW_A2 = "assumption A2 requires n >= 3f + 1"
+
+
 class TestRunCommand:
     def test_run_prints_audit_and_succeeds(self, capsys):
         exit_code = main(["run", "--rounds", "5", "--seed", "1"])
@@ -150,9 +156,30 @@ class TestRunCommand:
         assert "effective envelope" in out
         assert "all claims hold" in out
 
-    def test_run_rejects_bad_topology_spec(self):
-        with pytest.raises(ValueError):
-            main(["run", "--topology", "moebius", "--rounds", "4"])
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--rounds", "4", "--topology", "moebius"], _BAD_TOPOLOGY),
+        (["run", "--no-trace", "--rounds", "4", "--topology", "moebius"],
+         _BAD_TOPOLOGY),
+        (["startup", "--rounds", "4", "--topology", "moebius"],
+         _BAD_TOPOLOGY),
+        (["compare", "--rounds", "4", "--topology", "moebius"],
+         _BAD_TOPOLOGY),
+        (["sweep", "--axis", "topology", "--rounds", "3", "--values",
+          "moebius"], _BAD_TOPOLOGY),
+        (["run", "-n", "4", "-f", "2"], _BELOW_A2),
+        (["startup", "-n", "4", "-f", "2"], _BELOW_A2),
+        (["compare", "-n", "4", "-f", "2"], _BELOW_A2),
+        (["sweep", "--axis", "epsilon", "--values", "abc"],
+         "--values: could not convert string to float: 'abc'"),
+    ], ids=["topology-run", "topology-run-no-trace", "topology-startup",
+            "topology-compare", "topology-sweep", "a2-run", "a2-startup",
+            "a2-compare", "sweep-values"])
+    def test_bad_input_is_a_usage_error(self, argv, message, capsys):
+        # Exit 1 is reserved for a violated paper claim.
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert len(err.splitlines()) == 1
 
     def test_run_partition_heal_workload(self, capsys):
         exit_code = main(["run", "--workload", "partition-heal",
@@ -212,6 +239,54 @@ class TestRunReplicated:
         # Identical numbers; only the reported job count may differ.
         assert (serial.replace("jobs=1", "jobs=2")
                 == parallel)
+
+
+_TRACED_CLAIMS = ("theorem4a_adjustment", "theorem4c_round_spread",
+                  "theorem16_agreement", "theorem19_validity")
+_ONLINE_CLAIMS = ("theorem16_agreement", "theorem19_validity")
+_STREAMED = ["--no-trace", "--observe", "skew,validity"]
+
+
+class TestOneVerdict:
+    """Every run mode prints audit()'s claims and exits by them."""
+
+    MODES = {
+        "lone-traced": (["run", "--rounds", "4"], _TRACED_CLAIMS),
+        "lone-streamed": (["run", "--rounds", "4", *_STREAMED],
+                          _ONLINE_CLAIMS),
+        "round-engine": (["run", "--rounds", "4", *_STREAMED,
+                          "--round-engine"], _ONLINE_CLAIMS),
+        "replicated-traced": (["run", "--rounds", "4", "--replicate-seeds",
+                               "0", "1"], _TRACED_CLAIMS),
+        "replicated-streamed": (["run", "--rounds", "4", *_STREAMED,
+                                 "--replicate-seeds", "0", "1"],
+                                _ONLINE_CLAIMS),
+        "partition-heal": (["run", "--workload", "partition-heal",
+                            "--rounds", "10"],
+                           ("partition_divergence", "lemma20_heal_round_0",
+                            "healed_agreement")),
+    }
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_exit_status_comes_from_the_audit(self, mode, capsys,
+                                              monkeypatch):
+        import repro.analysis.verification as verification
+
+        argv, claims = self.MODES[mode]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        for claim in claims:
+            assert claim in out
+        if claims == _ONLINE_CLAIMS:  # no trace, no Theorem 4 rows
+            assert "theorem4a_adjustment" not in out
+            assert "theorem4c_round_spread" not in out
+        assert "VIOLATED" not in out
+        # A zero agreement bound breaks Theorem 16 (healed_agreement for
+        # the partition-heal run) in every mode, and only the audit sees it.
+        monkeypatch.setattr(verification, "agreement_bound",
+                            lambda params: 0.0)
+        assert main(argv) == 1
+        assert "VIOLATED" in capsys.readouterr().out
 
 
 class TestStartupCommand:

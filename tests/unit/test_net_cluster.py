@@ -7,8 +7,13 @@ the bound derived from the measured envelope, audits clean — rather than
 bit-exact values, which real schedulers do not replay.
 """
 
+import asyncio
+import json
+import socket
+
 import pytest
 
+from repro.core.bounds import agreement_bound
 from repro.core.config import SyncParameters
 from repro.net import (
     NetPeer,
@@ -17,7 +22,9 @@ from repro.net import (
     make_net_clock,
     run_loopback_cluster,
 )
+from repro.net import cluster
 from repro.net.cluster import (
+    _leader_report,
     _params_frame,
     _params_from_frame,
     _plan_rounds,
@@ -150,6 +157,18 @@ class TestLoopbackCluster:
         assert result.audits["a3_envelope"]
         assert result.validity["holds"]
         assert result.passed
+        # The verdict reads the claim rows: conformance's A1-A3 names, then
+        # Theorem 16 on the measured gamma and Theorem 19.
+        assert [check.claim for check in result.report.checks] == [
+            "axiom_a1_rate_bound", "axiom_a2_fault_threshold",
+            "axiom_a3_delay_envelope", "theorem16_agreement",
+            "theorem19_validity"]
+        assert result.report.all_passed
+        assert set(result.audits) == {"a1_rho_bounded", "a2_quorum",
+                                      "a3_envelope", "a3_violations",
+                                      "a3_records"}
+        assert result.audits["a3_violations"] == 0
+        assert result.audits["a3_records"] > result.envelope.samples
         assert result.messages_sent > 0 and result.msgs_per_second > 0
         data = result.as_dict()
         assert data["passed"] and data["agreement_holds"]
@@ -169,6 +188,65 @@ class TestLoopbackCluster:
         # duration/P with a floor of 3; P is measured, so just the floor
         assert result.rounds >= 3
         assert result.passed
+
+
+def _free_ports(count):
+    sockets = [socket.socket() for _ in range(count)]
+    for sock in sockets:
+        sock.bind(("127.0.0.1", 0))
+    ports = [sock.getsockname()[1] for sock in sockets]
+    for sock in sockets:
+        sock.close()
+    return ports
+
+
+class TestServeVerdict:
+    """net serve's leader judges its skew probe as a Theorem 16 row."""
+
+    CONFIG = ServeConfig(pid=0, hosts=[("127.0.0.1", 9001),
+                                       ("127.0.0.1", 9002),
+                                       ("127.0.0.1", 9003)])
+
+    @staticmethod
+    def params():
+        return SyncParameters.derive(n=3, f=0, rho=1e-5, delta=1e-2,
+                                     epsilon=5e-3)
+
+    def test_estimate_within_gamma_plus_probe_accuracy_passes(self):
+        params = self.params()
+        gamma = agreement_bound(params)
+        report = _leader_report(self.CONFIG, params, 3,
+                                gamma + 0.5 * params.epsilon, 10)
+        assert report["passed"] is True
+        assert report["skew_bound"] == gamma
+        assert report["probe_accuracy"] == params.epsilon
+
+    def test_estimate_past_the_probe_accuracy_fails(self):
+        params = self.params()
+        estimate = agreement_bound(params) + 2.0 * params.epsilon
+        report = _leader_report(self.CONFIG, params, 3, estimate, 10)
+        assert report["passed"] is False
+        assert report["skew_estimate"] == estimate
+
+    def test_leader_exits_1_when_its_verdict_fails(self, monkeypatch,
+                                                   capsys):
+        # Two serve peers in one event loop over loopback TCP.  A negative
+        # gamma fails every estimate, so the leader returns 1 and the
+        # follower, which judges nothing, returns 0.
+        monkeypatch.setattr(cluster, "agreement_bound", lambda params: -1.0)
+        hosts = [("127.0.0.1", port) for port in _free_ports(2)]
+
+        async def both():
+            return await asyncio.gather(*(
+                cluster._serve(ServeConfig(pid=pid, hosts=hosts, rounds=1,
+                                           pings=1))
+                for pid in range(2)))
+
+        assert asyncio.run(both()) == [1, 0]
+        lines = [json.loads(line)
+                 for line in capsys.readouterr().out.splitlines()]
+        leader = next(line for line in lines if "skew_estimate" in line)
+        assert leader["passed"] is False and leader["skew_bound"] == -1.0
 
 
 class TestPeerUnits:

@@ -23,6 +23,7 @@ from repro.topology import (
     star,
     topology_names,
 )
+from repro.topology.spec import TopologySpecError
 
 
 class TestTopologyBasics:
@@ -178,11 +179,12 @@ class TestSpecs:
         assert options == {"clusters": 3, "bridges": 2}
 
     def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
+        # TopologySpecError (a ValueError) is what the CLI turns into exit 2.
+        with pytest.raises(TopologySpecError):
             parse_topology_spec("")
-        with pytest.raises(ValueError):
+        with pytest.raises(TopologySpecError):
             parse_topology_spec("moebius")
-        with pytest.raises(ValueError):
+        with pytest.raises(TopologySpecError):
             parse_topology_spec("ring:oops")
 
     def test_build_topology_passthrough(self):
