@@ -505,7 +505,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             spec = dataclasses.replace(spec, max_events=args.max_events)
         rep = None
         if args.replicate_seeds:
-            rep = replicate(spec, args.replicate_seeds,
+            rep = replicate(spec, args.replicate_seeds, samples=args.samples,
                             runner=BatchRunner(jobs=args.jobs,
                                                engine=args.engine))
     except ValueError as error:

@@ -7,8 +7,10 @@ Two deployment shapes around :class:`~repro.net.peer.NetPeer`:
   Because every stamp lives on one axis, one-way delays are *measured
   exactly*, the online observers (:class:`~repro.analysis.online.
   OnlineSkew` / :class:`~repro.analysis.online.OnlineValidity`) receive
-  corrections in nondecreasing real-time order (single-threaded loop), and
-  the conformance harness's A1–A3 rows plus the Theorem 16/19 rows
+  each peer's corrections from its hosted
+  :class:`~repro.core.maintenance.WelchLynchProcess` in nondecreasing
+  real-time order (single-threaded loop), and the conformance harness's
+  A1–A3 rows plus the Theorem 16/19 rows
   (:mod:`repro.analysis.verification`) are judged against the *measured*
   delay envelope.  This is the conformance harness pointed at a real (if
   colocated) deployment, and the acceptance path of ``repro net run``.
@@ -36,7 +38,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..analysis.metrics import sample_grid
 from ..analysis.online import OnlineSkew, OnlineValidity
@@ -155,30 +157,6 @@ class NetRunResult:
         }
 
 
-class _ObserverHub:
-    """Fans peer corrections out to the online observers, in arrival order.
-
-    The event loop is single-threaded, so corrections reach the hub in
-    nondecreasing real-time order — the exactness contract of
-    :class:`~repro.analysis.online._GridObserver`.
-    """
-
-    def __init__(self, observers: Sequence[Any]):
-        self.observers = list(observers)
-        self.corrections = 0
-
-    def __call__(self, pid: int, real_time: float, adjustment: float,
-                 new_correction: float, round_index: int) -> None:
-        self.corrections += 1
-        for observer in self.observers:
-            observer.on_correction(pid, real_time, adjustment,
-                                   new_correction, round_index)
-
-    def finalize(self) -> None:
-        for observer in self.observers:
-            observer.on_finalize()
-
-
 def _plan_rounds(round_length: float, duration: Optional[float],
                  rounds_cap: Optional[int]) -> int:
     """How many BCAST/UPDATE rounds to run.
@@ -245,12 +223,12 @@ async def _run_loopback(n: int, f: int, seed: int, rho: float,
             grid=sample_grid(start, end, max(50, samples // 2)),
             start=start, end=end, pids=pids)
         validity.bind_clocks(clocks, zero_corr)
-        hub = _ObserverHub([skew, validity])
         await asyncio.gather(*(
             peer.run_sync(params, clocks[peer.pid], rounds,
-                          on_correction=hub)
+                          observers=(skew, validity))
             for peer in peers))
-        hub.finalize()
+        skew.on_finalize()
+        validity.on_finalize()
 
         # Phase 3 — the claim rows on the measured evidence; f peers are
         # what A2 admits (none is injected faulty).
@@ -272,7 +250,8 @@ async def _run_loopback(n: int, f: int, seed: int, rho: float,
             report=TheoremReport(params=params, checks=checks),
             a3_records=len(evidence), messages_sent=messages,
             wall_seconds=wall)
-        _count_telemetry(result, hub.corrections)
+        _count_telemetry(result, sum(peer.process.round_index
+                                     for peer in peers))
         return result
     finally:
         await asyncio.gather(*(peer.close() for peer in peers),
@@ -501,7 +480,7 @@ async def _serve(config: ServeConfig) -> int:
         await _drain_control(peer, "shutdown", 1,
                              (config.duration or 30.0) + 60.0)
         print(json.dumps({"mode": "process", "pid": pid,
-                          "rounds": peer.round_index,
+                          "rounds": peer.process.round_index,
                           "messages_sent": peer.frames_sent},
                          sort_keys=True))
         return 0

@@ -1,26 +1,34 @@
 """One clock-synchronization peer over real TCP sockets.
 
-:class:`NetPeer` is the Section 4.2 maintenance algorithm
-(:class:`~repro.core.maintenance.WelchLynchProcess` logic) re-hosted from the
-discrete-event simulator onto an asyncio event loop with real sockets and
-real ``time.monotonic()`` time:
+:class:`NetPeer` hosts the Section 4.2 maintenance algorithm, the
+simulator's own :class:`~repro.core.maintenance.WelchLynchProcess`, on an
+asyncio event loop with real sockets and real ``time.monotonic()`` time.
+Like the simulator's ``System`` it answers the process's
+:class:`~repro.sim.process.ProcessContext` calls, and each interrupt is one
+step at one axis time:
 
 * the *physical clock* is a real :class:`~repro.clocks.drift.ConstantRateClock`
   over the monotonic axis — drift is injected by the seeded (offset, rate)
-  pair, exactly the clock model the simulator and the observer pipeline
-  already understand (``Ph_p(t) = offset_p + rate_p · t``);
-* a *timer for local time X* becomes ``asyncio.sleep`` until the exact real
-  time ``t = (X − CORR − offset)/rate`` at which the logical clock reads X;
-* a *broadcast* writes one length-prefixed JSON frame
-  (:mod:`repro.net.wire`) to every peer **including itself** — the paper's
-  model delivers a process its own broadcast with a real network delay, and
-  so does a loopback TCP connection to one's own server;
-* ``receive(m) from q: ARR[q] := local-time()`` runs in the reader task of
-  the q→p connection, stamped at frame arrival.
+  pair (``Ph_p(t) = offset_p + rate_p · t``); ``local_time`` adds CORR;
+* ``set_timer(X)`` is a ``loop.call_later`` step at the real time
+  ``t = (X − CORR − offset)/rate`` at which the logical clock reads X;
+* ``broadcast`` writes one length-prefixed JSON frame (:mod:`repro.net.wire`)
+  to every peer **including itself** — the paper's model delivers a process
+  its own broadcast with a real network delay, and so does a loopback TCP
+  connection to one's own server;
+* ``receive(m) from q`` is a step in the reader task of the q→p connection,
+  stamped at frame arrival;
+* ``adjust_correction`` hands each correction to the observers, as
+  ``System.apply_correction`` does.
+
+A connection names its sender once: its first frame must be a hello from a
+configured pid.  A frame the codec or :func:`_check_body` rejects closes its
+connection and is recorded in :attr:`NetPeer.rejected` (and counted as
+``net.rejected`` when telemetry is active) instead of killing the reader.
 
 The same class serves two deployments.  *Shared-axis* mode (``net run``):
 every peer is a task on one event loop, all stamps are on one monotonic
-axis, so one-way delays are measured exactly and an observer hub receives
+axis, so one-way delays are measured exactly and the observers receive
 every correction in nondecreasing real-time order (the invariant the PR-4
 online observers need for exactness).  *Process* mode (``net serve``): each
 peer is its own OS process with its own monotonic epoch, one-way delays are
@@ -32,6 +40,7 @@ by the serve-mode protocol in :mod:`repro.net.cluster`.
 from __future__ import annotations
 
 import asyncio
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -39,13 +48,14 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..clocks.base import rho_rate_bounds
 from ..clocks.drift import ConstantRateClock
-from ..core.averaging import FaultTolerantMidpoint
 from ..core.config import SyncParameters
+from ..core.maintenance import WelchLynchProcess
 from ..core.messages import RoundMessage
 from ..sim.events import Message, MessageKind
 from ..sim.recording import MessageRecord
 from .measure import MeasuredEnvelope
-from .wire import decode_message, encode_message, pack_frame, read_frame
+from .wire import (WireError, decode_message, encode_message, pack_frame,
+                   read_frame)
 
 __all__ = ["Axis", "PeerConfig", "NetPeer", "make_net_clock"]
 
@@ -55,6 +65,15 @@ CONNECT_TIMEOUT = 15.0
 
 #: interval between measurement ping volleys (seconds).
 PING_INTERVAL = 0.01
+
+#: the longest rejection reason a peer keeps: a frame body can be ~1 MB.
+REASON_CHARS = 200
+
+#: the fields the reader task reads from a frame, by frame type.
+_FIELDS = {"ping": (("seq", int), ("t", float)),
+           "pong": (("seq", int), ("t", float)),
+           "msg": (("msg", dict),),
+           "probe": (("t0", float),)}
 
 
 class Axis:
@@ -114,13 +133,31 @@ def make_net_clock(seed: int, pid: int, params: SyncParameters,
     return ConstantRateClock(offset=offset, rate=rate, rho=params.rho)
 
 
+def _check_body(body: Dict[str, Any]) -> None:
+    """Raise :class:`WireError` unless every field the reader task reads
+    from ``body`` has its type: a stamp must be a finite float, and a bool
+    is not an int."""
+    kind = body.get("type")
+    fields = _FIELDS.get(kind, ()) if isinstance(kind, str) else ()
+    for key, expected in fields:
+        value = body.get(key)
+        if type(value) is not expected \
+                or (expected is float and not math.isfinite(value)):
+            raise WireError(f"{kind} frame needs a {expected.__name__} "
+                            f"{key!r}, got {value!r}")
+
+
 class NetPeer:
-    """One participant; owns a TCP server, a full outgoing mesh and the
-    Welch-Lynch round loop."""
+    """One participant: a TCP server, a full outgoing mesh, and the
+    context of the :class:`WelchLynchProcess` it hosts."""
 
     def __init__(self, config: PeerConfig, axis: Optional[Axis] = None):
         self.config = config
         self.pid = config.pid
+        #: the identity a hosted process reads from its context.
+        self.process_id = config.pid
+        self.n = config.n
+        self.process_ids = range(config.n)
         self.axis = axis if axis is not None else Axis()
         self.envelope = MeasuredEnvelope(jitter_margin=config.jitter_margin)
         #: control frames (envelope/params/probe_reply/done/shutdown) for the
@@ -131,15 +168,16 @@ class NetPeer:
         self.sync_records: List[MessageRecord] = []
         self.frames_sent = 0
         self.frames_received = 0
-        # -- algorithm state (armed by run_sync) --
-        self.params: Optional[SyncParameters] = None
+        #: why each rejected connection was closed (cut to REASON_CHARS).
+        self.rejected: List[str] = []
+        # -- the hosted process (armed by run_sync) --
+        self.process: Optional[WelchLynchProcess] = None
         self.clock: Optional[ConstantRateClock] = None
         self.corr = 0.0
-        self.round_index = 0
-        self.arr: Dict[int, float] = {}
-        self._averaging = FaultTolerantMidpoint()
-        self._syncing = False
-        self._on_correction: Optional[Callable[..., None]] = None
+        self._observers: Tuple[Any, ...] = ()
+        #: resolved by the last correction, or failed by a raising step.
+        self._done: Optional[asyncio.Future] = None
+        self._now = 0.0  # axis time of the step in progress
         # -- transport --
         self._server: Optional[asyncio.AbstractServer] = None
         self._writers: Dict[int, asyncio.StreamWriter] = {}
@@ -184,9 +222,13 @@ class NetPeer:
         self._reader_tasks.append(task)
         try:
             hello = await read_frame(reader)
-            if hello is None or hello.get("type") != "hello":
+            if hello is None:
                 return
-            sender = int(hello["sender"])
+            sender = hello.get("sender")
+            if hello.get("type") != "hello" or type(sender) is not int \
+                    or sender not in self.config.peers:
+                raise WireError(f"first frame {hello!r} is not a hello "
+                                f"from a configured peer")
             self._hellos_seen.add(sender)
             if len(self._hellos_seen) >= self.config.n:
                 self._hello.set()
@@ -195,11 +237,22 @@ class NetPeer:
                 if body is None:
                     return
                 self.frames_received += 1
+                _check_body(body)
                 self._dispatch(sender, body)
+        except WireError as error:
+            self._reject(str(error))
         except (asyncio.CancelledError, ConnectionError):
             pass
         finally:
             writer.close()
+
+    def _reject(self, reason: str) -> None:
+        from ..telemetry import get_active
+
+        self.rejected.append(reason[:REASON_CHARS])
+        telemetry = get_active()
+        if telemetry is not None:
+            telemetry.registry.counter("net.rejected").inc()
 
     def _post(self, q: int, body: Dict[str, Any]) -> None:
         """Fire-and-forget one frame to peer ``q``.
@@ -268,10 +321,9 @@ class NetPeer:
 
     def _on_message(self, sender: int, message: Message,
                     arrival: float) -> None:
-        if not (self._syncing and isinstance(message.payload, RoundMessage)):
+        if not (self._armed and isinstance(message.payload, RoundMessage)):
             return
-        # "receive(m) from q: ARR[q] := local-time()"
-        self.arr[sender] = self.local_time(arrival)
+        self._step(arrival, self.process.on_message, sender, message.payload)
         if self.config.shared_axis:
             self.sync_records.append(MessageRecord(
                 sender=sender, recipient=self.pid,
@@ -316,67 +368,84 @@ class NetPeer:
                 f"peer {self.pid}: only {len(self.envelope)} delay samples "
                 f"after {timeout}s; the mesh is not delivering")
 
-    # -- the algorithm -------------------------------------------------------
-    def local_time(self, axis_time: float) -> float:
-        """``L_p(t) = Ph_p(t) + CORR_p`` on the shared axis."""
-        return self.clock.read(axis_time) + self.corr
-
-    async def _sleep_until_local(self, target_local: float) -> None:
-        """The 'set a timer for local time X' primitive: sleep until the
-        real time at which the logical clock reads ``target_local``."""
-        axis_target = (target_local - self.corr - self.clock.offset) \
-            / self.clock.rate
-        delay = axis_target - self.axis.now()
-        if delay > 0:
-            await asyncio.sleep(delay)
-
-    def _broadcast_round(self, round_time: float) -> None:
-        now = self.axis.now()
-        body = {"type": "msg", "msg": encode_message(Message(
-            kind=MessageKind.ORDINARY, sender=self.pid, recipient=-1,
-            payload=RoundMessage(round_time=round_time),
-            send_time=now, delivery_time=now))}
-        for q in sorted(self.config.peers):
-            self._post(q, body)
-
-    def _update(self, f: int) -> None:
-        """``AV := mid(reduce(ARR)); ADJ := T + δ − AV; CORR += ADJ``."""
-        round_time = self.params.round_time(self.round_index)
-        fallback = self.local_time(self.axis.now())
-        values = [self.arr.get(q, fallback) for q in range(self.config.n)]
-        average = self._averaging.average(values, f)
-        adjustment = round_time + self.params.delta - average
-        self.corr += adjustment
-        if self._on_correction is not None:
-            self._on_correction(self.pid, self.axis.now(), adjustment,
-                                self.corr, self.round_index)
-        self.round_index += 1
-
+    # -- the hosted process --------------------------------------------------
     async def run_sync(self, params: SyncParameters,
                        clock: ConstantRateClock, rounds: int,
-                       on_correction: Optional[Callable[..., None]] = None
-                       ) -> None:
-        """Run ``rounds`` full BCAST/UPDATE rounds of the maintenance loop.
+                       observers: Sequence[Any] = ()) -> None:
+        """Host one :class:`WelchLynchProcess` until it applies its
+        ``rounds``-th correction; an error a step raised is raised here.
 
         The caller has already aligned axis zero (single process: clocks are
         referenced at the go time; multi-process: the axis was rebased when
-        the params frame arrived), so round ``i`` broadcasts at local time
-        ``T^i`` and updates at ``T^i + (1+ρ)(β+δ+ε)``.
+        the params frame arrived).  START comes when the logical clock reads
+        ``T⁰``, as ``System.schedule_all_starts_at_logical`` places it.
         """
-        self.params = params
         self.clock = clock
         self.corr = 0.0
-        self.round_index = 0
-        self.arr = {}
-        self._on_correction = on_correction
-        self._syncing = True
-        window = params.collection_window()
+        self.process = WelchLynchProcess(params, max_rounds=rounds)
+        self._observers = tuple(observers)
+        self._done = asyncio.get_running_loop().create_future()
+        self._at_local(params.initial_round_time, self.process.on_start)
+        await self._done
+
+    @property
+    def _armed(self) -> bool:
+        return self._done is not None and not self._done.done()
+
+    def _at_local(self, logical_time: float,
+                  handler: Callable[..., None]) -> None:
+        """A ``handler`` step when the logical clock reads ``logical_time``;
+        a time already past fires on the next loop turn."""
+        target = self.clock.real_time_at(logical_time - self.corr)
+        asyncio.get_running_loop().call_later(
+            target - self.axis.now(),
+            lambda: self._step(self.axis.now(), handler))
+
+    def _step(self, now: float, handler: Callable[..., None],
+              *args: Any) -> None:
+        """One interrupt of the hosted process, at axis time ``now``.  An
+        error fails ``run_sync``'s future: raised out of a loop callback it
+        would only be logged, and ``run_sync`` would wait forever."""
+        if not self._armed:
+            return
+        self._now = now
         try:
-            for i in range(rounds):
-                round_time = params.round_time(i)
-                await self._sleep_until_local(round_time)
-                self._broadcast_round(round_time)
-                await self._sleep_until_local(round_time + window)
-                self._update(params.f)
-        finally:
-            self._syncing = False
+            handler(self, *args)
+        except Exception as error:
+            self._done.set_exception(error)
+            return
+        if self.process.round_index == self.process.max_rounds:
+            self._done.set_result(None)
+
+    # -- the ProcessContext calls WelchLynchProcess makes --------------------
+    def local_time(self, axis_time: Optional[float] = None) -> float:
+        """``L_p(t) = Ph_p(t) + CORR_p`` at axis time ``t`` (by default the
+        current step's)."""
+        t = self._now if axis_time is None else axis_time
+        return self.clock.read(t) + self.corr
+
+    def broadcast(self, payload: Any) -> None:
+        """``broadcast(m)``: one frame to every peer, this one included."""
+        body = {"type": "msg", "msg": encode_message(Message(
+            kind=MessageKind.ORDINARY, sender=self.pid, recipient=-1,
+            payload=payload, send_time=self._now, delivery_time=self._now))}
+        for q in sorted(self.config.peers):
+            self._post(q, body)
+
+    def set_timer(self, logical_time: float) -> bool:
+        """``set-timer(T)``; never missed, as a past ``T`` fires at once."""
+        self._at_local(logical_time, self.process.on_timer)
+        return True
+
+    def adjust_correction(self, adjustment: float,
+                          round_index: int = -1) -> float:
+        """``CORR := CORR + ADJ``, handed to every observer as
+        :meth:`~repro.sim.system.System.apply_correction` does."""
+        self.corr += adjustment
+        for observer in self._observers:
+            observer.on_correction(self.pid, self._now, adjustment,
+                                   self.corr, round_index)
+        return self.corr
+
+    def log(self, event: str, **data: Any) -> None:
+        """Sockets keep no trace."""

@@ -99,7 +99,7 @@ def unpack_frames(buffer: bytes) -> Tuple[List[Dict[str, Any]], bytes]:
         start = offset + _LENGTH.size
         try:
             body = json.loads(buffer[start:start + length].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        except ValueError as err:  # bad UTF-8 or JSON, or a >4300-digit int
             raise WireError(f"undecodable frame body: {err}") from None
         if not isinstance(body, dict):
             raise WireError(f"frame body must be a JSON object, "
@@ -125,7 +125,7 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
         return None
     try:
         body = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+    except ValueError as err:  # bad UTF-8 or JSON, or a >4300-digit int
         raise WireError(f"undecodable frame body: {err}") from None
     if not isinstance(body, dict):
         raise WireError(f"frame body must be a JSON object, "
@@ -202,7 +202,7 @@ def decode_message(body: Dict[str, Any],
             send_time=float(body["send_time"]),
             delivery_time=math.nan if arrival is None else float(arrival),
         )
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         if isinstance(err, WireError):
             raise
         raise WireError(f"malformed message body {body!r}: {err}") from None

@@ -111,16 +111,19 @@ class ReplicatedResult:
 
 
 def replicate(spec: RunSpec, seeds: Sequence[int], jobs: int = 1,
-              runner: Optional[BatchRunner] = None, settle_rounds: int = 1,
-              samples: int = 150,
+              runner: Optional[BatchRunner] = None, samples: int = 200,
               tolerate_failures: bool = False) -> ReplicatedResult:
     """Run ``spec`` once per seed and summarize agreement and validity.
 
-    Agreement is measured from ``settle_rounds`` rounds after the last
-    nonfaulty START (so the shared initial transient does not mask
-    steady-state behaviour) to the end of each run.  ``runner`` lets callers
-    share one :class:`BatchRunner` (and its cache) across replications;
-    otherwise a fresh ``BatchRunner(jobs=jobs)`` is used.
+    A traced replica is measured on the window and grids of its audit
+    (:func:`repro.analysis.verification.check_maintenance_run`): from one
+    round after the last nonfaulty START (so the shared initial transient
+    does not mask steady-state behaviour) to the end of the run, agreement
+    over ``samples`` points and validity over ``max(50, samples // 2)``, so
+    each seed's values are the ones its Theorem 16/19 rows judge.
+    ``runner`` lets callers share one :class:`BatchRunner` (and its cache)
+    across replications; otherwise a fresh ``BatchRunner(jobs=jobs)`` is
+    used.
 
     ``tolerate_failures=True`` makes the replication **partial-on-failure**
     instead of all-or-nothing: a failing seed becomes a :class:`SeedFailure`
@@ -133,8 +136,7 @@ def replicate(spec: RunSpec, seeds: Sequence[int], jobs: int = 1,
     Streaming specs (``record_trace=False``) carry no usable trace, so their
     per-seed metrics come from the online observers instead — the spec must
     request at least ``('skew', 'validity')``.  The observer grids are the
-    standard audit windows (1 settle round, 200/100 samples), so
-    ``settle_rounds`` / ``samples`` do not apply to streamed replicas.
+    spec's own, so ``samples`` does not apply to streamed replicas.
     """
     from ..analysis.metrics import measured_agreement, validity_report
     from ..analysis.statistics import summarize
@@ -173,11 +175,12 @@ def replicate(spec: RunSpec, seeds: Sequence[int], jobs: int = 1,
             report = result.online("validity").report()
             violation_rates.append(report.violations / max(1, report.samples))
             continue
-        start = result.tmax0 + settle_rounds * result.params.round_length
+        start = result.tmax0 + result.params.round_length
         agreements.append(measured_agreement(result.trace, start,
                                              result.end_time, samples=samples))
         report = validity_report(result.trace, result.params, result.tmin0,
-                                 result.tmax0, start, result.end_time)
+                                 result.tmax0, start, result.end_time,
+                                 samples=max(50, samples // 2))
         violation_rates.append(report.violations / max(1, report.samples))
     return ReplicatedResult(
         spec=spec, seeds=tuple(kept_seeds),

@@ -9,20 +9,29 @@ bit-exact values, which real schedulers do not replay.
 
 import asyncio
 import json
+import math
 import socket
+import struct
+import threading
+import time
 
 import pytest
 
 from repro.core.bounds import agreement_bound
 from repro.core.config import SyncParameters
+from repro.core.maintenance import WelchLynchProcess
+from repro.core.messages import RoundMessage
 from repro.net import (
+    MAX_FRAME,
     NetPeer,
     PeerConfig,
     ServeConfig,
     make_net_clock,
+    pack_frame,
     run_loopback_cluster,
 )
 from repro.net import cluster
+from repro.net.peer import REASON_CHARS
 from repro.net.cluster import (
     _leader_report,
     _params_frame,
@@ -31,6 +40,7 @@ from repro.net.cluster import (
     execute_net_spec,
 )
 from repro.runner import RunSpec, execute
+from repro.telemetry import Telemetry, activated
 
 
 class TestNetSpec:
@@ -261,3 +271,207 @@ class TestPeerUnits:
             await peer.close()
 
         asyncio.run(scenario())
+
+
+async def _until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        await asyncio.sleep(0.01)
+
+
+class TestHostedProcess:
+    """The socket peer runs the simulator's WelchLynchProcess."""
+
+    PARAMS = SyncParameters.derive(n=1, f=0, rho=1e-5, delta=2e-3,
+                                   epsilon=1e-3)
+
+    @staticmethod
+    async def lone_peer():
+        """A connected n=1 peer: its one stream is to itself."""
+        peer = NetPeer(PeerConfig(pid=0, n=1))
+        peer.config.peers[0] = await peer.start_server()
+        await peer.connect()
+        return peer
+
+    def clock(self, peer, go_in):
+        return make_net_clock(3, 0, self.PARAMS,
+                              reference_time=peer.axis.now() + go_in)
+
+    def test_run_sync_hosts_the_simulators_process(self):
+        async def scenario():
+            peer = await self.lone_peer()
+            run = asyncio.ensure_future(
+                peer.run_sync(self.PARAMS, self.clock(peer, 0.05), 2))
+            await asyncio.sleep(0)
+            hosted = peer.process
+            await asyncio.wait_for(run, 5.0)
+            await peer.close()
+            return hosted, peer
+
+        hosted, peer = asyncio.run(scenario())
+        assert type(hosted) is WelchLynchProcess
+        assert peer.process is hosted and hosted.round_index == 2
+        assert peer.frames_sent == 1 + 2  # the hello, one frame per round
+
+    def test_loopback_run_books_every_correction(self, monkeypatch):
+        calls = []
+
+        class Recording(cluster.OnlineSkew):
+            def on_correction(self, pid, real_time, adjustment,
+                              new_correction, round_index):
+                calls.append((pid, round_index))
+                super().on_correction(pid, real_time, adjustment,
+                                      new_correction, round_index)
+
+        monkeypatch.setattr(cluster, "OnlineSkew", Recording)
+        telemetry = Telemetry()
+        with activated(telemetry):
+            run_loopback_cluster(n=3, seed=5, rounds=3)
+        assert telemetry.registry.value("net.corrections") == 3 * 3
+        assert telemetry.registry.value("net.rejected") == 0
+        for pid in range(3):
+            assert [index for p, index in calls if p == pid] == [0, 1, 2]
+
+    def test_round_frame_after_run_sync_reaches_nobody(self):
+        async def scenario():
+            peer = await self.lone_peer()
+            await asyncio.wait_for(
+                peer.run_sync(self.PARAMS, self.clock(peer, 0.05), 1), 5.0)
+            arr = dict(peer.process.arr)
+            records, received = len(peer.sync_records), peer.frames_received
+            peer.broadcast(RoundMessage(round_time=1.0))
+            await _until(lambda: peer.frames_received > received)
+            await peer.close()
+            return arr, records, peer
+
+        arr, records, peer = asyncio.run(scenario())
+        assert peer.process.arr == arr
+        assert len(peer.sync_records) == records
+
+    def test_start_already_past_fires_at_once(self):
+        async def scenario():
+            peer = await self.lone_peer()
+            called = peer.axis.now()
+            # The logical clock read T0 a second before run_sync was called.
+            await asyncio.wait_for(
+                peer.run_sync(self.PARAMS, self.clock(peer, -1.0), 2), 5.0)
+            await peer.close()
+            return called, peer
+
+        called, peer = asyncio.run(scenario())
+        assert peer.sync_records[0].send_time - called < 0.1
+        assert peer.process.round_index == 2
+
+    def test_raising_step_fails_the_run(self, monkeypatch):
+        def broken(process, ctx):
+            raise RuntimeError("update failed")
+
+        monkeypatch.setattr(WelchLynchProcess, "_update_phase", broken)
+        outcome = {}
+
+        def run():
+            try:
+                run_loopback_cluster(n=3, seed=1, rounds=3)
+            except Exception as error:  # noqa: BLE001 - asserted below
+                outcome["error"] = error
+
+        # A thread, so that a hang fails the test instead of the suite.
+        thread = threading.Thread(target=run, daemon=True)
+        started = time.monotonic()
+        thread.start()
+        thread.join(30.0)
+        assert not thread.is_alive(), "a raising step hung the run"
+        assert isinstance(outcome.get("error"), RuntimeError)
+        assert str(outcome["error"]) == "update failed"
+        assert time.monotonic() - started < 10.0
+
+
+def _frame(data):
+    return struct.pack(">I", len(data)) + data
+
+
+HELLO_1 = pack_frame({"type": "hello", "sender": 1})
+
+
+class TestHostileInput:
+    """A hostile client's frame closes its connection and is counted; the
+    reader task ends cleanly, so the loop's exception handler sees nothing."""
+
+    @staticmethod
+    def probe(*connections, eof=False):
+        """Send each byte string on its own connection to a lone n=2 peer
+        (pid 1 is configured but never connects)."""
+        async def scenario():
+            seen = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: seen.append(context["message"]))
+            peer = NetPeer(PeerConfig(pid=0, n=2))
+            host, port = await peer.start_server()
+            peer.config.peers.update({0: (host, port), 1: (host, port)})
+            closed = []
+            for data in connections:
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(data)
+                if eof:
+                    writer.write_eof()
+                closed.append(await asyncio.wait_for(reader.read(), 5.0)
+                              == b"")
+                writer.close()
+            await asyncio.wait_for(asyncio.gather(*peer._reader_tasks), 5.0)
+            await asyncio.sleep(0.05)  # the task's done callbacks
+            await peer.close()
+            return closed, seen, peer
+
+        telemetry = Telemetry()
+        with activated(telemetry):
+            closed, seen, peer = asyncio.run(scenario())
+        return (closed, seen, peer,
+                telemetry.registry.value("net.rejected"))
+
+    @pytest.mark.parametrize("data, reason", [
+        (pack_frame({"type": "hello", "sender": 5}), "configured peer"),
+        (pack_frame({"type": "hello", "sender": "x"}), "configured peer"),
+        (pack_frame({"type": "hello", "sender": True}), "configured peer"),
+        (pack_frame({"type": "ping", "seq": 0, "t": 0.0}), "configured peer"),
+        (HELLO_1 + pack_frame({"type": "msg"}), "msg frame needs a dict"),
+        (struct.pack(">I", MAX_FRAME + 1), "MAX_FRAME"),
+        (_frame(b"not json"), "undecodable"),
+        (HELLO_1 + _frame(json.dumps({"type": "ping", "seq": 0,
+                                      "t": math.nan}).encode()),
+         "needs a float 't'"),
+        (HELLO_1 + _frame(b'{"type":"probe","t0":' + b"1" * 5000 + b"}"),
+         "undecodable"),
+        (HELLO_1 + _frame(json.dumps({"type": "msg", "msg": {
+            "kind": "ordinary", "sender": 1e400, "recipient": 0,
+            "payload": None, "send_time": 0.0}}).encode()), "malformed"),
+        (HELLO_1 + pack_frame({"type": "msg", "msg": {
+            "kind": "x" * (MAX_FRAME - 100)}}), "malformed"),
+    ], ids=["unknown-pid", "pid-str", "pid-bool", "not-a-hello",
+            "msg-without-body", "oversize-prefix", "not-json", "nan-stamp",
+            "5000-digit-int", "infinite-sender", "megabyte-body"])
+    def test_rejected_frame_closes_and_counts(self, data, reason):
+        closed, seen, peer, counted = self.probe(data)
+        assert closed == [True]
+        assert seen == []
+        assert len(peer.rejected) == 1 and reason in peer.rejected[0]
+        assert len(peer.rejected[0]) <= REASON_CHARS
+        assert counted == 1
+
+    def test_unknown_pids_do_not_complete_the_hello_quorum(self):
+        closed, seen, peer, counted = self.probe(
+            pack_frame({"type": "hello", "sender": 5}),
+            pack_frame({"type": "hello", "sender": 6}))
+        assert closed == [True, True] and seen == []
+        assert not peer._hello.is_set() and counted == 2
+
+    def test_unhashable_frame_type_reaches_the_control_queue(self):
+        closed, seen, peer, counted = self.probe(
+            HELLO_1 + pack_frame({"type": [1]}), eof=True)
+        assert closed == [True] and seen == [] and counted == 0
+        assert peer.control.get_nowait() == (1, {"type": [1]})
+
+    def test_truncated_frame_just_closes(self):
+        closed, seen, _, counted = self.probe(
+            HELLO_1 + struct.pack(">I", 100) + b"{}", eof=True)
+        assert closed == [True] and seen == [] and counted == 0

@@ -55,6 +55,13 @@ class TestFrames:
         with pytest.raises(WireError, match="undecodable"):
             unpack_frames(corrupt)
 
+    def test_integer_past_the_digit_limit_rejected(self):
+        # json.loads raises a plain ValueError for a >4300-digit integer.
+        payload = b'{"seq":' + b"1" * 5000 + b"}"
+        framed = struct.pack(">I", len(payload)) + payload
+        with pytest.raises(WireError, match="undecodable"):
+            unpack_frames(framed)
+
     def test_non_object_body_rejected(self):
         payload = b"[1,2]"
         framed = struct.pack(">I", len(payload)) + payload
@@ -125,3 +132,10 @@ class TestMessages:
     def test_malformed_body_rejected(self):
         with pytest.raises(WireError, match="malformed"):
             decode_message({"kind": "ordinary", "sender": 0})
+
+    def test_infinite_sender_rejected(self):
+        # 1e400 parses to inf, and int(inf) raises OverflowError.
+        with pytest.raises(WireError, match="malformed"):
+            decode_message({"kind": "ordinary", "sender": math.inf,
+                            "recipient": 0, "payload": None,
+                            "send_time": 0.0})

@@ -267,6 +267,21 @@ class TestReplicate:
                     "validity_violation_rate_mean"):
             assert key in metrics
 
+    @pytest.mark.parametrize("grid", [{}, {"samples": 120}],
+                             ids=["default", "samples-120"])
+    def test_traced_agreement_is_the_value_its_audit_judges(self, grid):
+        from repro.analysis.verification import audit
+        from repro.analysis.workloads import build_spec, get_workload
+
+        spec = build_spec(get_workload("lan"), n=7, rounds=5)
+        rep = replicate(spec, seeds=[0, 1, 2], **grid)
+        for result, agreement, rate in zip(rep.results, rep.agreement_values,
+                                           rep.validity_values):
+            report = audit(result, **grid)
+            assert agreement == report.check("theorem16_agreement").measured
+            violations = report.check("theorem19_validity").measured
+            assert (rate == 0.0) == (violations == 0.0)
+
     def test_requires_distinct_seeds(self, params):
         spec = RunSpec.maintenance(params, rounds=3)
         with pytest.raises(ValueError, match="distinct"):
