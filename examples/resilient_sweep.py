@@ -16,8 +16,10 @@ chaos harness to stage the failures on purpose:
 * a spec that fails every attempt is quarantined and reported, while the
   rest of the sweep completes.
 
-The CLI equivalents are ``repro sweep --store results.sqlite`` (persist),
-``--resume`` (skip stored specs) and ``repro store status`` (inspect).
+All of it is one :class:`~repro.runner.batch.BatchRunner` given a store and
+a retry budget (``max_retries``).  The CLI equivalents are
+``repro sweep --store results.sqlite`` (persist), ``--resume`` (skip stored
+specs), ``--retries N`` and ``repro store status`` (inspect).
 
 Run with::
 
@@ -31,9 +33,9 @@ from pathlib import Path
 
 from repro.analysis.sweeps import sweep_epsilon
 from repro.runner import (
+    BatchRunner,
     ChaosFault,
     ChaosSchedule,
-    ResilientRunner,
     ResultStore,
     SweepInterrupted,
 )
@@ -41,8 +43,9 @@ from repro.telemetry import Telemetry
 
 EPSILONS = [0.001, 0.002, 0.003, 0.004]
 
-#: near-instant backoff so the staged retries do not slow the example down.
-FAST = dict(max_retries=2, backoff_base=0.01, backoff_cap=0.05)
+#: the retry budget that turns supervision on: retries with backoff,
+#: crash respawn, quarantine.
+SUPERVISED = dict(max_retries=2)
 
 
 def epsilon_sweep(runner=None):
@@ -57,8 +60,8 @@ def interrupted_then_resumed(store_path: Path) -> None:
     chaos = ChaosSchedule(faults=(ChaosFault(0, "kill", attempts=1),
                                   ChaosFault(3, "interrupt", attempts=1)))
     telemetry = Telemetry()
-    runner = ResilientRunner(jobs=1, cache=False, store=store_path,
-                             chaos=chaos, telemetry=telemetry, **FAST)
+    runner = BatchRunner(jobs=1, store=store_path, chaos=chaos,
+                         telemetry=telemetry, **SUPERVISED)
     try:
         epsilon_sweep(runner=runner)
     except SweepInterrupted as exc:
@@ -71,8 +74,8 @@ def interrupted_then_resumed(store_path: Path) -> None:
 
     # Resume: stored specs are served bit-identically, only the missing
     # ones execute.  The table equals an uninterrupted run's.
-    resumed = ResilientRunner(jobs=1, cache=False, store=store_path,
-                              resume=True, **FAST)
+    resumed = BatchRunner(jobs=1, store=store_path, resume=True,
+                          **SUPERVISED)
     recovered = epsilon_sweep(runner=resumed)
     clean = epsilon_sweep()
     identical = recovered.rows() == clean.rows()
@@ -84,9 +87,8 @@ def interrupted_then_resumed(store_path: Path) -> None:
 def poison_spec_is_quarantined() -> None:
     print("== a poison spec quarantines; the sweep completes ==")
     telemetry = Telemetry()
-    runner = ResilientRunner(
-        jobs=1, cache=False, telemetry=telemetry, max_retries=1,
-        backoff_base=0.01,
+    runner = BatchRunner(
+        jobs=1, telemetry=telemetry, max_retries=1,
         chaos=ChaosSchedule.single(1, "raise", attempts=10))
     table = epsilon_sweep(runner=runner)
     counters = telemetry.registry.snapshot()

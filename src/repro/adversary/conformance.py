@@ -325,7 +325,6 @@ class ConformanceReport:
 
 
 def run_conformance(cases: Optional[Sequence[ConformanceCase]] = None,
-                    jobs: int = 1,
                     runner: Optional[BatchRunner] = None,
                     settle_rounds: int = 2, samples: int = 100,
                     on_result=None,
@@ -333,18 +332,18 @@ def run_conformance(cases: Optional[Sequence[ConformanceCase]] = None,
     """Execute a conformance matrix and audit every cell.
 
     ``cases`` defaults to :func:`build_conformance_matrix` built from
-    ``matrix_kwargs``.  All cells execute through one
-    :class:`~repro.runner.batch.BatchRunner` (``jobs=N`` fans them out with
-    per-cell results bit-identical to serial execution); ``on_result``, when
-    given, receives each :class:`ConformanceOutcome` as it is audited.
+    ``matrix_kwargs``.  All cells execute as one batch on ``runner``
+    (default: a fresh in-process :class:`~repro.runner.batch.BatchRunner`;
+    one with ``jobs=N`` fans them out with per-cell results bit-identical to
+    serial execution); ``on_result``, when given, receives each
+    :class:`ConformanceOutcome` as it is audited.
     """
     if cases is None:
         cases = build_conformance_matrix(**matrix_kwargs)
     elif matrix_kwargs:
         raise ValueError("pass either explicit cases or matrix kwargs, "
                          "not both")
-    batch = runner if runner is not None else BatchRunner(jobs=jobs,
-                                                          cache=False)
+    batch = runner if runner is not None else BatchRunner()
     report = ConformanceReport()
     results = batch.run_iter([case.spec for case in cases])
     for case in cases:

@@ -84,8 +84,9 @@ def _measure_row(name: str, result: ScenarioResult, rounds: int,
                  settle_rounds: int,
                  estimates: Dict[str, Dict[str, Optional[float]]]
                  ) -> ComparisonRow:
-    start = (result.params.initial_round_time
-             + settle_rounds * result.params.round_length + result.tmax0)
+    # tmax0 is a real time already; adding the logical initial_round_time
+    # to it would push the window past the run's end whenever T0 > 0.
+    start = result.tmax0 + settle_rounds * result.params.round_length
     agreement = measured_agreement(result.trace, start, result.end_time)
     stats = adjustment_statistics(result.trace)
     est = estimates.get(name, {})
@@ -108,7 +109,6 @@ def run_comparison(
     seed: int = 0,
     settle_rounds: int = 2,
     topology: Union[str, Topology, None] = None,
-    jobs: int = 1,
     runner: Optional[BatchRunner] = None,
 ) -> List[ComparisonRow]:
     """Run every requested algorithm on the same workload and summarize.
@@ -118,14 +118,15 @@ def run_comparison(
     behaviour.  With a ``topology`` every algorithm relays over the same
     graph and the paper estimates use the topology-effective constants.
 
-    The algorithms dispatch through a :class:`BatchRunner`, so ``jobs=N``
-    runs up to N of them concurrently with per-algorithm results identical to
-    serial execution; ``runner`` shares an existing runner (and its cache).
+    The algorithms run as one batch on ``runner`` (default: a fresh
+    in-process ``BatchRunner()``), so a runner with ``jobs=N`` runs up to N
+    of them concurrently with per-algorithm results identical to serial
+    execution.
     """
     names = list(algorithms) if algorithms is not None else list(ALGORITHM_FACTORIES)
     graph = build_topology(topology, n=params.n, seed=seed)
     estimates = paper_estimates(effective_parameters(params, graph))
-    batch = runner if runner is not None else BatchRunner(jobs=jobs)
+    batch = runner if runner is not None else BatchRunner()
     results = batch.run(_comparison_specs(params, names, rounds, fault_kind,
                                           fault_count, seed, topology))
     return [_measure_row(name, result, rounds, settle_rounds, estimates)
@@ -153,14 +154,13 @@ def run_replicated_comparison(
     fault_count: Optional[int] = None,
     settle_rounds: int = 2,
     topology: Union[str, Topology, None] = None,
-    jobs: int = 1,
     runner: Optional[BatchRunner] = None,
 ) -> List[ReplicatedComparisonRow]:
     """The Section 10 comparison with per-algorithm across-seed statistics.
 
     Every (algorithm, seed) pair becomes one spec and the whole product runs
-    as a single batch, so ``jobs=N`` parallelizes across algorithms *and*
-    seeds at once.  Each row summarizes agreement and max |ADJ| with
+    as a single batch, so a runner with ``jobs=N`` parallelizes across
+    algorithms *and* seeds at once.  Each row summarizes agreement and max |ADJ| with
     mean/min/max and a 95% CI, which is what makes "algorithm A beats B"
     claims defensible rather than one lucky draw.
     """
@@ -180,7 +180,7 @@ def run_replicated_comparison(
              for seed in seeds
              for spec in _comparison_specs(params, names, rounds, fault_kind,
                                            fault_count, seed, topology)]
-    batch = runner if runner is not None else BatchRunner(jobs=jobs)
+    batch = runner if runner is not None else BatchRunner()
     results = batch.run(specs)
     per_algorithm: Dict[str, List[ComparisonRow]] = {name: [] for name in names}
     for spec, result in zip(specs, results):

@@ -145,15 +145,19 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def to_json(payload: Any, indent: int = 2) -> str:
-    """Serialize any of the structures above (or dataclasses) to a JSON string."""
-    return json.dumps(payload, indent=indent, default=_jsonable, sort_keys=True)
+def to_json(payload: Any) -> str:
+    """Serialize any of the structures above (or dataclasses) to a JSON string.
+
+    One line, no indent: an indent sends ``json.dumps`` to its pure-Python
+    encoder, which takes about twice as long on a traced run's payload.
+    """
+    return json.dumps(payload, default=_jsonable, sort_keys=True)
 
 
-def write_json(payload: Any, path: str, indent: int = 2) -> None:
+def write_json(payload: Any, path: str) -> None:
     """Write a JSON file (creating/overwriting ``path``)."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(to_json(payload, indent=indent))
+        handle.write(to_json(payload))
         handle.write("\n")
 
 

@@ -17,19 +17,21 @@ Two evaluation paths exist:
   evaluated serially (arbitrary closures cannot travel to worker processes);
 * :func:`run_spec_sweep` — the declarative path: each point is described by a
   :class:`~repro.runner.spec.RunSpec` and measured from its result, so the
-  whole cartesian product (times any replication seeds) fans out through a
-  :class:`~repro.runner.batch.BatchRunner` — ``jobs=N`` runs N simulations at
-  once on supervised workers, bit-identical to serial execution.
+  whole cartesian product (times any replication seeds) runs as one batch on
+  a :class:`~repro.runner.batch.BatchRunner` — ``runner=BatchRunner(jobs=N)``
+  runs N simulations at once on supervised workers, and a runner with a
+  store makes the sweep durable and resumable, bit-identical to serial
+  execution either way.
 
 All the ready-made ``sweep_*`` helpers run on the spec path and uniformly
 accept ``seed`` (single run per point), ``seeds`` (replication: outputs become
-means with ``*_ci95`` half-width columns), ``jobs``, ``progress`` and
+means with ``*_ci95`` half-width columns), ``runner``, ``progress`` and
 ``on_result``.
 
 Per-point measurement (agreement windows, spread series) runs on the batched
 trace-reconstruction fast path (:mod:`repro.sim.traceindex`), so the
-metric cost no longer dominates wide sweeps; combined with ``jobs=N``
-fan-out this is the "as fast as the hardware allows" configuration.
+metric cost no longer dominates wide sweeps; combined with a multi-worker
+runner this is the "as fast as the hardware allows" configuration.
 """
 
 from __future__ import annotations
@@ -186,7 +188,6 @@ def run_spec_sweep(
     build: Callable[..., RunSpec],
     measure: Callable[..., Mapping[str, float]],
     seeds: Optional[Sequence[int]] = None,
-    jobs: int = 1,
     runner: Optional[BatchRunner] = None,
     progress: Optional[Progress] = None,
     on_result: Optional[OnResult] = None,
@@ -201,22 +202,23 @@ def run_spec_sweep(
     With ``seeds``, every point is replicated across all of them
     (``build``'s seed is overridden per replica) and each output column
     becomes the across-seed mean, joined by a ``<name>_ci95`` half-width
-    column.  All points × seeds execute as one batch, so ``jobs=N``
-    parallelizes across both axes at once; per-spec results are bit-identical
-    to serial execution regardless of ``jobs``.
+    column.  All points × seeds execute as one batch on ``runner``
+    (default: a fresh in-process ``BatchRunner()``), so a runner with
+    ``jobs=N`` parallelizes across both axes at once; per-spec results are
+    bit-identical to serial execution regardless of the runner.
 
     The callbacks stream: each point's ``progress``/``on_result`` fires as
-    soon as that point's runs are available (with ``jobs=1`` execution is
-    fully lazy, so ``progress`` fires before the point runs, exactly like
+    soon as that point's runs are available (in-process execution is fully
+    lazy, so ``progress`` fires before the point runs, exactly like
     :func:`run_sweep`; with a pool, later points keep computing in the
     background while earlier points are measured and reported).
 
-    ``runner`` substitutes any :class:`BatchRunner`-compatible executor — in
-    particular a :class:`~repro.runner.resilient.ResilientRunner`, which
-    makes the sweep durable and resumable.  Failures such a runner returns
-    as data (a :class:`~repro.runner.resilient.QuarantinedResult`) do not
-    abort the sweep: the affected cell keeps its surviving replicas and
-    gains a ``failed_runs`` output column counting the casualties.
+    A runner with a store makes the sweep durable and resumable.  Failures
+    a runner returns as data (a
+    :class:`~repro.runner.resilient.QuarantinedResult`, always under a retry
+    budget) do not abort the sweep: the affected cell keeps its surviving
+    replicas and gains a ``failed_runs`` output column counting the
+    casualties.
     """
     axes = list(axes)
     if not axes:
@@ -228,11 +230,7 @@ def run_spec_sweep(
         # A repeated seed re-counts one draw as independent samples, biasing
         # the mean and shrinking the CI.
         raise ValueError(f"replication seeds must be distinct, got {seed_list}")
-    # The internal default runner does not cache: every spec is measured
-    # exactly once and reduced to a few floats, so holding full traces for
-    # the whole sweep would be pure memory growth.  Callers wanting reuse
-    # across sweeps pass their own runner=.
-    batch = runner if runner is not None else BatchRunner(jobs=jobs, cache=False)
+    batch = runner if runner is not None else BatchRunner()
     points = list(_iter_inputs(axes))
     spec_lists: List[List[RunSpec]] = []
     for inputs in points:
@@ -247,7 +245,7 @@ def run_spec_sweep(
     for inputs, specs in zip(points, spec_lists):
         if progress is not None:
             progress(dict(inputs))
-        # One span per sweep cell: with jobs=1 this times run + measurement
+        # One span per sweep cell: in-process this times run + measurement
         # of the cell; with a pool it still brackets when the cell's results
         # became consumable — either way the slow cells stand out in a trace.
         with span("sweep.cell", **inputs):
@@ -291,7 +289,7 @@ def _agreement_after_settle(result, settle_rounds: int = 1,
 def sweep_epsilon(epsilons: Iterable[float], n: int = 7, f: int = 2,
                   rho: float = 1e-4, delta: float = 0.01, rounds: int = 10,
                   fault_kind: Optional[str] = "two_faced", seed: int = 0,
-                  seeds: Optional[Sequence[int]] = None, jobs: int = 1,
+                  seeds: Optional[Sequence[int]] = None,
                   runner: Optional[BatchRunner] = None,
                   progress: Optional[Progress] = None,
                   on_result: Optional[OnResult] = None) -> SweepResult:
@@ -310,7 +308,7 @@ def sweep_epsilon(epsilons: Iterable[float], n: int = 7, f: int = 2,
         }
 
     return run_spec_sweep([SweepAxis("epsilon", list(epsilons))], build,
-                          measure, seeds=seeds, jobs=jobs, runner=runner,
+                          measure, seeds=seeds, runner=runner,
                           progress=progress, on_result=on_result)
 
 
@@ -318,7 +316,7 @@ def sweep_round_length(round_lengths: Iterable[float], n: int = 7, f: int = 2,
                        rho: float = 2e-3, delta: float = 0.01,
                        epsilon: float = 0.002, rounds: int = 14,
                        seed: int = 0, seeds: Optional[Sequence[int]] = None,
-                       jobs: int = 1, runner: Optional[BatchRunner] = None,
+                       runner: Optional[BatchRunner] = None,
                        progress: Optional[Progress] = None,
                        on_result: Optional[OnResult] = None) -> SweepResult:
     """Steady-state round spread and the 4ε + 4ρP estimate as P varies (E7)."""
@@ -337,16 +335,15 @@ def sweep_round_length(round_lengths: Iterable[float], n: int = 7, f: int = 2,
         }
 
     return run_spec_sweep([SweepAxis("round_length", list(round_lengths))],
-                          build, measure, seeds=seeds, jobs=jobs,
-                          runner=runner, progress=progress,
-                          on_result=on_result)
+                          build, measure, seeds=seeds, runner=runner,
+                          progress=progress, on_result=on_result)
 
 
 def sweep_system_size(sizes: Iterable[int], f: int = 2, rho: float = 1e-4,
                       delta: float = 0.01, epsilon: float = 0.002,
                       rounds: int = 10, fault_kind: Optional[str] = "two_faced",
                       seed: int = 0, seeds: Optional[Sequence[int]] = None,
-                      jobs: int = 1, runner: Optional[BatchRunner] = None,
+                      runner: Optional[BatchRunner] = None,
                       progress: Optional[Progress] = None,
                       on_result: Optional[OnResult] = None) -> SweepResult:
     """Agreement as n grows at fixed f (the paper: flat; LM: grows)."""
@@ -364,7 +361,7 @@ def sweep_system_size(sizes: Iterable[int], f: int = 2, rho: float = 1e-4,
         }
 
     return run_spec_sweep([SweepAxis("n", list(sizes))], build, measure,
-                          seeds=seeds, jobs=jobs, runner=runner,
+                          seeds=seeds, runner=runner,
                           progress=progress, on_result=on_result)
 
 
@@ -372,7 +369,7 @@ def sweep_fault_count(counts: Iterable[int], n: int = 7, f: int = 2,
                       rho: float = 1e-4, delta: float = 0.01,
                       epsilon: float = 0.002, rounds: int = 10,
                       fault_kind: str = "two_faced", seed: int = 0,
-                      seeds: Optional[Sequence[int]] = None, jobs: int = 1,
+                      seeds: Optional[Sequence[int]] = None,
                       runner: Optional[BatchRunner] = None,
                       progress: Optional[Progress] = None,
                       on_result: Optional[OnResult] = None) -> SweepResult:
@@ -394,7 +391,7 @@ def sweep_fault_count(counts: Iterable[int], n: int = 7, f: int = 2,
         }
 
     return run_spec_sweep([SweepAxis("fault_count", list(counts))], build,
-                          measure, seeds=seeds, jobs=jobs, runner=runner,
+                          measure, seeds=seeds, runner=runner,
                           progress=progress, on_result=on_result)
 
 
@@ -402,7 +399,7 @@ def sweep_topology(specs: Iterable[str], n: int = 7, f: int = 2,
                    rho: float = 1e-4, delta: float = 0.01,
                    epsilon: float = 0.002, rounds: int = 10,
                    fault_kind: Optional[str] = None, seed: int = 0,
-                   seeds: Optional[Sequence[int]] = None, jobs: int = 1,
+                   seeds: Optional[Sequence[int]] = None,
                    runner: Optional[BatchRunner] = None,
                    progress: Optional[Progress] = None,
                    on_result: Optional[OnResult] = None) -> SweepResult:
@@ -432,14 +429,14 @@ def sweep_topology(specs: Iterable[str], n: int = 7, f: int = 2,
         }
 
     return run_spec_sweep([SweepAxis("topology", list(specs))], build, measure,
-                          seeds=seeds, jobs=jobs, runner=runner,
+                          seeds=seeds, runner=runner,
                           progress=progress, on_result=on_result)
 
 
 def sweep_tightness(sizes: Iterable[int], f: int = 0, rho: float = 1e-4,
                     delta: float = 0.01, epsilon: float = 0.002,
                     rounds: int = 8, delay: str = "skew_max", seed: int = 0,
-                    seeds: Optional[Sequence[int]] = None, jobs: int = 1,
+                    seeds: Optional[Sequence[int]] = None,
                     runner: Optional[BatchRunner] = None,
                     progress: Optional[Progress] = None,
                     on_result: Optional[OnResult] = None) -> SweepResult:
@@ -473,5 +470,5 @@ def sweep_tightness(sizes: Iterable[int], f: int = 0, rho: float = 1e-4,
         }
 
     return run_spec_sweep([SweepAxis("n", list(sizes))], build, measure,
-                          seeds=seeds, jobs=jobs, runner=runner,
+                          seeds=seeds, runner=runner,
                           progress=progress, on_result=on_result)

@@ -46,12 +46,14 @@ path costs one pointer check (see :mod:`repro.telemetry`).
 implicit complete graph with an arbitrary network; broadcasts then relay
 multi-hop and every audit uses the topology-effective (δ', ε') constants.
 
-``run``, ``compare`` and ``sweep`` go through :mod:`repro.runner`:
+``run --replicate-seeds``, ``compare``, ``sweep`` and ``conformance`` each
+build one :class:`~repro.runner.batch.BatchRunner` from their flags:
 ``--jobs N`` fans independent simulations out over N worker processes (with
 results bit-identical to serial execution; a killed worker ends the command
-with exit status 2), and ``--replicate-seeds S1 S2 …`` replicates the
-experiment across seeds, reporting mean/min/max and 95% confidence intervals
-instead of single-draw numbers.
+with exit status 2), ``sweep``'s store and retry flags make it durable and
+supervised, and ``--replicate-seeds S1 S2 …`` replicates the experiment
+across seeds, reporting mean/min/max and 95% confidence intervals instead of
+single-draw numbers.
 
 ``run`` alone picks the engine, through one mutually exclusive flag group
 that maps onto :func:`repro.runner.spec.engine_for`: by default (``auto``)
@@ -70,8 +72,8 @@ Every sub-command prints plain-text tables (see
 :mod:`repro.analysis.reporting`) and exits 0 when every paper claim it
 audits holds, 1 when one is violated, and 2 on a usage or input error (a bad
 ``--topology`` spec, parameters outside the paper's assumptions, a bad
-store, a dead worker, an exhausted event budget), so the CLI can be dropped
-into CI.
+runner flag or store, a dead worker, an exhausted event budget), so the CLI
+can be dropped into CI.
 """
 
 from __future__ import annotations
@@ -469,6 +471,32 @@ def _cmd_topologies(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _runner(args: argparse.Namespace) -> BatchRunner:
+    """The command's one :class:`BatchRunner`, built from its flags.
+
+    Any of ``sweep``'s ``--store`` / ``--resume`` / ``--spec-timeout`` /
+    ``--retries`` makes it supervised (durable commits, retries,
+    quarantine), with 2 retries unless ``--retries`` gives another count.
+    A bad value among them is a usage error.
+    """
+    store = getattr(args, "store", None)
+    resume = getattr(args, "resume", False)
+    retries = getattr(args, "retries", None)
+    spec_timeout = getattr(args, "spec_timeout", None)
+    if resume and not store:
+        raise argparse.ArgumentError(None, "--resume requires --store PATH")
+    max_retries = None
+    if store or retries is not None or spec_timeout is not None:
+        max_retries = 2 if retries is None else retries
+    try:
+        return BatchRunner(jobs=args.jobs,
+                           engine=getattr(args, "engine", "auto"),
+                           store=store, resume=resume,
+                           max_retries=max_retries, spec_timeout=spec_timeout)
+    except ValueError as error:
+        raise argparse.ArgumentError(None, str(error)) from error
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     """Run one spec, alone or across seeds, and audit every result."""
     workload = get_workload(args.workload)
@@ -506,8 +534,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         rep = None
         if args.replicate_seeds:
             rep = replicate(spec, args.replicate_seeds, samples=args.samples,
-                            runner=BatchRunner(jobs=args.jobs,
-                                               engine=args.engine))
+                            runner=_runner(args))
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -670,7 +697,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         rows = run_replicated_comparison(
             params, seeds=args.replicate_seeds, rounds=args.rounds,
             algorithms=args.algorithms, fault_kind=workload.fault_kind,
-            topology=args.topology or workload.topology, jobs=args.jobs)
+            topology=args.topology or workload.topology,
+            runner=_runner(args))
         print(f"replicated over seeds {args.replicate_seeds} "
               f"with jobs={args.jobs}")
         print(format_table(
@@ -693,7 +721,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         return 0
     rows = run_comparison(params, rounds=args.rounds, algorithms=args.algorithms,
                           fault_kind=workload.fault_kind, seed=args.seed,
-                          topology=topology, jobs=args.jobs)
+                          topology=topology, runner=_runner(args))
     print(format_table(
         ["algorithm", "agreement", "max |ADJ|", "msgs/round",
          "paper agreement", "paper |ADJ|"],
@@ -754,7 +782,7 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
             n=args.n, f=args.f, rounds=args.rounds, seed=args.seed,
             algorithms=args.algorithms, fault_kinds=fault_kinds,
             topologies=topologies, delay=args.delay)
-        report = run_conformance(cases, jobs=args.jobs)
+        report = run_conformance(cases, runner=_runner(args))
     except (ValueError, KeyError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -799,27 +827,6 @@ _SWEEPS = {
 }
 
 
-def _sweep_runner(args: argparse.Namespace):
-    """The ResilientRunner for a sweep, or None for the plain path.
-
-    Any of ``--store`` / ``--resume`` / ``--spec-timeout`` / ``--retries``
-    opts the sweep into the resilient engine (durable commits, retries,
-    quarantine); without them the sweep runs on the plain batch runner.
-    """
-    if not (args.store or args.resume or args.spec_timeout is not None
-            or args.retries is not None):
-        return None
-    from .runner import ResilientRunner
-
-    if args.resume and not args.store:
-        raise SystemExit("error: --resume requires --store PATH")
-    return ResilientRunner(jobs=args.jobs, cache=False, store=args.store,
-                           resume=args.resume,
-                           max_retries=(2 if args.retries is None
-                                        else args.retries),
-                           spec_timeout=args.spec_timeout)
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .runner import SweepInterrupted
 
@@ -829,17 +836,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: --values: {error}", file=sys.stderr)
         return 2
-    runner = _sweep_runner(args)
+    runner = _runner(args)
     try:
         result = sweep(values, rounds=args.rounds,
                        seed=args.seed, seeds=args.replicate_seeds,
-                       jobs=args.jobs, runner=runner)
+                       runner=runner)
     except SweepInterrupted as interrupt:
         # Completed results are already durably committed (--store); tell
         # the operator how to pick the sweep back up and exit like an
         # interrupted process should.
         print(f"interrupted: {interrupt}", file=sys.stderr)
-        if runner is not None and runner.store is not None:
+        if runner.store is not None:
             print(f"store {runner.store.path} holds "
                   f"{len(runner.store)} result(s); rerun with --resume to "
                   f"continue", file=sys.stderr)
@@ -848,7 +855,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.csv:
         write_csv(sweep_to_dicts(result), args.csv)
         print(f"wrote sweep CSV to {args.csv}")
-    if runner is not None and runner.store is not None:
+    if runner.store is not None:
         # Row counts only: status() decodes every payload (store status).
         store = runner.store
         print(f"store {store.path}: {len(store)} result(s), "
@@ -1040,10 +1047,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {error}\nhint: raise the budget with run "
               f"--max-events N", file=sys.stderr)
         return 2
-    except (TopologySpecError, ParameterError, StoreError,
-            SpecLost) as error:
+    except (TopologySpecError, ParameterError, StoreError, SpecLost,
+            argparse.ArgumentError) as error:
         # a bad --topology or --values spec; parameters outside the paper's
-        # assumptions; a bad store; a dead worker
+        # assumptions; a bad store; a dead worker; a bad runner flag
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""repro.runner — declarative run specs and parallel batch execution.
+"""repro.runner — declarative run specs and batch execution.
 
 The execution layer every experiment entry point funnels through:
 
@@ -7,17 +7,18 @@ The execution layer every experiment entry point funnels through:
   delay/clock models, topology, seed, rounds);
 * :func:`~repro.runner.spec.execute` — the single ``spec -> ScenarioResult``
   dispatcher (pure and deterministic per spec);
-* :class:`~repro.runner.batch.BatchRunner` — runs spec lists in-process or
-  on :class:`~repro.runner.resilient.SupervisedPool` workers, with result
-  caching, ordered collection and a bit-identical-to-serial guarantee;
+* :class:`~repro.runner.batch.BatchRunner` — the one executor: it serves
+  stored specs from a durable content-addressed
+  :class:`~repro.runner.store.ResultStore` (sqlite) on ``resume``, runs
+  seed-replica groups on the round kernel, runs the rest in-process or on
+  :class:`~repro.runner.resilient.SupervisedPool` workers, and commits each
+  result as it arrives; ordered collection, bit-identical to serial.  A
+  retry budget (``max_retries``) turns on supervision — per-spec timeouts,
+  retry with backoff, crash respawn, quarantine, resumable interrupts — all
+  testable under deterministic fault injection
+  (:class:`~repro.runner.chaos.ChaosSchedule`);
 * :func:`~repro.runner.replication.replicate` — multi-seed replication with
-  mean/min/max/CI summaries of the agreement and validity metrics;
-* :class:`~repro.runner.resilient.ResilientRunner` — the crash-safe variant:
-  durable content-addressed :class:`~repro.runner.store.ResultStore`
-  (sqlite), supervised workers with retries (per-spec timeouts, retry with
-  backoff, crash respawn, quarantine) and ``resume`` that serves
-  already-stored specs bit-identically, all testable under deterministic
-  fault injection (:class:`~repro.runner.chaos.ChaosSchedule`).
+  mean/min/max/CI summaries of the agreement and validity metrics.
 
 Quick start::
 
@@ -25,9 +26,13 @@ Quick start::
     from repro.analysis import default_parameters
 
     spec = RunSpec.maintenance(default_parameters(), rounds=10)
-    results = BatchRunner(jobs=4).run([spec.with_seed(s) for s in range(8)])
-    stats = replicate(spec, seeds=range(8), jobs=4)
+    runner = BatchRunner(jobs=4)
+    results = runner.run([spec.with_seed(s) for s in range(8)])
+    stats = replicate(spec, seeds=range(8), runner=runner)
     print(stats.agreement)
+
+    # durable and supervised: rerun with resume=True after a crash
+    durable = BatchRunner(jobs=4, store="results.sqlite", max_retries=2)
 """
 
 from .spec import RunSpec, SCENARIO_KINDS, execute
@@ -38,8 +43,8 @@ from .chaos import CHAOS_ACTIONS, ChaosFault, ChaosInjectedError, \
     ChaosSchedule
 from .store import ResultStore, SCHEMA_VERSION, StoreError, \
     StoreVersionError, store_key
-from .resilient import FailureRecord, QuarantinedResult, ResilientRunner, \
-    SupervisedPool, SweepInterrupted
+from .resilient import FailureRecord, QuarantinedResult, SupervisedPool, \
+    SweepInterrupted
 
 __all__ = [
     "RunSpec",
@@ -63,7 +68,6 @@ __all__ = [
     "store_key",
     "FailureRecord",
     "QuarantinedResult",
-    "ResilientRunner",
     "SupervisedPool",
     "SweepInterrupted",
 ]

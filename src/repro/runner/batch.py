@@ -1,34 +1,50 @@
 """Batch execution of :class:`~repro.runner.spec.RunSpec` lists.
 
-:class:`BatchRunner` turns a list of specs into a list of results, in-process
-or, with ``jobs > 1``, on a :class:`~repro.runner.resilient.SupervisedPool`
-of worker processes.  Three properties the layers above (sweeps, comparison,
-replication, CLI) rely on:
+:class:`BatchRunner` is the one executor every replicated estimate, sweep,
+comparison and conformance matrix goes through.  A batch runs in four steps:
+
+1. with ``resume``, specs already in the ``store`` are served from it;
+2. seed-replica groups run in lockstep on the round kernel
+   (:func:`repro.sim.vectorized.execute_batch`), in this process;
+3. the remaining specs run one by one, in-process or on a
+   :class:`~repro.runner.resilient.SupervisedPool` of worker processes;
+4. with a ``store``, every result (or quarantine record) is committed as it
+   arrives, so a killed batch keeps everything it finished.
+
+Three properties the layers above (sweeps, comparison, replication, CLI)
+rely on:
 
 * **Ordered collection** — ``run(specs)[i]`` always corresponds to
-  ``specs[i]``, no matter which worker finished first.
+  ``specs[i]``, no matter which step or worker finished first.
 * **Determinism** — :func:`~repro.runner.spec.execute` is a pure function of
-  the spec, so serial and parallel execution produce bit-identical traces per
-  spec (guarded by ``tests/property/test_runner_properties.py``).
-* **Caching** — results are cached by spec (specs hash by value), so a batch
-  containing duplicates runs each distinct spec once, and a runner reused
-  across batches never re-runs a spec it has already executed.
+  the spec, so every step produces bit-identical results per spec (guarded
+  by ``tests/property/test_runner_properties.py``); a stored result is the
+  prior run's bytes.
+* **One run per distinct spec** — specs hash by value, so a batch holding
+  duplicates runs each once, and each result is released after its last
+  slot, so long batches stream in O(workers) memory.  Reuse across batches
+  is the store's job (``store=":memory:", resume=True`` keeps one in the
+  process).
 
-The default is ``jobs=1`` (plain in-process loop, no pool): determinism is
-then trivially inherited rather than asserted, which keeps single-run entry
-points bit-for-bit identical to the pre-runner code paths.
+The retry budget ``max_retries`` picks the failure policy.  ``None`` (the
+default) runs specs in-process at ``jobs=1`` (so single-run entry points
+stay bit-for-bit the pre-runner code paths) and on a pool without retries
+otherwise; the first failing spec in input order raises its own exception
+— :class:`SpecLost` when its worker died mid-spec (SIGKILL, the OOM killer)
+— unless ``run(..., tolerate_failures=True)`` asks for a
+:class:`~repro.runner.resilient.QuarantinedResult` in its slot.  A blown
+interrupt budget raises :class:`~repro.sim.events.EventBudgetExceeded` with
+the offending spec attached (``err.spec``), from a worker as in-process.
+Any integer, 0 included, supervises: per-spec work always runs on the pool,
+failing specs retry with backoff, ``spec_timeout`` reclaims hung workers,
+crashed workers respawn, and every failure comes back as a
+``QuarantinedResult``; SIGINT/SIGTERM raise
+:class:`~repro.runner.resilient.SweepInterrupted` once in-flight specs land.
 
-A run that blows its interrupt budget raises
-:class:`~repro.sim.events.EventBudgetExceeded` out of :meth:`BatchRunner.run`
-with the counts *and* the offending :class:`RunSpec` attached (``err.spec``,
-set by :func:`~repro.runner.spec.execute`); a pool worker ships the
-exception back whole, so pool execution surfaces exactly the same
-diagnostics as serial execution.  A worker that dies mid-spec (SIGKILL, the
-OOM killer) ends the batch with :class:`SpecLost` instead of a hang.
 Streaming results travel whole: ``ScenarioResult.observers`` (online metrics
-state) pickles back from the workers alongside the trace — or instead of
-one, for ``record_trace=False`` specs, which is how replicated long-horizon
-studies stay bounded-memory.
+state) pickles back from the workers and through the store alongside the
+trace — or instead of one, for ``record_trace=False`` specs, which is how
+replicated long-horizon studies stay bounded-memory.
 """
 
 from __future__ import annotations
@@ -36,16 +52,19 @@ from __future__ import annotations
 import contextlib
 import os
 import traceback
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    TYPE_CHECKING)
 
 from .spec import RunSpec, engine_for, execute
+from .store import ResultStore
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids the cycle
     from ..analysis.experiments import ScenarioResult
+    from .chaos import ChaosSchedule
 
 __all__ = ["BatchRunner", "SpecLost", "available_parallelism"]
 
-#: callback signature: invoked once per *computed* spec, as results stream in.
+#: callback signature: invoked once per spec as its outcome arrives.
 OnResult = Callable[[RunSpec, "ScenarioResult"], None]
 
 
@@ -100,13 +119,27 @@ def available_parallelism() -> int:
 
 
 class BatchRunner:
-    """Execute batches of specs, in-process or on a supervised worker pool.
+    """Execute batches of specs: stored, grouped, in-process or supervised.
 
-    ``jobs`` is the maximum number of worker processes (1 = run in-process;
-    0 or negative = one per available CPU; more than 1 runs on a
-    :class:`~repro.runner.resilient.SupervisedPool` with no retries).
-    ``cache=True`` (the default) memoizes results by spec for the lifetime
-    of the runner.
+    ``jobs`` is the maximum number of worker processes (0 or negative = one
+    per available CPU).  ``engine`` (one of
+    :data:`~repro.runner.spec.ENGINES`) picks the engine for every spec,
+    through :func:`~repro.runner.spec.engine_for`; pool workers receive it
+    with each task.  Results are bit-identical under every choice, and the
+    engine is not part of a spec's store key, so a store filled under one
+    engine resumes under any other.
+
+    ``store`` (a :class:`~repro.runner.store.ResultStore` or a path) receives
+    every computed result as it arrives; with ``resume=True`` specs already
+    stored are served from it without running, and quarantined ones are
+    re-attempted.  A write that fails with ``ENOSPC`` (real or chaos) is
+    counted on ``resilient.store.write_errors``; the result still reaches
+    the caller and the spec re-runs on resume.
+
+    ``max_retries`` is the retry budget of the supervised policy (see the
+    module docstring); ``spec_timeout`` (seconds of wall clock per spec) and
+    ``chaos`` (a :class:`~repro.runner.chaos.ChaosSchedule`) apply to it and
+    so need one.
 
     ``telemetry`` (a :class:`~repro.telemetry.Telemetry`) instruments every
     computed spec: each run executes against a fresh run-local bundle —
@@ -114,59 +147,57 @@ class BatchRunner:
     and manifest records are folded into ``telemetry`` as results arrive.
     Counter totals after a ``jobs=2`` batch therefore equal a serial batch's
     exactly.  Worker span records are not collected (each process has its own
-    wall-clock origin); spans around the batch belong to the caller.  Cached
+    wall-clock origin); spans around the batch belong to the caller.  Stored
     results merge nothing — no run happened.  When no telemetry is passed the
     runner adopts the process-local active one (see
     :func:`repro.telemetry.set_active`), so ``--telemetry`` on the CLI
     reaches pool workers without every intermediate layer threading the
     argument through.
-
-    ``engine`` (one of :data:`~repro.runner.spec.ENGINES`) picks the engine
-    for every spec, through :func:`~repro.runner.spec.engine_for`; pool
-    workers receive it with each task.  Results are bit-identical under
-    every choice, so cached results serve any engine.
     """
 
-    def __init__(self, jobs: int = 1, cache: bool = True, telemetry=None,
-                 engine: str = "auto"):
+    def __init__(self, jobs: int = 1, telemetry=None, engine: str = "auto",
+                 store=None, resume: bool = False,
+                 max_retries: Optional[int] = None,
+                 spec_timeout: Optional[float] = None,
+                 chaos: Optional["ChaosSchedule"] = None):
         from ..telemetry import get_active
+        from .resilient import SupervisedPool
 
+        if resume and store is None:
+            raise ValueError("resume=True requires a result store")
+        if max_retries is None and (spec_timeout is not None
+                                    or chaos is not None):
+            raise ValueError("spec_timeout and chaos apply to supervised "
+                             "runs: pass max_retries")
         if jobs < 1:
             jobs = available_parallelism()
         self.jobs = int(jobs)
         self.engine = engine
         self.telemetry = telemetry if telemetry is not None else get_active()
-        self._cache: Optional[Dict[RunSpec, "ScenarioResult"]] = \
-            {} if cache else None
+        self.max_retries = max_retries
+        self.pool = SupervisedPool(jobs=self.jobs,
+                                   max_retries=max_retries or 0,
+                                   spec_timeout=spec_timeout, chaos=chaos,
+                                   telemetry=self.telemetry, engine=engine)
+        if isinstance(store, (str, bytes, os.PathLike)):
+            store = ResultStore(os.fsdecode(store), chaos=chaos)
+        self.store: Optional[ResultStore] = store
+        self.resume = bool(resume)
 
-    # -- cache management ----------------------------------------------------
-    @property
-    def cache_size(self) -> int:
-        """Number of results currently memoized (0 when caching is off)."""
-        return len(self._cache) if self._cache is not None else 0
-
-    def clear_cache(self) -> None:
-        """Drop every memoized result."""
-        if self._cache is not None:
-            self._cache.clear()
-
-    # -- execution -----------------------------------------------------------
     def run(self, specs: Iterable[RunSpec],
             on_result: Optional[OnResult] = None,
             tolerate_failures: bool = False) -> List["ScenarioResult"]:
         """Execute every spec and return results in input order.
 
-        Duplicate specs (and specs already in the cache) are executed once;
-        ``on_result(spec, result)`` fires once per spec actually computed, as
-        soon as its result is available — the observability hook for long
-        batches.
+        ``on_result(spec, outcome)`` fires once per distinct spec, as soon
+        as its outcome arrives (served from the store or computed) — the
+        observability hook for long batches.
 
         ``tolerate_failures=True`` turns per-spec failures into
         :class:`~repro.runner.resilient.QuarantinedResult` records in the
         corresponding result slots instead of aborting the batch — one
-        poison spec no longer discards every completed sibling (failures are
-        cached like results, so a cached runner will not silently re-run a
-        known-bad spec).
+        poison spec no longer discards every completed sibling.  A
+        supervised runner (``max_retries`` set) always does.
         """
         return list(self.run_iter(specs, on_result=on_result,
                                   tolerate_failures=tolerate_failures))
@@ -176,132 +207,133 @@ class BatchRunner:
                  tolerate_failures: bool = False):
         """Like :meth:`run`, but yield each result as soon as it is ready.
 
-        Results are yielded in input order.  With ``jobs=1`` execution is
-        fully lazy: a spec only runs when its result is pulled, so consumers
-        (e.g. a sweep's progress callback) interleave with the computation.
-        With a pool, later specs keep computing in the background while
-        earlier results are consumed.
+        Results are yielded in input order.  In-process execution is fully
+        lazy: a spec only runs when its result is pulled, so consumers (e.g.
+        a sweep's progress callback) interleave with the computation.  With
+        a pool, later specs keep computing in the background while earlier
+        results are consumed.  Leaving the iterator early stops the pool.
         """
+        from .resilient import QuarantinedResult
+
         specs = list(specs)
+        remaining: Dict[RunSpec, int] = {}
         for spec in specs:
             if not isinstance(spec, RunSpec):
                 raise TypeError(f"BatchRunner runs RunSpecs, got "
                                 f"{type(spec).__name__}")
-        computed: Dict[RunSpec, "ScenarioResult"] = {}
-        pending: List[RunSpec] = []
-        seen = set()
-        for spec in specs:
-            if spec in seen:
-                continue
-            seen.add(spec)
-            if self._cache is not None and spec in self._cache:
-                continue
-            pending.append(spec)
-        arrivals = self._execute_pending(pending,
-                                         tolerant=tolerate_failures)
-        # computed doubles as the lookup when caching is off; with caching on,
-        # every arrival lands in the cache, which also holds prior batches.
-        lookup = self._cache if self._cache is not None else computed
-        remaining: Dict[RunSpec, int] = {}
-        for spec in specs:
             remaining[spec] = remaining.get(spec, 0) + 1
-        for spec in specs:
-            while spec not in lookup:
-                done_spec, result = next(arrivals)
-                lookup[done_spec] = result
-                if on_result is not None:
-                    on_result(done_spec, result)
-            result = lookup[spec]
-            remaining[spec] -= 1
-            if self._cache is None and remaining[spec] == 0:
-                # No later occurrence needs it: release the trace so long
-                # uncached batches stream in O(workers) memory, not O(batch).
-                del lookup[spec]
-            yield result
+        tolerant = tolerate_failures or self.max_retries is not None
+        done: Dict[RunSpec, object] = {}
+        with contextlib.closing(self._execute_pending(
+                list(remaining), tolerant)) as arrivals:
+            for spec in specs:
+                while spec not in done:
+                    arrived, outcome = next(arrivals)
+                    done[arrived] = outcome
+                    if on_result is not None:
+                        on_result(arrived, outcome)
+                outcome = done[spec]
+                # Raised at the spec's turn in input order, so the failure
+                # raised is the first in input order, whichever worker
+                # finished first.
+                if not tolerant and isinstance(outcome, QuarantinedResult):
+                    error = outcome.failures[-1].exception
+                    raise SpecLost(outcome) if error is None else error
+                remaining[spec] -= 1
+                if remaining[spec] == 0:
+                    # No later slot needs it: release the result.
+                    del done[spec]
+                yield outcome
 
-    def _execute_pending(self, pending: Sequence[RunSpec],
-                         tolerant: bool = False):
-        """Yield one (spec, result) pair per pending spec."""
-        if not pending:
-            return
-        vectorized = self._execute_vector_groups(pending, tolerant=tolerant)
-        yield from vectorized.items()
-        yield from self._execute_serial(
-            [spec for spec in pending if spec not in vectorized],
-            tolerant=tolerant)
+    def _execute_pending(self, pending: Sequence[RunSpec], tolerant: bool):
+        """Yield one ``(spec, outcome)`` per distinct spec, as each arrives.
 
-    def _execute_vector_groups(self, pending: Sequence[RunSpec],
-                               tolerant: bool = False) -> Dict[RunSpec, "ScenarioResult"]:
-        """Run seed-replica groups on the round kernel; return results.
+        Stored specs come first (with ``resume``), counted on
+        ``resilient.store.hits`` / ``.misses``; then the misses run (see
+        :meth:`_arrivals`), each outcome committed to the store before it
+        is yielded.
+        """
+        from .resilient import _count
+
+        misses: List[RunSpec] = []
+        for spec in pending:
+            stored = self.store.get(spec) if self.resume else None
+            if stored is not None:
+                _count(self.telemetry, "store.hits")
+                yield spec, stored
+                continue
+            if self.resume:
+                _count(self.telemetry, "store.misses")
+            misses.append(spec)
+        with (self.pool.trapping_signals() if self.max_retries is not None
+              else contextlib.nullcontext()):
+            for spec, outcome in self._arrivals(misses, tolerant):
+                if self.store is not None:
+                    self._commit(spec, outcome)
+                yield spec, outcome
+
+    def _arrivals(self, specs: Sequence[RunSpec], tolerant: bool):
+        """Run kernel replica groups, then the rest one spec at a time.
 
         Specs identical modulo seed form one group; a group runs as one
         lockstep batch when :func:`~repro.runner.spec.engine_for` picks the
         lockstep grouping for it at its size (under ``auto``: 2 or more
         members the kernel accepts, below the lone-run n).  Everything else
-        stays on the per-spec path, whose results are bit-identical by
-        construction.
+        runs per spec — in-process at ``jobs=1`` without a retry budget,
+        otherwise on the pool — with results bit-identical by construction.
         """
         from ..sim.vectorized import execute_batch
+        from .resilient import FailureRecord, QuarantinedResult
 
         groups: Dict[RunSpec, List[RunSpec]] = {}
-        for spec in pending:
+        for spec in specs:
             groups.setdefault(spec.with_seed(0), []).append(spec)
-        results: Dict[RunSpec, "ScenarioResult"] = {}
+        grouped = set()
         for members in groups.values():
             if engine_for(members[0], self.engine, len(members)) != "batch":
                 continue
             try:
-                batch_results = execute_batch(members,
-                                              telemetry=self.telemetry)
+                results = execute_batch(members, telemetry=self.telemetry)
             except Exception:
                 if not tolerant:
                     raise
-                # One bad replica poisons the whole lockstep batch; in
-                # tolerant mode, leave the group to the per-spec serial path
-                # so siblings complete (bit-identical by contract) and only
-                # the offender becomes a QuarantinedResult.
+                # One bad replica poisons the whole lockstep batch; the
+                # per-spec path lets its siblings complete (bit-identical by
+                # contract) and quarantines only the offender.
                 continue
-            for spec, result in zip(members, batch_results):
-                results[spec] = result
-        return results
-
-    def _execute_serial(self, pending: Sequence[RunSpec],
-                        tolerant: bool = False):
-        """The per-spec path: an in-process loop, or a supervised pool.
-
-        A failing spec raises its own exception (else :class:`SpecLost`) or,
-        ``tolerant``, yields a QuarantinedResult in its slot.
-        """
-        from .resilient import FailureRecord, QuarantinedResult, \
-            SupervisedPool
-
-        if self.jobs > 1 and len(pending) > 1:
-            pool = SupervisedPool(jobs=self.jobs, max_retries=0,
-                                  telemetry=self.telemetry,
-                                  engine=self.engine)
-            done: Dict[RunSpec, object] = {}
-            with contextlib.closing(pool.run(pending)) as arrivals:
-                # Hand over in input order, so the failure raised is the
-                # first in input order, whichever worker finished first.
-                for spec in pending:
-                    while spec not in done:
-                        arrived, outcome = next(arrivals)
-                        done[arrived] = outcome
-                    outcome = done.pop(spec)
-                    if not tolerant and isinstance(outcome, QuarantinedResult):
-                        error = outcome.failures[-1].exception
-                        raise SpecLost(outcome) if error is None else error
-                    yield spec, outcome
+            grouped.update(members)
+            yield from zip(members, results)
+            if self.max_retries is not None:
+                self.pool.raise_if_interrupted(len(grouped))
+        rest = [spec for spec in specs if spec not in grouped]
+        if self.max_retries is not None or (self.jobs > 1 and len(rest) > 1):
+            yield from self.pool.run(rest)
             return
-        for spec in pending:
+        for spec in rest:
             try:
                 outcome = _fold(self.telemetry, _run_task(
                     spec, self.engine, self.telemetry is not None))
             except Exception as err:
-                if not tolerant:
-                    raise
                 outcome = QuarantinedResult(spec, (FailureRecord(
                     attempt=0, kind="error",
                     error=f"{type(err).__name__}: {err}",
                     traceback=traceback.format_exc(), exception=err),))
             yield spec, outcome
+
+    def _commit(self, spec: RunSpec, outcome) -> None:
+        """Store one arrival: its result, or its quarantine record."""
+        from .resilient import QuarantinedResult, _count
+
+        if isinstance(outcome, QuarantinedResult):
+            self.store.quarantine(spec, outcome.attempts, outcome.last_error,
+                                  outcome.last_traceback)
+        else:
+            try:
+                self.store.put(spec, outcome)
+                _count(self.telemetry, "store.writes")
+            except OSError:
+                # Disk full (real or chaos-simulated): degraded, not fatal.
+                _count(self.telemetry, "store.write_errors")
+        if self.telemetry is not None:
+            self.telemetry.registry.gauge("resilient.store.size").set(
+                len(self.store))

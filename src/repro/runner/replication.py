@@ -4,9 +4,9 @@ The paper's theorems are worst-case statements while measurements depend on
 the random draws of the delay model and the clock ensemble, so a credible
 reproduction reports distributions, not single numbers.  :func:`replicate`
 runs one :class:`~repro.runner.spec.RunSpec` across a list of seeds (through a
-:class:`~repro.runner.batch.BatchRunner`, so seeds run in parallel with
-``jobs > 1``) and summarizes the agreement and validity metrics with
-mean/min/max and a Student-t 95% confidence interval (via
+:class:`~repro.runner.batch.BatchRunner`, so seeds run in parallel on a
+runner with ``jobs > 1``) and summarizes the agreement and validity metrics
+with mean/min/max and a Student-t 95% confidence interval (via
 :func:`repro.analysis.statistics.summarize`).
 """
 
@@ -110,7 +110,7 @@ class ReplicatedResult:
         }
 
 
-def replicate(spec: RunSpec, seeds: Sequence[int], jobs: int = 1,
+def replicate(spec: RunSpec, seeds: Sequence[int],
               runner: Optional[BatchRunner] = None, samples: int = 200,
               tolerate_failures: bool = False) -> ReplicatedResult:
     """Run ``spec`` once per seed and summarize agreement and validity.
@@ -121,16 +121,15 @@ def replicate(spec: RunSpec, seeds: Sequence[int], jobs: int = 1,
     does not mask steady-state behaviour) to the end of the run, agreement
     over ``samples`` points and validity over ``max(50, samples // 2)``, so
     each seed's values are the ones its Theorem 16/19 rows judge.
-    ``runner`` lets callers share one :class:`BatchRunner` (and its cache)
-    across replications; otherwise a fresh ``BatchRunner(jobs=jobs)`` is
-    used.
+    ``runner`` (default: a fresh in-process ``BatchRunner()``) sets the
+    workers, the engine and, with a store, where results persist.
 
     ``tolerate_failures=True`` makes the replication **partial-on-failure**
     instead of all-or-nothing: a failing seed becomes a :class:`SeedFailure`
     in ``result.failures`` while every completed seed keeps its result and
-    the summaries cover the survivors.  (Quarantined specs from a
-    :class:`~repro.runner.resilient.ResilientRunner` are folded the same way
-    regardless of the flag — supervision already chose not to raise.)  Only
+    the summaries cover the survivors.  (Quarantined specs from a runner
+    with a retry budget are folded the same way regardless of the flag —
+    supervision already chose not to raise.)  Only
     when *every* seed fails is :class:`ReplicationError` raised.
 
     Streaming specs (``record_trace=False``) carry no usable trace, so their
@@ -150,7 +149,7 @@ def replicate(spec: RunSpec, seeds: Sequence[int], jobs: int = 1,
         raise ValueError(
             "replicating a record_trace=False spec needs online metrics: "
             "construct it with observers=('skew', 'validity')")
-    batch = runner if runner is not None else BatchRunner(jobs=jobs)
+    batch = runner if runner is not None else BatchRunner()
     raw = batch.run([spec.with_seed(seed) for seed in seeds],
                     tolerate_failures=tolerate_failures)
     failures: List[SeedFailure] = []

@@ -1,39 +1,39 @@
-"""Crash-safe supervised execution: the one worker pool, and durable sweeps.
+"""Crash-safe supervised execution: the one worker pool and its records.
 
 A multi-hour sweep meets OOM-killed workers, one poison spec that hangs, an
-operator ``kill`` — and with an in-memory cache a single such event used to
-cost every completed result.  This module holds three guarantees:
+operator ``kill``.  :class:`SupervisedPool` is the pool every multi-process
+batch of :class:`~repro.runner.batch.BatchRunner` runs on, and it survives
+all three:
 
-* **Supervision** (:class:`SupervisedPool`) — each worker is an owned
-  ``multiprocessing.Process`` on a private duplex pipe, so the parent can
-  detect a crashed worker (pipe EOF), reclaim a hung one (per-spec wall-clock
-  timeout → SIGKILL), and respawn either.  Failing specs retry with
-  exponential backoff + deterministic jitter; a spec that fails
-  ``max_retries + 1`` times is **quarantined** — recorded with its tracebacks
-  and yielded as a :class:`QuarantinedResult`, never fatal to the sweep.
-* **Durability** (:class:`ResilientRunner`) — every completed result is
-  committed to a :class:`~repro.runner.store.ResultStore` as it arrives
-  (atomic write-then-commit), so an interrupted sweep keeps everything it
-  finished; with ``resume=True`` already-stored specs are served from the
-  store bit-identically (the stored bytes *are* the prior result).
-* **Graceful interruption** — under :class:`ResilientRunner`, SIGINT/SIGTERM
-  (and the chaos ``interrupt`` action) stop dispatching, leave the store
-  consistent, and raise :class:`SweepInterrupted` with the completed count:
-  the operator reruns with ``--resume`` and loses nothing.
+* **Supervision** — each worker is an owned ``multiprocessing.Process`` on a
+  private duplex pipe, so the parent can detect a crashed worker (pipe EOF),
+  reclaim a hung one (per-spec wall-clock timeout → SIGKILL), and respawn
+  either.  Failing specs retry with exponential backoff + deterministic
+  jitter; a spec that fails ``max_retries + 1`` times is **quarantined** —
+  recorded with its tracebacks and yielded as a :class:`QuarantinedResult`,
+  never fatal to the sweep.
+* **Graceful interruption** — under :meth:`SupervisedPool.trapping_signals`
+  (a supervised runner's batches), SIGINT/SIGTERM (and the chaos
+  ``interrupt`` action) stop dispatching and raise :class:`SweepInterrupted`
+  with the completed count once in-flight specs land; with a store attached
+  every finished result is already committed, so the operator reruns with
+  ``--resume`` and loses nothing.
 
-Failures are injectable on a deterministic schedule
-(:class:`~repro.runner.chaos.ChaosSchedule`), which is what makes every one
-of these paths testable rather than aspirational.
+Durability and resume belong to the runner and its
+:class:`~repro.runner.store.ResultStore`.  Failures are injectable on a
+deterministic schedule (:class:`~repro.runner.chaos.ChaosSchedule`), which
+is what makes every one of these paths testable rather than aspirational.
 
 Determinism note: :func:`~repro.runner.spec.execute` is a pure function of
 the spec, so supervision never touches result bytes — serial, supervised,
 crashed-and-resumed and ``jobs=N`` runs are bit-identical by construction.
-The retry jitter draws from a private ``random.Random(backoff_seed)`` and can
-never perturb a simulation.
+The retry jitter draws from a private ``random.Random`` and can never
+perturb a simulation.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -46,9 +46,8 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from .batch import BatchRunner, available_parallelism, _fold, _run_task
+from .batch import available_parallelism, _fold, _run_task
 from .spec import RunSpec
-from .store import ResultStore
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..analysis.experiments import ScenarioResult
@@ -57,7 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 __all__ = [
     "FailureRecord",
     "QuarantinedResult",
-    "ResilientRunner",
     "SupervisedPool",
     "SweepInterrupted",
 ]
@@ -85,8 +83,8 @@ class FailureRecord:
 class QuarantinedResult:
     """A spec a runner gave up on, with its full failure history.
 
-    Every runner (in-process or pooled, plain or resilient) puts this in the
-    result slot of a failed spec it tolerates; sweeps skip it and count it
+    A runner puts this in the result slot of a failed spec it tolerates
+    (every failure, once it has a retry budget); sweeps skip it and count it
     in ``failed_runs``, and the sweep itself continues.  Quarantine is
     forensic, not final — resumed sweeps re-attempt quarantined specs, since
     the fault may have been environmental.
@@ -118,7 +116,8 @@ class SweepInterrupted(RuntimeError):
     Every result completed before the interrupt has already been yielded —
     and, when a store is attached, durably committed — so rerunning with
     ``resume=True`` continues where this run stopped.  ``completed`` counts
-    the specs finished by the supervised portion of this run.
+    the specs the interrupted stage (the kernel groups, or the pool)
+    finished.
     """
 
     def __init__(self, message: str, completed: int = 0):
@@ -128,6 +127,13 @@ class SweepInterrupted(RuntimeError):
 
 #: how often a worker checks whether its parent is still alive.
 _ORPHAN_POLL_SECONDS = 1.0
+
+#: retry backoff: the k-th retry of a spec waits
+#: ``min(_BACKOFF_CAP, _BACKOFF_BASE * 2**(k-1))`` seconds times a jitter in
+#: ``[0.5, 1.5)`` drawn from ``random.Random(_BACKOFF_SEED)``.
+_BACKOFF_BASE = 0.05
+_BACKOFF_CAP = 2.0
+_BACKOFF_SEED = 0
 
 
 def _count(telemetry, name: str) -> None:
@@ -224,10 +230,9 @@ class SupervisedPool:
     (SIGKILL + respawn), and either counts as one failed attempt for the
     in-flight spec; a worker found dead while idle is replaced at no cost.
     Failed specs retry up to ``max_retries`` times with exponential backoff
-    (``backoff_base * 2**k``, capped at ``backoff_cap``) times a
-    deterministic jitter in ``[0.5, 1.5)`` drawn from
-    ``random.Random(backoff_seed)``; specs still failing are yielded as
-    :class:`QuarantinedResult` and the sweep continues.
+    and a deterministic jitter (see :data:`_BACKOFF_BASE`); specs still
+    failing are yielded as :class:`QuarantinedResult` and the sweep
+    continues.
 
     :meth:`run` yields ``(spec, result)`` in **completion** order (the layer
     above — :meth:`BatchRunner.run_iter` — reorders to input order), once
@@ -245,8 +250,6 @@ class SupervisedPool:
 
     def __init__(self, jobs: int = 1, max_retries: int = 2,
                  spec_timeout: Optional[float] = None,
-                 backoff_base: float = 0.05, backoff_cap: float = 2.0,
-                 backoff_seed: int = 0,
                  chaos: Optional["ChaosSchedule"] = None,
                  telemetry=None, engine: str = "auto"):
         if jobs < 1:
@@ -259,12 +262,10 @@ class SupervisedPool:
         self.jobs = int(jobs)
         self.max_retries = int(max_retries)
         self.spec_timeout = spec_timeout
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.chaos = chaos
         self.telemetry = telemetry
         self.engine = engine
-        self._rng = random.Random(backoff_seed)
+        self._rng = random.Random(_BACKOFF_SEED)
         self._interrupted: Optional[str] = None
 
     # -- worker lifecycle ----------------------------------------------------
@@ -332,8 +333,7 @@ class SupervisedPool:
             return quarantined
         _count(self.telemetry, "retries")
         attempt = len(task.failures)  # 1-based count of failures so far
-        delay = min(self.backoff_cap,
-                    self.backoff_base * (2.0 ** (attempt - 1)))
+        delay = min(_BACKOFF_CAP, _BACKOFF_BASE * (2.0 ** (attempt - 1)))
         delay *= 0.5 + self._rng.random()  # jitter in [0.5, 1.5)
         task.attempt = attempt
         task.ready_at = time.monotonic() + delay
@@ -342,6 +342,35 @@ class SupervisedPool:
     # -- signals -------------------------------------------------------------
     def _signal_handler(self, signum, frame) -> None:
         self._interrupted = signal.Signals(signum).name
+
+    @contextlib.contextmanager
+    def trapping_signals(self):
+        """SIGINT/SIGTERM stop dispatching instead of ending the process.
+
+        Inside the block a trapped signal lets in-flight specs land, then
+        :meth:`run` (or :meth:`raise_if_interrupted`) raises
+        :class:`SweepInterrupted`; the previous handlers return on exit.
+        """
+        self._interrupted = None
+        previous = {}
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            try:
+                previous[signum] = signal.signal(signum, self._signal_handler)
+            except ValueError:  # pragma: no cover - non-main thread
+                pass
+        try:
+            yield
+        finally:
+            for signum, handler in previous.items():
+                signal.signal(signum, handler)
+
+    def raise_if_interrupted(self, completed: int) -> None:
+        """Raise :class:`SweepInterrupted` once a signal or chaos struck."""
+        if self._interrupted is not None:
+            raise SweepInterrupted(
+                f"sweep interrupted by {self._interrupted} after "
+                f"{completed} completed specs (resumable)",
+                completed=completed)
 
     # -- the supervision loop ------------------------------------------------
     def run(self, specs: Iterable[RunSpec]):
@@ -399,12 +428,8 @@ class SupervisedPool:
                     return
                 busy = [worker for worker in workers
                         if worker.task is not None]
-                if self._interrupted is not None and not busy:
-                    raise SweepInterrupted(
-                        f"sweep interrupted by {self._interrupted} after "
-                        f"{completed} completed specs (resumable)",
-                        completed=completed)
                 if not busy:
+                    self.raise_if_interrupted(completed)
                     # nothing in flight: we are waiting out a backoff window.
                     wait = min((task.ready_at - now for task in pending),
                                default=0.0)
@@ -462,112 +487,3 @@ class SupervisedPool:
             if task.ready_at <= now:
                 return pending.pop(position)
         return None
-
-
-class ResilientRunner(BatchRunner):
-    """A BatchRunner with durable results, supervision and resume.
-
-    Drop-in for :class:`~repro.runner.batch.BatchRunner` anywhere a runner is
-    accepted (sweeps take ``runner=``), with three additions:
-
-    * every completed result is committed to ``store`` (a
-      :class:`~repro.runner.store.ResultStore` or a path) as it arrives —
-      atomic per result, so an interrupt never loses finished work;
-    * with ``resume=True``, specs whose hash is already stored are served
-      from the store without running (bit-identical: the stored bytes are
-      the prior run's result).  Quarantined specs are *re-attempted* on
-      resume;
-    * execution always goes through :class:`SupervisedPool` with retries —
-      per-spec timeouts, retry with backoff, crash respawn, quarantine — and
-      SIGINT/SIGTERM raise :class:`SweepInterrupted` once in-flight specs land.
-
-    The vectorized lockstep grouping is intentionally bypassed: supervision
-    is per-spec, and results are bit-identical either way (the parity suite
-    guards exactly that equivalence), so robustness costs correctness
-    nothing.  The engine choice is not part of a spec's store key, so a
-    store filled under one ``engine`` resumes under any other.  A
-    simulated-full ``store`` (chaos) degrades gracefully: the failed write
-    is counted (``resilient.store.write_errors``), the result still flows
-    to the caller, and the spec simply re-runs on resume.
-    """
-
-    def __init__(self, jobs: int = 1, cache: bool = True, telemetry=None,
-                 store=None, resume: bool = False, max_retries: int = 2,
-                 spec_timeout: Optional[float] = None,
-                 backoff_base: float = 0.05, backoff_cap: float = 2.0,
-                 backoff_seed: int = 0,
-                 chaos: Optional["ChaosSchedule"] = None,
-                 engine: str = "auto"):
-        super().__init__(jobs=jobs, cache=cache, telemetry=telemetry,
-                         engine=engine)
-        if isinstance(store, (str, bytes, os.PathLike)):
-            store = ResultStore(os.fsdecode(store), chaos=chaos)
-        self.store: Optional[ResultStore] = store
-        if resume and store is None:
-            raise ValueError("resume=True requires a result store")
-        self.resume = bool(resume)
-        self.chaos = chaos
-        self.pool = SupervisedPool(jobs=self.jobs, max_retries=max_retries,
-                                   spec_timeout=spec_timeout,
-                                   backoff_base=backoff_base,
-                                   backoff_cap=backoff_cap,
-                                   backoff_seed=backoff_seed, chaos=chaos,
-                                   telemetry=self.telemetry, engine=engine)
-
-    # -- telemetry helpers ---------------------------------------------------
-    def _store_size_gauge(self) -> None:
-        if self.telemetry is not None and self.store is not None:
-            self.telemetry.registry.gauge(
-                "resilient.store.size").set(len(self.store))
-
-    # -- the resilient execution path ----------------------------------------
-    def _execute_pending(self, pending: Sequence[RunSpec],
-                         tolerant: bool = False):
-        """Serve store hits, then run misses supervised, committing arrivals.
-
-        ``tolerant`` is accepted for interface compatibility but subsumed:
-        supervision always tolerates per-spec failure (the failing spec
-        quarantines instead of aborting the batch).
-        """
-        if not pending:
-            return
-        misses: List[RunSpec] = []
-        for spec in pending:
-            stored = (self.store.get(spec)
-                      if self.resume and self.store is not None else None)
-            if stored is not None:
-                _count(self.telemetry, "store.hits")
-                yield spec, stored
-            else:
-                if self.resume and self.store is not None:
-                    _count(self.telemetry, "store.misses")
-                misses.append(spec)
-        previous_handlers = {}
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                previous_handlers[signum] = signal.signal(
-                    signum, self.pool._signal_handler)
-            except ValueError:  # pragma: no cover - non-main thread
-                pass
-        try:
-            for spec, result in self.pool.run(misses):
-                if self.store is not None:
-                    if isinstance(result, QuarantinedResult):
-                        self.store.quarantine(spec, result.attempts,
-                                              result.last_error,
-                                              result.last_traceback)
-                    else:
-                        try:
-                            self.store.put(spec, result)
-                            _count(self.telemetry, "store.writes")
-                        except OSError as err:
-                            # Disk full (real or chaos-simulated): degraded,
-                            # not fatal — the result still flows to the
-                            # caller; the spec re-runs on resume.
-                            _count(self.telemetry, "store.write_errors")
-                            del err
-                    self._store_size_gauge()
-                yield spec, result
-        finally:
-            for signum, handler in previous_handlers.items():
-                signal.signal(signum, handler)

@@ -1,9 +1,12 @@
 """Durable, content-addressed result store for crash-safe sweeps.
 
-The in-memory spec-keyed cache of :class:`~repro.runner.batch.BatchRunner`
-dies with the process; a multi-hour sweep interrupted at spec 9,999 of 10,000
-used to restart from zero.  :class:`ResultStore` fixes that with the smallest
-durable substrate the container already ships: **sqlite**.
+A multi-hour sweep interrupted at spec 9,999 of 10,000 should not restart
+from zero.  :class:`ResultStore` is the one result cache of
+:class:`~repro.runner.batch.BatchRunner` (``store=``): every computed result
+is committed as it arrives, and ``resume=True`` serves stored specs without
+running them.  It sits on the smallest durable substrate the standard
+library ships: **sqlite** (``":memory:"``, with ``resume=True``, for a cache
+that lives as long as the process).
 
 Design points:
 
@@ -54,8 +57,8 @@ cache.
 Chaos: a :class:`~repro.runner.chaos.ChaosSchedule` with scheduled
 ``store_full_writes`` makes :meth:`put` raise ``OSError(ENOSPC)`` on exactly
 those write indices — the deterministic stand-in for a disk filling up
-mid-sweep (the supervisor treats it as non-fatal; the result stays usable
-in-memory and the spec re-runs on resume).
+mid-sweep (the runner treats it as non-fatal; the result still reaches the
+caller and the spec re-runs on resume).
 """
 
 from __future__ import annotations
@@ -78,6 +81,9 @@ __all__ = ["ResultStore", "StoreError", "StoreVersionError", "store_key",
 #: the store layout this build reads and writes.  v2: store keys hash a
 #: spec repr without engine fields (engine choice left the spec).
 SCHEMA_VERSION = 2
+
+#: tries at opening a store another process is creating at the same time.
+_OPEN_ATTEMPTS = 50
 
 
 class StoreError(RuntimeError):
@@ -118,13 +124,17 @@ class ResultStore:
                 and not os.path.exists(self.path):
             raise StoreError(f"no result store at {self.path}")
         self._conn = sqlite3.connect(self.path)
-        # WAL keeps readers (status/monitoring) non-blocking and makes each
-        # commit atomic under SIGKILL; NORMAL sync is durable to application
-        # crash (the OS may lose the last commit on *power* loss, which a
-        # resumable sweep tolerates by construction: the spec re-runs).
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._init_schema()
+        # Two processes opening a new store at once (a sweep, and a `store
+        # status` beside it) race to switch it to WAL, and sqlite answers
+        # the loser "database is locked" without waiting: retry briefly.
+        for attempt in range(_OPEN_ATTEMPTS):
+            try:
+                self._init_schema()
+                break
+            except sqlite3.OperationalError as err:
+                if "locked" not in str(err) or attempt + 1 == _OPEN_ATTEMPTS:
+                    raise
+                time.sleep(0.01)
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
@@ -140,6 +150,12 @@ class ResultStore:
         self.close()
 
     def _init_schema(self) -> None:
+        # WAL keeps readers (status/monitoring) non-blocking and makes each
+        # commit atomic under SIGKILL; NORMAL sync is durable to application
+        # crash (the OS may lose the last commit on *power* loss, which a
+        # resumable sweep tolerates by construction: the spec re-runs).
+        self._conn.execute("PRAGMA journal_mode=WAL")
+        self._conn.execute("PRAGMA synchronous=NORMAL")
         with self._conn:
             self._conn.execute(
                 "CREATE TABLE IF NOT EXISTS meta ("
@@ -162,14 +178,14 @@ class ResultStore:
                 " last_error TEXT NOT NULL,"
                 " traceback TEXT NOT NULL,"
                 " updated_at REAL NOT NULL)")
+            # OR IGNORE: an earlier or a concurrent opener may have written it.
+            self._conn.execute(
+                "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
+                ("schema_version", str(SCHEMA_VERSION)))
             row = self._conn.execute(
                 "SELECT value FROM meta WHERE key = 'schema_version'"
             ).fetchone()
-            if row is None:
-                self._conn.execute(
-                    "INSERT INTO meta (key, value) VALUES (?, ?)",
-                    ("schema_version", str(SCHEMA_VERSION)))
-            elif int(row[0]) > SCHEMA_VERSION:
+            if int(row[0]) > SCHEMA_VERSION:
                 raise StoreVersionError(
                     f"{self.path} uses store schema v{row[0]}; this build "
                     f"reads up to v{SCHEMA_VERSION} — upgrade the code, not "

@@ -59,7 +59,7 @@ class TestCertifierAcceptance:
 
 class TestConformanceAcceptance:
     def test_full_matrix_has_zero_violations(self):
-        report = run_conformance(n=7, f=2, rounds=5, seed=0, jobs=1)
+        report = run_conformance(n=7, f=2, rounds=5, seed=0)
         algorithms = {o.case.algorithm for o in report.outcomes}
         fault_kinds = {o.case.fault_kind for o in report.outcomes}
         assert len(algorithms) >= 6 and len(fault_kinds) >= 3
@@ -96,7 +96,7 @@ class TestAdversarialBatchDeterminism:
                  for name in ("adversarial-lan", "tightness-sweep")
                  for seed in (0, 1)]
         serial = [execute(spec) for spec in specs]
-        parallel = BatchRunner(jobs=2, cache=False).run(specs)
+        parallel = BatchRunner(jobs=2).run(specs)
         for spec, a, b in zip(specs, serial, parallel):
             assert b.spec == spec
             assert self._fingerprint(a) == self._fingerprint(b)

@@ -4,7 +4,7 @@ Covers the acceptance bar of the runner refactor: a 2-worker batch over a
 multi-point workload is (a) bit-identical to serial execution per spec, for
 every layer that now routes through the runner (sweeps, comparison,
 replication), (b) really spread over two worker processes when at least two
-CPUs are available, and (c) served from the result cache on a re-run.
+CPUs are available, and (c) served from the result store on a re-run.
 """
 
 import os
@@ -19,6 +19,7 @@ from repro.analysis import (
 from repro.runner import BatchRunner, RunSpec, available_parallelism, replicate
 from repro.runner import batch
 from repro.runner.spec import execute
+from repro.telemetry import Telemetry
 
 multicore = pytest.mark.skipif(
     available_parallelism() < 2,
@@ -32,7 +33,7 @@ class TestParallelParity:
         kwargs = dict(n=7, rounds=4, seed=1)
         serial = sweep_topology(["complete", "ring", "star", "grid"], **kwargs)
         parallel = sweep_topology(["complete", "ring", "star", "grid"],
-                                  jobs=2, **kwargs)
+                                  runner=BatchRunner(jobs=2), **kwargs)
         assert serial.headers() == parallel.headers()
         assert serial.rows() == parallel.rows()
 
@@ -42,13 +43,14 @@ class TestParallelParity:
                                             "marzullo", "unsynchronized"],
                       fault_kind="two_faced", seed=0)
         serial = run_comparison(params, **kwargs)
-        parallel = run_comparison(params, jobs=2, **kwargs)
+        parallel = run_comparison(params, runner=BatchRunner(jobs=2),
+                                  **kwargs)
         assert serial == parallel
 
     def test_replication_parity(self):
         spec = RunSpec.maintenance(default_parameters(n=7, f=2), rounds=5)
-        serial = replicate(spec, seeds=range(4), jobs=1)
-        parallel = replicate(spec, seeds=range(4), jobs=2)
+        serial = replicate(spec, seeds=range(4))
+        parallel = replicate(spec, seeds=range(4), runner=BatchRunner(jobs=2))
         assert serial.agreement_values == parallel.agreement_values
         assert serial.validity_values == parallel.validity_values
         for a, b in zip(serial.results, parallel.results):
@@ -61,30 +63,34 @@ class TestParallelWorkhorseBatch:
         specs = [RunSpec.maintenance(medium_params, rounds=40, seed=seed)
                  for seed in range(4)]
         serial = BatchRunner(jobs=1).run(specs)
-        parallel = BatchRunner(jobs=2, cache=False).run(specs)
+        parallel = BatchRunner(jobs=2).run(specs)
         for a, b in zip(serial, parallel):
             assert a.trace.events == b.trace.events
             assert a.start_times == b.start_times
 
     def test_replication_over_four_seeds_stays_valid(self, medium_params):
         spec = RunSpec.maintenance(medium_params, rounds=40)
-        rep = replicate(spec, seeds=range(4),
-                        jobs=min(2, available_parallelism()))
+        rep = replicate(spec, seeds=range(4), runner=BatchRunner(
+            jobs=min(2, available_parallelism())))
         assert rep.validity_holds
 
 
 class TestBatchCache:
-    def test_warm_rerun_is_served_from_the_cache(self, medium_params):
+    def test_warm_rerun_is_served_from_the_cache(self, medium_params,
+                                                 tmp_path):
+        # The store is the runner's one cache: a resumed batch executes
+        # nothing and returns the stored bits.
         specs = [RunSpec.maintenance(medium_params, rounds=40, seed=seed)
                  for seed in range(4)]
-        runner = BatchRunner(jobs=1)
-        cold = runner.run(specs)
-        assert runner.cache_size == len(specs)
-        warm = runner.run(specs)
-        assert runner.cache_size == len(specs)
-        # The very same result objects: nothing was executed again.
-        assert all(w is c for w, c in zip(warm, cold))
-        assert [r.end_time for r in warm] == [r.end_time for r in cold]
+        store = str(tmp_path / "cache.sqlite")
+        cold = BatchRunner(store=store).run(specs)
+        telemetry = Telemetry()
+        warm = BatchRunner(store=store, resume=True,
+                           telemetry=telemetry).run(specs)
+        assert telemetry.registry.value("resilient.store.hits") == len(specs)
+        assert telemetry.registry.value("runner.specs_executed") == 0
+        assert [r.trace.events for r in warm] == \
+            [r.trace.events for r in cold]
 
 
 def _execute_in_worker(spec, engine="auto"):
@@ -106,7 +112,7 @@ class TestPoolExecution:
         serial_results = BatchRunner(jobs=1).run(specs)
 
         monkeypatch.setattr(batch, "execute", _execute_in_worker)
-        arrivals = BatchRunner(jobs=2, cache=False).run(specs)
+        arrivals = BatchRunner(jobs=2).run(specs)
         pids = {pid for pid, _ in arrivals}
         parallel_results = [result for _, result in arrivals]
 

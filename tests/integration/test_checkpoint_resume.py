@@ -189,7 +189,7 @@ class TestRunnerSurface:
         # with counts and spec intact.
         spec = RunSpec.maintenance(medium_params, rounds=6, seed=0,
                                    max_events=40)
-        runner = BatchRunner(jobs=2, cache=False)
+        runner = BatchRunner(jobs=2)
         with pytest.raises(EventBudgetExceeded) as excinfo:
             runner.run([spec, spec.with_seed(1)])
         assert excinfo.value.max_events == 40
@@ -217,9 +217,8 @@ class TestRunnerSurface:
         spec = RunSpec.maintenance(medium_params, rounds=4,
                                    record_trace=False,
                                    observers=("skew", "validity"))
-        runner = BatchRunner(jobs=1)
-        runner.run([spec, spec])
-        assert runner.cache_size == 1
+        first, second = BatchRunner(jobs=1).run([spec, spec])
+        assert first is second  # equal specs run once per batch
         assert spec == spec.replace()
         assert spec != spec.replace(observers=("skew",))
 

@@ -21,9 +21,9 @@ from repro.analysis import default_parameters
 from repro.analysis.sweeps import SweepAxis, run_spec_sweep, sweep_epsilon
 from repro.core.config import SyncParameters
 from repro.runner import (
+    BatchRunner,
     ChaosFault,
     ChaosSchedule,
-    ResilientRunner,
     ResultStore,
     RunSpec,
     SweepInterrupted,
@@ -34,7 +34,8 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 EPSILONS = [0.001, 0.002, 0.003, 0.004]
 
-FAST = dict(max_retries=2, backoff_base=0.01, backoff_cap=0.05)
+#: the retry budget that makes a BatchRunner supervised.
+SUPERVISED = dict(max_retries=2)
 
 
 def epsilon_sweep(runner=None, **kwargs):
@@ -45,8 +46,7 @@ def epsilon_sweep(runner=None, **kwargs):
 class TestResilientSweepParity:
     def test_resilient_runner_matches_plain_sweep(self):
         plain = epsilon_sweep()
-        resilient = epsilon_sweep(runner=ResilientRunner(jobs=2, cache=False,
-                                                         **FAST))
+        resilient = epsilon_sweep(runner=BatchRunner(jobs=2, **SUPERVISED))
         assert plain.headers() == resilient.headers()
         assert plain.rows() == resilient.rows()
 
@@ -54,8 +54,7 @@ class TestResilientSweepParity:
         # Spec 1 fails every attempt: its cell loses its outputs and gains a
         # failed_runs column; the other cells are untouched.
         chaos = ChaosSchedule.single(1, "raise", attempts=10)
-        runner = ResilientRunner(jobs=1, cache=False, chaos=chaos,
-                                 max_retries=1, backoff_base=0.01)
+        runner = BatchRunner(jobs=1, chaos=chaos, max_retries=1)
         plain = epsilon_sweep()
         hit = epsilon_sweep(runner=runner)
         assert hit.points[1].outputs == {"failed_runs": 1.0}
@@ -78,9 +77,9 @@ class TestKillQuarantineInterruptResume:
             ChaosFault(3, "interrupt", attempts=1),
         ))
         telemetry = Telemetry()
-        interrupted = ResilientRunner(jobs=1, cache=False, store=store_path,
-                                      chaos=chaos, telemetry=telemetry,
-                                      **FAST)
+        interrupted = BatchRunner(jobs=1, store=store_path,
+                                  chaos=chaos, telemetry=telemetry,
+                                  **SUPERVISED)
         with pytest.raises(SweepInterrupted) as excinfo:
             epsilon_sweep(runner=interrupted)
         # Spec 0's retry is parked behind fresh specs, so only 1 and 2
@@ -96,9 +95,9 @@ class TestKillQuarantineInterruptResume:
         # attempt — it quarantines (counter + manifest + durable record)
         # while the sweep still completes, reporting the casualty.
         telemetry = Telemetry()
-        poisoned = ResilientRunner(
-            jobs=1, cache=False, store=store_path, resume=True,
-            telemetry=telemetry, max_retries=1, backoff_base=0.01,
+        poisoned = BatchRunner(
+            jobs=1, store=store_path, resume=True,
+            telemetry=telemetry, max_retries=1,
             chaos=ChaosSchedule.single(0, "raise", attempts=10))
         degraded = epsilon_sweep(runner=poisoned)
         assert degraded.points[0].outputs == {"failed_runs": 1.0}
@@ -113,8 +112,8 @@ class TestKillQuarantineInterruptResume:
         # Phase 3: resume without chaos (the fault was environmental): the
         # quarantined spec re-runs, the stored specs are served as hits, and
         # the final table is bit-identical to an uninterrupted serial sweep.
-        resumed = ResilientRunner(jobs=1, cache=False, store=store_path,
-                                  resume=True, **FAST)
+        resumed = BatchRunner(jobs=1, store=store_path,
+                              resume=True, **SUPERVISED)
         clean = epsilon_sweep()
         recovered = epsilon_sweep(runner=resumed)
         assert recovered.headers() == clean.headers()
@@ -270,13 +269,12 @@ class TestReplicatedResilientSweep:
         store_path = str(tmp_path / "rep.sqlite")
         first = run_spec_sweep(
             axes, build, measure,
-            runner=ResilientRunner(jobs=2, cache=False, store=store_path,
-                                   **FAST),
+            runner=BatchRunner(jobs=2, store=store_path, **SUPERVISED),
             **kwargs)
         resumed = run_spec_sweep(
             axes, build, measure,
-            runner=ResilientRunner(jobs=1, cache=False, store=store_path,
-                                   resume=True, **FAST),
+            runner=BatchRunner(jobs=1, store=store_path,
+                               resume=True, **SUPERVISED),
             **kwargs)
         assert first.rows() == plain.rows()
         assert resumed.rows() == plain.rows()

@@ -60,9 +60,9 @@ class TestMergeEquality:
     def test_parallel_totals_equal_serial(self):
         specs = _specs()
         serial_tel = Telemetry()
-        BatchRunner(jobs=1, cache=False, telemetry=serial_tel).run(specs)
+        BatchRunner(jobs=1, telemetry=serial_tel).run(specs)
         parallel_tel = Telemetry()
-        BatchRunner(jobs=2, cache=False, telemetry=parallel_tel).run(specs)
+        BatchRunner(jobs=2, telemetry=parallel_tel).run(specs)
 
         serial = serial_tel.registry.snapshot()
         parallel = parallel_tel.registry.snapshot()
@@ -84,7 +84,7 @@ class TestMergeEquality:
     def test_manifests_collected_per_spec(self):
         specs = _specs()
         telemetry = Telemetry()
-        BatchRunner(jobs=2, cache=False, telemetry=telemetry).run(specs)
+        BatchRunner(jobs=2, telemetry=telemetry).run(specs)
         assert len(telemetry.manifests) == len(specs)
         hashes = {record["spec_hash"] for record in telemetry.manifests}
         assert len(hashes) == len(specs)
@@ -96,10 +96,11 @@ class TestMergeEquality:
     def test_cached_specs_measure_nothing(self):
         specs = _specs(count=2)
         telemetry = Telemetry()
-        runner = BatchRunner(jobs=1, telemetry=telemetry)
+        runner = BatchRunner(jobs=1, telemetry=telemetry, store=":memory:",
+                             resume=True)
         runner.run(specs)
         executed = telemetry.registry.value("runner.specs_executed")
-        runner.run(specs)  # every spec cached: no new runs, no new metrics
+        runner.run(specs)  # every spec stored: no new runs, no new metrics
         assert telemetry.registry.value("runner.specs_executed") == executed
         assert len(telemetry.manifests) == len(specs)
 

@@ -54,7 +54,7 @@ class TestParallelMatchesSerial:
     @given(st.lists(spec_strategy, min_size=2, max_size=4, unique=True))
     def test_two_worker_batch_matches_serial(self, specs):
         serial = [execute(spec) for spec in specs]
-        parallel = BatchRunner(jobs=2, cache=False).run(specs)
+        parallel = BatchRunner(jobs=2).run(specs)
         for spec, a, b in zip(specs, serial, parallel):
             assert b.spec == spec
             assert _fingerprint(a) == _fingerprint(b)

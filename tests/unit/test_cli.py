@@ -368,15 +368,28 @@ class TestSweepCommand:
         (["--spec-timeout", "30"], 2),
     ])
     def test_retries_opts_the_sweep_into_supervision(self, flags, retries):
-        from repro.cli import _sweep_runner
+        from repro.cli import _runner
 
         args = build_parser().parse_args(
             ["sweep", "--axis", "n", "--values", "7", "--jobs", "2", *flags])
-        runner = _sweep_runner(args)
-        if retries is None:
-            assert runner is None
-        else:
-            assert runner.pool.max_retries == retries
+        runner = _runner(args)
+        assert runner.jobs == 2
+        assert runner.max_retries == retries
+        assert runner.pool.max_retries == (retries or 0)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--resume"], "--resume requires --store PATH"),
+        (["--spec-timeout", "-1"], "spec_timeout must be positive"),
+        (["--retries", "-1"], "max_retries must be >= 0"),
+    ], ids=["resume-without-store", "negative-spec-timeout",
+            "negative-retries"])
+    def test_bad_runner_flag_is_a_usage_error(self, capsys, flags, message):
+        argv = ["sweep", "--axis", "n", "--values", "7", "--rounds", "3"]
+        assert main(argv + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: {message}")
 
     def test_store_line_counts_rows_and_decodes_no_payload(
             self, capsys, tmp_path, monkeypatch):

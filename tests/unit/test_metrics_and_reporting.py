@@ -15,12 +15,13 @@ from repro.analysis import (
     round_start_spreads,
     run_comparison,
     run_maintenance_scenario,
+    run_replicated_comparison,
     sample_grid,
     skew_series,
     steady_state_round_spread,
     validity_report,
 )
-from repro.core import agreement_bound, validity_parameters
+from repro.core import SyncParameters, agreement_bound, validity_parameters
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +134,23 @@ class TestComparison:
         wl, none = rows
         assert wl.messages_per_round > none.messages_per_round
         assert none.max_adjustment == 0.0
+
+    @pytest.mark.parametrize("replicated", [False, True],
+                             ids=["single", "replicated"])
+    def test_window_starts_settled_rounds_after_real_start(self, replicated):
+        # A logical T0 of 5 s must not move the real-time window: tmax0 is a
+        # real START time already.
+        params = SyncParameters.derive(n=7, f=2, rho=1e-4, delta=0.01,
+                                       epsilon=0.002, initial_round_time=5.0)
+        if replicated:
+            (row,) = run_replicated_comparison(params, seeds=[0, 1], rounds=6,
+                                               algorithms=["welch_lynch"])
+            agreement = row.agreement.maximum
+        else:
+            (row,) = run_comparison(params, rounds=6,
+                                    algorithms=["welch_lynch"])
+            agreement = row.agreement
+        assert 0.0 < agreement <= agreement_bound(params)
 
     def test_unknown_algorithm_rejected(self, medium_params):
         from repro.analysis import run_algorithm_scenario

@@ -1,4 +1,4 @@
-"""Unit tests for the supervised pool and the resilient runner.
+"""Unit tests for the supervised pool and the store-backed, supervised runner.
 
 Every failure here is chaos-injected on a deterministic schedule, so the
 supervision paths (crash respawn, timeout reclaim, retry-then-success,
@@ -11,22 +11,22 @@ import os
 import pytest
 
 from repro.analysis import default_parameters
+from repro.analysis.workloads import build_spec, get_workload
 from repro.runner import (
     BatchRunner,
     ChaosFault,
     ChaosSchedule,
     QuarantinedResult,
-    ResilientRunner,
     ResultStore,
     RunSpec,
     SupervisedPool,
     SweepInterrupted,
 )
+from repro.sim.traceindex import numpy_enabled
 from repro.telemetry import Telemetry
 
-#: fast supervision knobs shared by every test: near-instant backoff so
-#: retry paths do not slow the suite down.
-FAST = dict(max_retries=2, backoff_base=0.01, backoff_cap=0.05)
+#: the retry budget that makes a BatchRunner supervised.
+SUPERVISED = dict(max_retries=2)
 
 
 @pytest.fixture(scope="module")
@@ -53,15 +53,15 @@ def assert_identical(results, reference):
 
 class TestSupervisedParity:
     def test_serial_supervised_matches_plain(self, specs, reference):
-        assert_identical(ResilientRunner(jobs=1, **FAST).run(specs),
+        assert_identical(BatchRunner(jobs=1, **SUPERVISED).run(specs),
                          reference)
 
     def test_pooled_supervised_matches_plain(self, specs, reference):
-        assert_identical(ResilientRunner(jobs=2, **FAST).run(specs),
+        assert_identical(BatchRunner(jobs=2, **SUPERVISED).run(specs),
                          reference)
 
     def test_empty_batch(self):
-        assert ResilientRunner(jobs=2, **FAST).run([]) == []
+        assert BatchRunner(jobs=2, **SUPERVISED).run([]) == []
 
     def test_pool_validation(self):
         with pytest.raises(ValueError, match="max_retries"):
@@ -69,15 +69,24 @@ class TestSupervisedParity:
         with pytest.raises(ValueError, match="spec_timeout"):
             SupervisedPool(spec_timeout=0)
         with pytest.raises(ValueError, match="requires a result store"):
-            ResilientRunner(resume=True)
+            BatchRunner(resume=True)
+
+    @pytest.mark.parametrize("knob", [
+        {"spec_timeout": 5.0},
+        {"chaos": ChaosSchedule.single(0, "raise")},
+    ], ids=["spec_timeout", "chaos"])
+    def test_supervision_knobs_need_a_retry_budget(self, knob):
+        with pytest.raises(ValueError, match="pass max_retries"):
+            BatchRunner(**knob)
+        assert BatchRunner(max_retries=0, **knob).pool.max_retries == 0
 
 
 class TestRetryPaths:
     def test_injected_error_retries_then_succeeds(self, specs, reference):
         telemetry = Telemetry()
-        runner = ResilientRunner(jobs=1, telemetry=telemetry,
-                                 chaos=ChaosSchedule.single(1, "raise"),
-                                 **FAST)
+        runner = BatchRunner(jobs=1, telemetry=telemetry,
+                             chaos=ChaosSchedule.single(1, "raise"),
+                             **SUPERVISED)
         assert_identical(runner.run(specs), reference)
         snapshot = telemetry.registry.snapshot()
         assert snapshot["resilient.errors"]["value"] == 1.0
@@ -85,9 +94,9 @@ class TestRetryPaths:
 
     def test_worker_crash_respawns_and_retries(self, specs, reference):
         telemetry = Telemetry()
-        runner = ResilientRunner(jobs=2, telemetry=telemetry,
-                                 chaos=ChaosSchedule.single(2, "kill"),
-                                 **FAST)
+        runner = BatchRunner(jobs=2, telemetry=telemetry,
+                             chaos=ChaosSchedule.single(2, "kill"),
+                             **SUPERVISED)
         assert_identical(runner.run(specs), reference)
         snapshot = telemetry.registry.snapshot()
         assert snapshot["resilient.crashes"]["value"] == 1.0
@@ -95,19 +104,19 @@ class TestRetryPaths:
 
     def test_hang_reclaimed_by_spec_timeout(self, specs, reference):
         telemetry = Telemetry()
-        runner = ResilientRunner(
+        runner = BatchRunner(
             jobs=1, telemetry=telemetry, spec_timeout=0.4,
             chaos=ChaosSchedule.single(0, "hang", hang_seconds=30.0),
-            **FAST)
+            **SUPERVISED)
         assert_identical(runner.run(specs), reference)
         snapshot = telemetry.registry.snapshot()
         assert snapshot["resilient.timeouts"]["value"] == 1.0
 
     def test_two_failures_then_success(self, specs, reference):
         telemetry = Telemetry()
-        runner = ResilientRunner(
+        runner = BatchRunner(
             jobs=1, telemetry=telemetry,
-            chaos=ChaosSchedule.single(3, "raise", attempts=2), **FAST)
+            chaos=ChaosSchedule.single(3, "raise", attempts=2), **SUPERVISED)
         assert_identical(runner.run(specs), reference)
         assert telemetry.registry.snapshot()[
             "resilient.retries"]["value"] == 2.0
@@ -156,8 +165,8 @@ class TestIdleWorkerDeath:
 class TestQuarantine:
     def test_quarantined_after_max_retries(self, specs, reference):
         telemetry = Telemetry()
-        runner = ResilientRunner(
-            jobs=1, telemetry=telemetry, max_retries=1, backoff_base=0.01,
+        runner = BatchRunner(
+            jobs=1, telemetry=telemetry, max_retries=1,
             chaos=ChaosSchedule.single(1, "raise", attempts=10))
         results = runner.run(specs)
         quarantined = results[1]
@@ -179,8 +188,8 @@ class TestQuarantine:
 
     def test_quarantine_recorded_in_store(self, tmp_path, specs):
         store_path = str(tmp_path / "store.sqlite")
-        runner = ResilientRunner(
-            jobs=1, store=store_path, max_retries=0, backoff_base=0.01,
+        runner = BatchRunner(
+            jobs=1, store=store_path, max_retries=0,
             chaos=ChaosSchedule.single(0, "raise", attempts=10))
         runner.run(specs)
         records = runner.store.quarantined()
@@ -195,12 +204,12 @@ class TestQuarantine:
     def test_resume_reattempts_quarantined_spec(self, tmp_path, specs,
                                                 reference):
         store_path = str(tmp_path / "store.sqlite")
-        broken = ResilientRunner(
-            jobs=1, store=store_path, max_retries=0, backoff_base=0.01,
+        broken = BatchRunner(
+            jobs=1, store=store_path, max_retries=0,
             chaos=ChaosSchedule.single(0, "raise", attempts=10))
         broken.run(specs)
-        healed = ResilientRunner(jobs=1, store=store_path, resume=True,
-                                 **FAST)
+        healed = BatchRunner(jobs=1, store=store_path, resume=True,
+                             **SUPERVISED)
         assert_identical(healed.run(specs), reference)
         assert healed.store.quarantined() == []  # success cleared the row
 
@@ -208,8 +217,8 @@ class TestQuarantine:
 class TestStoreIntegration:
     def test_results_committed_as_they_arrive(self, tmp_path, specs,
                                               reference):
-        runner = ResilientRunner(jobs=1,
-                                 store=str(tmp_path / "s.sqlite"), **FAST)
+        runner = BatchRunner(jobs=1,
+                             store=str(tmp_path / "s.sqlite"), **SUPERVISED)
         runner.run(specs)
         for spec, expected in zip(specs, reference):
             assert runner.store.get(spec).trace.events == \
@@ -218,10 +227,10 @@ class TestStoreIntegration:
     def test_resume_serves_hits_bit_identically(self, tmp_path, specs,
                                                 reference):
         store_path = str(tmp_path / "s.sqlite")
-        ResilientRunner(jobs=1, store=store_path, **FAST).run(specs)
+        BatchRunner(jobs=1, store=store_path, **SUPERVISED).run(specs)
         telemetry = Telemetry()
-        resumed = ResilientRunner(jobs=1, store=store_path, resume=True,
-                                  cache=False, telemetry=telemetry, **FAST)
+        resumed = BatchRunner(jobs=1, store=store_path, resume=True,
+                              telemetry=telemetry, **SUPERVISED)
         assert_identical(resumed.run(specs), reference)
         snapshot = telemetry.registry.snapshot()
         assert snapshot["resilient.store.hits"]["value"] == float(len(specs))
@@ -231,8 +240,8 @@ class TestStoreIntegration:
                                                           specs, reference):
         chaos = ChaosSchedule(store_full_writes={1})
         telemetry = Telemetry()
-        runner = ResilientRunner(jobs=1, store=str(tmp_path / "s.sqlite"),
-                                 chaos=chaos, telemetry=telemetry, **FAST)
+        runner = BatchRunner(jobs=1, store=str(tmp_path / "s.sqlite"),
+                             chaos=chaos, telemetry=telemetry, **SUPERVISED)
         # The caller still gets every result...
         assert_identical(runner.run(specs), reference)
         # ...only the store is short the failed write.
@@ -244,20 +253,20 @@ class TestStoreIntegration:
 
     def test_store_size_gauge_tracks_growth(self, tmp_path, specs):
         telemetry = Telemetry()
-        runner = ResilientRunner(jobs=1, store=str(tmp_path / "s.sqlite"),
-                                 telemetry=telemetry, **FAST)
+        runner = BatchRunner(jobs=1, store=str(tmp_path / "s.sqlite"),
+                             telemetry=telemetry, **SUPERVISED)
         runner.run(specs)
         gauge = telemetry.registry.snapshot()["resilient.store.size"]
         assert gauge["value"] == float(len(specs))
 
     def test_accepts_open_store_instance(self, tmp_path, specs, reference):
         store = ResultStore(str(tmp_path / "s.sqlite"))
-        runner = ResilientRunner(jobs=1, store=store, **FAST)
+        runner = BatchRunner(jobs=1, store=store, **SUPERVISED)
         assert_identical(runner.run(specs), reference)
         assert runner.store is store
 
     def test_accepts_a_pathlike_store(self, tmp_path, specs, reference):
-        runner = ResilientRunner(jobs=1, store=tmp_path / "s.sqlite", **FAST)
+        runner = BatchRunner(jobs=1, store=tmp_path / "s.sqlite", **SUPERVISED)
         assert_identical(runner.run(specs), reference)
         assert len(runner.store) == len(specs)
 
@@ -272,12 +281,12 @@ class TestStoreIntegration:
                                          seed=seed)
                      for seed in range(3)]
         store_path = str(tmp_path / "s.sqlite")
-        filled = ResilientRunner(jobs=1, store=store_path, engine="auto",
-                                 **FAST).run(streaming)
+        filled = BatchRunner(jobs=1, store=store_path, engine="auto",
+                             **SUPERVISED).run(streaming)
         telemetry = Telemetry()
-        resumed = ResilientRunner(jobs=1, store=store_path, resume=True,
-                                  cache=False, telemetry=telemetry,
-                                  engine=engine, **FAST).run(streaming)
+        resumed = BatchRunner(jobs=1, store=store_path, resume=True,
+                              telemetry=telemetry,
+                              engine=engine, **SUPERVISED).run(streaming)
         snapshot = telemetry.registry.snapshot()
         assert snapshot["resilient.store.hits"]["value"] == \
             float(len(streaming))
@@ -293,9 +302,9 @@ class TestStoreIntegration:
 class TestInterruptAndResume:
     def test_chaos_interrupt_raises_resumable(self, tmp_path, specs):
         store_path = str(tmp_path / "s.sqlite")
-        runner = ResilientRunner(
+        runner = BatchRunner(
             jobs=1, store=store_path,
-            chaos=ChaosSchedule.single(2, "interrupt"), **FAST)
+            chaos=ChaosSchedule.single(2, "interrupt"), **SUPERVISED)
         with pytest.raises(SweepInterrupted) as excinfo:
             runner.run(specs)
         # Specs dispatched before the interrupt were completed and flushed.
@@ -305,14 +314,14 @@ class TestInterruptAndResume:
     def test_interrupted_then_resumed_matches_serial(self, tmp_path, specs,
                                                      reference):
         store_path = str(tmp_path / "s.sqlite")
-        first = ResilientRunner(
+        first = BatchRunner(
             jobs=1, store=store_path,
-            chaos=ChaosSchedule.single(1, "interrupt"), **FAST)
+            chaos=ChaosSchedule.single(1, "interrupt"), **SUPERVISED)
         with pytest.raises(SweepInterrupted):
             first.run(specs)
         telemetry = Telemetry()
-        resumed = ResilientRunner(jobs=1, store=store_path, resume=True,
-                                  telemetry=telemetry, **FAST)
+        resumed = BatchRunner(jobs=1, store=store_path, resume=True,
+                              telemetry=telemetry, **SUPERVISED)
         assert_identical(resumed.run(specs), reference)
         snapshot = telemetry.registry.snapshot()
         assert snapshot["resilient.store.hits"]["value"] == 1.0
@@ -325,7 +334,7 @@ class TestNoLeakedChildren:
         import multiprocessing
 
         before = len(multiprocessing.active_children())
-        assert_identical(ResilientRunner(jobs=2, **FAST).run(specs),
+        assert_identical(BatchRunner(jobs=2, **SUPERVISED).run(specs),
                          reference)
         assert len(multiprocessing.active_children()) <= before
 
@@ -334,8 +343,53 @@ class TestNoLeakedChildren:
         # zombies) and the replacement must be shut down at the end.
         import multiprocessing
 
-        runner = ResilientRunner(jobs=1,
-                                 chaos=ChaosSchedule.single(0, "kill"),
-                                 **FAST)
+        runner = BatchRunner(jobs=1,
+                             chaos=ChaosSchedule.single(0, "kill"),
+                             **SUPERVISED)
         runner.run(specs)
         assert multiprocessing.active_children() == []
+
+
+class TestOneRunner:
+    """Supervised or not, with a store or without: one engine path."""
+
+    @pytest.fixture(scope="class")
+    def streamed(self):
+        spec = build_spec(get_workload("lan"), n=24, rounds=12,
+                          record_trace=False, observers=("skew", "validity"))
+        return [spec.with_seed(seed) for seed in range(8)]
+
+    @pytest.mark.skipif(not numpy_enabled(), reason="the kernel needs numpy")
+    def test_store_backed_supervised_runner_forms_replica_groups(
+            self, tmp_path, streamed):
+        store_path = str(tmp_path / "s.sqlite")
+        telemetry = Telemetry()
+        stored = BatchRunner(store=store_path, telemetry=telemetry,
+                             **SUPERVISED).run(streamed)
+        assert telemetry.registry.value("runner.vectorized_replicas") == 8
+        assert telemetry.registry.value("resilient.store.writes") == 8
+        for got, expected in zip(stored, BatchRunner().run(streamed)):
+            for name in ("skew", "validity"):
+                assert got.online(name).result() == \
+                    expected.online(name).result()
+        telemetry = Telemetry()
+        resumed = BatchRunner(store=store_path, resume=True,
+                              telemetry=telemetry, **SUPERVISED).run(streamed)
+        assert telemetry.registry.value("resilient.store.hits") == 8
+        assert telemetry.registry.value("runner.specs_executed") == 0
+        assert [r.online("skew").result() for r in resumed] == \
+            [r.online("skew").result() for r in stored]
+
+    def test_unsupervised_runner_commits_and_resumes(self, tmp_path, specs,
+                                                     reference):
+        store_path = str(tmp_path / "s.sqlite")
+        runner = BatchRunner(store=store_path)
+        assert runner.max_retries is None
+        assert_identical(runner.run(specs), reference)
+        assert len(runner.store) == len(specs)
+        telemetry = Telemetry()
+        resumed = BatchRunner(store=store_path, resume=True,
+                              telemetry=telemetry)
+        assert_identical(resumed.run(specs), reference)
+        assert telemetry.registry.value("resilient.store.hits") == len(specs)
+        assert telemetry.registry.value("runner.specs_executed") == 0

@@ -338,6 +338,40 @@ class TestSchemaVersioning:
         with make_store(tmp_path) as store:
             assert store.schema_version == SCHEMA_VERSION
 
+    def test_concurrent_openers_of_a_new_store_all_succeed(self, tmp_path):
+        # A sweep creating its store and a `store status` (or any poller)
+        # opening it at the same moment race to switch it to WAL and to
+        # write the version row: no opener may raise (IntegrityError and
+        # "database is locked" each ended a sweep that way).
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        for trial in range(40):
+            path = str(tmp_path / f"race{trial}.sqlite")
+            barrier, outcomes = context.Barrier(3), context.Queue()
+            openers = [context.Process(target=_open_store,
+                                       args=(path, barrier, outcomes))
+                       for _ in range(3)]
+            for opener in openers:
+                opener.start()
+            results = [outcomes.get(timeout=30) for _ in openers]
+            for opener in openers:
+                opener.join(timeout=30)
+                assert not opener.is_alive()
+            assert results == ["ok"] * 3, results
+            with ResultStore(path, create=False) as store:
+                assert store.schema_version == SCHEMA_VERSION
+
+
+def _open_store(path, barrier, outcomes):
+    """Open (and so create) the store at ``path`` once every opener is ready."""
+    barrier.wait()
+    try:
+        ResultStore(path).close()
+        outcomes.put("ok")
+    except Exception as err:  # reported to the test process, not raised
+        outcomes.put(f"{type(err).__name__}: {err}")
+
 
 class TestQuarantineLedger:
     def test_quarantine_recorded_most_recent_first(self, tmp_path, spec):

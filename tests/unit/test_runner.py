@@ -166,6 +166,8 @@ class TestBatchRunner:
         assert results[0] is results[2]
 
     def test_cache_persists_across_batches(self, params, monkeypatch):
+        # The store is the one cache across batches; ":memory:" keeps it in
+        # the process.
         calls = []
 
         def counting_execute(spec, engine="auto"):
@@ -173,30 +175,13 @@ class TestBatchRunner:
             return execute(spec, engine=engine)
 
         monkeypatch.setattr(batch_module, "execute", counting_execute)
-        runner = BatchRunner()
+        runner = BatchRunner(store=":memory:", resume=True)
         spec = RunSpec.maintenance(params, rounds=3, seed=0)
-        runner.run([spec])
-        runner.run([spec])
+        first, = runner.run([spec])
+        second, = runner.run([spec])
         assert len(calls) == 1
-        assert runner.cache_size == 1
-        runner.clear_cache()
-        runner.run([spec])
-        assert len(calls) == 2
-
-    def test_cache_can_be_disabled(self, params, monkeypatch):
-        calls = []
-
-        def counting_execute(spec, engine="auto"):
-            calls.append(spec)
-            return execute(spec, engine=engine)
-
-        monkeypatch.setattr(batch_module, "execute", counting_execute)
-        runner = BatchRunner(cache=False)
-        spec = RunSpec.maintenance(params, rounds=3, seed=0)
-        runner.run([spec])
-        runner.run([spec])
-        assert len(calls) == 2
-        assert runner.cache_size == 0
+        assert len(runner.store) == 1
+        assert second.trace.events == first.trace.events
 
     def test_on_result_streams_computed_specs(self, params):
         seen = []
@@ -231,7 +216,7 @@ class TestBatchRunner:
         specs = [RunSpec.maintenance(params, rounds=4, seed=seed)
                  for seed in range(3)]
         serial = BatchRunner(jobs=1).run(specs)
-        parallel = BatchRunner(jobs=2, cache=False).run(specs)
+        parallel = BatchRunner(jobs=2).run(specs)
         for a, b in zip(serial, parallel):
             assert a.trace.events == b.trace.events
             assert a.start_times == b.start_times
@@ -297,11 +282,11 @@ class TestReplicate:
             return execute(spec, engine=engine)
 
         monkeypatch.setattr(batch_module, "execute", counting_execute)
-        runner = BatchRunner()
+        runner = BatchRunner(store=":memory:", resume=True)
         spec = RunSpec.maintenance(params, rounds=3)
         replicate(spec, seeds=[0, 1], runner=runner)
         replicate(spec, seeds=[0, 1, 2], runner=runner)
-        assert len(calls) == 3  # seeds 0 and 1 came from the cache
+        assert len(calls) == 3  # seeds 0 and 1 came from the store
 
 
 class TestTolerateFailures:
@@ -337,20 +322,6 @@ class TestTolerateFailures:
         spec = RunSpec.maintenance(params, rounds=3)
         with pytest.raises(ValueError, match="poison"):
             BatchRunner().run([spec])
-
-    def test_failures_are_cached_like_results(self, params, monkeypatch):
-        calls = []
-
-        def flaky(spec, engine="auto"):
-            calls.append(spec)
-            raise ValueError("poison")
-
-        monkeypatch.setattr(batch_module, "execute", flaky)
-        runner = BatchRunner()
-        spec = RunSpec.maintenance(params, rounds=3)
-        runner.run([spec], tolerate_failures=True)
-        runner.run([spec], tolerate_failures=True)
-        assert len(calls) == 1  # the known-bad spec did not re-run
 
     def test_pool_path_ships_failures_home(self, params):
         from repro.runner import QuarantinedResult

@@ -15,6 +15,7 @@ from repro.analysis import (
     sweep_topology,
 )
 from repro.runner import BatchRunner, RunSpec
+from repro.telemetry import Telemetry
 
 
 class TestSweepAxis:
@@ -116,7 +117,7 @@ class TestRunSpecSweep:
         axes = [SweepAxis("rounds", [2, 3, 4])]
         serial = run_spec_sweep(axes, self._build(seed=2), self._measure)
         parallel = run_spec_sweep(axes, self._build(seed=2), self._measure,
-                                  jobs=2)
+                                  runner=BatchRunner(jobs=2))
         assert serial.rows() == parallel.rows()
 
     def test_replication_adds_ci_columns(self):
@@ -128,12 +129,18 @@ class TestRunSpecSweep:
         assert result.points[0].outputs["sent_ci95"] >= 0.0
 
     def test_shared_runner_caches_across_sweeps(self):
-        runner = BatchRunner()
+        telemetry = Telemetry()
+        runner = BatchRunner(store=":memory:", resume=True,
+                             telemetry=telemetry)
         axes = [SweepAxis("rounds", [2, 3])]
-        run_spec_sweep(axes, self._build(seed=3), self._measure, runner=runner)
-        assert runner.cache_size == 2
-        run_spec_sweep(axes, self._build(seed=3), self._measure, runner=runner)
-        assert runner.cache_size == 2  # second sweep was pure cache hits
+        first = run_spec_sweep(axes, self._build(seed=3), self._measure,
+                               runner=runner)
+        assert telemetry.registry.value("resilient.store.hits") == 0
+        second = run_spec_sweep(axes, self._build(seed=3), self._measure,
+                                runner=runner)
+        # the second sweep was pure store hits
+        assert telemetry.registry.value("resilient.store.hits") == 2
+        assert second.rows() == first.rows()
 
     def test_rejects_empty_seeds(self):
         with pytest.raises(ValueError):
@@ -179,11 +186,12 @@ class TestReadyMadeSweeps:
         (sweep_fault_count, [1]),
         (sweep_topology, ["ring"]),
     ])
-    def test_every_helper_exposes_seed_seeds_and_jobs(self, sweep, values):
+    def test_every_helper_exposes_seed_seeds_and_runner(self, sweep, values):
         """The uniform replication interface across all five ready-made sweeps."""
         single = sweep(values, rounds=3, seed=7)
         assert len(single.points) == 1
-        replicated = sweep(values, rounds=3, seed=7, seeds=[0, 1], jobs=2)
+        replicated = sweep(values, rounds=3, seed=7, seeds=[0, 1],
+                           runner=BatchRunner(jobs=2))
         outputs = replicated.points[0].outputs
         ci_names = [name for name in outputs if name.endswith("_ci95")]
         assert ci_names, "replication must add *_ci95 columns"

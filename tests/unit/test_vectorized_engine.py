@@ -18,8 +18,7 @@ import pytest
 
 from repro.analysis.experiments import default_parameters
 from repro.analysis.statistics import summarize
-from repro.runner import (BatchRunner, ResilientRunner, RunSpec, execute,
-                          replicate)
+from repro.runner import BatchRunner, RunSpec, execute, replicate
 from repro.runner.spec import engine_for
 from repro.sim import roundengine, traceindex, vectorized
 from repro.sim.traceindex import numpy_enabled
@@ -250,13 +249,15 @@ class TestBatchRunnerRouting:
         assert telemetry.registry.value("runner.vectorized_batches") == 0
 
     @needs_numpy
-    @pytest.mark.parametrize("runner_class", [BatchRunner, ResilientRunner])
-    def test_engine_travels_to_pool_workers(self, runner_class):
+    @pytest.mark.parametrize("retries", [None, 2],
+                             ids=["plain", "supervised"])
+    def test_engine_travels_to_pool_workers(self, retries):
         # The choice rides with each task, so workers honour it without
         # any process-global state.
         spec = _spec(fault_kind="crash")
         telemetry = Telemetry()
-        runner = runner_class(jobs=2, telemetry=telemetry, engine="round")
+        runner = BatchRunner(jobs=2, telemetry=telemetry, engine="round",
+                             max_retries=retries)
         runner.run([spec.with_seed(s) for s in range(2)])
         assert telemetry.registry.value("roundengine.rounds") == \
             2 * spec.rounds
