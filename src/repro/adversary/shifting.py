@@ -40,7 +40,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple, Union
 from ..clocks.base import Clock
 from ..clocks.logical import CorrectionHistory
 from ..sim.recording import MessageRecord
-from ..sim.trace import ExecutionTrace, TraceEvent
+from ..sim.trace import ExecutionTrace, TraceEvent, _trace_from_columns
 
 __all__ = [
     "ShiftedClock",
@@ -111,20 +111,12 @@ def shift_clock(clock: Clock, shift: float) -> Clock:
 def shift_history(history: CorrectionHistory, shift: float) -> CorrectionHistory:
     """The correction history with every breakpoint retimed by ``shift``.
 
-    Adjustment values and round indices are untouched — a shifted process
+    CORR values (the trim horizon too) are untouched — a shifted process
     applies the *same* corrections, just ``shift`` later in real time (the
     "logical clocks transform by exactly the shift" half of the argument).
     """
     shift = float(shift)
-    if shift == 0.0:
-        return history
-    events = history.events
-    shifted = CorrectionHistory(events[0].new_correction,
-                                max_entries=history.max_entries)
-    for event in events[1:]:
-        shifted.apply(event.real_time + shift, event.adjustment,
-                      event.round_index)
-    return shifted
+    return history if shift == 0.0 else history.shifted(shift)
 
 
 def normalize_shifts(shifts: ShiftVector, pids: Sequence[int]) -> Dict[int, float]:
@@ -204,15 +196,14 @@ def shift_execution(base: Union[ExecutionTrace, ShiftedExecution],
               for pid in pids}
     histories = {pid: shift_history(trace.correction_history(pid), vector[pid])
                  for pid in pids}
-    events = [TraceEvent(real_time=event.real_time + vector[event.process_id],
-                         process_id=event.process_id, name=event.name,
-                         data=event.data)
-              for event in trace.events]
-    events.sort(key=lambda event: event.real_time)
+    log = trace.log
+    log = log._replace(real_times=[time + vector[pid] for time, pid
+                                   in zip(log.real_times, log.process_ids)])
+    order = sorted(range(len(log.real_times)), key=log.real_times.__getitem__)
     end_time = trace.end_time + max(0.0, max(vector.values()))
-    shifted = ExecutionTrace(clocks=clocks, histories=histories,
-                             faulty_ids=trace.faulty_ids, events=events,
-                             stats=trace.stats, end_time=end_time, copy=False)
+    shifted = _trace_from_columns(
+        clocks, histories, trace.faulty_ids,
+        *([column[i] for i in order] for column in log), trace.stats, end_time)
     return ShiftedExecution(base=trace, shifts=vector, trace=shifted)
 
 
@@ -337,10 +328,14 @@ def indistinguishability_report(shifted: ShiftedExecution,
     pids = sorted(vector)
     events_match = True
     events_checked = 0
+    by_pid: Tuple[Dict[int, List[TraceEvent]], ...] = ({}, {})
+    for grouped, source in zip(by_pid, (base, trace)):  # one read per log
+        for event in source.events:
+            grouped.setdefault(event.process_id, []).append(event)
     for pid in pids:
         offset = vector[pid]
-        base_events = [e for e in base.events if e.process_id == pid]
-        shifted_events = [e for e in trace.events if e.process_id == pid]
+        base_events = by_pid[0].get(pid, [])
+        shifted_events = by_pid[1].get(pid, [])
         if len(base_events) != len(shifted_events):
             events_match = False
             continue

@@ -51,18 +51,16 @@ class CorrectionEvent:
 class CorrectionHistory:
     """The full CORR_p(t) history of one process during an execution.
 
-    Lookup-heavy analysis (reconstructing ``L_p(t)`` over dense real-time
-    grids) made ``correction_at`` the hottest function in the package, so the
-    history maintains a *finalized index*: parallel ``_times`` /
-    ``_corrections`` arrays extended incrementally by :meth:`apply`.  A lookup
-    is then a single ``bisect`` against the cached array — O(log k) with zero
-    per-call allocation — instead of rebuilding a breakpoint list per call.
-    The arrays are exposed read-only via :attr:`times` / :attr:`corrections`
-    for the batch evaluators in :mod:`repro.sim.traceindex`.
+    Each CORR update is one entry of four parallel columns (real time,
+    adjustment, resulting CORR, round index; entry 0 is the -inf sentinel).
+    :attr:`times` / :attr:`corrections` expose two of them read-only, for
+    ``correction_at`` (one ``bisect``: the package's hottest lookup) and the
+    batch evaluators in :mod:`repro.sim.traceindex`; :attr:`events` builds
+    :class:`CorrectionEvent` objects only when a caller asks.
     """
 
-    __slots__ = ("_events", "_times", "_corrections", "_initial",
-                 "_max_entries")
+    __slots__ = ("_times", "_adjustments", "_corrections", "_rounds",
+                 "_initial", "_max_entries")
 
     def __init__(self, initial_correction: float = 0.0,
                  max_entries: Optional[int] = None):
@@ -72,13 +70,10 @@ class CorrectionHistory:
             raise ValueError("max_entries must be at least 2 (sentinel + "
                              "latest breakpoint)")
         self._max_entries = max_entries
-        self._events: List[CorrectionEvent] = [
-            CorrectionEvent(real_time=float("-inf"), adjustment=0.0,
-                            new_correction=initial,
-                            round_index=-1)
-        ]
         self._times: List[float] = [float("-inf")]
+        self._adjustments: List[float] = [0.0]
         self._corrections: List[float] = [initial]
+        self._rounds: List[int] = [-1]
 
     @classmethod
     def from_breakpoints(cls, horizon: float, times: Sequence[float],
@@ -101,10 +96,10 @@ class CorrectionHistory:
         """
         history = cls(max_entries=max_entries)
         history._corrections[0] = horizon
-        history._events.extend(map(CorrectionEvent, times, adjustments,
-                                   corrections, rounds))
         history._times.extend(times)
+        history._adjustments.extend(adjustments)
         history._corrections.extend(corrections)
+        history._rounds.extend(rounds)
         history._trim()
         return history
 
@@ -119,23 +114,22 @@ class CorrectionHistory:
 
     @property
     def max_entries(self) -> Optional[int]:
-        """The breakpoint retention bound (None = keep the full history).
-
-        Exposed so transforms that rebuild a history (e.g.
-        :func:`repro.adversary.shifting.shift_history`) can preserve the
-        streaming-mode memory contract of the original.
-        """
+        """The breakpoint retention bound (None = keep the full history)."""
         return self._max_entries
 
     @property
     def events(self) -> Sequence[CorrectionEvent]:
-        """All correction events including the synthetic initial one."""
-        return tuple(self._events)
+        """All correction events including the synthetic initial one, built
+        on each call; that one carries the initial CORR, not a trim horizon."""
+        events = list(map(CorrectionEvent, self._times, self._adjustments,
+                          self._corrections, self._rounds))
+        events[0] = CorrectionEvent(events[0].real_time, 0.0, self._initial, -1)
+        return tuple(events)
 
     @property
     def adjustments(self) -> List[float]:
         """The per-round adjustments (excluding the initial correction)."""
-        return [e.adjustment for e in self._events[1:]]
+        return self._adjustments[1:]
 
     @property
     def times(self) -> Sequence[float]:
@@ -154,6 +148,15 @@ class CorrectionHistory:
         """The most recent CORR value."""
         return self._corrections[-1]
 
+    def shifted(self, shift: float) -> "CorrectionHistory":
+        """This history with every breakpoint ``shift`` later in real time;
+        every other column (the trim horizon included) is kept as it is."""
+        times = [time + shift for time in self._times]
+        corrections = list(self._corrections)
+        return _history_from_columns(
+            self._initial, self._max_entries, times, corrections, times,
+            list(self._adjustments), corrections, list(self._rounds))
+
     def apply(self, real_time: float, adjustment: float, round_index: int) -> float:
         """Record ``CORR := CORR + adjustment`` at ``real_time``; returns new CORR."""
         real_time = float(real_time)
@@ -162,13 +165,12 @@ class CorrectionHistory:
                 f"corrections must be recorded in real-time order; "
                 f"{real_time} < {self._times[-1]}"
             )
-        new_corr = self._corrections[-1] + float(adjustment)
-        self._events.append(CorrectionEvent(real_time=real_time,
-                                            adjustment=float(adjustment),
-                                            new_correction=new_corr,
-                                            round_index=round_index))
+        adjustment = float(adjustment)
+        new_corr = self._corrections[-1] + adjustment
         self._times.append(real_time)
+        self._adjustments.append(adjustment)
         self._corrections.append(new_corr)
+        self._rounds.append(round_index)
         self._trim()
         return new_corr
 
@@ -182,9 +184,9 @@ class CorrectionHistory:
         if self._max_entries is not None and len(self._times) > self._max_entries:
             excess = len(self._times) - self._max_entries
             self._corrections[0] = self._corrections[excess]
-            del self._times[1:1 + excess]
-            del self._corrections[1:1 + excess]
-            del self._events[1:1 + excess]
+            for column in (self._times, self._adjustments, self._corrections,
+                           self._rounds):
+                del column[1:1 + excess]
 
     def correction_at(self, real_time: float) -> float:
         """CORR_p(t): the correction in force at real time ``t``."""
@@ -195,24 +197,28 @@ class CorrectionHistory:
 
     def correction_for_round(self, round_index: int) -> Optional[float]:
         """CORR value while logical clock ``C^{round_index+1}`` is in force."""
-        for event in self._events:
-            if event.round_index == round_index:
-                return event.new_correction
-        return None
+        if round_index not in self._rounds:
+            return None
+        index = self._rounds.index(round_index)
+        return self._corrections[index] if index else self._initial
 
     def __reduce__(self):
-        # Flat columns instead of one dataclass state per event.  The
-        # sentinel horizon travels in _corrections[0], which differs from
-        # _initial once a bounded history has trimmed.  No __setstate__: a
-        # payload pickled before this method existed still loads through
-        # the default slot-state path.
-        events = self._events
+        # The columns as they are, in the layout stored payloads carry (real
+        # times and new corrections repeat two columns; pickle writes each
+        # list once).  corrections[0] carries a trimmed history's horizon.
         return (_history_from_columns, (
             self._initial, self._max_entries, self._times, self._corrections,
-            [event.real_time for event in events],
-            [event.adjustment for event in events],
-            [event.new_correction for event in events],
-            [event.round_index for event in events]))
+            self._times, self._adjustments, self._corrections, self._rounds))
+
+    def __setstate__(self, state) -> None:
+        # A payload pickled before __reduce__ existed (default slot state).
+        slots = state[1]
+        self._initial = slots["_initial"]
+        self._max_entries = slots["_max_entries"]
+        self._times = slots["_times"]
+        self._corrections = slots["_corrections"]
+        self._adjustments = [event.adjustment for event in slots["_events"]]
+        self._rounds = [event.round_index for event in slots["_events"]]
 
 
 def _history_from_columns(initial, max_entries, times, corrections,
@@ -220,6 +226,7 @@ def _history_from_columns(initial, max_entries, times, corrections,
                           round_indices) -> CorrectionHistory:
     """Unpickle a :meth:`CorrectionHistory.__reduce__` payload.
 
+    ``real_times`` and ``new_corrections`` repeat two other columns.
     Stored payloads name this function: renaming or moving it turns every
     stored result into a corrupt miss.
     """
@@ -227,9 +234,9 @@ def _history_from_columns(initial, max_entries, times, corrections,
     history._initial = initial
     history._max_entries = max_entries
     history._times = times
+    history._adjustments = adjustments
     history._corrections = corrections
-    history._events = list(map(CorrectionEvent, real_times, adjustments,
-                               new_corrections, round_indices))
+    history._rounds = round_indices
     return history
 
 
@@ -263,25 +270,24 @@ class LogicalClockView:
 
         ``clock_index`` 0 denotes the initial logical clock.
         """
-        events = self._history.events
-        if not 0 <= clock_index < len(events):
-            raise IndexError(
-                f"logical clock index {clock_index} out of range (have {len(events)})"
-            )
-        return self._physical.read(real_time) + events[clock_index].new_correction
+        return self._physical.read(real_time) + self._correction(clock_index)
 
     def logical_clock_inverse(self, clock_index: int, clock_time: float) -> float:
         """``c^i_p(T)``: real time at which logical clock ``i`` reads ``clock_time``."""
+        corr = self._correction(clock_index)
+        return self._physical.real_time_at(clock_time - corr)
+
+    def number_of_logical_clocks(self) -> int:
+        return len(self._history.times)
+
+    def _correction(self, clock_index: int) -> float:
+        """The CORR of logical clock ``clock_index``."""
         events = self._history.events
         if not 0 <= clock_index < len(events):
             raise IndexError(
                 f"logical clock index {clock_index} out of range (have {len(events)})"
             )
-        corr = events[clock_index].new_correction
-        return self._physical.real_time_at(clock_time - corr)
-
-    def number_of_logical_clocks(self) -> int:
-        return len(self._history.events)
+        return events[clock_index].new_correction
 
 
 class AmortizedCorrection:

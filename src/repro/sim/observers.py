@@ -22,8 +22,8 @@ the run progresses:
     ``None`` when it was lost (delay-model drop, link drop, link down, or no
     route) — each logical message is reported exactly once, no matter how
     many relay hops it takes;
-``on_log(event)``
-    a process logged an algorithm-level :class:`~repro.sim.trace.TraceEvent`;
+``on_log(pid, real_time, name, data)``
+    a process logged an algorithm-level event (no object is built for it);
 ``on_correction(pid, real_time, adjustment, new_correction, round_index)``
     a process updated its CORR variable;
 ``on_advance(time)``
@@ -36,7 +36,7 @@ per-hook sink lists), so attaching an observer that only cares about
 corrections costs nothing on the message path.
 
 Full-trace recording is just the default observer: :class:`TraceRecorder`
-collects log events into the list the system's :class:`ExecutionTrace` views.
+appends log events to the columns the system's :class:`ExecutionTrace` views.
 Construct a :class:`System` with ``record_trace=False`` to drop it (and bound
 the correction histories), at which point the run needs O(n) memory plus
 whatever the attached observers keep — see :mod:`repro.analysis.online` for
@@ -45,11 +45,12 @@ O(n) streaming metrics.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, Optional, TYPE_CHECKING
+
+from .trace import EventLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from .system import System
-    from .trace import TraceEvent
     from .events import MessageKind
 
 __all__ = ["Observer", "ObserverError", "TraceRecorder", "HOOK_NAMES"]
@@ -101,7 +102,7 @@ class Observer:
                 delivery_time: Optional[float]) -> None:
         """The network accepted one end-to-end message (``None`` = lost)."""
 
-    def on_log(self, event: "TraceEvent") -> None:
+    def on_log(self, pid: int, real_time: float, name: str, data: Dict) -> None:
         """A process logged an algorithm-level event."""
 
     def on_correction(self, pid: int, real_time: float, adjustment: float,
@@ -128,15 +129,15 @@ class Observer:
 class TraceRecorder(Observer):
     """The default observer: full-trace recording of algorithm-level events.
 
-    Owns the event list the system's :meth:`~repro.sim.system.System.trace`
-    shares with every :class:`~repro.sim.trace.ExecutionTrace` view — exactly
-    the pre-pipeline behavior, now expressed as one (removable) observer.
+    Owns the :class:`~repro.sim.trace.EventLog` the system's
+    :meth:`~repro.sim.system.System.trace` shares with every
+    :class:`~repro.sim.trace.ExecutionTrace` view — one removable observer.
     """
 
     name = "trace"
 
     def __init__(self) -> None:
-        self.events: List["TraceEvent"] = []
+        self.log = EventLog([], [], [], [])
 
-    def on_log(self, event: "TraceEvent") -> None:
-        self.events.append(event)
+    def on_log(self, pid: int, real_time: float, name: str, data: Dict) -> None:
+        self.log.append(real_time, pid, name, data)

@@ -160,6 +160,6 @@ class ProcessContext:
     # -- instrumentation -----------------------------------------------------------
     def log(self, event: str, **data: Any) -> None:
         """Record an algorithm-level event in the execution trace."""
-        # The kwargs dict is freshly built per call, so the trace can take
-        # ownership without the defensive copy.
-        self._system.log_event(self._pid, event, data, copy=False)
+        # The kwargs dict is freshly built per call, so the trace takes
+        # ownership of it.
+        self._system.log_event(self._pid, event, data)

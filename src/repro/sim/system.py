@@ -40,7 +40,7 @@ from .events import EventBudgetExceeded, EventQueue, Message, MessageKind
 from .network import DelayModel, UniformDelayModel
 from .observers import HOOK_NAMES, Observer, ObserverError, TraceRecorder
 from .process import Process, ProcessContext
-from .trace import ExecutionTrace, MessageStats, TraceEvent
+from .trace import EventLog, ExecutionTrace, MessageStats, _trace_from_columns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from ..topology.base import Topology
@@ -109,7 +109,6 @@ class System:
         corrections = list(initial_corrections or [0.0] * len(processes))
         if len(corrections) != len(processes):
             raise ValueError("initial_corrections must have one entry per process")
-        self._record_trace = bool(record_trace)
         self._history_bound = None if record_trace else _BOUNDED_HISTORY_ENTRIES
         self._histories: Dict[int, CorrectionHistory] = {
             pid: CorrectionHistory(corrections[pid],
@@ -140,8 +139,8 @@ class System:
         if record_trace:
             self._recorder = TraceRecorder()
             self._observers.append(self._recorder)
-        self._events: List[TraceEvent] = (self._recorder.events
-                                          if self._recorder is not None else [])
+        self._log = (self._recorder.log if self._recorder is not None
+                     else EventLog([], [], [], []))
         for observer in (observers or ()):
             self._observers.append(observer)
         self._rebuild_sinks()
@@ -247,8 +246,8 @@ class System:
         """Detach an observer (e.g. one that raised); returns it.
 
         Past notifications it recorded are untouched.  Removing the default
-        :class:`TraceRecorder` stops event recording from here on; the event
-        list recorded so far stays visible to traces already handed out.
+        :class:`TraceRecorder` stops event recording from here on; the events
+        recorded so far stay visible to every trace, later ones included.
         """
         self._observers.remove(observer)
         if observer is self._recorder:
@@ -496,25 +495,16 @@ class System:
                                 self._current_time, real_time)
         return True
 
-    def log_event(self, pid: int, name: str, data: Dict[str, Any],
-                  copy: bool = True) -> None:
-        """Record an algorithm-level event via the log observers.
-
-        With ``record_trace=True`` (the default) the :class:`TraceRecorder`
-        sink appends it to the shared event list exactly as the pre-pipeline
-        code did; with no log observers at all the event is dropped without
-        even being constructed.  ``copy=False`` lets callers that hand over a
-        freshly built dict (the :meth:`~repro.sim.process.ProcessContext.log`
-        kwargs path) skip the defensive copy.
-        """
+    def log_event(self, pid: int, name: str, data: Dict[str, Any]) -> None:
+        """Hand an algorithm-level event's fields to the log observers (the
+        default :class:`TraceRecorder` appends them to the shared log's
+        columns; no event object is built, and ``data`` is not copied)."""
         sinks = self._log_sinks
         if not sinks:
             return
-        event = TraceEvent(real_time=self._current_time, process_id=pid,
-                           name=name, data=dict(data) if copy else data)
         try:
             for sink in sinks:
-                sink(event)
+                sink(pid, self._current_time, name, data)
         except Exception as err:
             raise ObserverError("on_log", sink.__self__) from err
 
@@ -699,25 +689,19 @@ class System:
         run if the system is driven further.  The faulty set is snapshotted
         at call time.
         """
-        return ExecutionTrace(
-            clocks=self._clocks,
-            histories=self._histories,
-            faulty_ids=self.faulty_ids(),
-            events=self._events,
-            stats=self._stats,
-            end_time=self._current_time,
-            copy=False,
-        )
+        return _trace_from_columns(self._clocks, self._histories,
+                                   self.faulty_ids(), *self._log, self._stats,
+                                   self._current_time)
 
     # ------------------------------------------------------------------ checkpointing
     #: mutable per-run attributes captured by a snapshot; everything else on
-    #: the instance is either derived (contexts, router, sinks, _events alias)
-    #: or immutable configuration shared by reference.
+    #: the instance is either derived (contexts, router, sinks) or immutable
+    #: configuration shared by reference.
     _SNAPSHOT_FIELDS = (
         "_processes", "_clocks", "_delay_model", "_rng", "_process_rngs",
-        "_record_trace", "_history_bound", "_histories", "_queue",
-        "_current_time", "_started", "_stats", "_crashed", "_faulty_cache",
-        "_events_dispatched", "_observers", "_recorder", "_topology",
+        "_history_bound", "_histories", "_queue", "_current_time",
+        "_started", "_stats", "_crashed", "_faulty_cache",
+        "_events_dispatched", "_observers", "_recorder", "_log", "_topology",
         "_link_schedule",
     )
 
@@ -754,8 +738,6 @@ class System:
         state = pickle.loads(snapshot.data)
         for name in self._SNAPSHOT_FIELDS:
             setattr(self, name, state[name])
-        self._events = (self._recorder.events
-                        if self._recorder is not None else [])
         self._contexts = {pid: ProcessContext(self, pid)
                           for pid in self._processes}
         if self._topology is None:

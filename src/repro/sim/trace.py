@@ -26,21 +26,21 @@ optional numpy path — and are guaranteed bit-identical to the naive
 per-sample reconstruction (the fast-path equivalence tests keep it as their
 oracle, ``tests/slowpath.py``).
 
-Results cross the worker pool's pipes and the result store as pickles, so a
-trace pickles as flat columns: :meth:`ExecutionTrace.__reduce__` sends the
-event log as four lists (``real_time``, ``process_id``, ``name``, ``data``)
-beside the clocks and histories dicts, which go as they are so that pickle
-keeps their sharing with online observers.  The derived caches (the
-``TraceIndex``, the by-name event index) do not travel.  Stored payloads
-name the module-level reconstructor, ``_trace_from_columns``; renaming it
-would turn every stored result into a corrupt miss.
+The event log is an :class:`EventLog` of four columns; :class:`TraceEvent`
+objects are built only when a reader asks.  Results cross the pool's pipes
+and the store as pickles: :meth:`ExecutionTrace.__reduce__` sends the four
+columns and the clocks and histories dicts as they are (so pickle keeps
+their sharing with online observers), but not the ``TraceIndex``.  Stored
+payloads name the reconstructor, ``_trace_from_columns``; renaming it would
+turn every stored result into a corrupt miss.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from ..clocks.base import Clock
 from ..clocks.logical import CorrectionHistory, LogicalClockView
@@ -57,6 +57,22 @@ class TraceEvent:
     process_id: int
     name: str
     data: Dict[str, Any]
+
+
+class EventLog(NamedTuple):
+    """The event log as columns in :class:`TraceEvent` field order."""
+
+    real_times: List[float]
+    process_ids: List[int]
+    names: List[str]
+    data: List[Dict[str, Any]]
+
+    def append(self, real_time: float, process_id: int, name: str,
+               data: Dict[str, Any]) -> None:
+        self.real_times.append(real_time)
+        self.process_ids.append(process_id)
+        self.names.append(name)
+        self.data.append(data)
 
 
 @dataclass
@@ -95,16 +111,15 @@ class MessageStats:
 class ExecutionTrace:
     """Immutable-ish view over the results of a simulation run."""
 
-    __slots__ = ("_clocks", "_histories", "_faulty", "_events", "_stats",
-                 "_end_time", "_nonfaulty", "_index", "_events_by_name",
-                 "_named_count")
+    __slots__ = ("_clocks", "_histories", "_faulty", "_log", "_stats",
+                 "_end_time", "_nonfaulty", "_index")
 
     def __init__(
         self,
         clocks: Dict[int, Clock],
         histories: Dict[int, CorrectionHistory],
         faulty_ids: Iterable[int],
-        events: List[TraceEvent],
+        events: Iterable[TraceEvent],
         stats: MessageStats,
         end_time: float,
         copy: bool = True,
@@ -112,13 +127,14 @@ class ExecutionTrace:
         self._clocks = dict(clocks) if copy else clocks
         self._histories = dict(histories) if copy else histories
         self._faulty = frozenset(faulty_ids)
-        self._events = list(events) if copy else events
+        self._log = EventLog([], [], [], [])
+        for event in events:
+            self._log.append(event.real_time, event.process_id, event.name,
+                             event.data)
         self._stats = stats
         self._end_time = end_time
         self._nonfaulty: Optional[List[int]] = None
         self._index: Optional[TraceIndex] = None
-        self._events_by_name: Optional[Dict[str, List[TraceEvent]]] = None
-        self._named_count = -1
 
     # -- basic accessors -------------------------------------------------------
     @property
@@ -150,26 +166,22 @@ class ExecutionTrace:
         return self._stats
 
     @property
+    def log(self) -> EventLog:
+        """The event log's columns (shared with the run; do not mutate)."""
+        return self._log
+
+    @property
     def events(self) -> Sequence[TraceEvent]:
-        return tuple(self._events)
+        return tuple(map(TraceEvent, *self._log))
 
     def events_named(self, name: str,
                      process_id: Optional[int] = None) -> List[TraceEvent]:
-        """All logged events with a given name (optionally for one process).
-
-        Indexed by name on first use; the index refreshes itself when the
-        underlying (possibly still-growing) event log has gained entries.
-        """
-        if self._events_by_name is None or self._named_count != len(self._events):
-            by_name: Dict[str, List[TraceEvent]] = {}
-            for event in self._events:
-                by_name.setdefault(event.name, []).append(event)
-            self._events_by_name = by_name
-            self._named_count = len(self._events)
-        matches = self._events_by_name.get(name, [])
-        if process_id is None:
-            return list(matches)
-        return [e for e in matches if e.process_id == process_id]
+        """All logged events with a given name (optionally for one process),
+        found in the names column; only the matches become objects."""
+        real_times, process_ids, names, data = self._log
+        return [TraceEvent(real_times[i], process_ids[i], logged, data[i])
+                for i, logged in enumerate(names) if logged == name
+                and (process_id is None or process_ids[i] == process_id)]
 
     # -- clock reconstruction -----------------------------------------------------
     def index(self) -> TraceIndex:
@@ -235,23 +247,27 @@ class ExecutionTrace:
 
     # -- pickling (see the module docstring) ----------------------------------------
     def __reduce__(self):
-        events = self._events
         return (_trace_from_columns, (
-            self._clocks, self._histories, self._faulty,
-            [event.real_time for event in events],
-            [event.process_id for event in events],
-            [event.name for event in events],
-            [event.data for event in events],
+            self._clocks, self._histories, self._faulty, *self._log,
             self._stats, self._end_time))
+
+    def __setstate__(self, state) -> None:
+        # A payload pickled before __reduce__ existed (default slot state).
+        slots = state[1]
+        self.__init__(slots["_clocks"], slots["_histories"], slots["_faulty"],
+                      slots["_events"], slots["_stats"], slots["_end_time"],
+                      copy=False)
 
 
 def _trace_from_columns(clocks, histories, faulty_ids, real_times, process_ids,
                         names, data, stats, end_time) -> ExecutionTrace:
-    """Unpickle an :meth:`ExecutionTrace.__reduce__` payload.
+    """A trace sharing the given dicts and log columns (the unpickler of
+    :meth:`ExecutionTrace.__reduce__`; ``System.trace`` and shifts use it).
 
     Stored payloads name this function: renaming or moving it turns every
     stored result into a corrupt miss.
     """
-    events = list(map(TraceEvent, real_times, process_ids, names, data))
-    return ExecutionTrace(clocks, histories, faulty_ids, events, stats,
-                          end_time, copy=False)
+    trace = ExecutionTrace(clocks, histories, faulty_ids, (), stats, end_time,
+                           copy=False)
+    trace._log = EventLog(real_times, process_ids, names, data)
+    return trace

@@ -110,10 +110,13 @@ class TestAdversarialBatchDeterminism:
 
 
 class TestStreamingCertifier:
-    def test_certifier_consumes_online_metrics(self):
+    # 12 rounds outlast the bounded histories of a no-trace run, so the
+    # shifted executions start from a trim horizon, not the initial CORR.
+    @pytest.mark.parametrize("rounds", [5, 12])
+    def test_certifier_consumes_online_metrics(self, rounds):
         """A no-trace run certifies from online observers + bounded state."""
         params = default_parameters(n=5, f=0)
-        base = RunSpec.maintenance(params, rounds=5, fault_kind=None,
+        base = RunSpec.maintenance(params, rounds=rounds, fault_kind=None,
                                    delay="fixed", seed=0)
         streaming = base.replace(record_trace=False,
                                  observers=("skew", "validity", "network"))

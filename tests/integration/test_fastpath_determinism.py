@@ -65,7 +65,7 @@ class SeedPathSystem(System):
             clocks=self._clocks,
             histories=self._histories,
             faulty_ids=self.faulty_ids(),
-            events=self._events,
+            events=super().trace().events,
             stats=self._stats,
             end_time=self._current_time,
             copy=True,

@@ -28,6 +28,7 @@ from repro.adversary.shifting import (
     check_shift_admissible,
     indistinguishability_report,
     shift_execution,
+    shift_history,
 )
 from repro.clocks import ConstantRateClock, CorrectionHistory, rho_rate_bounds
 from repro.sim import ExecutionTrace, MessageStats
@@ -133,6 +134,29 @@ def test_local_times_transform_by_exactly_the_shift(backend, trace, data):
         for t in queries:
             assert shifted.local_time(pid, t + offset) \
                 == trace.local_time(pid, t)
+
+
+@given(initial=dyadic_small, bound=st.integers(min_value=2, max_value=5),
+       shift=dyadic_shift, data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_trimmed_history_shifts_with_its_horizon(initial, bound, shift, data):
+    """A bounded history that trimmed keeps its horizon CORR when shifted:
+    ``CORR'(t + s) == CORR(t)`` at every retained breakpoint and before."""
+    adjustments = data.draw(st.lists(dyadic_small, min_size=bound + 1,
+                                     max_size=12), label="adjustments")
+    history = CorrectionHistory(initial, max_entries=bound)
+    for index, adjustment in enumerate(adjustments):
+        history.apply(1.0 + index, adjustment, index)
+    shifted = shift_history(history, shift)
+    retained = list(history.times[1:])
+    for t in [retained[0] - 1.0] + retained:
+        assert shifted.correction_at(t + shift) == history.correction_at(t)
+    assert list(shifted.corrections) == list(history.corrections)
+    assert shifted.adjustments == history.adjustments
+    assert [e.round_index for e in shifted.events] \
+        == [e.round_index for e in history.events]
+    assert (shifted.initial_correction, shifted.max_entries) \
+        == (initial, bound)
 
 
 @given(trace=traces(), data=st.data())

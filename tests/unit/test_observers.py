@@ -30,6 +30,7 @@ from repro.sim import (
     ObserverError,
     Process,
     System,
+    TraceEvent,
     TraceRecorder,
     UniformDelayModel,
 )
@@ -71,8 +72,8 @@ class CountingObserver(Observer):
     def on_send(self, sender, recipient, send_time, delivery_time):
         self.sends.append((send_time, sender, recipient, delivery_time))
 
-    def on_log(self, event):
-        self.logs.append(event)
+    def on_log(self, pid, real_time, name, data):
+        self.logs.append(TraceEvent(real_time, pid, name, data))
 
     def on_correction(self, pid, real_time, adjustment, new_correction,
                       round_index):
@@ -341,6 +342,24 @@ class TestObserverFailure:
         trace = system.run_until(2.0)
         assert len(trace.events) == 0
         assert trace.stats.sent > 0  # counters still tally
+        # Removed after a segment: a new trace shows that segment's events
+        # and none of the later ones.
+        system = _small_system()
+        first = list(system.run_until(0.25).events)
+        assert [e.name for e in first] == ["started"] * 3
+        system.remove_observer(next(obs for obs in system.observers
+                                    if isinstance(obs, TraceRecorder)))
+        assert system.run_until(2.0).stats.timers_fired == 3  # "ticked"
+        assert list(system.trace().events) == first
+
+    def test_restore_keeps_a_removed_recorders_events(self):
+        # A snapshot carries the event log itself, not only the recorder.
+        system = _small_system()
+        first = list(system.run_until(0.25).events)
+        system.remove_observer(next(obs for obs in system.observers
+                                    if isinstance(obs, TraceRecorder)))
+        system.restore(system.snapshot())
+        assert list(system.trace().events) == first
 
 
 class TestEventBudget:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import errno
+import gc
 import pickle
 import sqlite3
 import time
@@ -21,7 +22,9 @@ from repro.runner import (
     execute,
     store_key,
 )
-from repro.sim import traceindex
+from repro.clocks import CorrectionEvent
+from repro.sim import TraceEvent, traceindex
+from repro.sim.vectorized import execute_batch
 from repro.telemetry import spec_hash
 from repro.topology import Topology
 
@@ -49,6 +52,16 @@ def make_store(tmp_path, **kwargs):
 #: it (default slot state, one dataclass state per event).
 SLOT_STATE_PAYLOAD = Path(__file__).resolve().parents[1] / "data" \
     / "slot_state_payload.pickle"
+
+#: store payloads as the columnar pickles first wrote them, while results
+#: still held one event object per log event and per CORR breakpoint: a
+#: pickled dict of two payloads, the fixture spec's and TRIMMED_SPEC's.
+COLUMNAR_PAYLOADS = SLOT_STATE_PAYLOAD.with_name("columnar_payload.pickle")
+
+#: a no-trace run long enough for its bounded histories to trim.
+TRIMMED_SPEC = RunSpec.maintenance(
+    default_parameters(n=4, f=1), rounds=12, record_trace=False,
+    observers=("skew", "validity"), seed=3)
 
 
 def history_fields(history):
@@ -243,7 +256,34 @@ class TestResultPickle:
         for name in (b"TraceIndex", b"_events_by_name", b"_nonfaulty"):
             assert name not in blob
         loaded = pickle.loads(blob).trace
-        assert loaded._index is None and loaded._events_by_name is None
+        assert loaded._index is None
+
+
+class TestOneRepresentation:
+    """Results hold each log event and CORR breakpoint once, as columns;
+    event objects exist only while a caller holds what it asked for."""
+
+    @staticmethod
+    def live_event_objects():
+        gc.collect()
+        return sum(isinstance(obj, (TraceEvent, CorrectionEvent))
+                   for obj in gc.get_objects())
+
+    def test_runs_pickles_and_batches_build_no_event_objects(self):
+        params = default_parameters(n=4, f=1)
+        before = self.live_event_objects()
+        traced = execute(RunSpec.maintenance(params, rounds=4, seed=7))
+        assert traced.trace.log.names and self.live_event_objects() == before
+        loaded = pickle.loads(pickle.dumps(traced,
+                                           protocol=pickle.HIGHEST_PROTOCOL))
+        assert self.live_event_objects() == before
+        streamed = RunSpec.maintenance(params, rounds=12, record_trace=False,
+                                       observers=("skew", "validity"))
+        group = execute_batch([streamed.with_seed(s) for s in range(8)])
+        assert len(group) == 8 and self.live_event_objects() == before
+        # On demand, from the columns: the same events the run logged.
+        assert loaded.trace.events == traced.trace.events
+        assert len(traced.trace.events) == len(traced.trace.log.names)
 
 
 class TestPayloadCompatibility:
@@ -267,6 +307,35 @@ class TestPayloadCompatibility:
             loaded = store.get(spec)
             assert store.corrupt_reads == 0
         assert_same_result(loaded, result)
+
+    @pytest.mark.parametrize("name", ["fixture", "trimmed"])
+    def test_columnar_payload_still_loads(self, name, spec):
+        spec = spec if name == "fixture" else TRIMMED_SPEC
+        payload = pickle.loads(COLUMNAR_PAYLOADS.read_bytes())[name]
+        assert b"_from_columns" in payload  # really the columnar layout
+        loaded, original = pickle.loads(payload), execute(spec)
+        if name == "trimmed":
+            assert any(h.corrections[0] != h.initial_correction
+                       for h in map(loaded.trace.correction_history,
+                                    range(loaded.trace.n)))
+        assert_same_result(loaded, original)
+
+    @pytest.mark.parametrize("name", ["fixture", "trimmed"])
+    def test_columnar_payload_is_a_store_hit(self, name, tmp_path, spec):
+        spec = spec if name == "fixture" else TRIMMED_SPEC
+        payload = pickle.loads(COLUMNAR_PAYLOADS.read_bytes())[name]
+        original = execute(spec)
+        path = str(tmp_path / "columnar.sqlite")
+        with ResultStore(path) as store:
+            store.put(spec, original)
+        with sqlite3.connect(path) as conn:
+            conn.execute("UPDATE results SET payload = ?",
+                         (sqlite3.Binary(payload),))
+        conn.close()
+        with ResultStore(path) as store:
+            loaded = store.get(spec)
+            assert store.corrupt_reads == 0
+        assert_same_result(loaded, original)
 
     def test_reconstructor_names_are_pinned(self, result):
         # Literal names, like the schema-v2 key digests: every stored
