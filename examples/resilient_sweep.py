@@ -39,7 +39,7 @@ from repro.runner import (
     ResultStore,
     SweepInterrupted,
 )
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, activated
 
 EPSILONS = [0.001, 0.002, 0.003, 0.004]
 
@@ -59,13 +59,12 @@ def interrupted_then_resumed(store_path: Path) -> None:
     # before spec 3 is dispatched.
     chaos = ChaosSchedule(faults=(ChaosFault(0, "kill", attempts=1),
                                   ChaosFault(3, "interrupt", attempts=1)))
-    telemetry = Telemetry()
-    runner = BatchRunner(jobs=1, store=store_path, chaos=chaos,
-                         telemetry=telemetry, **SUPERVISED)
-    try:
-        epsilon_sweep(runner=runner)
-    except SweepInterrupted as exc:
-        print(f"sweep died: {exc}")
+    runner = BatchRunner(jobs=1, store=store_path, chaos=chaos, **SUPERVISED)
+    with activated(Telemetry()) as telemetry:
+        try:
+            epsilon_sweep(runner=runner)
+        except SweepInterrupted as exc:
+            print(f"sweep died: {exc}")
     counters = telemetry.registry.snapshot()
     crashes = counters["resilient.crashes"]["value"]
     with ResultStore(store_path) as store:
@@ -86,11 +85,11 @@ def interrupted_then_resumed(store_path: Path) -> None:
 
 def poison_spec_is_quarantined() -> None:
     print("== a poison spec quarantines; the sweep completes ==")
-    telemetry = Telemetry()
     runner = BatchRunner(
-        jobs=1, telemetry=telemetry, max_retries=1,
+        jobs=1, max_retries=1,
         chaos=ChaosSchedule.single(1, "raise", attempts=10))
-    table = epsilon_sweep(runner=runner)
+    with activated(Telemetry()) as telemetry:
+        table = epsilon_sweep(runner=runner)
     counters = telemetry.registry.snapshot()
     print(f"retries: {counters['resilient.retries']['value']:.0f}, "
           f"quarantined: {counters['resilient.quarantined']['value']:.0f}")

@@ -5,9 +5,10 @@ many events were dispatched, what did the network do — without adding a
 single RNG draw to the run (instrumented results are bit-identical to plain
 ones).  This example:
 
-1. streams an n = 100 maintenance run with a full telemetry bundle attached:
-   the metric registry counts events/messages/timers, spans time each phase,
-   and one manifest line records the run;
+1. streams an n = 100 maintenance run under an active telemetry bundle
+   (the one way in, ``activated``): the metric registry counts
+   events/messages/timers, spans time each phase, and one manifest line
+   records the run;
 2. prints the registry and the span tree, and writes the spans as Chrome
    trace-event JSON — load it in chrome://tracing or https://ui.perfetto.dev;
 3. shows the per-run metric delta a manifest embeds, and that disabling
@@ -22,7 +23,7 @@ import tempfile
 
 from repro.analysis import default_parameters
 from repro.runner import RunSpec, execute
-from repro.telemetry import Telemetry, read_manifests
+from repro.telemetry import Telemetry, activated, read_manifests
 
 params = default_parameters(n=100, f=2)
 spec = RunSpec.maintenance(params, rounds=10, fault_kind="silent", seed=11,
@@ -32,7 +33,8 @@ spec = RunSpec.maintenance(params, rounds=10, fault_kind="silent", seed=11,
 # -- 1. one instrumented streaming run ----------------------------------------
 manifest_path = os.path.join(tempfile.mkdtemp(), "manifest.jsonl")
 telemetry = Telemetry(manifest_path=manifest_path)
-result = execute(spec, telemetry=telemetry)
+with activated(telemetry):
+    result = execute(spec)
 
 registry = telemetry.registry
 print(f"instrumented run: n={params.n}, "
@@ -58,7 +60,7 @@ print(f"manifest network stats: {record['network']}")
 assert record["metrics"]["sim.events_dispatched"]["value"] == \
     registry.value("sim.events_dispatched")
 
-plain = execute(spec)  # telemetry=None, the default: zero instrumentation
+plain = execute(spec)  # no bundle active, the default: zero instrumentation
 same = (plain.online("skew").max_skew == result.online("skew").max_skew
         and plain.trace.stats.sent == result.trace.stats.sent)
 print(f"\nplain run bit-identical to instrumented run: {same}")

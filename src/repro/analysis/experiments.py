@@ -289,12 +289,11 @@ def _run(params: SyncParameters, processes: Sequence[Process], rounds: int,
     * ``max_events`` — the total interrupt budget across all segments
       (:class:`~repro.sim.events.EventBudgetExceeded` carries the counts).
     """
-    from ..telemetry import get_active
     clocks = make_clock_ensemble(params.n, rho=params.rho, beta=params.beta,
                                  seed=seed, kind=clock_kind)
     system = System(processes, clocks, delay_model=delay_model, seed=seed,
                     topology=topology, link_schedule=link_schedule,
-                    record_trace=record_trace, telemetry=get_active())
+                    record_trace=record_trace)
     if start_scheduler is None:
         start_times = system.schedule_all_starts_at_logical(params.initial_round_time)
     else:

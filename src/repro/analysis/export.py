@@ -76,19 +76,21 @@ def trace_to_dict(trace: ExecutionTrace, samples: int = 0) -> Dict[str, Any]:
             "per_process_sent": dict(trace.stats.per_process_sent),
         },
         "events": [
-            {"real_time": event.real_time, "process_id": event.process_id,
-             "name": event.name, "data": dict(event.data)}
-            for event in trace.events
+            {"real_time": real_time, "process_id": process_id, "name": name,
+             "data": dict(data)}
+            for real_time, process_id, name, data in zip(*trace.log)
         ],
         "corrections": {
             str(pid): [
-                {"real_time": event.real_time, "adjustment": event.adjustment,
-                 "new_correction": event.new_correction,
-                 "round_index": event.round_index}
-                for event in trace.correction_history(pid).events
-                if event.real_time != float("-inf")
+                {"real_time": real_time, "adjustment": adjustment,
+                 "new_correction": correction, "round_index": round_index}
+                # Entry 0, the -inf sentinel, is not an update.
+                for real_time, adjustment, correction, round_index in zip(
+                    history.times[1:], history.adjustments,
+                    history.corrections[1:], history.rounds[1:])
             ]
-            for pid in range(trace.n)
+            for pid, history in enumerate(
+                map(trace.correction_history, range(trace.n)))
         },
     }
     if samples > 0:

@@ -84,10 +84,7 @@ import sys
 from typing import Callable, List, Optional, Sequence
 
 from .analysis.comparison import run_comparison, run_replicated_comparison
-from .analysis.experiments import (
-    ALGORITHM_FACTORIES,
-    run_startup_scenario,
-)
+from .analysis.experiments import ALGORITHM_FACTORIES
 from .analysis.export import (
     comparison_rows_to_dicts,
     scenario_to_dict,
@@ -115,7 +112,8 @@ from .analysis.workloads import (
     workload_names,
 )
 from .core import ParameterError, agreement_bound, startup_limit
-from .runner import BatchRunner, SpecLost, StoreError, execute, replicate
+from .runner import (BatchRunner, RunSpec, SpecLost, StoreError, execute,
+                     replicate)
 from .topology.spec import (
     TopologySpecError,
     build_topology,
@@ -666,12 +664,10 @@ def _print_replicas(args: argparse.Namespace, workload, rep,
 def _cmd_startup(args: argparse.Namespace) -> int:
     workload = get_workload(args.workload)
     params = build_parameters(workload, n=args.n, f=args.f)
-    topology = build_topology(args.topology or workload.topology,
-                              n=args.n, seed=args.seed)
     rounds = args.rounds if args.rounds is not None else workload.default_rounds
-    result = run_startup_scenario(params, rounds=rounds,
-                                  initial_spread=args.spread, seed=args.seed,
-                                  topology=topology)
+    result = execute(RunSpec.startup(
+        params, rounds=rounds, initial_spread=args.spread, seed=args.seed,
+        topology=args.topology or workload.topology))
     params = result.params
     series = startup_spread_series(result.trace)
     print(format_series("measured B^i", series))
@@ -903,7 +899,6 @@ def _parse_host_port(text: str) -> "tuple":
 
 def _cmd_net(args: argparse.Namespace) -> int:
     from .net import ServeConfig, serve_peer
-    from .runner import RunSpec
 
     try:
         if args.action == "serve":
@@ -984,10 +979,10 @@ def _with_telemetry(args: argparse.Namespace,
     """Run a sub-command with an active telemetry bundle, then report.
 
     The bundle is installed process-locally (see
-    :func:`repro.telemetry.set_active`), which is how it reaches the System
-    hot loop, :func:`repro.runner.spec.execute` and pool-backed
-    :class:`~repro.runner.batch.BatchRunner` instances without every
-    intermediate layer growing a parameter.  On the way out: the Chrome
+    :func:`repro.telemetry.activated`), the one way telemetry reaches the
+    System hot loop, :func:`repro.runner.spec.execute` and
+    :class:`~repro.runner.batch.BatchRunner` with its pool workers; no
+    layer takes it as a parameter.  On the way out: the Chrome
     trace is written (``--trace-out``), and the metric registry plus span
     tree are printed to stderr so they never pollute parseable stdout.
     """

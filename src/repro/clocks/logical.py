@@ -53,10 +53,10 @@ class CorrectionHistory:
 
     Each CORR update is one entry of four parallel columns (real time,
     adjustment, resulting CORR, round index; entry 0 is the -inf sentinel).
-    :attr:`times` / :attr:`corrections` expose two of them read-only, for
-    ``correction_at`` (one ``bisect``: the package's hottest lookup) and the
-    batch evaluators in :mod:`repro.sim.traceindex`; :attr:`events` builds
-    :class:`CorrectionEvent` objects only when a caller asks.
+    :attr:`times` / :attr:`corrections` / :attr:`rounds` expose three of them
+    read-only, for ``correction_at`` (one ``bisect``: the package's hottest
+    lookup) and column readers such as :mod:`repro.sim.traceindex`;
+    :attr:`events` builds :class:`CorrectionEvent` objects only on request.
     """
 
     __slots__ = ("_times", "_adjustments", "_corrections", "_rounds",
@@ -143,6 +143,11 @@ class CorrectionHistory:
     def corrections(self) -> Sequence[float]:
         """CORR values per breakpoint, parallel to :attr:`times` (read-only)."""
         return self._corrections
+
+    @property
+    def rounds(self) -> Sequence[int]:
+        """Round index per breakpoint, parallel to :attr:`times` (read-only)."""
+        return self._rounds
 
     def current(self) -> float:
         """The most recent CORR value."""

@@ -45,6 +45,10 @@ Streaming results travel whole: ``ScenarioResult.observers`` (online metrics
 state) pickles back from the workers and through the store alongside the
 trace — or instead of one, for ``record_trace=False`` specs, which is how
 replicated long-horizon studies stay bounded-memory.
+
+Every step books into the telemetry bundle active while the batch runs
+(:func:`repro.telemetry.activated`); a computed spec's metrics and manifest
+lines come back from a run-local bundle, in-process or in a worker.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ import traceback
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     TYPE_CHECKING)
 
+from ..telemetry import Telemetry, activated, get_active
 from .spec import RunSpec, engine_for, execute
 from .store import ResultStore
 
@@ -85,22 +90,22 @@ def _run_task(spec: RunSpec, engine: str, instrumented: bool):
     """Execute one spec: the in-process loop and every pool worker call this.
 
     It calls this module's ``execute``, which tests patch and forked workers
-    inherit.  ``instrumented`` runs it against a fresh, run-local
-    :class:`~repro.telemetry.Telemetry` and returns ``(result, metrics
-    snapshot, manifests)`` for :func:`_fold`, which is what makes merged
-    worker totals equal a serial run's by construction.
+    inherit.  ``instrumented`` runs it under a fresh, run-local
+    :class:`~repro.telemetry.Telemetry` (:func:`~repro.telemetry.activated`)
+    and returns ``(result, metrics snapshot, manifests)`` for :func:`_fold`,
+    which is what makes merged worker totals equal a serial run's by
+    construction.
     """
     if not instrumented:
         return execute(spec, engine=engine)
-    from ..telemetry import Telemetry
-
-    local = Telemetry()
-    result = execute(spec, telemetry=local, engine=engine)
+    with activated(Telemetry()) as local:
+        result = execute(spec, engine=engine)
     return result, local.registry.snapshot(), local.manifests
 
 
-def _fold(telemetry, payload):
-    """Unwrap one :func:`_run_task` payload, folding its telemetry in."""
+def _fold(payload):
+    """Unwrap one :func:`_run_task` payload into the active bundle."""
+    telemetry = get_active()
     if telemetry is None:
         return payload
     result, snapshot, manifests = payload
@@ -141,26 +146,23 @@ class BatchRunner:
     ``chaos`` (a :class:`~repro.runner.chaos.ChaosSchedule`) apply to it and
     so need one.
 
-    ``telemetry`` (a :class:`~repro.telemetry.Telemetry`) instruments every
-    computed spec: each run executes against a fresh run-local bundle —
-    in-process or in a pool worker, identically — and its metrics snapshot
-    and manifest records are folded into ``telemetry`` as results arrive.
-    Counter totals after a ``jobs=2`` batch therefore equal a serial batch's
-    exactly.  Worker span records are not collected (each process has its own
-    wall-clock origin); spans around the batch belong to the caller.  Stored
-    results merge nothing — no run happened.  When no telemetry is passed the
-    runner adopts the process-local active one (see
-    :func:`repro.telemetry.set_active`), so ``--telemetry`` on the CLI
-    reaches pool workers without every intermediate layer threading the
-    argument through.
+    The telemetry bundle active while a batch runs
+    (:func:`repro.telemetry.activated`) instruments every computed spec:
+    each run executes under a fresh run-local bundle — in-process or in a
+    pool worker, identically — and its metrics snapshot and manifest
+    records are folded into the active one as results arrive, beside the
+    store, kernel-group and supervision counters.  Counter totals after a
+    ``jobs=2`` batch therefore equal a serial batch's exactly.  Worker span
+    records are not collected (each process has its own wall-clock origin);
+    spans around the batch belong to the caller.  Stored results merge
+    nothing — no run happened.
     """
 
-    def __init__(self, jobs: int = 1, telemetry=None, engine: str = "auto",
+    def __init__(self, jobs: int = 1, engine: str = "auto",
                  store=None, resume: bool = False,
                  max_retries: Optional[int] = None,
                  spec_timeout: Optional[float] = None,
                  chaos: Optional["ChaosSchedule"] = None):
-        from ..telemetry import get_active
         from .resilient import SupervisedPool
 
         if resume and store is None:
@@ -173,12 +175,11 @@ class BatchRunner:
             jobs = available_parallelism()
         self.jobs = int(jobs)
         self.engine = engine
-        self.telemetry = telemetry if telemetry is not None else get_active()
         self.max_retries = max_retries
         self.pool = SupervisedPool(jobs=self.jobs,
                                    max_retries=max_retries or 0,
                                    spec_timeout=spec_timeout, chaos=chaos,
-                                   telemetry=self.telemetry, engine=engine)
+                                   engine=engine)
         if isinstance(store, (str, bytes, os.PathLike)):
             store = ResultStore(os.fsdecode(store), chaos=chaos)
         self.store: Optional[ResultStore] = store
@@ -259,11 +260,11 @@ class BatchRunner:
         for spec in pending:
             stored = self.store.get(spec) if self.resume else None
             if stored is not None:
-                _count(self.telemetry, "store.hits")
+                _count("store.hits")
                 yield spec, stored
                 continue
             if self.resume:
-                _count(self.telemetry, "store.misses")
+                _count("store.misses")
             misses.append(spec)
         with (self.pool.trapping_signals() if self.max_retries is not None
               else contextlib.nullcontext()):
@@ -293,7 +294,7 @@ class BatchRunner:
             if engine_for(members[0], self.engine, len(members)) != "batch":
                 continue
             try:
-                results = execute_batch(members, telemetry=self.telemetry)
+                results = execute_batch(members)
             except Exception:
                 if not tolerant:
                     raise
@@ -311,8 +312,8 @@ class BatchRunner:
             return
         for spec in rest:
             try:
-                outcome = _fold(self.telemetry, _run_task(
-                    spec, self.engine, self.telemetry is not None))
+                outcome = _fold(_run_task(spec, self.engine,
+                                          get_active() is not None))
             except Exception as err:
                 outcome = QuarantinedResult(spec, (FailureRecord(
                     attempt=0, kind="error",
@@ -330,10 +331,11 @@ class BatchRunner:
         else:
             try:
                 self.store.put(spec, outcome)
-                _count(self.telemetry, "store.writes")
+                _count("store.writes")
             except OSError:
                 # Disk full (real or chaos-simulated): degraded, not fatal.
-                _count(self.telemetry, "store.write_errors")
-        if self.telemetry is not None:
-            self.telemetry.registry.gauge("resilient.store.size").set(
+                _count("store.write_errors")
+        telemetry = get_active()
+        if telemetry is not None:
+            telemetry.registry.gauge("resilient.store.size").set(
                 len(self.store))

@@ -46,6 +46,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
+from ..telemetry import build_manifest, get_active
 from .batch import available_parallelism, _fold, _run_task
 from .spec import RunSpec
 
@@ -136,8 +137,9 @@ _BACKOFF_CAP = 2.0
 _BACKOFF_SEED = 0
 
 
-def _count(telemetry, name: str) -> None:
-    """Count one ``resilient.<name>`` event when telemetry is on."""
+def _count(name: str) -> None:
+    """Count one ``resilient.<name>`` event on the active telemetry bundle."""
+    telemetry = get_active()
     if telemetry is not None:
         telemetry.registry.counter(f"resilient.{name}").inc()
 
@@ -244,14 +246,16 @@ class SupervisedPool:
     worker; the parent-side ``interrupt`` action aborts dispatch exactly as a
     signal would.  Telemetry counters (``resilient.retries`` / ``.timeouts``
     / ``.crashes`` / ``.errors`` / ``.quarantined``) record what supervision
-    had to do.  ``engine`` (see :func:`~repro.runner.spec.engine_for`)
-    travels to the workers with every task.
+    had to do, in the bundle active while :meth:`run` runs; workers are
+    spawned instrumented when one is.  ``engine`` (see
+    :func:`~repro.runner.spec.engine_for`) travels to the workers with
+    every task.
     """
 
     def __init__(self, jobs: int = 1, max_retries: int = 2,
                  spec_timeout: Optional[float] = None,
                  chaos: Optional["ChaosSchedule"] = None,
-                 telemetry=None, engine: str = "auto"):
+                 engine: str = "auto"):
         if jobs < 1:
             jobs = available_parallelism()
         if max_retries < 0:
@@ -263,7 +267,6 @@ class SupervisedPool:
         self.max_retries = int(max_retries)
         self.spec_timeout = spec_timeout
         self.chaos = chaos
-        self.telemetry = telemetry
         self.engine = engine
         self._rng = random.Random(_BACKOFF_SEED)
         self._interrupted: Optional[str] = None
@@ -273,7 +276,7 @@ class SupervisedPool:
         parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
         process = multiprocessing.Process(
             target=_worker_main,
-            args=(child_conn, self.chaos, self.telemetry is not None),
+            args=(child_conn, self.chaos, get_active() is not None),
             daemon=True)
         process.start()
         # Close the parent's copy of the child end *immediately*: EOF
@@ -319,19 +322,19 @@ class SupervisedPool:
         task.failures.append(FailureRecord(attempt=task.attempt, kind=kind,
                                            error=error, traceback=tb,
                                            exception=exception))
-        _count(self.telemetry, {"error": "errors", "crash": "crashes",
-                                "timeout": "timeouts"}[kind])
+        _count({"error": "errors", "crash": "crashes",
+                "timeout": "timeouts"}[kind])
         if len(task.failures) > self.max_retries:
-            _count(self.telemetry, "quarantined")
+            _count("quarantined")
             quarantined = QuarantinedResult(spec=task.spec,
                                             failures=tuple(task.failures))
-            if self.telemetry is not None:
-                from ..telemetry import build_manifest
-                self.telemetry.emit_manifest(build_manifest(
+            telemetry = get_active()
+            if telemetry is not None:
+                telemetry.emit_manifest(build_manifest(
                     task.spec, outcome="quarantined",
                     error=quarantined.last_error))
             return quarantined
-        _count(self.telemetry, "retries")
+        _count("retries")
         attempt = len(task.failures)  # 1-based count of failures so far
         delay = min(_BACKOFF_CAP, _BACKOFF_BASE * (2.0 ** (attempt - 1)))
         delay *= 0.5 + self._rng.random()  # jitter in [0.5, 1.5)
@@ -467,8 +470,7 @@ class SupervisedPool:
                         continue
                     worker.task = worker.deadline = None
                     if message[0] == "ok":
-                        finished.append((task.spec, _fold(self.telemetry,
-                                                          message[1])))
+                        finished.append((task.spec, _fold(message[1])))
                         continue
                     if message[0] != "error":
                         self._replace(workers, position)

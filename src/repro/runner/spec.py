@@ -478,8 +478,7 @@ def engine_for(spec: RunSpec, engine: str = "auto", replicas: int = 1) -> str:
     return "serial"
 
 
-def execute(spec: RunSpec, telemetry: Optional[Any] = None,
-            engine: str = "auto") -> "ScenarioResult":
+def execute(spec: RunSpec, engine: str = "auto") -> "ScenarioResult":
     """Run the scenario a spec describes; pure and deterministic per spec.
 
     This is the single dispatcher every experiment entry point (sweeps,
@@ -492,14 +491,14 @@ def execute(spec: RunSpec, telemetry: Optional[Any] = None,
     replication callers can tell exactly which run blew its budget — the
     counts and the spec survive the trip back from a pool worker.
 
-    ``telemetry`` (explicit, or the process-local active bundle installed via
-    :func:`repro.telemetry.set_active`) turns on observability for the run:
-    an ``execute`` span, segment-level simulator metrics, optional peak-memory
-    probing, and one JSON manifest line per run — including a
-    ``budget_exceeded`` line when the interrupt budget trips, so aborted
-    sweep cells stay in the audit trail.  Telemetry reads wall clocks only;
-    the simulation itself (RNG draws, traces, results) is bit-identical with
-    or without it.
+    The active telemetry bundle (:func:`repro.telemetry.activated`), read
+    once per call, turns on observability for the run: an ``execute`` span,
+    segment-level simulator metrics, optional peak-memory probing, and one
+    JSON manifest line per run — including a ``budget_exceeded`` line when
+    the interrupt budget trips, so aborted sweep cells stay in the audit
+    trail.  Every layer the run enters books into that same bundle.
+    Telemetry reads wall clocks only; the simulation itself (RNG draws,
+    traces, results) is bit-identical with or without it.
 
     ``engine`` picks the engine through :func:`engine_for` (as a group of
     one); like telemetry, it changes speed, never the result.
@@ -507,16 +506,15 @@ def execute(spec: RunSpec, telemetry: Optional[Any] = None,
     from ..analysis import experiments
     from ..sim.events import EventBudgetExceeded
     from ..topology.spec import build_topology
-    from ..telemetry import activated, build_manifest, get_active
+    from ..telemetry import build_manifest, get_active
 
     choice = engine_for(spec, engine)
     if choice == "batch":
         # A group of one; execute_batch books its own telemetry.
         from ..sim.vectorized import execute_batch
-        return execute_batch([spec], telemetry=telemetry)[0]
+        return execute_batch([spec])[0]
     round_engine = choice == "round"
-    if telemetry is None:
-        telemetry = get_active()
+    telemetry = get_active()
     if telemetry is None:
         try:
             return _execute(spec, experiments, build_topology, round_engine)
@@ -525,31 +523,30 @@ def execute(spec: RunSpec, telemetry: Optional[Any] = None,
             raise
 
     from time import perf_counter
-    with activated(telemetry):
-        telemetry.registry.counter("runner.specs_executed").inc()
-        baseline = telemetry.registry.snapshot()
-        start = perf_counter()
-        try:
-            with telemetry.span("execute", spec=spec.describe(),
-                                kind=spec.kind, seed=spec.seed):
-                with telemetry.memory_probe() as probe:
-                    result = _execute(spec, experiments, build_topology,
-                                      round_engine)
-        except EventBudgetExceeded as err:
-            err.spec = spec
-            telemetry.registry.counter("runner.budget_exceeded").inc()
-            telemetry.emit_manifest(build_manifest(
-                spec, outcome="budget_exceeded",
-                wall_seconds=perf_counter() - start, error=str(err),
-                metrics=telemetry.registry.delta(baseline)))
-            raise
-        wall = perf_counter() - start
-        telemetry.registry.histogram(
-            "runner.spec_wall_seconds").observe(wall)
+    telemetry.registry.counter("runner.specs_executed").inc()
+    baseline = telemetry.registry.snapshot()
+    start = perf_counter()
+    try:
+        with telemetry.span("execute", spec=spec.describe(),
+                            kind=spec.kind, seed=spec.seed):
+            with telemetry.memory_probe() as probe:
+                result = _execute(spec, experiments, build_topology,
+                                  round_engine)
+    except EventBudgetExceeded as err:
+        err.spec = spec
+        telemetry.registry.counter("runner.budget_exceeded").inc()
         telemetry.emit_manifest(build_manifest(
-            spec, result, wall_seconds=wall,
-            peak_memory_bytes=probe["peak"],
+            spec, outcome="budget_exceeded",
+            wall_seconds=perf_counter() - start, error=str(err),
             metrics=telemetry.registry.delta(baseline)))
+        raise
+    wall = perf_counter() - start
+    telemetry.registry.histogram(
+        "runner.spec_wall_seconds").observe(wall)
+    telemetry.emit_manifest(build_manifest(
+        spec, result, wall_seconds=wall,
+        peak_memory_bytes=probe["peak"],
+        metrics=telemetry.registry.delta(baseline)))
     return result
 
 

@@ -40,8 +40,8 @@ class EventBudgetExceeded(RuntimeError):
     * ``spec`` — the :class:`~repro.runner.spec.RunSpec` being executed, when
       the run came through :func:`repro.runner.execute` (else ``None``);
     * ``metrics`` — the telemetry metrics snapshot taken at abort time, when
-      the system ran with a :class:`~repro.telemetry.Telemetry` attached
-      (else ``None``) — so a budget-killed sweep cell stays diagnosable
+      a :class:`~repro.telemetry.Telemetry` was active as the system was
+      built (else ``None``) — so a budget-killed sweep cell stays diagnosable
       post-mortem without re-running it.
     """
 

@@ -1074,8 +1074,7 @@ class RoundSystem:
         return observers
 
 
-def try_execute(spec: Any, topology: Optional[Any],
-                telemetry: Optional[Any] = None) -> Optional[Any]:
+def try_execute(spec: Any, topology: Optional[Any]) -> Optional[Any]:
     """Run one spec on the kernel (S = 1), or return None to go serial.
 
     ``topology`` is the already-built object (None for the complete-graph
@@ -1085,11 +1084,9 @@ def try_execute(spec: Any, topology: Optional[Any],
     or the kernel are absorbed as well (counted also as
     ``roundengine.errors``), so the caller always gets the serial reference
     path instead of a crash.  On success the result carries the serial bit
-    pattern and ``roundengine.rounds`` / ``roundengine.edges`` telemetry.
+    pattern and ``roundengine.rounds`` / ``roundengine.edges`` telemetry,
+    booked into the active bundle (:func:`repro.telemetry.get_active`).
     """
-    if telemetry is None:
-        from ..telemetry import get_active
-        telemetry = get_active()
     result, error = None, False
     try:
         engine = RoundSystem(spec, [spec.seed], topology)
@@ -1098,6 +1095,8 @@ def try_execute(spec: Any, topology: Optional[Any],
             result, = engine.results([spec])
     except Exception:
         error = True
+    from ..telemetry import get_active
+    telemetry = get_active()
     if telemetry is not None:
         registry = telemetry.registry
         if result is None:

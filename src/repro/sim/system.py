@@ -89,7 +89,6 @@ class System:
         link_schedule: Optional["LinkSchedule"] = None,
         observers: Optional[Sequence[Observer]] = None,
         record_trace: bool = True,
-        telemetry: Optional[Any] = None,
     ):
         if len(processes) != len(clocks):
             raise ValueError(
@@ -125,11 +124,12 @@ class System:
         self._crashed: set = set()
         self._faulty_cache: Optional[List[int]] = None
         self._events_dispatched = 0
-        # Observability bundle (repro.telemetry.Telemetry, duck-typed so the
-        # sim layer stays import-free).  None — the default — keeps every
-        # path bit-identical and unmetered; deliberately NOT a snapshot
-        # field, so checkpoint/restore never captures wall-clock state.
-        self._telemetry = telemetry
+        # The telemetry bundle active at construction (imported lazily, as
+        # the kernel entry points do).  None keeps every path bit-identical
+        # and unmetered; deliberately NOT a snapshot field, so
+        # checkpoint/restore never captures wall-clock state.
+        from ..telemetry import get_active
+        self._telemetry = get_active()
         # Last-published totals per metric, so segment flushes emit deltas.
         self._telemetry_cursor: Dict[str, float] = {}
         # Full-trace recording is the default observer; dropping it (plus the
@@ -232,7 +232,7 @@ class System:
 
     @property
     def telemetry(self):
-        """The attached observability bundle, or ``None`` (the default)."""
+        """The telemetry bundle active at construction, or ``None``."""
         return self._telemetry
 
     def add_observer(self, observer: Observer) -> Observer:
@@ -518,7 +518,8 @@ class System:
         :class:`~repro.sim.events.EventBudgetExceeded` (with the counts) when
         more than ``max_events`` interrupts fire before the horizon.
 
-        With a telemetry bundle attached the segment is wrapped in a
+        With a telemetry bundle active at construction (see
+        :func:`repro.telemetry.activated`) the segment is wrapped in a
         ``sim.run_until`` span and the run counters (events, messages,
         timers, queue depth, correction-history size) are flushed into the
         metrics registry *at segment boundaries only* — never per event —

@@ -17,15 +17,14 @@ grouping runs is decided by :func:`repro.runner.spec.engine_for`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from .roundengine import RoundSystem, decline_reason
 
 __all__ = ["execute_batch"]
 
 
-def execute_batch(specs: Sequence[Any],
-                  telemetry: Optional[Any] = None) -> List[Any]:
+def execute_batch(specs: Sequence[Any]) -> List[Any]:
     """Execute S replicas of one spec (identical modulo seed) in lockstep.
 
     Returns results aligned with ``specs``; duplicate seeds share one
@@ -34,7 +33,9 @@ def execute_batch(specs: Sequence[Any],
     ``runner.vectorized_fallbacks``; a kernel error also counts
     ``runner.vectorized_errors``.  A lone spec may name a topology (the
     kernel accepts one at S = 1), which is built here as the serial path
-    builds it.
+    builds it.  The counters, like every serial re-run, book into the
+    active telemetry bundle (:func:`repro.telemetry.get_active`), read once
+    per call.
     """
     from time import perf_counter
     from ..runner.spec import execute
@@ -47,9 +48,6 @@ def execute_batch(specs: Sequence[Any],
         if spec.with_seed(base.seed) != base:
             raise ValueError("execute_batch needs specs identical modulo "
                              "seed; got a differing spec")
-    if telemetry is None:
-        from ..telemetry import get_active
-        telemetry = get_active()
 
     # Deduplicate (BatchRunner already does; direct callers may not).
     unique: List[Any] = []
@@ -59,8 +57,7 @@ def execute_batch(specs: Sequence[Any],
             index[spec] = len(unique)
             unique.append(spec)
     if decline_reason(base, len(unique)) is not None:
-        return [execute(spec, telemetry=telemetry, engine="serial")
-                for spec in specs]
+        return [execute(spec, engine="serial") for spec in specs]
 
     start = perf_counter()
     synthesized: List[Any] = [None] * len(unique)
@@ -83,14 +80,14 @@ def execute_batch(specs: Sequence[Any],
     vector_specs = []
     for spec, result in zip(unique, synthesized):
         if result is None:
-            results[spec] = execute(spec, telemetry=telemetry,
-                                    engine="serial")
+            results[spec] = execute(spec, engine="serial")
         else:
             results[spec] = result
             vector_specs.append(spec)
 
+    from ..telemetry import build_manifest, get_active
+    telemetry = get_active()
     if telemetry is not None:
-        from ..telemetry import build_manifest
         registry = telemetry.registry
         registry.counter("runner.vectorized_batches").inc()
         registry.counter("runner.vectorized_replicas").inc(len(vector_specs))

@@ -9,24 +9,23 @@ The observability layer has three pillars (see each module's docstring):
 * :mod:`~repro.telemetry.manifest` — one JSON line per executed spec.
 
 A :class:`Telemetry` object bundles one registry + one tracer + manifest
-settings.  Instrumented code never requires one: every hook in the simulator
-and runner takes ``telemetry=None`` and the disabled path is a single ``is
-None`` check, so default behaviour stays bit-identical to an uninstrumented
-build.
+settings.  There is one way in: the *process-local active telemetry*,
+installed with the :func:`activated` context manager (or :func:`set_active`)
+and read with :func:`get_active`.  Every instrumented layer books into it —
+``execute``, both kernel entry points, ``BatchRunner`` and its pool, the
+store, the topology index, the net peers and each ``System`` (which reads it
+once, when built) — so one bundle sees a whole run::
 
-To avoid threading a telemetry argument through every scenario builder, a
-*process-local active telemetry* can be installed (:func:`set_active`, or the
-:func:`activated` context manager).  Deep layers then use the module-level
-:func:`span` helper, which is a no-op when nothing is active::
+    with activated(Telemetry()) as telemetry:
+        execute(spec)
 
-    from repro.telemetry import span
+Instrumented code never requires a bundle: with none active the disabled
+path is a single ``is None`` check, so default behaviour stays bit-identical
+to an uninstrumented build.  Phase marks use the module-level :func:`span`
+helper, which is a no-op when nothing is active::
 
     with span("certify:audit", chain=chain_id):
         ...
-
-This mirrors the default-registry pattern of mainstream metrics libraries:
-explicit injection where it matters (System, execute, BatchRunner), ambient
-lookup for low-ceremony phase marks.
 """
 
 from __future__ import annotations

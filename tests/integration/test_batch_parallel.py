@@ -19,7 +19,7 @@ from repro.analysis import (
 from repro.runner import BatchRunner, RunSpec, available_parallelism, replicate
 from repro.runner import batch
 from repro.runner.spec import execute
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, activated
 
 multicore = pytest.mark.skipif(
     available_parallelism() < 2,
@@ -85,8 +85,8 @@ class TestBatchCache:
         store = str(tmp_path / "cache.sqlite")
         cold = BatchRunner(store=store).run(specs)
         telemetry = Telemetry()
-        warm = BatchRunner(store=store, resume=True,
-                           telemetry=telemetry).run(specs)
+        with activated(telemetry):
+            warm = BatchRunner(store=store, resume=True).run(specs)
         assert telemetry.registry.value("resilient.store.hits") == len(specs)
         assert telemetry.registry.value("runner.specs_executed") == 0
         assert [r.trace.events for r in warm] == \

@@ -28,7 +28,7 @@ from repro.runner import (
     RunSpec,
     SweepInterrupted,
 )
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, activated
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -78,9 +78,9 @@ class TestKillQuarantineInterruptResume:
         ))
         telemetry = Telemetry()
         interrupted = BatchRunner(jobs=1, store=store_path,
-                                  chaos=chaos, telemetry=telemetry,
-                                  **SUPERVISED)
-        with pytest.raises(SweepInterrupted) as excinfo:
+                                  chaos=chaos, **SUPERVISED)
+        with pytest.raises(SweepInterrupted) as excinfo, \
+                activated(telemetry):
             epsilon_sweep(runner=interrupted)
         # Spec 0's retry is parked behind fresh specs, so only 1 and 2
         # completed before the interrupt landed on spec 3.
@@ -96,10 +96,10 @@ class TestKillQuarantineInterruptResume:
         # while the sweep still completes, reporting the casualty.
         telemetry = Telemetry()
         poisoned = BatchRunner(
-            jobs=1, store=store_path, resume=True,
-            telemetry=telemetry, max_retries=1,
+            jobs=1, store=store_path, resume=True, max_retries=1,
             chaos=ChaosSchedule.single(0, "raise", attempts=10))
-        degraded = epsilon_sweep(runner=poisoned)
+        with activated(telemetry):
+            degraded = epsilon_sweep(runner=poisoned)
         assert degraded.points[0].outputs == {"failed_runs": 1.0}
         snapshot = telemetry.registry.snapshot()
         assert snapshot["resilient.quarantined"]["value"] == 1.0

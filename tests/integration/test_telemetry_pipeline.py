@@ -10,17 +10,25 @@ The acceptance bar of the observability PR:
 * **manifests** — every executed spec leaves one JSON line, including
   budget-killed runs, and ``telemetry report`` renders the file;
 * **CLI** — ``--telemetry --trace-out --manifest`` produce a loadable Chrome
-  trace and a manifest the report subcommand accepts.
+  trace and a manifest the report subcommand accepts;
+* **one way in** — every layer books into the active bundle, and no
+  execution API takes a bundle as an argument.
 """
 
+import inspect
 import json
+import sqlite3
 
 import pytest
 
 from repro.analysis import default_parameters
+from repro.analysis.workloads import build_spec, get_workload
 from repro.cli import main
-from repro.runner import BatchRunner, RunSpec, execute
-from repro.sim import EventBudgetExceeded
+from repro.runner import BatchRunner, RunSpec, SupervisedPool, execute
+from repro.sim import EventBudgetExceeded, System
+from repro.sim.roundengine import try_execute
+from repro.sim.traceindex import numpy_enabled
+from repro.sim.vectorized import execute_batch
 from repro.telemetry import Telemetry, activated, read_manifests
 
 
@@ -43,7 +51,8 @@ class TestBitIdentity:
     def test_instrumented_run_identical_to_plain(self):
         spec = _specs(count=1)[0]
         plain = execute(spec)
-        instrumented = execute(spec, telemetry=Telemetry())
+        with activated(Telemetry()):
+            instrumented = execute(spec)
         assert _fingerprint(plain) == _fingerprint(instrumented)
 
     def test_active_telemetry_changes_nothing(self):
@@ -60,9 +69,11 @@ class TestMergeEquality:
     def test_parallel_totals_equal_serial(self):
         specs = _specs()
         serial_tel = Telemetry()
-        BatchRunner(jobs=1, telemetry=serial_tel).run(specs)
+        with activated(serial_tel):
+            BatchRunner(jobs=1).run(specs)
         parallel_tel = Telemetry()
-        BatchRunner(jobs=2, telemetry=parallel_tel).run(specs)
+        with activated(parallel_tel):
+            BatchRunner(jobs=2).run(specs)
 
         serial = serial_tel.registry.snapshot()
         parallel = parallel_tel.registry.snapshot()
@@ -84,7 +95,8 @@ class TestMergeEquality:
     def test_manifests_collected_per_spec(self):
         specs = _specs()
         telemetry = Telemetry()
-        BatchRunner(jobs=2, telemetry=telemetry).run(specs)
+        with activated(telemetry):
+            BatchRunner(jobs=2).run(specs)
         assert len(telemetry.manifests) == len(specs)
         hashes = {record["spec_hash"] for record in telemetry.manifests}
         assert len(hashes) == len(specs)
@@ -96,11 +108,12 @@ class TestMergeEquality:
     def test_cached_specs_measure_nothing(self):
         specs = _specs(count=2)
         telemetry = Telemetry()
-        runner = BatchRunner(jobs=1, telemetry=telemetry, store=":memory:",
-                             resume=True)
-        runner.run(specs)
+        runner = BatchRunner(jobs=1, store=":memory:", resume=True)
+        with activated(telemetry):
+            runner.run(specs)
         executed = telemetry.registry.value("runner.specs_executed")
-        runner.run(specs)  # every spec stored: no new runs, no new metrics
+        with activated(telemetry):
+            runner.run(specs)  # every spec stored: no new runs, no new metrics
         assert telemetry.registry.value("runner.specs_executed") == executed
         assert len(telemetry.manifests) == len(specs)
 
@@ -109,8 +122,9 @@ class TestBudgetExceeded:
     def test_metrics_snapshot_and_manifest_on_abort(self):
         spec = _specs(count=1)[0].replace(max_events=20)
         telemetry = Telemetry()
-        with pytest.raises(EventBudgetExceeded) as excinfo:
-            execute(spec, telemetry=telemetry)
+        with pytest.raises(EventBudgetExceeded) as excinfo, \
+                activated(telemetry):
+            execute(spec)
         err = excinfo.value
         assert err.metrics is not None
         assert err.metrics["sim.events_dispatched"]["value"] == err.processed
@@ -120,7 +134,81 @@ class TestBudgetExceeded:
         assert record["metrics"]["runner.budget_exceeded"]["value"] == 1
 
 
+class TestOneBundle:
+    """Every layer books into the active bundle: the one way in."""
+
+    @pytest.mark.parametrize("spec", [
+        RunSpec.startup(default_parameters(n=4, f=1), rounds=4),
+        RunSpec.reintegration(default_parameters(n=7, f=2), rounds=8),
+    ], ids=["startup", "reintegration"])
+    def test_every_scenario_books_the_simulator(self, spec):
+        telemetry = Telemetry()
+        with activated(telemetry):
+            execute(spec)
+        assert telemetry.registry.value("sim.events_dispatched") > 0
+        names = [record.name for record in telemetry.tracer.records]
+        assert names.count("sim.run_until") == 1
+        (record,) = telemetry.manifests
+        assert record["kind"] == spec.kind
+
+    @pytest.mark.skipif(not numpy_enabled(), reason="the kernel needs numpy")
+    def test_resumed_supervised_batch_books_into_one_bundle(self, tmp_path):
+        params = default_parameters(n=7, f=2)
+        traced = [RunSpec.maintenance(params, rounds=3, seed=seed)
+                  for seed in range(3)]
+        streamed = build_spec(get_workload("lan"), n=7, rounds=4,
+                              record_trace=False,
+                              observers=("skew", "validity"))
+        group = [streamed.with_seed(seed) for seed in range(4)]
+        store_path = str(tmp_path / "s.sqlite")
+        BatchRunner(store=store_path).run(traced[:2])
+        with sqlite3.connect(store_path) as conn:
+            conn.execute("UPDATE results SET payload = ? WHERE seed = 0",
+                         (sqlite3.Binary(b"torn bytes"),))
+        conn.close()
+        idle = Telemetry()
+        telemetry = Telemetry()
+        runner = BatchRunner(jobs=2, store=store_path, resume=True,
+                             max_retries=1)
+        with activated(telemetry):
+            results = runner.run(traced + group)
+        assert [r.trace.events for r in results[:3]] == \
+            [execute(spec).trace.events for spec in traced]
+        registry = telemetry.registry
+        assert registry.value("resilient.store.corrupt") == 1
+        assert registry.value("resilient.store.hits") == 1
+        assert registry.value("resilient.store.misses") == 6
+        assert registry.value("runner.vectorized_replicas") == 4
+        # The two traced misses ran in the workers; the group on the kernel
+        # books no sim.* counter.
+        alone = Telemetry()
+        with activated(alone):
+            for spec in (traced[0], traced[2]):
+                execute(spec)
+        assert registry.value("sim.events_dispatched") == \
+            alone.registry.value("sim.events_dispatched") > 0
+        assert idle.registry.snapshot() == {}
+        assert idle.manifests == [] and len(idle.tracer) == 0
+
+    @pytest.mark.parametrize("api", [execute, execute_batch, try_execute,
+                                     BatchRunner, SupervisedPool, System],
+                             ids=lambda api: api.__name__)
+    def test_no_execution_api_takes_a_bundle(self, api):
+        assert "telemetry" not in inspect.signature(api).parameters
+
+
 class TestCli:
+    def test_startup_manifest_appends_one_line(self, tmp_path, capsys):
+        manifest_path = tmp_path / "startup.jsonl"
+        status = main(["startup", "-n", "4", "-f", "1", "--rounds", "4",
+                       "--telemetry", "--manifest", str(manifest_path)])
+        assert status == 0
+        assert "sim.events_dispatched" in capsys.readouterr().err
+        (record,) = read_manifests(str(manifest_path))
+        assert record["outcome"] == "ok"
+        assert record["kind"] == "startup"
+        assert record["events"] > 0
+
     def test_run_telemetry_artifacts(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"
         manifest_path = tmp_path / "manifest.jsonl"

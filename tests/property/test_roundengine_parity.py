@@ -56,7 +56,7 @@ from repro.sim import roundengine, traceindex
 from repro.sim.events import EventBudgetExceeded
 from repro.sim.system import _BOUNDED_HISTORY_ENTRIES
 from repro.sim.vectorized import execute_batch
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, activated
 from repro.topology.base import Topology, canonical_link
 from repro.topology.generators import TOPOLOGY_GENERATORS, make_topology
 from repro.topology.routing import delay_envelope
@@ -210,12 +210,13 @@ def _run_engine(spec, seeds, expect_engine, grouping="lone", engine="round"):
     registry = telemetry.registry
     specs = [spec.with_seed(seed) for seed in seeds]
     if grouping == "lone":
-        results = [execute(one, telemetry=telemetry, engine=engine)
-                   for one in specs]
+        with activated(telemetry):
+            results = [execute(one, engine=engine) for one in specs]
         ran = registry.value("roundengine.rounds") / spec.rounds
         fell = registry.value("roundengine.fallbacks")
     else:
-        results = execute_batch(specs, telemetry=telemetry)
+        with activated(telemetry):
+            results = execute_batch(specs)
         ran = registry.value("runner.vectorized_replicas")
         fell = registry.value("runner.vectorized_fallbacks")
     unique = len(set(seeds))
@@ -370,7 +371,8 @@ class TestFailurePolicy:
         serial = execute(spec, engine="serial")
         monkeypatch.setattr(roundengine.RoundSystem, "run", _boom)
         telemetry = Telemetry()
-        result = execute(spec, telemetry=telemetry, engine="round")
+        with activated(telemetry):
+            result = execute(spec, engine="round")
         snapshot = telemetry.registry.snapshot()
         assert snapshot["roundengine.errors"]["value"] == 1.0
         assert snapshot["roundengine.fallbacks"]["value"] == 1.0
@@ -388,11 +390,12 @@ class TestFailurePolicy:
         seeds = [0] if entry == "execute" else [0, 1, 2]
         monkeypatch.setattr(roundengine.RoundSystem, "run", _boom)
         telemetry = Telemetry()
-        if entry == "execute":
-            results = [execute(spec, telemetry=telemetry, engine="batch")]
-        else:
-            results = BatchRunner(telemetry=telemetry).run(
-                [spec.with_seed(seed) for seed in seeds])
+        with activated(telemetry):
+            if entry == "execute":
+                results = [execute(spec, engine="batch")]
+            else:
+                results = BatchRunner().run(
+                    [spec.with_seed(seed) for seed in seeds])
         registry = telemetry.registry
         assert registry.value("runner.vectorized_errors") == 1
         assert registry.value("runner.vectorized_fallbacks") == len(seeds)
@@ -407,8 +410,8 @@ class TestFailurePolicy:
                                    observers=("skew", "validity"))
         seeds = [0, 1, 2, 3]
         telemetry = Telemetry()
-        results = execute_batch([spec.with_seed(s) for s in seeds],
-                                telemetry=telemetry)
+        with activated(telemetry):
+            results = execute_batch([spec.with_seed(s) for s in seeds])
         registry = telemetry.registry
         assert registry.value("runner.vectorized_batches") == 1
         assert registry.value("runner.vectorized_replicas") == 0
@@ -480,7 +483,8 @@ class TestOffPathExits:
         engine.run()
         assert engine.reason == [reason]
         telemetry = Telemetry()
-        result = execute(spec, telemetry=telemetry, engine="round")
+        with activated(telemetry):
+            result = execute(spec, engine="round")
         assert telemetry.registry.value("roundengine.fallbacks") == 1
         assert telemetry.registry.value("roundengine.errors") == 0
         _assert_identical(spec, execute(spec, engine="serial"), result)
@@ -525,7 +529,8 @@ class TestOffPathExits:
         engine.run()
         assert engine.reason == ["extra link delays or drops"]
         telemetry = Telemetry()
-        assert roundengine.try_execute(spec, topology, telemetry) is None
+        with activated(telemetry):
+            assert roundengine.try_execute(spec, topology) is None
         assert telemetry.registry.value("roundengine.fallbacks") == 1
 
     def test_correct_sender_missing_from_round(self, numpy_on, monkeypatch):
@@ -768,6 +773,33 @@ class TestTrimmedHistories:
         assert history.events[1].round_index == \
             rounds - (_BOUNDED_HISTORY_ENTRIES - 1)
         assert history.corrections[0] != history.events[0].new_correction
+
+    @pytest.mark.parametrize("way", ["serial", "lone", "grouped"])
+    def test_bounded_histories_agree_with_the_traced_twin(self, numpy_on,
+                                                          way):
+        """From its last trimmed update on, every nonfaulty bounded history
+        answers ``correction_at`` as its traced twin's full history does;
+        the seed oracle (``tests/slowpath.py``) cannot check these."""
+        spec = _long_spec("two_faced", None, 20)
+        twin = execute(spec.replace(record_trace=True), engine="serial")
+        if way == "serial":
+            result = execute(spec, engine="serial")
+        else:
+            seeds = [spec.seed] if way == "lone" else [spec.seed, 10]
+            result = _run_engine(spec, seeds, True, way)[0]
+        mismatches = []
+        for pid in twin.trace.nonfaulty_ids:
+            full = twin.trace.correction_history(pid)
+            bounded = result.trace.correction_history(pid)
+            assert bounded.bounded and not full.bounded
+            last_trimmed = len(full.times) - len(bounded.times)
+            assert last_trimmed > 0
+            probes = list(full.times[last_trimmed:])
+            probes += [(a + b) / 2 for a, b in zip(probes, probes[1:])]
+            probes.append(twin.end_time)
+            mismatches += [(pid, t) for t in probes
+                           if bounded.correction_at(t) != full.correction_at(t)]
+        assert mismatches == []
 
 
 class TestObserverChunks:

@@ -38,7 +38,14 @@ __all__ = [
 
 
 def seed_correction_at(history: CorrectionHistory, real_time: float) -> float:
-    """CORR_p(t) exactly as the seed computed it (list rebuild + bisect)."""
+    """CORR_p(t) exactly as the seed computed it (list rebuild + bisect).
+
+    It models untrimmed histories only: before the first retained
+    breakpoint of a bounded (trimmed) history it answers the initial CORR,
+    where ``correction_at`` answers the trim horizon.  Bounded histories
+    are checked against their traced twins instead
+    (``tests/property/test_roundengine_parity.py::TestTrimmedHistories``).
+    """
     events = history.events
     times = [e.real_time for e in events]
     index = bisect.bisect_right(times, real_time) - 1

@@ -541,9 +541,9 @@ class TestEngineFlags:
         seen = []
         real = cli.execute
 
-        def spy(spec, telemetry=None, engine="auto"):
+        def spy(spec, engine="auto"):
             seen.append(engine)
-            return real(spec, telemetry=telemetry, engine=engine)
+            return real(spec, engine=engine)
 
         monkeypatch.setattr(cli, "execute", spy)
         assert build_parser().parse_args(["run", *flags]).engine == engine

@@ -394,14 +394,15 @@ class TestEventBudget:
         assert clone.metrics == snapshot
 
     def test_budget_carries_metrics_snapshot_when_instrumented(self):
-        from repro.telemetry import Telemetry
+        from repro.telemetry import Telemetry, activated
 
         telemetry = Telemetry()
         processes = [Chatter() for _ in range(3)]
         clocks = [PerfectClock(offset=0.0) for _ in range(3)]
-        system = System(processes, clocks,
-                        delay_model=UniformDelayModel(0.01, 0.002), seed=7,
-                        telemetry=telemetry)
+        with activated(telemetry):
+            system = System(processes, clocks,
+                            delay_model=UniformDelayModel(0.01, 0.002),
+                            seed=7)
         for pid in range(3):
             system.schedule_start(pid, 0.0)
         with pytest.raises(EventBudgetExceeded) as excinfo:

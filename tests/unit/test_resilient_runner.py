@@ -23,7 +23,7 @@ from repro.runner import (
     SweepInterrupted,
 )
 from repro.sim.traceindex import numpy_enabled
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, activated
 
 #: the retry budget that makes a BatchRunner supervised.
 SUPERVISED = dict(max_retries=2)
@@ -84,20 +84,20 @@ class TestSupervisedParity:
 class TestRetryPaths:
     def test_injected_error_retries_then_succeeds(self, specs, reference):
         telemetry = Telemetry()
-        runner = BatchRunner(jobs=1, telemetry=telemetry,
-                             chaos=ChaosSchedule.single(1, "raise"),
+        runner = BatchRunner(jobs=1, chaos=ChaosSchedule.single(1, "raise"),
                              **SUPERVISED)
-        assert_identical(runner.run(specs), reference)
+        with activated(telemetry):
+            assert_identical(runner.run(specs), reference)
         snapshot = telemetry.registry.snapshot()
         assert snapshot["resilient.errors"]["value"] == 1.0
         assert snapshot["resilient.retries"]["value"] == 1.0
 
     def test_worker_crash_respawns_and_retries(self, specs, reference):
         telemetry = Telemetry()
-        runner = BatchRunner(jobs=2, telemetry=telemetry,
-                             chaos=ChaosSchedule.single(2, "kill"),
+        runner = BatchRunner(jobs=2, chaos=ChaosSchedule.single(2, "kill"),
                              **SUPERVISED)
-        assert_identical(runner.run(specs), reference)
+        with activated(telemetry):
+            assert_identical(runner.run(specs), reference)
         snapshot = telemetry.registry.snapshot()
         assert snapshot["resilient.crashes"]["value"] == 1.0
         assert snapshot["resilient.retries"]["value"] == 1.0
@@ -105,19 +105,21 @@ class TestRetryPaths:
     def test_hang_reclaimed_by_spec_timeout(self, specs, reference):
         telemetry = Telemetry()
         runner = BatchRunner(
-            jobs=1, telemetry=telemetry, spec_timeout=0.4,
+            jobs=1, spec_timeout=0.4,
             chaos=ChaosSchedule.single(0, "hang", hang_seconds=30.0),
             **SUPERVISED)
-        assert_identical(runner.run(specs), reference)
+        with activated(telemetry):
+            assert_identical(runner.run(specs), reference)
         snapshot = telemetry.registry.snapshot()
         assert snapshot["resilient.timeouts"]["value"] == 1.0
 
     def test_two_failures_then_success(self, specs, reference):
         telemetry = Telemetry()
         runner = BatchRunner(
-            jobs=1, telemetry=telemetry,
+            jobs=1,
             chaos=ChaosSchedule.single(3, "raise", attempts=2), **SUPERVISED)
-        assert_identical(runner.run(specs), reference)
+        with activated(telemetry):
+            assert_identical(runner.run(specs), reference)
         assert telemetry.registry.snapshot()[
             "resilient.retries"]["value"] == 2.0
 
@@ -133,29 +135,29 @@ class TestIdleWorkerDeath:
 
         from repro.runner import batch, execute
 
-        def execute_with_pid(spec, telemetry=None, engine="auto"):
-            return os.getpid(), execute(spec, telemetry=telemetry,
-                                        engine=engine)
+        def execute_with_pid(spec, engine="auto"):
+            return os.getpid(), execute(spec, engine=engine)
 
         monkeypatch.setattr(batch, "execute", execute_with_pid)
         specs = [RunSpec.maintenance(default_parameters(n=7, f=2), rounds=3,
                                      seed=seed) for seed in range(3)]
         telemetry = Telemetry()
         arrivals = SupervisedPool(
-            jobs=2, max_retries=2, spec_timeout=2.0, telemetry=telemetry,
+            jobs=2, max_retries=2, spec_timeout=2.0,
             chaos=ChaosSchedule.single(1, "hang", hang_seconds=30.0)
         ).run(specs)
-        first, (idle_pid, _) = next(arrivals)
-        second, (pid, _) = next(arrivals)
-        assert (first, second, pid) == (specs[0], specs[2], idle_pid)
-        os.kill(idle_pid, signal.SIGKILL)
-        while any(child.pid == idle_pid
-                  for child in multiprocessing.active_children()):
-            time.sleep(0.01)
-        last, (pid, result) = next(arrivals)
-        assert last == specs[1] and pid != idle_pid
-        assert result.trace.events == execute(specs[1]).trace.events
-        assert list(arrivals) == []
+        with activated(telemetry):
+            first, (idle_pid, _) = next(arrivals)
+            second, (pid, _) = next(arrivals)
+            assert (first, second, pid) == (specs[0], specs[2], idle_pid)
+            os.kill(idle_pid, signal.SIGKILL)
+            while any(child.pid == idle_pid
+                      for child in multiprocessing.active_children()):
+                time.sleep(0.01)
+            last, (pid, result) = next(arrivals)
+            assert last == specs[1] and pid != idle_pid
+            assert result.trace.events == execute(specs[1]).trace.events
+            assert list(arrivals) == []
         snapshot = telemetry.registry.snapshot()
         assert snapshot["resilient.timeouts"]["value"] == 1.0
         assert snapshot["resilient.retries"]["value"] == 1.0
@@ -166,9 +168,10 @@ class TestQuarantine:
     def test_quarantined_after_max_retries(self, specs, reference):
         telemetry = Telemetry()
         runner = BatchRunner(
-            jobs=1, telemetry=telemetry, max_retries=1,
+            jobs=1, max_retries=1,
             chaos=ChaosSchedule.single(1, "raise", attempts=10))
-        results = runner.run(specs)
+        with activated(telemetry):
+            results = runner.run(specs)
         quarantined = results[1]
         assert isinstance(quarantined, QuarantinedResult)
         assert quarantined.spec == specs[1]
@@ -230,8 +233,9 @@ class TestStoreIntegration:
         BatchRunner(jobs=1, store=store_path, **SUPERVISED).run(specs)
         telemetry = Telemetry()
         resumed = BatchRunner(jobs=1, store=store_path, resume=True,
-                              telemetry=telemetry, **SUPERVISED)
-        assert_identical(resumed.run(specs), reference)
+                              **SUPERVISED)
+        with activated(telemetry):
+            assert_identical(resumed.run(specs), reference)
         snapshot = telemetry.registry.snapshot()
         assert snapshot["resilient.store.hits"]["value"] == float(len(specs))
         assert "resilient.store.writes" not in snapshot  # nothing re-ran
@@ -241,9 +245,10 @@ class TestStoreIntegration:
         chaos = ChaosSchedule(store_full_writes={1})
         telemetry = Telemetry()
         runner = BatchRunner(jobs=1, store=str(tmp_path / "s.sqlite"),
-                             chaos=chaos, telemetry=telemetry, **SUPERVISED)
+                             chaos=chaos, **SUPERVISED)
         # The caller still gets every result...
-        assert_identical(runner.run(specs), reference)
+        with activated(telemetry):
+            assert_identical(runner.run(specs), reference)
         # ...only the store is short the failed write.
         assert len(runner.store) == len(specs) - 1
         snapshot = telemetry.registry.snapshot()
@@ -254,8 +259,9 @@ class TestStoreIntegration:
     def test_store_size_gauge_tracks_growth(self, tmp_path, specs):
         telemetry = Telemetry()
         runner = BatchRunner(jobs=1, store=str(tmp_path / "s.sqlite"),
-                             telemetry=telemetry, **SUPERVISED)
-        runner.run(specs)
+                             **SUPERVISED)
+        with activated(telemetry):
+            runner.run(specs)
         gauge = telemetry.registry.snapshot()["resilient.store.size"]
         assert gauge["value"] == float(len(specs))
 
@@ -284,9 +290,9 @@ class TestStoreIntegration:
         filled = BatchRunner(jobs=1, store=store_path, engine="auto",
                              **SUPERVISED).run(streaming)
         telemetry = Telemetry()
-        resumed = BatchRunner(jobs=1, store=store_path, resume=True,
-                              telemetry=telemetry,
-                              engine=engine, **SUPERVISED).run(streaming)
+        with activated(telemetry):
+            resumed = BatchRunner(jobs=1, store=store_path, resume=True,
+                                  engine=engine, **SUPERVISED).run(streaming)
         snapshot = telemetry.registry.snapshot()
         assert snapshot["resilient.store.hits"]["value"] == \
             float(len(streaming))
@@ -321,8 +327,9 @@ class TestInterruptAndResume:
             first.run(specs)
         telemetry = Telemetry()
         resumed = BatchRunner(jobs=1, store=store_path, resume=True,
-                              telemetry=telemetry, **SUPERVISED)
-        assert_identical(resumed.run(specs), reference)
+                              **SUPERVISED)
+        with activated(telemetry):
+            assert_identical(resumed.run(specs), reference)
         snapshot = telemetry.registry.snapshot()
         assert snapshot["resilient.store.hits"]["value"] == 1.0
         assert snapshot["resilient.store.misses"]["value"] == \
@@ -364,8 +371,8 @@ class TestOneRunner:
             self, tmp_path, streamed):
         store_path = str(tmp_path / "s.sqlite")
         telemetry = Telemetry()
-        stored = BatchRunner(store=store_path, telemetry=telemetry,
-                             **SUPERVISED).run(streamed)
+        with activated(telemetry):
+            stored = BatchRunner(store=store_path, **SUPERVISED).run(streamed)
         assert telemetry.registry.value("runner.vectorized_replicas") == 8
         assert telemetry.registry.value("resilient.store.writes") == 8
         for got, expected in zip(stored, BatchRunner().run(streamed)):
@@ -373,8 +380,9 @@ class TestOneRunner:
                 assert got.online(name).result() == \
                     expected.online(name).result()
         telemetry = Telemetry()
-        resumed = BatchRunner(store=store_path, resume=True,
-                              telemetry=telemetry, **SUPERVISED).run(streamed)
+        with activated(telemetry):
+            resumed = BatchRunner(store=store_path, resume=True,
+                                  **SUPERVISED).run(streamed)
         assert telemetry.registry.value("resilient.store.hits") == 8
         assert telemetry.registry.value("runner.specs_executed") == 0
         assert [r.online("skew").result() for r in resumed] == \
@@ -388,8 +396,8 @@ class TestOneRunner:
         assert_identical(runner.run(specs), reference)
         assert len(runner.store) == len(specs)
         telemetry = Telemetry()
-        resumed = BatchRunner(store=store_path, resume=True,
-                              telemetry=telemetry)
-        assert_identical(resumed.run(specs), reference)
+        resumed = BatchRunner(store=store_path, resume=True)
+        with activated(telemetry):
+            assert_identical(resumed.run(specs), reference)
         assert telemetry.registry.value("resilient.store.hits") == len(specs)
         assert telemetry.registry.value("runner.specs_executed") == 0

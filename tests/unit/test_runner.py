@@ -370,10 +370,10 @@ from repro.runner import BatchRunner, RunSpec, SpecLost, batch
 
 original = batch.execute
 
-def execute(spec, telemetry=None, engine="auto"):
+def execute(spec, engine="auto"):
     if spec.seed == 1:
         os.kill(os.getpid(), signal.SIGKILL)
-    return original(spec, telemetry=telemetry, engine=engine)
+    return original(spec, engine=engine)
 
 batch.execute = execute
 specs = [RunSpec.maintenance(default_parameters(n=7, f=2), rounds=3, seed=s)

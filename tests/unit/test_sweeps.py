@@ -15,7 +15,7 @@ from repro.analysis import (
     sweep_topology,
 )
 from repro.runner import BatchRunner, RunSpec
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, activated
 
 
 class TestSweepAxis:
@@ -130,14 +130,15 @@ class TestRunSpecSweep:
 
     def test_shared_runner_caches_across_sweeps(self):
         telemetry = Telemetry()
-        runner = BatchRunner(store=":memory:", resume=True,
-                             telemetry=telemetry)
+        runner = BatchRunner(store=":memory:", resume=True)
         axes = [SweepAxis("rounds", [2, 3])]
-        first = run_spec_sweep(axes, self._build(seed=3), self._measure,
-                               runner=runner)
+        with activated(telemetry):
+            first = run_spec_sweep(axes, self._build(seed=3), self._measure,
+                                   runner=runner)
         assert telemetry.registry.value("resilient.store.hits") == 0
-        second = run_spec_sweep(axes, self._build(seed=3), self._measure,
-                                runner=runner)
+        with activated(telemetry):
+            second = run_spec_sweep(axes, self._build(seed=3),
+                                    self._measure, runner=runner)
         # the second sweep was pure store hits
         assert telemetry.registry.value("resilient.store.hits") == 2
         assert second.rows() == first.rows()

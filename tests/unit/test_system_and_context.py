@@ -286,7 +286,7 @@ class TestRunControl:
         # are the three STARTs, then p0's three copies, then p1's copy to
         # p0: p0's second message, whose handler raises.  All seven popped
         # interrupts count, once, and the telemetry flush still happens.
-        from repro.telemetry import Telemetry
+        from repro.telemetry import Telemetry, activated
 
         class FailsOnSecondMessage(Process):
             def __init__(self, fail):
@@ -303,9 +303,9 @@ class TestRunControl:
 
         telemetry = Telemetry()
         procs = [FailsOnSecondMessage(pid == 0) for pid in range(3)]
-        system = System(procs, [PerfectClock() for _ in range(3)],
-                        delay_model=FixedDelayModel(0.01), seed=0,
-                        telemetry=telemetry)
+        with activated(telemetry):
+            system = System(procs, [PerfectClock() for _ in range(3)],
+                            delay_model=FixedDelayModel(0.01), seed=0)
         for pid in range(3):
             system.schedule_start(pid, 0.0)
         with pytest.raises(RuntimeError, match="handler bug"):

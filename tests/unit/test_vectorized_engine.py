@@ -22,7 +22,7 @@ from repro.runner import BatchRunner, RunSpec, execute, replicate
 from repro.runner.spec import engine_for
 from repro.sim import roundengine, traceindex, vectorized
 from repro.sim.traceindex import numpy_enabled
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, activated
 
 
 def _params(n=7, f=2):
@@ -210,8 +210,8 @@ class TestExecuteBatch:
         spec = _spec()
         telemetry = Telemetry()
         start = time.perf_counter()
-        vectorized.execute_batch([spec.with_seed(s) for s in range(4)],
-                                 telemetry=telemetry)
+        with activated(telemetry):
+            vectorized.execute_batch([spec.with_seed(s) for s in range(4)])
         wall = time.perf_counter() - start
         assert telemetry.registry.value("runner.vectorized_fallbacks") == 1
         assert len(telemetry.manifests) == 4
@@ -224,7 +224,8 @@ class TestBatchRunnerRouting:
         telemetry = Telemetry()
         spec = _spec()
         specs = [spec.with_seed(s) for s in range(4)]
-        results = BatchRunner(telemetry=telemetry).run(specs)
+        with activated(telemetry):
+            results = BatchRunner().run(specs)
         assert len(results) == 4
         assert telemetry.registry.value("runner.vectorized_batches") == 1
         assert telemetry.registry.value("runner.vectorized_replicas") == 4
@@ -233,18 +234,21 @@ class TestBatchRunnerRouting:
     def test_single_spec_stays_serial_unless_asked(self):
         spec = _spec()
         telemetry = Telemetry()
-        BatchRunner(telemetry=telemetry).run([spec])
+        with activated(telemetry):
+            BatchRunner().run([spec])
         assert telemetry.registry.value("runner.vectorized_batches") == 0
         telemetry = Telemetry()
-        BatchRunner(telemetry=telemetry, engine="batch").run([spec])
+        with activated(telemetry):
+            BatchRunner(engine="batch").run([spec])
         assert telemetry.registry.value("runner.vectorized_batches") == 1
         assert telemetry.registry.value("runner.vectorized_replicas") == 1
 
     def test_serial_engine_group_stays_serial(self):
         spec = _spec()
         telemetry = Telemetry()
-        results = BatchRunner(telemetry=telemetry, engine="serial").run(
-            [spec.with_seed(s) for s in range(3)])
+        with activated(telemetry):
+            results = BatchRunner(engine="serial").run(
+                [spec.with_seed(s) for s in range(3)])
         assert len(results) == 3
         assert telemetry.registry.value("runner.vectorized_batches") == 0
 
@@ -256,9 +260,9 @@ class TestBatchRunnerRouting:
         # any process-global state.
         spec = _spec(fault_kind="crash")
         telemetry = Telemetry()
-        runner = BatchRunner(jobs=2, telemetry=telemetry, engine="round",
-                             max_retries=retries)
-        runner.run([spec.with_seed(s) for s in range(2)])
+        runner = BatchRunner(jobs=2, engine="round", max_retries=retries)
+        with activated(telemetry):
+            runner.run([spec.with_seed(s) for s in range(2)])
         assert telemetry.registry.value("roundengine.rounds") == \
             2 * spec.rounds
 
