@@ -62,7 +62,7 @@ def main() -> None:
     serial = execute(control, engine="serial")
     serial_seconds = time.perf_counter() - start
     start = time.perf_counter()
-    engine = execute(control, engine="round")
+    engine = execute(control, engine="kernel")
     engine_seconds = time.perf_counter() - start
 
     serial_skew = serial.online("skew").max_skew
@@ -77,7 +77,7 @@ def main() -> None:
           f"streaming")
     spec = spec_for(FULL_N)
     start = time.perf_counter()
-    result = execute(spec, engine="round")
+    result = execute(spec, engine="kernel")
     seconds = time.perf_counter() - start
     stats = result.trace.stats
     print(f"   {seconds:.1f}s wall clock, {stats.delivered:,} deliveries "

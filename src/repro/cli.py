@@ -56,14 +56,13 @@ across seeds, reporting mean/min/max and 95% confidence intervals instead of
 single-draw numbers.
 
 ``run`` alone picks the engine, through one mutually exclusive flag group
-that maps onto :func:`repro.runner.spec.engine_for`: by default (``auto``)
-large streaming runs (n ≥ 512) run alone on the round kernel
-(:mod:`repro.sim.roundengine`) and replicated streaming groups run on it in
-lockstep (:mod:`repro.sim.vectorized`); ``--vectorize`` asks for the
-lockstep grouping at any group size, ``--round-engine`` for each spec alone
-at any n, and ``--no-vectorize`` / ``--no-round-engine`` for the serial
-event loop.  Every engine returns the serial loop's exact bits, so the
-choice never changes a result, a store key or a manifest hash.
+that maps onto :func:`repro.runner.spec.engine_for`.  The round kernel
+(:mod:`repro.sim.roundengine`) runs a replicated streaming group below
+n = 512 in lockstep and every other spec it accepts alone; by default
+(``auto``) a lone spec only at n ≥ 512, with ``--round-engine`` (``kernel``)
+at any n.  ``--no-vectorize`` / ``--no-round-engine`` pick the serial event
+loop.  Every engine returns the serial loop's exact bits, so the choice
+never changes a result, a store key or a manifest hash.
 ``run --max-events N`` raises the event budget that large-n runs would
 otherwise exhaust; a run that still exhausts it ends with one ``error:``
 line and exit status 2.
@@ -154,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="export the full scenario (trace included) as JSON")
     run_parser.add_argument("--csv", metavar="PATH",
                             help="export the skew-over-time series as CSV")
-    run_parser.add_argument("--samples", type=int, default=200,
+    run_parser.add_argument("--samples", type=_at_least(2), default=200,
                             help="samples for the agreement window (default 200)")
     run_parser.add_argument("--no-trace", action="store_true",
                             help="streaming mode: record no execution trace "
@@ -203,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--values", nargs="+", required=True,
                               help="the values to sweep over (topology axis: "
                                    "specs like ring grid random_gnp:p=0.4)")
-    sweep_parser.add_argument("--rounds", type=int, default=10)
+    sweep_parser.add_argument("--rounds", type=_at_least(1), default=10)
     sweep_parser.add_argument("--seed", type=int, default=0)
     _add_runner_options(sweep_parser)
     _add_telemetry_options(sweep_parser)
@@ -256,9 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     certify_parser = subparsers.add_parser(
         "certify",
         help="certify the eps(1-1/n) lower bound via the shifting argument")
-    certify_parser.add_argument("-n", type=int, default=5,
+    certify_parser.add_argument("-n", type=_at_least(2), default=5,
                                 help="number of processes (default 5)")
-    certify_parser.add_argument("--rounds", type=int, default=6,
+    certify_parser.add_argument("--rounds", type=_at_least(1), default=6,
                                 help="base-run resynchronization rounds "
                                      "(default 6)")
     certify_parser.add_argument("--seed", type=int, default=0)
@@ -377,13 +376,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _at_least(low: int) -> Callable[[str], int]:
+    """An argparse ``type``: an int, refused below ``low`` (exit 2)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse's "invalid int value: 'x'"
+    return parse
+
+
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workload", default="lan", choices=workload_names(),
                         help="named workload preset (default: lan)")
     parser.add_argument("-n", type=int, default=7, help="number of processes")
     parser.add_argument("-f", type=int, default=2,
                         help="number of tolerated faults (n >= 3f + 1)")
-    parser.add_argument("--rounds", type=int, default=None,
+    parser.add_argument("--rounds", type=_at_least(1), default=None,
                         help="resynchronization rounds (default: the "
                              "workload's preset, usually 10)")
     parser.add_argument("--seed", type=int, default=0)
@@ -427,27 +437,16 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     """The engine choice (see :func:`repro.runner.spec.engine_for`)."""
     engine = parser.add_mutually_exclusive_group()
     parser.set_defaults(engine="auto")
-    engine.add_argument("--vectorize", dest="engine", action="store_const",
-                        const="batch",
-                        help="run every supported group on the round "
-                             "kernel in lockstep, replicated or not "
-                             "(default: auto-selected for replicated "
-                             "streaming runs; results are bit-identical to "
-                             "serial)")
-    engine.add_argument("--no-vectorize", dest="engine", action="store_const",
-                        const="serial",
-                        help="run every replica through the serial event "
-                             "loop")
     engine.add_argument("--round-engine", dest="engine", action="store_const",
-                        const="round",
-                        help="run every supported spec alone on the round "
-                             "kernel at any n (default: "
-                             "auto-selected for streaming specs with n >= "
+                        const="kernel",
+                        help="run every spec the round kernel accepts on it, "
+                             "at any n (default: lone specs only at n >= "
                              "512; results are bit-identical to serial)")
-    engine.add_argument("--no-round-engine", dest="engine",
-                        action="store_const", const="serial",
-                        help="run through the serial event loop, replicas "
-                             "included")
+    for flag in ("--no-vectorize", "--no-round-engine"):
+        engine.add_argument(flag, dest="engine", action="store_const",
+                            const="serial",
+                            help="run through the serial event loop, "
+                                 "replicas included")
     parser.add_argument("--max-events", type=int, default=None, metavar="N",
                         help="override the per-run event budget (default "
                              "2,000,000); large-n runs dispatch ~n^2 "
@@ -475,7 +474,7 @@ def _runner(args: argparse.Namespace) -> BatchRunner:
     Any of ``sweep``'s ``--store`` / ``--resume`` / ``--spec-timeout`` /
     ``--retries`` makes it supervised (durable commits, retries,
     quarantine), with 2 retries unless ``--retries`` gives another count.
-    A bad value among them is a usage error.
+    A bad value among them, or a repeated replication seed, is a usage error.
     """
     store = getattr(args, "store", None)
     resume = getattr(args, "resume", False)
@@ -483,6 +482,10 @@ def _runner(args: argparse.Namespace) -> BatchRunner:
     spec_timeout = getattr(args, "spec_timeout", None)
     if resume and not store:
         raise argparse.ArgumentError(None, "--resume requires --store PATH")
+    seeds = getattr(args, "replicate_seeds", None) or []
+    if len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentError(None, f"--replicate-seeds must be "
+                                           f"distinct, got {seeds}")
     max_retries = None
     if store or retries is not None or spec_timeout is not None:
         max_retries = 2 if retries is None else retries
@@ -498,9 +501,9 @@ def _runner(args: argparse.Namespace) -> BatchRunner:
 def _cmd_run(args: argparse.Namespace) -> int:
     """Run one spec, alone or across seeds, and audit every result."""
     workload = get_workload(args.workload)
-    streamed = bool(args.no_trace or args.observe or args.checkpoint_every
-                    or args.horizon or not workload.record_trace
-                    or workload.observers)
+    streamed = bool(args.no_trace or args.observe or not workload.record_trace
+                    or args.checkpoint_every is not None
+                    or args.horizon is not None or workload.observers)
     options = {}
     if streamed:
         observers = tuple(workload.observers) or ("skew", "validity")

@@ -103,9 +103,9 @@ def _run_task(spec: RunSpec, engine: str, instrumented: bool):
     return result, local.registry.snapshot(), local.manifests
 
 
-def _fold(payload):
-    """Unwrap one :func:`_run_task` payload into the active bundle."""
-    telemetry = get_active()
+def _fold(payload, telemetry: Optional[Telemetry]):
+    """Unwrap one :func:`_run_task` payload into ``telemetry``, the bundle
+    its task ran instrumented for (None: the payload is the bare result)."""
     if telemetry is None:
         return payload
     result, snapshot, manifests = payload
@@ -152,7 +152,9 @@ class BatchRunner:
     pool worker, identically — and its metrics snapshot and manifest
     records are folded into the active one as results arrive, beside the
     store, kernel-group and supervision counters.  Counter totals after a
-    ``jobs=2`` batch therefore equal a serial batch's exactly.  Worker span
+    ``jobs=2`` batch therefore equal a serial batch's exactly.  Specs run
+    on the pool book into the bundle active when the pool started, whichever
+    is active at a later ``next()`` of :meth:`run_iter`.  Worker span
     records are not collected (each process has its own wall-clock origin);
     spans around the batch belong to the caller.  Stored results merge
     nothing — no run happened.
@@ -278,7 +280,7 @@ class BatchRunner:
 
         Specs identical modulo seed form one group; a group runs as one
         lockstep batch when :func:`~repro.runner.spec.engine_for` picks the
-        lockstep grouping for it at its size (under ``auto``: 2 or more
+        lockstep grouping for it at its size (unless ``serial``: 2 or more
         members the kernel accepts, below the lone-run n).  Everything else
         runs per spec — in-process at ``jobs=1`` without a retry budget,
         otherwise on the pool — with results bit-identical by construction.
@@ -311,9 +313,10 @@ class BatchRunner:
             yield from self.pool.run(rest)
             return
         for spec in rest:
+            telemetry = get_active()  # at the spec's turn, when it runs
             try:
                 outcome = _fold(_run_task(spec, self.engine,
-                                          get_active() is not None))
+                                          telemetry is not None), telemetry)
             except Exception as err:
                 outcome = QuarantinedResult(spec, (FailureRecord(
                     attempt=0, kind="error",

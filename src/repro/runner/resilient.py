@@ -246,10 +246,10 @@ class SupervisedPool:
     worker; the parent-side ``interrupt`` action aborts dispatch exactly as a
     signal would.  Telemetry counters (``resilient.retries`` / ``.timeouts``
     / ``.crashes`` / ``.errors`` / ``.quarantined``) record what supervision
-    had to do, in the bundle active while :meth:`run` runs; workers are
-    spawned instrumented when one is.  ``engine`` (see
-    :func:`~repro.runner.spec.engine_for`) travels to the workers with
-    every task.
+    had to do, in the active bundle; workers (re)spawn instrumented for, and
+    every arrival folds into, the bundle active when :meth:`run` started.
+    ``engine`` (see :func:`~repro.runner.spec.engine_for`) travels to the
+    workers with every task.
     """
 
     def __init__(self, jobs: int = 1, max_retries: int = 2,
@@ -272,11 +272,10 @@ class SupervisedPool:
         self._interrupted: Optional[str] = None
 
     # -- worker lifecycle ----------------------------------------------------
-    def _spawn(self) -> _Worker:
+    def _spawn(self, instrumented: bool) -> _Worker:
         parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
         process = multiprocessing.Process(
-            target=_worker_main,
-            args=(child_conn, self.chaos, get_active() is not None),
+            target=_worker_main, args=(child_conn, self.chaos, instrumented),
             daemon=True)
         process.start()
         # Close the parent's copy of the child end *immediately*: EOF
@@ -285,14 +284,15 @@ class SupervisedPool:
         child_conn.close()
         return _Worker(process, parent_conn)
 
-    def _replace(self, workers: List[_Worker], position: int) -> _Worker:
+    def _replace(self, workers: List[_Worker], position: int,
+                 instrumented: bool) -> _Worker:
         """SIGKILL and reap the worker at ``position``; spawn its successor."""
         worker = workers[position]
         if worker.process.is_alive():
             worker.process.kill()
         worker.process.join()
         worker.conn.close()
-        workers[position] = self._spawn()
+        workers[position] = self._spawn(instrumented)
         return workers[position]
 
     def _shutdown(self, workers: Sequence[_Worker]) -> None:
@@ -388,7 +388,8 @@ class SupervisedPool:
         if not tasks:
             return
         self._interrupted = None
-        workers = [self._spawn()
+        telemetry = get_active()
+        workers = [self._spawn(telemetry is not None)
                    for _ in range(min(self.jobs, len(tasks)))]
         pending: List[_Task] = list(tasks)  # FIFO; retries append at the end
         finished: List[Tuple[RunSpec, object]] = []
@@ -417,7 +418,8 @@ class SupervisedPool:
                         except OSError:
                             # The worker died while idle (OOM killer, kill -9):
                             # replace it; the spec is not charged an attempt.
-                            worker = self._replace(workers, position)
+                            worker = self._replace(workers, position,
+                                                   telemetry is not None)
                             worker.conn.send(message)
                         worker.task = task
                         worker.deadline = (now + self.spec_timeout
@@ -470,10 +472,11 @@ class SupervisedPool:
                         continue
                     worker.task = worker.deadline = None
                     if message[0] == "ok":
-                        finished.append((task.spec, _fold(message[1])))
+                        finished.append((task.spec,
+                                         _fold(message[1], telemetry)))
                         continue
                     if message[0] != "error":
-                        self._replace(workers, position)
+                        self._replace(workers, position, telemetry is not None)
                     outcome = self._record_failure(task, *message)
                     if outcome is None:
                         pending.append(task)

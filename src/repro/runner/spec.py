@@ -32,13 +32,13 @@ the machine and the moment — a net spec's ``params`` carry only the inputs
 Batch/replication layers must never cache or fan out net specs (the CLI
 routes them directly), and both pool engines decline them by kind.
 
-Which engine executes a spec — the serial event loop, or the round kernel
-(:mod:`repro.sim.roundengine`) running the spec alone or its replica group
-in lockstep (:mod:`repro.sim.vectorized`) — is not part of the spec: every
-engine returns the serial loop's exact bits, so the choice is a speed
-argument (``engine=``) that travels beside the spec and leaves its hash
-alone.
-:func:`engine_for` is the one place that decides.
+Which engine executes a spec — the serial event loop or the round kernel
+(:mod:`repro.sim.roundengine`) — is not part of the spec: every engine
+returns the serial loop's exact bits, so the choice is a speed argument
+(``engine=``) that travels beside the spec and leaves its hash alone.
+Whether the kernel runs a replica group in lockstep
+(:mod:`repro.sim.vectorized`) or each spec alone follows from the group,
+never from the caller.  :func:`engine_for` is the one place that decides.
 
 Imports from :mod:`repro.analysis` are deferred into the functions so that
 ``repro.runner`` can be imported by the analysis layer (sweeps, comparison,
@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Mapping, Optional, Tuple, Union, TYPE_CHECKING
 
-from ..core.config import SyncParameters
+from ..core.config import ParameterError, SyncParameters
 from ..sim.network import DELAY_MODEL_KINDS
 from ..topology.base import Topology
 
@@ -89,8 +89,8 @@ _NO_FAULT_KINDS = frozenset({"reintegration", "partition_heal", "net"})
 #: (observers / record_trace / horizon / checkpoint_every / max_events).
 _STREAMING_KINDS = frozenset({"maintenance", "algorithm"})
 
-#: the ``engine=`` choices of :func:`execute` and the batch runners.
-ENGINES = ("auto", "serial", "batch", "round")
+#: the ``engine=`` choices; :func:`engine_for` derives the grouping itself.
+ENGINES = ("auto", "serial", "kernel")
 
 #: online observer names a spec may request (mirrors
 #: :data:`repro.analysis.online.ONLINE_OBSERVER_NAMES`; the factory
@@ -212,6 +212,9 @@ class RunSpec:
             raise ValueError(
                 f"fault_count={self.fault_count} without a fault_kind would "
                 f"inject no faults; use fault_count=None")
+        if not 0 <= (self.fault_count or 0) <= self.params.n:
+            raise ParameterError(f"fault_count must be in [0, n="
+                                 f"{self.params.n}], got {self.fault_count}")
         if self.kind == "reintegration" and self.topology is not None:
             raise ValueError("the reintegration scenario runs on the complete "
                              "graph only")
@@ -448,17 +451,15 @@ def engine_for(spec: RunSpec, engine: str = "auto", replicas: int = 1) -> str:
     ``replicas`` is the size of the seed-replica group the spec runs in (1
     for a lone spec).  ``batch`` and ``round`` are the two groupings of one
     numpy kernel (:class:`~repro.sim.roundengine.RoundSystem`): the whole
-    group in lockstep, or each spec alone.  ``engine`` is one of
-    :data:`ENGINES`:
+    group in lockstep, or each spec alone.  ``engine`` (one of
+    :data:`ENGINES`) says whether the kernel may run; the group picks how:
 
-    * ``auto`` — each spec alone when the kernel accepts it alone and n ≥
-      :data:`~repro.sim.roundengine.AUTO_MIN_N`; otherwise the group in
-      lockstep for groups of 2 or more that it accepts; otherwise serial;
-    * ``batch`` — the group in lockstep whenever the kernel accepts it, at
-      any group size; otherwise serial;
-    * ``round`` — each spec alone whenever the kernel accepts it, at any n;
-      otherwise serial;
-    * ``serial`` — the serial event loop.
+    * ``serial`` — the serial event loop;
+    * otherwise ``batch`` for a group of 2 or more below
+      :data:`~repro.sim.roundengine.AUTO_MIN_N` the kernel accepts as one;
+    * otherwise ``round`` for a spec the kernel accepts alone, under
+      ``kernel`` at any n and under ``auto`` at n ≥ ``AUTO_MIN_N``;
+    * otherwise ``serial``.
 
     :func:`~repro.sim.roundengine.decline_reason` says why the kernel does
     not accept a spec in a group of a given size.
@@ -469,12 +470,11 @@ def engine_for(spec: RunSpec, engine: str = "auto", replicas: int = 1) -> str:
     if engine == "serial":
         return "serial"
     from ..sim.roundengine import AUTO_MIN_N, decline_reason
-    if engine in ("auto", "round") and decline_reason(spec) is None \
-            and (engine == "round" or spec.params.n >= AUTO_MIN_N):
-        return "round"
-    if (engine == "batch" or (engine == "auto" and replicas >= 2)) \
-            and decline_reason(spec, replicas) is None:
+    small = spec.params.n < AUTO_MIN_N
+    if replicas >= 2 and small and decline_reason(spec, replicas) is None:
         return "batch"
+    if decline_reason(spec) is None and (engine == "kernel" or not small):
+        return "round"
     return "serial"
 
 
@@ -501,19 +501,14 @@ def execute(spec: RunSpec, engine: str = "auto") -> "ScenarioResult":
     traces, results) is bit-identical with or without it.
 
     ``engine`` picks the engine through :func:`engine_for` (as a group of
-    one); like telemetry, it changes speed, never the result.
+    one: alone); like telemetry, it changes speed, never the result.
     """
     from ..analysis import experiments
     from ..sim.events import EventBudgetExceeded
     from ..topology.spec import build_topology
     from ..telemetry import build_manifest, get_active
 
-    choice = engine_for(spec, engine)
-    if choice == "batch":
-        # A group of one; execute_batch books its own telemetry.
-        from ..sim.vectorized import execute_batch
-        return execute_batch([spec])[0]
-    round_engine = choice == "round"
+    round_engine = engine_for(spec, engine) == "round"
     telemetry = get_active()
     if telemetry is None:
         try:

@@ -6,10 +6,10 @@ arrivals for the window (1+ρ)(β+δ+ε), and sets CORR += (Tⁱ + δ) −
 mid(reduce(ARR)).  Rounds are globally synchronized by the sync interval P,
 so :class:`RoundSystem` runs them as a handful of array kernels per round,
 over arrays with a leading replica axis — S seeds of one spec in lockstep.
-Two groupings share every line of it:
+Two groupings share every line of it, each with one entry point:
 
-* a **replica group** (:func:`repro.sim.vectorized.execute_batch`): S seeds
-  of one spec on the complete graph, Byzantine attackers included;
+* a **replica group** (:func:`repro.sim.vectorized.execute_batch`): S ≥ 2
+  seeds of one spec on the complete graph, Byzantine attackers included;
 * a **lone run** (:func:`try_execute`): S = 1, on the complete graph or on
   any connected topology, whose CSR adjacency and multi-source BFS come
   from :class:`~repro.topology.index.TopologyIndex`.  Its cost is bound by
@@ -53,10 +53,10 @@ Lundelius–Lynch window derivation guarantees.  A replica that leaves it — a
 tied send time, a missed round, a late or stale arrival, a tied ARR write,
 the event budget — is flagged in ``bad`` with its ``reason`` and re-runs
 through the serial loop, which also runs every spec :func:`decline_reason`
-names a reason for.  Which grouping runs is decided by
-:func:`repro.runner.spec.engine_for`, never by the spec.  The hypothesis
-parity suite (``tests/property/test_roundengine_parity.py``) enforces the
-contract for both groupings on both TraceIndex backends.
+names a reason for.  Which grouping runs follows from the group's size
+and n (:func:`repro.runner.spec.engine_for`), never from the spec.  The
+hypothesis parity suite (``tests/property/test_roundengine_parity.py``)
+enforces the contract for both groupings on both TraceIndex backends.
 """
 
 from __future__ import annotations
@@ -100,9 +100,9 @@ _BYZANTINE = frozenset({"two_faced", "skew_early", "skew_late"})
 #: path raises :class:`~repro.sim.events.EventBudgetExceeded` exactly.
 DEFAULT_EVENT_BUDGET = 2_000_000
 
-#: below this n the per-event serial loop (or a replica group) wins; a lone
-#: spec runs on the kernel by default at or above it.  Asking for it by
-#: name (``engine="round"``) lifts the floor.
+#: below this n the serial loop (or a replica group) wins; at or above it a
+#: lone spec runs on the kernel by default, and so does each member of a
+#: group, alone.  ``engine="kernel"`` lifts the floor for lone specs.
 AUTO_MIN_N = 512
 
 #: dense fault cells (fault senders × receivers) a spec may need; above
@@ -1077,6 +1077,7 @@ class RoundSystem:
 def try_execute(spec: Any, topology: Optional[Any]) -> Optional[Any]:
     """Run one spec on the kernel (S = 1), or return None to go serial.
 
+    The kernel's one entry point for a lone spec, inside ``execute``'s span.
     ``topology`` is the already-built object (None for the complete-graph
     default).  Returns None — counting ``roundengine.fallbacks`` — when the
     built topology is out of scope (disconnected, extra delays, drops) or

@@ -10,9 +10,9 @@ bit-identity contract).
 
 The output is always the serial output.  Replicas that leave the kernel's
 clean path re-run through the serial :func:`~repro.runner.spec.execute`, and
-so does every replica when :func:`~repro.sim.roundengine.decline_reason`
-names a reason for the group or the kernel fails unexpectedly.  Which
-grouping runs is decided by :func:`repro.runner.spec.engine_for`.
+so does every replica of a group that names a topology, that
+:func:`~repro.sim.roundengine.decline_reason` declines, or that the kernel
+fails on.  :func:`repro.runner.spec.engine_for` routes groups here.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ def execute_batch(specs: Sequence[Any]) -> List[Any]:
     replica.  Each replica that re-runs serially — off the clean path, out
     of scope or after an unexpected kernel error — counts as one
     ``runner.vectorized_fallbacks``; a kernel error also counts
-    ``runner.vectorized_errors``.  A lone spec may name a topology (the
-    kernel accepts one at S = 1), which is built here as the serial path
-    builds it.  The counters, like every serial re-run, book into the
-    active telemetry bundle (:func:`repro.telemetry.get_active`), read once
-    per call.
+    ``runner.vectorized_errors``.  Only the complete graph runs here: specs
+    naming a topology re-run serially at any group size.  The counters,
+    like every serial re-run, book into the active telemetry bundle
+    (:func:`repro.telemetry.get_active`), read once per call.
     """
     from time import perf_counter
     from ..runner.spec import execute
@@ -56,19 +55,15 @@ def execute_batch(specs: Sequence[Any]) -> List[Any]:
         if spec not in index:
             index[spec] = len(unique)
             unique.append(spec)
-    if decline_reason(base, len(unique)) is not None:
+    if base.topology is not None \
+            or decline_reason(base, len(unique)) is not None:
         return [execute(spec, engine="serial") for spec in specs]
 
     start = perf_counter()
     synthesized: List[Any] = [None] * len(unique)
     error = False
     try:
-        topology = None
-        if base.topology is not None:
-            from ..topology.spec import build_topology
-            topology = build_topology(base.topology, n=base.params.n,
-                                      seed=base.seed)
-        engine = RoundSystem(base, [spec.seed for spec in unique], topology)
+        engine = RoundSystem(base, [spec.seed for spec in unique])
         engine.run()
         if not engine.bad.all():
             synthesized = engine.results(unique, skip=engine.bad.tolist())

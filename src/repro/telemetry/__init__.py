@@ -12,9 +12,9 @@ A :class:`Telemetry` object bundles one registry + one tracer + manifest
 settings.  There is one way in: the *process-local active telemetry*,
 installed with the :func:`activated` context manager (or :func:`set_active`)
 and read with :func:`get_active`.  Every instrumented layer books into it —
-``execute``, both kernel entry points, ``BatchRunner`` and its pool, the
-store, the topology index, the net peers and each ``System`` (which reads it
-once, when built) — so one bundle sees a whole run::
+``execute``, both kernel entry points, ``BatchRunner``, its pool (read once,
+as a batch starts), the store, the topology index, the net peers and each
+``System`` (read once, when built) — so one bundle sees a whole run::
 
     with activated(Telemetry()) as telemetry:
         execute(spec)

@@ -22,6 +22,7 @@ import sqlite3
 import pytest
 
 from repro.analysis import default_parameters
+from repro.analysis.experiments import ScenarioResult
 from repro.analysis.workloads import build_spec, get_workload
 from repro.cli import main
 from repro.runner import BatchRunner, RunSpec, SupervisedPool, execute
@@ -189,6 +190,26 @@ class TestOneBundle:
             alone.registry.value("sim.events_dispatched") > 0
         assert idle.registry.snapshot() == {}
         assert idle.manifests == [] and len(idle.tracer) == 0
+
+    @pytest.mark.parametrize("starts_inside", [True, False],
+                             ids=["inside-first", "outside-first"])
+    def test_pooled_iteration_books_into_the_starting_bundle(
+            self, starts_inside):
+        """A pooled run_iter reads the bundle once, as its batch starts;
+        switching bundles between two next() calls changes nothing."""
+        specs = _specs(count=8)
+        telemetry = Telemetry()
+        results = BatchRunner(jobs=2).run_iter(specs)
+        with activated(telemetry if starts_inside else None):
+            first = next(results)
+        with activated(None if starts_inside else telemetry):
+            rest = list(results)
+        assert all(isinstance(result, ScenarioResult)
+                   for result in [first] + rest)
+        assert [_fingerprint(result) for result in [first] + rest] == \
+            [_fingerprint(execute(spec)) for spec in specs]
+        assert telemetry.registry.value("runner.specs_executed") == \
+            (len(specs) if starts_inside else 0)
 
     @pytest.mark.parametrize("api", [execute, execute_batch, try_execute,
                                      BatchRunner, SupervisedPool, System],

@@ -4,7 +4,7 @@ The round kernel (:class:`repro.sim.roundengine.RoundSystem`) promises *bit
 identity* with the serial event loop — not statistical agreement — in both
 of its groupings:
 
-* ``lone``: one spec through ``execute(engine="round")``, on the complete
+* ``lone``: one spec through ``execute(engine="kernel")``, on the complete
   graph or any connected topology;
 * ``grouped``: seed replicas of one spec in lockstep through
   :func:`~repro.sim.vectorized.execute_batch`, on the complete graph with
@@ -194,7 +194,7 @@ def _assert_all_serial(spec, seeds, results):
                           result)
 
 
-def _run_engine(spec, seeds, expect_engine, grouping="lone", engine="round"):
+def _run_engine(spec, seeds, expect_engine, grouping="lone", engine="kernel"):
     """Run ``spec`` under ``seeds`` with telemetry; check the kernel ran.
 
     ``lone`` runs each seed through ``execute(engine=...)`` and reads the
@@ -299,20 +299,6 @@ class TestParity:
         results = _run_engine(spec, seeds, backend == "numpy", "grouped")
         _assert_all_serial(spec, seeds, results)
 
-    def test_group_of_one_with_topology(self, numpy_on):
-        """engine="batch" on a lone topology spec: the kernel accepts a
-        topology at S = 1, so execute_batch builds it as the serial path
-        does."""
-        params = default_parameters(n=12, f=2)
-        spec = RunSpec.maintenance(params, rounds=3, fault_kind="crash",
-                                   topology="grid", seed=5,
-                                   record_trace=False,
-                                   observers=("skew", "validity"))
-        assert engine_for(spec, "batch") == "batch"
-        result, = _run_engine(spec, [spec.seed], True, "grouped")
-        _assert_identical(spec, execute(spec, engine="serial"), result)
-        assert result.trace.stats.relayed > 0
-
     @pytest.mark.parametrize("fault_kind",
                              ["two_faced", "skew_early", "skew_late"])
     def test_lone_byzantine_run(self, backend, fault_kind):
@@ -372,7 +358,7 @@ class TestFailurePolicy:
         monkeypatch.setattr(roundengine.RoundSystem, "run", _boom)
         telemetry = Telemetry()
         with activated(telemetry):
-            result = execute(spec, engine="round")
+            result = execute(spec, engine="kernel")
         snapshot = telemetry.registry.snapshot()
         assert snapshot["roundengine.errors"]["value"] == 1.0
         assert snapshot["roundengine.fallbacks"]["value"] == 1.0
@@ -392,7 +378,7 @@ class TestFailurePolicy:
         telemetry = Telemetry()
         with activated(telemetry):
             if entry == "execute":
-                results = [execute(spec, engine="batch")]
+                results = execute_batch([spec])
             else:
                 results = BatchRunner().run(
                     [spec.with_seed(seed) for seed in seeds])
@@ -484,7 +470,7 @@ class TestOffPathExits:
         assert engine.reason == [reason]
         telemetry = Telemetry()
         with activated(telemetry):
-            result = execute(spec, engine="round")
+            result = execute(spec, engine="kernel")
         assert telemetry.registry.value("roundengine.fallbacks") == 1
         assert telemetry.registry.value("roundengine.errors") == 0
         _assert_identical(spec, execute(spec, engine="serial"), result)
@@ -513,7 +499,7 @@ class TestOffPathExits:
         engine = roundengine.RoundSystem(spec, [spec.seed])
         engine.run()
         assert engine.reason == ["non-positive delay"]
-        for engine_name in ("round", "serial"):
+        for engine_name in ("kernel", "serial"):
             with pytest.raises(ValueError, match="delta > epsilon"):
                 execute(spec, engine=engine_name)
 
@@ -621,7 +607,7 @@ class TestEventBudget:
     def test_lone_boundary(self, numpy_on, topology, fault_kind, count):
         short = self._spec(topology, fault_kind, count - 1)
         with pytest.raises(EventBudgetExceeded) as raised:
-            execute(short, engine="round")
+            execute(short, engine="kernel")
         assert raised.value.processed == self._serial_processed(short)
         exact = self._spec(topology, fault_kind, count)
         result, = _run_engine(exact, [exact.seed], True)

@@ -530,8 +530,7 @@ class TestEngineFlags:
 
     @pytest.mark.parametrize("flags,engine", [
         ([], "auto"),
-        (["--vectorize"], "batch"),
-        (["--round-engine"], "round"),
+        (["--round-engine"], "kernel"),
         (["--no-vectorize"], "serial"),
         (["--no-round-engine"], "serial"),
     ])
@@ -553,7 +552,7 @@ class TestEngineFlags:
 
     def test_engine_flags_are_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["run", "--vectorize",
+            build_parser().parse_args(["run", "--no-vectorize",
                                        "--round-engine"])
         assert excinfo.value.code == 2
 
@@ -593,6 +592,34 @@ class TestEngineFlags:
         auto = capsys.readouterr()
         assert _counter(auto.err, "roundengine.rounds") == 0
         assert forced.out == auto.out
+
+
+class TestBadInput:
+    """Bad input ends in one ``error:`` line and exit 2, never a traceback
+    and never exit 1, which is kept for a violated paper claim."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--samples", "1", "--rounds", "3"],
+        ["sweep", "--axis", "n", "--values", "7", "--rounds", "3",
+         "--replicate-seeds", "1", "1"],
+        ["compare", "--rounds", "3", "--replicate-seeds", "1", "1"],
+        ["compare", "--rounds", "0"],
+        ["certify", "--rounds", "0"],
+        ["startup", "--rounds", "0"],
+        ["certify", "-n", "1"],
+        ["sweep", "--axis", "fault-count", "--values", "-1", "--rounds", "3"],
+        ["sweep", "--axis", "fault-count", "--values", "99", "--rounds", "3"],
+        ["run", "--checkpoint-every", "0"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_exits_2_with_an_error_line(self, argv, capsys):
+        try:
+            status = main(argv)
+        except SystemExit as exit_:  # argparse refused the value
+            status = exit_.code
+        err = capsys.readouterr().err
+        assert status == 2
+        assert "error:" in err
+        assert "Traceback" not in err
 
 
 class TestEventBudget:

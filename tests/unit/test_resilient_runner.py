@@ -276,7 +276,7 @@ class TestStoreIntegration:
         assert_identical(runner.run(specs), reference)
         assert len(runner.store) == len(specs)
 
-    @pytest.mark.parametrize("engine", ["serial", "round"])
+    @pytest.mark.parametrize("engine", ["serial", "kernel"])
     def test_store_resumes_under_any_engine(self, tmp_path, engine):
         # The engine is a speed choice beside the spec, not part of its
         # key: a store filled under one engine serves every row to another.

@@ -66,6 +66,14 @@ class TestRunSpecValidation:
         # Explicit zero faults stays legal either way.
         RunSpec.maintenance(params, fault_kind=None, fault_count=0)
 
+    @pytest.mark.parametrize("count", [-1, 8])
+    def test_rejects_fault_count_outside_zero_to_n(self, params, count):
+        # -1 made the builder build n+1 processes; n+1 failed only once run.
+        with pytest.raises(ValueError, match=r"fault_count must be in \[0, "
+                                             r"n=7\]"):
+            RunSpec.maintenance(params, fault_count=count)
+        RunSpec.maintenance(params, fault_count=params.n)
+
     def test_rejects_delay_model_objects(self, params):
         from repro.sim.network import FixedDelayModel
         with pytest.raises(TypeError, match="declarative"):

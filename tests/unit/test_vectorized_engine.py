@@ -87,36 +87,55 @@ def _streaming(n, **overrides):
     return RunSpec.maintenance(default_parameters(n=n, f=1), **options)
 
 
-#: (spec label, engine, replicas, expected engine).  ``batch`` and ``round``
-#: are the two groupings of one kernel.  ``both`` runs in either,
-#: ``batch_only`` (Byzantine faults) in either too, ``round_only`` (a
-#: topology) only alone, ``neither`` (a recorded trace) in none.
+#: (spec label, engine, replicas, expected grouping).  ``batch`` and
+#: ``round`` are the two groupings of one kernel, picked by the group, not
+#: the engine.  ``both`` runs in either, ``batch_only`` (Byzantine faults)
+#: in either too, ``round_only`` (a topology) only alone, ``neither`` (a
+#: recorded trace) in none.
 ENGINE_TABLE = [
     ("both", "auto", 1, "serial"),
     ("both", "auto", 2, "batch"),
-    ("both", "batch", 1, "batch"),
-    ("both", "batch", 3, "batch"),
-    ("both", "round", 1, "round"),
-    ("both", "round", 3, "round"),
+    ("both", "kernel", 1, "round"),
+    ("both", "kernel", 3, "batch"),
     ("both", "serial", 1, "serial"),
     ("both", "serial", 3, "serial"),
     ("n511", "auto", 1, "serial"),
     ("n511", "auto", 2, "batch"),
     ("n512", "auto", 1, "round"),
     ("n512", "auto", 2, "round"),
-    ("n512", "batch", 2, "batch"),
+    ("n512", "kernel", 2, "round"),
     ("n512", "serial", 2, "serial"),
     ("batch_only", "auto", 1, "serial"),
     ("batch_only", "auto", 2, "batch"),
-    ("batch_only", "round", 1, "round"),
+    ("batch_only", "kernel", 1, "round"),
     ("batch_only_n512", "auto", 1, "round"),
     ("batch_only_n512", "auto", 2, "round"),
     ("round_only", "auto", 2, "serial"),
-    ("round_only", "batch", 2, "serial"),
-    ("round_only", "round", 1, "round"),
+    ("round_only", "kernel", 2, "round"),
+    ("round_only", "kernel", 1, "round"),
     ("neither", "auto", 2, "serial"),
-    ("neither", "batch", 2, "serial"),
-    ("neither", "round", 1, "serial"),
+    ("neither", "kernel", 2, "serial"),
+    ("neither", "kernel", 1, "serial"),
+    # The rest of label x engine x group size (1, or 2 and more).
+    ("n511", "kernel", 1, "round"),
+    ("n511", "kernel", 2, "batch"),
+    ("n512", "kernel", 1, "round"),
+    ("batch_only", "kernel", 2, "batch"),
+    ("batch_only_n512", "kernel", 1, "round"),
+    ("batch_only_n512", "kernel", 2, "round"),
+    ("round_only", "auto", 1, "serial"),
+    ("neither", "auto", 1, "serial"),
+    ("n511", "serial", 1, "serial"),
+    ("n511", "serial", 2, "serial"),
+    ("n512", "serial", 1, "serial"),
+    ("batch_only", "serial", 1, "serial"),
+    ("batch_only", "serial", 2, "serial"),
+    ("batch_only_n512", "serial", 1, "serial"),
+    ("batch_only_n512", "serial", 2, "serial"),
+    ("round_only", "serial", 1, "serial"),
+    ("round_only", "serial", 2, "serial"),
+    ("neither", "serial", 1, "serial"),
+    ("neither", "serial", 2, "serial"),
 ]
 
 
@@ -140,7 +159,7 @@ class TestEngineFor:
     def test_table(self, label, engine, replicas, expected):
         assert engine_for(_table_spec(label), engine, replicas) == expected
 
-    @pytest.mark.parametrize("engine", ["auto", "batch", "round", "serial"])
+    @pytest.mark.parametrize("engine", ["auto", "kernel", "serial"])
     def test_numpy_off_always_runs_serially(self, numpy_off, engine):
         assert engine_for(_streaming(512), engine, 4) == "serial"
 
@@ -154,7 +173,16 @@ class TestEngineFor:
         assert engine_for(_spec(), "serial", 4) == "serial"
 
     def test_unsupported_spec_never_vectorizes(self):
-        assert engine_for(_spec(record_trace=True), "batch", 4) == "serial"
+        assert engine_for(_spec(record_trace=True), "kernel", 4) == "serial"
+
+    @pytest.mark.parametrize("engine", ["batch", "round"])
+    def test_groupings_are_not_engines(self, engine):
+        """The grouping follows from the group; it cannot be asked for."""
+        with pytest.raises(ValueError, match="choose from auto, serial, "
+                                             "kernel"):
+            engine_for(_streaming(7), engine, 2)
+        with pytest.raises(ValueError, match="unknown engine"):
+            execute(_streaming(7), engine=engine)
 
 
 class TestExecuteBatch:
@@ -237,11 +265,13 @@ class TestBatchRunnerRouting:
         with activated(telemetry):
             BatchRunner().run([spec])
         assert telemetry.registry.value("runner.vectorized_batches") == 0
+        assert telemetry.registry.value("roundengine.rounds") == 0
+        # Asked for the kernel, a single spec runs alone, never as a group.
         telemetry = Telemetry()
         with activated(telemetry):
-            BatchRunner(engine="batch").run([spec])
-        assert telemetry.registry.value("runner.vectorized_batches") == 1
-        assert telemetry.registry.value("runner.vectorized_replicas") == 1
+            BatchRunner(engine="kernel").run([spec])
+        assert telemetry.registry.value("runner.vectorized_batches") == 0
+        assert telemetry.registry.value("roundengine.rounds") == spec.rounds
 
     def test_serial_engine_group_stays_serial(self):
         spec = _spec()
@@ -257,14 +287,70 @@ class TestBatchRunnerRouting:
                              ids=["plain", "supervised"])
     def test_engine_travels_to_pool_workers(self, retries):
         # The choice rides with each task, so workers honour it without
-        # any process-global state.
-        spec = _spec(fault_kind="crash")
+        # any process-global state.  A topology keeps the two seeds apart
+        # (a complete-graph pair would run in lockstep in this process).
+        spec = _spec(fault_kind="crash", topology="ring")
         telemetry = Telemetry()
-        runner = BatchRunner(jobs=2, engine="round", max_retries=retries)
+        runner = BatchRunner(jobs=2, engine="kernel", max_retries=retries)
         with activated(telemetry):
             runner.run([spec.with_seed(s) for s in range(2)])
         assert telemetry.registry.value("roundengine.rounds") == \
             2 * spec.rounds
+
+
+class TestOneEntryPointPerGrouping:
+    """A lone spec reaches the kernel only through ``try_execute``, inside
+    ``execute``'s telemetry; a replica group only through
+    ``execute_batch``."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"try_execute": 0, "execute_batch": 0}
+        for module, name in ((roundengine, "try_execute"),
+                             (vectorized, "execute_batch")):
+            def spy(*args, _real=getattr(module, name), _name=name,
+                    **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+        return calls
+
+    @needs_numpy
+    @pytest.mark.parametrize("entry", ["execute", "BatchRunner"])
+    def test_lone_spec_runs_alone(self, calls, entry):
+        spec = _spec()
+        if entry == "execute":
+            execute(spec, engine="kernel")
+        else:
+            BatchRunner(engine="kernel").run([spec])
+        assert calls == {"try_execute": 1, "execute_batch": 0}
+
+    @needs_numpy
+    @pytest.mark.parametrize("engine", ["auto", "kernel"])
+    def test_complete_graph_group_runs_in_lockstep(self, calls, engine):
+        spec = _spec()
+        BatchRunner(engine=engine).run([spec.with_seed(s) for s in range(3)])
+        assert calls == {"try_execute": 0, "execute_batch": 1}
+
+    @needs_numpy
+    def test_topology_group_runs_each_alone(self, calls):
+        spec = _spec(fault_kind="crash", topology="ring")
+        BatchRunner(engine="kernel").run([spec.with_seed(s) for s in range(2)])
+        assert calls == {"try_execute": 2, "execute_batch": 0}
+
+    @needs_numpy
+    def test_lone_kernel_run_books_like_any_execute(self):
+        spec = _spec()
+        telemetry = Telemetry(track_memory=True)
+        with activated(telemetry):
+            execute(spec, engine="kernel")
+        assert telemetry.registry.value("roundengine.rounds") == spec.rounds
+        assert not [name for name in telemetry.registry.snapshot()
+                    if name.startswith("runner.vectorized_")]
+        names = [record.name for record in telemetry.tracer.records]
+        assert names.count("execute") == 1
+        (record,) = telemetry.manifests
+        assert record["peak_memory_bytes"] > 0
 
 
 class TestSingleSeedReplication:
@@ -285,7 +371,7 @@ class TestSingleSeedReplication:
 
 class TestNoNumpyEndToEnd:
     def test_cli_replicated_vectorize_without_numpy(self):
-        """REPRO_NO_NUMPY=1 end-to-end: --vectorize degrades to serial."""
+        """REPRO_NO_NUMPY=1 end-to-end: --round-engine degrades to serial."""
         root = os.path.dirname(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))))
         env = dict(os.environ,
@@ -293,7 +379,7 @@ class TestNoNumpyEndToEnd:
                    + os.environ.get("PYTHONPATH", ""))
         argv = [sys.executable, "-m", "repro", "run", "--no-trace",
                 "--observe", "skew,validity", "--replicate-seeds", "0", "1",
-                "--vectorize"]
+                "--round-engine"]
         with_numpy = subprocess.run(argv, env=env, cwd=root,
                                     capture_output=True, text=True)
         assert with_numpy.returncode == 0, with_numpy.stderr
