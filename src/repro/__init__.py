@@ -26,11 +26,12 @@ The package is organised bottom-up:
 
 Quick start::
 
-    from repro import default_parameters, run_maintenance_scenario, measured_agreement
+    from repro import RunSpec, default_parameters, execute, measured_agreement
     from repro.core import agreement_bound
 
     params = default_parameters(n=7, f=2)
-    result = run_maintenance_scenario(params, rounds=10, fault_kind="two_faced")
+    result = execute(RunSpec.maintenance(params, rounds=10,
+                                         fault_kind="two_faced"))
     skew = measured_agreement(result.trace, result.tmax0, result.end_time)
     print(skew, "<=", agreement_bound(params))
 """

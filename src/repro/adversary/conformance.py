@@ -17,8 +17,9 @@ unsynchronized control).  The harness sweeps the cartesian product
 
     algorithms × fault models × topologies
 
-through :class:`~repro.runner.spec.RunSpec` / the batch runner, audits every
-cell against the axioms (the rows of
+as one batch of :class:`~repro.runner.spec.RunSpec` cells on a
+:class:`~repro.runner.batch.BatchRunner` (no per-cell callback: the returned
+report holds every outcome), audits every cell against the axioms (the rows of
 :func:`repro.analysis.verification.check_axioms`, which ``net run`` reports
 too), and checks bound compliance differentially: axiom
 violations fail the matrix anywhere; bound violations fail it on *nonfaulty*
@@ -327,7 +328,6 @@ class ConformanceReport:
 def run_conformance(cases: Optional[Sequence[ConformanceCase]] = None,
                     runner: Optional[BatchRunner] = None,
                     settle_rounds: int = 2, samples: int = 100,
-                    on_result=None,
                     **matrix_kwargs) -> ConformanceReport:
     """Execute a conformance matrix and audit every cell.
 
@@ -335,8 +335,7 @@ def run_conformance(cases: Optional[Sequence[ConformanceCase]] = None,
     ``matrix_kwargs``.  All cells execute as one batch on ``runner``
     (default: a fresh in-process :class:`~repro.runner.batch.BatchRunner`;
     one with ``jobs=N`` fans them out with per-cell results bit-identical to
-    serial execution); ``on_result``, when given, receives each
-    :class:`ConformanceOutcome` as it is audited.
+    serial execution).
     """
     if cases is None:
         cases = build_conformance_matrix(**matrix_kwargs)
@@ -347,10 +346,7 @@ def run_conformance(cases: Optional[Sequence[ConformanceCase]] = None,
     report = ConformanceReport()
     results = batch.run_iter([case.spec for case in cases])
     for case in cases:
-        outcome = check_conformance_run(next(results), case,
-                                        settle_rounds=settle_rounds,
-                                        samples=samples)
-        report.outcomes.append(outcome)
-        if on_result is not None:
-            on_result(outcome)
+        report.outcomes.append(check_conformance_run(
+            next(results), case, settle_rounds=settle_rounds,
+            samples=samples))
     return report

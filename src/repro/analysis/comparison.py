@@ -25,6 +25,7 @@ from ..baselines.srikanth_toueg import st_adjustment_estimate, st_agreement_esti
 from ..core.bounds import adjustment_bound, agreement_bound
 from ..core.config import SyncParameters
 from ..runner.batch import BatchRunner
+from ..runner.replication import distinct_seeds
 from ..runner.spec import RunSpec
 from ..topology.base import Topology
 from ..topology.spec import build_topology
@@ -164,13 +165,7 @@ def run_replicated_comparison(
     mean/min/max and a 95% CI, which is what makes "algorithm A beats B"
     claims defensible rather than one lucky draw.
     """
-    seeds = [int(seed) for seed in seeds]
-    if not seeds:
-        raise ValueError("need at least one seed")
-    if len(set(seeds)) != len(seeds):
-        # A repeated seed re-counts one draw as independent samples, biasing
-        # the mean and shrinking the CI.
-        raise ValueError(f"replication seeds must be distinct, got {seeds}")
+    seeds = distinct_seeds(seeds)
     names = list(algorithms) if algorithms is not None else list(ALGORITHM_FACTORIES)
     # Estimates are closed-form per graph; for seed-dependent topology spec
     # strings (e.g. random_gnp) they use the first seed's draw.

@@ -1,10 +1,12 @@
-"""Replication across seeds and summary statistics.
+"""Summary statistics over seeds.
 
 The theorems are worst-case statements, but measured quantities (skew,
 adjustment sizes, spreads) depend on the random draws of the delay model and
-the clock ensemble.  The helpers here run a metric across many independent
-seeds and summarize the distribution, so tests and users can distinguish
-"this bound holds with margin" from "this bound holds by luck on one seed".
+the clock ensemble.  The helpers here summarize a sample of such
+measurements, so tests and users can distinguish "this bound holds with
+margin" from "this bound holds by luck on one seed".  They run nothing: the
+per-seed runs come from :func:`repro.runner.replicate`, which executes them
+through a :class:`~repro.runner.batch.BatchRunner`.
 
 Everything is dependency-free (no numpy/scipy needed at runtime): the
 confidence interval uses a small Student-t table with a normal fall-back for
@@ -15,18 +17,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..core.bounds import agreement_bound
 from ..core.config import SyncParameters
-from .experiments import run_maintenance_scenario
-from .metrics import measured_agreement
+from ..runner.replication import replicate
+from ..runner.spec import RunSpec
 
 __all__ = [
     "SummaryStats",
     "summarize",
-    "replicate_metric",
-    "agreement_across_seeds",
     "bound_margin",
     "compare_samples",
 ]
@@ -105,44 +105,6 @@ def summarize(values: Sequence[float]) -> SummaryStats:
                         ci95_low=mean - half_width, ci95_high=mean + half_width)
 
 
-def replicate_metric(metric: Callable[[int], float],
-                     seeds: Sequence[int]) -> SummaryStats:
-    """Evaluate ``metric(seed)`` for every seed and summarize the results.
-
-    ``metric`` is any callable mapping a seed to a number — typically a
-    closure over a scenario builder and a trace metric.  (Named to stay
-    distinct from :func:`repro.runner.replicate`, which replicates a
-    declarative :class:`~repro.runner.spec.RunSpec` and can parallelize.)
-    """
-    if not seeds:
-        raise ValueError("need at least one seed")
-    return summarize([metric(seed) for seed in seeds])
-
-
-def agreement_across_seeds(
-    params: SyncParameters,
-    seeds: Sequence[int] = tuple(range(10)),
-    rounds: int = 10,
-    fault_kind: Optional[str] = "two_faced",
-    settle_rounds: int = 1,
-    samples: int = 150,
-) -> SummaryStats:
-    """Measured agreement of the maintenance algorithm across many seeds.
-
-    This is the library's canonical "is the bound comfortable or marginal?"
-    measurement: the returned maximum is the worst skew seen over every seed.
-    """
-
-    def metric(seed: int) -> float:
-        result = run_maintenance_scenario(params, rounds=rounds,
-                                          fault_kind=fault_kind, seed=seed)
-        start = result.tmax0 + settle_rounds * params.round_length
-        return measured_agreement(result.trace, start, result.end_time,
-                                  samples=samples)
-
-    return replicate_metric(metric, seeds)
-
-
 def bound_margin(stats: SummaryStats, bound: float) -> float:
     """How much head-room the worst observation leaves under a bound.
 
@@ -184,9 +146,13 @@ def agreement_margin_report(params: SyncParameters,
                             rounds: int = 10,
                             fault_kind: Optional[str] = "two_faced"
                             ) -> Dict[str, float]:
-    """One-call report: agreement statistics plus the margin under γ."""
-    stats = agreement_across_seeds(params, seeds=seeds, rounds=rounds,
-                                   fault_kind=fault_kind)
+    """One-call report: agreement statistics plus the margin under γ.
+
+    Each seed's agreement is measured from one round after the last
+    nonfaulty START to the end of the run, over 150 samples.
+    """
+    spec = RunSpec.maintenance(params, rounds=rounds, fault_kind=fault_kind)
+    stats = replicate(spec, seeds, samples=150).agreement
     gamma = agreement_bound(params)
     return {
         "gamma": gamma,

@@ -7,26 +7,23 @@ generic sweep framework plus ready-made sweeps for the axes the paper
 discusses, so tests, examples and the CLI all produce consistent tables.
 
 A sweep is defined by one or more :class:`SweepAxis` objects (a named list of
-values) and a runner callable that maps one point of the cartesian product to
-a dict of measured quantities.  The result keeps both the inputs and outputs
-per point and can be rendered with :func:`repro.analysis.reporting.format_table`.
+values), a ``build`` callable that maps one point of the cartesian product to
+a :class:`~repro.runner.spec.RunSpec`, and a ``measure`` callable that turns
+the point's executed result into a dict of measured quantities.  The result
+keeps both the inputs and outputs per point and can be rendered with
+:func:`repro.analysis.reporting.format_table`.
 
-Two evaluation paths exist:
+There is one path: :func:`run_spec_sweep` runs the whole cartesian product
+(times any replication seeds) as one batch on a
+:class:`~repro.runner.batch.BatchRunner` — ``runner=BatchRunner(jobs=N)``
+runs N simulations at once on supervised workers, and a runner with a store
+makes the sweep durable and resumable, bit-identical to serial execution
+either way.  A sweep takes no callbacks: each cell is one ``sweep.cell``
+span on the active telemetry, and each run one manifest line.
 
-* :func:`run_sweep` — the fully generic path: an arbitrary callable per point,
-  evaluated serially (arbitrary closures cannot travel to worker processes);
-* :func:`run_spec_sweep` — the declarative path: each point is described by a
-  :class:`~repro.runner.spec.RunSpec` and measured from its result, so the
-  whole cartesian product (times any replication seeds) runs as one batch on
-  a :class:`~repro.runner.batch.BatchRunner` — ``runner=BatchRunner(jobs=N)``
-  runs N simulations at once on supervised workers, and a runner with a
-  store makes the sweep durable and resumable, bit-identical to serial
-  execution either way.
-
-All the ready-made ``sweep_*`` helpers run on the spec path and uniformly
-accept ``seed`` (single run per point), ``seeds`` (replication: outputs become
-means with ``*_ci95`` half-width columns), ``runner``, ``progress`` and
-``on_result``.
+All the ready-made ``sweep_*`` helpers uniformly accept ``seed`` (single run
+per point), ``seeds`` (replication: outputs become means with ``*_ci95``
+half-width columns) and ``runner``.
 
 Per-point measurement (agreement windows, spread series) runs on the batched
 trace-reconstruction fast path (:mod:`repro.sim.traceindex`), so the
@@ -38,12 +35,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Union)
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from ..core.bounds import agreement_bound, lower_bound, steady_state_beta
 from ..core.config import SyncParameters
 from ..runner.batch import BatchRunner
+from ..runner.replication import distinct_seeds
 from ..runner.resilient import QuarantinedResult
 from ..runner.spec import RunSpec
 from ..telemetry import span
@@ -55,7 +52,6 @@ __all__ = [
     "SweepAxis",
     "SweepPoint",
     "SweepResult",
-    "run_sweep",
     "run_spec_sweep",
     "sweep_epsilon",
     "sweep_round_length",
@@ -64,11 +60,6 @@ __all__ = [
     "sweep_topology",
     "sweep_tightness",
 ]
-
-#: called with a point's swept inputs before it is evaluated.
-Progress = Callable[[Dict[str, object]], None]
-#: called with a point's inputs *and* measured outputs after evaluation.
-OnResult = Callable[[Dict[str, object], Dict[str, float]], None]
 
 
 @dataclass(frozen=True)
@@ -145,32 +136,6 @@ def _iter_inputs(axes: Sequence[SweepAxis]) -> Iterable[Dict[str, object]]:
         yield {axis.name: value for axis, value in zip(axes, combination)}
 
 
-def run_sweep(axes: Sequence[SweepAxis],
-              runner: Callable[..., Mapping[str, float]],
-              progress: Optional[Progress] = None,
-              on_result: Optional[OnResult] = None) -> SweepResult:
-    """Evaluate ``runner`` on the cartesian product of the axes.
-
-    ``runner`` receives the swept values as keyword arguments (one per axis
-    name) and returns a mapping of measured quantities.  ``progress``, when
-    given, is called with each point's inputs before it is evaluated;
-    ``on_result`` with the inputs *and* the measured outputs right after — so
-    long sweeps are observable end to end, not just at submission.
-    """
-    axes = list(axes)
-    if not axes:
-        raise ValueError("need at least one axis")
-    result = SweepResult(axes=axes)
-    for inputs in _iter_inputs(axes):
-        if progress is not None:
-            progress(dict(inputs))
-        outputs = dict(runner(**inputs))
-        result.points.append(SweepPoint(inputs=dict(inputs), outputs=outputs))
-        if on_result is not None:
-            on_result(dict(inputs), dict(outputs))
-    return result
-
-
 def _replicated_outputs(per_seed: Sequence[Mapping[str, float]]) -> Dict[str, float]:
     """Collapse per-seed output dicts to means plus ``*_ci95`` half-widths."""
     merged: Dict[str, float] = {}
@@ -189,15 +154,14 @@ def run_spec_sweep(
     measure: Callable[..., Mapping[str, float]],
     seeds: Optional[Sequence[int]] = None,
     runner: Optional[BatchRunner] = None,
-    progress: Optional[Progress] = None,
-    on_result: Optional[OnResult] = None,
 ) -> SweepResult:
     """Evaluate a declarative sweep through a :class:`BatchRunner`.
 
     ``build(**inputs)`` maps one point of the cartesian product to a
     :class:`RunSpec`; ``measure(result, **inputs)`` turns the executed
     result into the point's output mapping (the result carries its spec in
-    ``result.spec``, so measures can recover run provenance).
+    ``result.spec``, so measures can recover run provenance).  Points come
+    back in product order, the last axis varying fastest.
 
     With ``seeds``, every point is replicated across all of them
     (``build``'s seed is overridden per replica) and each output column
@@ -207,29 +171,16 @@ def run_spec_sweep(
     ``jobs=N`` parallelizes across both axes at once; per-spec results are
     bit-identical to serial execution regardless of the runner.
 
-    The callbacks stream: each point's ``progress``/``on_result`` fires as
-    soon as that point's runs are available (in-process execution is fully
-    lazy, so ``progress`` fires before the point runs, exactly like
-    :func:`run_sweep`; with a pool, later points keep computing in the
-    background while earlier points are measured and reported).
-
-    A runner with a store makes the sweep durable and resumable.  Failures
-    a runner returns as data (a
-    :class:`~repro.runner.resilient.QuarantinedResult`, always under a retry
-    budget) do not abort the sweep: the affected cell keeps its surviving
-    replicas and gains a ``failed_runs`` output column counting the
-    casualties.
+    A runner with a store makes the sweep durable and resumable.  A runner
+    with a retry budget (``max_retries``) hands failures back as data (a
+    :class:`~repro.runner.resilient.QuarantinedResult`), which does not
+    abort the sweep: the affected cell keeps its surviving replicas and
+    gains a ``failed_runs`` output column counting the casualties.
     """
     axes = list(axes)
     if not axes:
         raise ValueError("need at least one axis")
-    seed_list = list(seeds) if seeds is not None else None
-    if seed_list is not None and not seed_list:
-        raise ValueError("seeds, when given, must be non-empty")
-    if seed_list is not None and len(set(seed_list)) != len(seed_list):
-        # A repeated seed re-counts one draw as independent samples, biasing
-        # the mean and shrinking the CI.
-        raise ValueError(f"replication seeds must be distinct, got {seed_list}")
+    seed_list = distinct_seeds(seeds) if seeds is not None else None
     batch = runner if runner is not None else BatchRunner()
     points = list(_iter_inputs(axes))
     spec_lists: List[List[RunSpec]] = []
@@ -243,8 +194,6 @@ def run_spec_sweep(
     results = batch.run_iter(flat)
     result = SweepResult(axes=axes)
     for inputs, specs in zip(points, spec_lists):
-        if progress is not None:
-            progress(dict(inputs))
         # One span per sweep cell: in-process this times run + measurement
         # of the cell; with a pool it still brackets when the cell's results
         # became consumable — either way the slow cells stand out in a trace.
@@ -253,10 +202,9 @@ def run_spec_sweep(
             failed = 0
             for _ in specs:
                 outcome = next(results)
-                # A tolerant or resilient runner hands failures back as data
-                # (QuarantinedResult): the cell keeps whatever replicas
-                # survived and reports the casualty count instead of
-                # aborting the sweep.
+                # A supervised runner hands failures back as data: the cell
+                # keeps whatever replicas survived and reports the casualty
+                # count instead of aborting the sweep.
                 if isinstance(outcome, QuarantinedResult):
                     failed += 1
                     continue
@@ -270,8 +218,6 @@ def run_spec_sweep(
         if failed:
             outputs["failed_runs"] = float(failed)
         result.points.append(SweepPoint(inputs=dict(inputs), outputs=outputs))
-        if on_result is not None:
-            on_result(dict(inputs), dict(outputs))
     return result
 
 
@@ -290,9 +236,7 @@ def sweep_epsilon(epsilons: Iterable[float], n: int = 7, f: int = 2,
                   rho: float = 1e-4, delta: float = 0.01, rounds: int = 10,
                   fault_kind: Optional[str] = "two_faced", seed: int = 0,
                   seeds: Optional[Sequence[int]] = None,
-                  runner: Optional[BatchRunner] = None,
-                  progress: Optional[Progress] = None,
-                  on_result: Optional[OnResult] = None) -> SweepResult:
+                  runner: Optional[BatchRunner] = None) -> SweepResult:
     """Agreement and its Theorem 16 bound as the delay uncertainty ε varies."""
 
     def build(epsilon: float) -> RunSpec:
@@ -308,17 +252,14 @@ def sweep_epsilon(epsilons: Iterable[float], n: int = 7, f: int = 2,
         }
 
     return run_spec_sweep([SweepAxis("epsilon", list(epsilons))], build,
-                          measure, seeds=seeds, runner=runner,
-                          progress=progress, on_result=on_result)
+                          measure, seeds=seeds, runner=runner)
 
 
 def sweep_round_length(round_lengths: Iterable[float], n: int = 7, f: int = 2,
                        rho: float = 2e-3, delta: float = 0.01,
                        epsilon: float = 0.002, rounds: int = 14,
                        seed: int = 0, seeds: Optional[Sequence[int]] = None,
-                       runner: Optional[BatchRunner] = None,
-                       progress: Optional[Progress] = None,
-                       on_result: Optional[OnResult] = None) -> SweepResult:
+                       runner: Optional[BatchRunner] = None) -> SweepResult:
     """Steady-state round spread and the 4ε + 4ρP estimate as P varies (E7)."""
 
     def build(round_length: float) -> RunSpec:
@@ -335,17 +276,14 @@ def sweep_round_length(round_lengths: Iterable[float], n: int = 7, f: int = 2,
         }
 
     return run_spec_sweep([SweepAxis("round_length", list(round_lengths))],
-                          build, measure, seeds=seeds, runner=runner,
-                          progress=progress, on_result=on_result)
+                          build, measure, seeds=seeds, runner=runner)
 
 
 def sweep_system_size(sizes: Iterable[int], f: int = 2, rho: float = 1e-4,
                       delta: float = 0.01, epsilon: float = 0.002,
                       rounds: int = 10, fault_kind: Optional[str] = "two_faced",
                       seed: int = 0, seeds: Optional[Sequence[int]] = None,
-                      runner: Optional[BatchRunner] = None,
-                      progress: Optional[Progress] = None,
-                      on_result: Optional[OnResult] = None) -> SweepResult:
+                      runner: Optional[BatchRunner] = None) -> SweepResult:
     """Agreement as n grows at fixed f (the paper: flat; LM: grows)."""
 
     def build(n: int) -> RunSpec:
@@ -361,8 +299,7 @@ def sweep_system_size(sizes: Iterable[int], f: int = 2, rho: float = 1e-4,
         }
 
     return run_spec_sweep([SweepAxis("n", list(sizes))], build, measure,
-                          seeds=seeds, runner=runner,
-                          progress=progress, on_result=on_result)
+                          seeds=seeds, runner=runner)
 
 
 def sweep_fault_count(counts: Iterable[int], n: int = 7, f: int = 2,
@@ -370,9 +307,7 @@ def sweep_fault_count(counts: Iterable[int], n: int = 7, f: int = 2,
                       epsilon: float = 0.002, rounds: int = 10,
                       fault_kind: str = "two_faced", seed: int = 0,
                       seeds: Optional[Sequence[int]] = None,
-                      runner: Optional[BatchRunner] = None,
-                      progress: Optional[Progress] = None,
-                      on_result: Optional[OnResult] = None) -> SweepResult:
+                      runner: Optional[BatchRunner] = None) -> SweepResult:
     """Agreement as the number of *actual* attackers varies (the A2 threshold).
 
     The averaging stays configured for ``f``; counts above ``f`` demonstrate
@@ -391,8 +326,7 @@ def sweep_fault_count(counts: Iterable[int], n: int = 7, f: int = 2,
         }
 
     return run_spec_sweep([SweepAxis("fault_count", list(counts))], build,
-                          measure, seeds=seeds, runner=runner,
-                          progress=progress, on_result=on_result)
+                          measure, seeds=seeds, runner=runner)
 
 
 def sweep_topology(specs: Iterable[str], n: int = 7, f: int = 2,
@@ -400,9 +334,7 @@ def sweep_topology(specs: Iterable[str], n: int = 7, f: int = 2,
                    epsilon: float = 0.002, rounds: int = 10,
                    fault_kind: Optional[str] = None, seed: int = 0,
                    seeds: Optional[Sequence[int]] = None,
-                   runner: Optional[BatchRunner] = None,
-                   progress: Optional[Progress] = None,
-                   on_result: Optional[OnResult] = None) -> SweepResult:
+                   runner: Optional[BatchRunner] = None) -> SweepResult:
     """Agreement across network shapes (complete vs ring vs G(n, p) vs ...).
 
     Each point runs the maintenance algorithm on one topology spec; since the
@@ -429,17 +361,14 @@ def sweep_topology(specs: Iterable[str], n: int = 7, f: int = 2,
         }
 
     return run_spec_sweep([SweepAxis("topology", list(specs))], build, measure,
-                          seeds=seeds, runner=runner,
-                          progress=progress, on_result=on_result)
+                          seeds=seeds, runner=runner)
 
 
 def sweep_tightness(sizes: Iterable[int], f: int = 0, rho: float = 1e-4,
                     delta: float = 0.01, epsilon: float = 0.002,
                     rounds: int = 8, delay: str = "skew_max", seed: int = 0,
                     seeds: Optional[Sequence[int]] = None,
-                    runner: Optional[BatchRunner] = None,
-                    progress: Optional[Progress] = None,
-                    on_result: Optional[OnResult] = None) -> SweepResult:
+                    runner: Optional[BatchRunner] = None) -> SweepResult:
     """Achieved adversarial skew between the ε(1 − 1/n) floor and γ, per n.
 
     Runs the fault-free maintenance algorithm under an in-envelope adversary
@@ -470,5 +399,4 @@ def sweep_tightness(sizes: Iterable[int], f: int = 0, rho: float = 1e-4,
         }
 
     return run_spec_sweep([SweepAxis("n", list(sizes))], build, measure,
-                          seeds=seeds, runner=runner,
-                          progress=progress, on_result=on_result)
+                          seeds=seeds, runner=runner)

@@ -36,6 +36,11 @@ The topology-parameterized presets drop the complete-graph assumption:
 * ``partition-heal`` — LAN constants, network split in two mid-run and healed
   a few rounds later (audited with
   :func:`~repro.analysis.verification.check_partition_heal_run`).
+
+A workload runs like every other experiment: :func:`build_spec` turns it
+into a :class:`~repro.runner.spec.RunSpec`, and
+:func:`~repro.runner.spec.execute` (or a
+:class:`~repro.runner.batch.BatchRunner`, for many) runs that spec.
 """
 
 from __future__ import annotations
@@ -44,14 +49,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
 from ..core.config import SyncParameters
-from ..runner.spec import RunSpec, execute
-from ..sim.network import DelayModel
+from ..runner.spec import RunSpec
 from ..topology.base import Topology
-from ..topology.spec import build_topology
-from .experiments import ScenarioResult, make_delay_model
 
 __all__ = ["Workload", "WORKLOADS", "workload_names", "get_workload",
-           "build_parameters", "build_spec", "run_workload"]
+           "build_parameters", "build_spec"]
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,8 @@ class Workload:
     delta: float
     epsilon: float
     #: delay model family: 'uniform', 'fixed', 'gaussian', 'adversarial',
-    #: 'contention' (matching analysis.experiments.make_delay_model).
+    #: 'contention', ... (any name :class:`RunSpec` accepts as ``delay``;
+    #: an unknown one fails in :func:`build_spec`).
     delay_kind: str = "uniform"
     #: extra keyword arguments for the delay model constructor.
     delay_options: Dict[str, float] = field(default_factory=dict)
@@ -89,24 +92,6 @@ class Workload:
     record_trace: bool = True
     #: online observers attached by default ('skew', 'validity', 'network').
     observers: Tuple[str, ...] = ()
-
-    def build_topology(self, n: int, seed: int = 0) -> Optional[Topology]:
-        """Instantiate this workload's topology for ``n`` processes (or None)."""
-        return build_topology(self.topology, n=n, seed=seed)
-
-    def build_delay_model(self, params: SyncParameters) -> DelayModel:
-        """Instantiate this workload's delay model for a parameter set.
-
-        Delegates to :func:`~repro.analysis.experiments.make_delay_model`
-        (the single delay-model registry, adversarial families included), so
-        a workload's ``delay_kind`` vocabulary can never drift from what a
-        :class:`~repro.runner.spec.RunSpec` executes.
-        """
-        try:
-            return make_delay_model(self.delay_kind, params,
-                                    **dict(self.delay_options))
-        except ValueError as error:
-            raise ValueError(f"workload {self.name!r}: {error}") from None
 
 
 WORKLOADS: Dict[str, Workload] = {
@@ -318,28 +303,3 @@ def build_spec(workload: Workload, n: int = 7, f: int = 2,
         record_trace=record_trace, observers=tuple(observers),
         horizon=horizon, checkpoint_every=checkpoint_every, samples=samples,
         **extras)
-
-
-def run_workload(workload: Workload, n: int = 7, f: int = 2,
-                 rounds: Optional[int] = None,
-                 seed: int = 0, round_length: Optional[float] = None,
-                 stagger_interval: float = 0.0,
-                 topology: Union[str, Topology, None] = None) -> ScenarioResult:
-    """Run the maintenance algorithm on a named workload.
-
-    The quiet workload sets ε = 0, for which the derived parameters still get
-    a small positive β (clocks that start perfectly aligned are allowed but
-    not required).
-
-    ``topology`` (a spec string or a built :class:`Topology`) overrides the
-    workload's own preset graph; link-fault workloads (``partition-heal``)
-    return a :class:`~repro.analysis.experiments.PartitionHealResult`.
-
-    A thin wrapper over ``execute(build_spec(...))``; callers that want
-    batching or replication should build the spec themselves and hand it to a
-    :class:`~repro.runner.batch.BatchRunner`.
-    """
-    return execute(build_spec(workload, n=n, f=f, rounds=rounds, seed=seed,
-                              round_length=round_length,
-                              stagger_interval=stagger_interval,
-                              topology=topology))

@@ -113,6 +113,7 @@ from .analysis.workloads import (
 from .core import ParameterError, agreement_bound, startup_limit
 from .runner import (BatchRunner, RunSpec, SpecLost, StoreError, execute,
                      replicate)
+from .runner.replication import distinct_seeds
 from .topology.spec import (
     TopologySpecError,
     build_topology,
@@ -482,14 +483,13 @@ def _runner(args: argparse.Namespace) -> BatchRunner:
     spec_timeout = getattr(args, "spec_timeout", None)
     if resume and not store:
         raise argparse.ArgumentError(None, "--resume requires --store PATH")
-    seeds = getattr(args, "replicate_seeds", None) or []
-    if len(set(seeds)) != len(seeds):
-        raise argparse.ArgumentError(None, f"--replicate-seeds must be "
-                                           f"distinct, got {seeds}")
+    seeds = getattr(args, "replicate_seeds", None)
     max_retries = None
     if store or retries is not None or spec_timeout is not None:
         max_retries = 2 if retries is None else retries
     try:
+        if seeds is not None:
+            distinct_seeds(seeds)
         return BatchRunner(jobs=args.jobs,
                            engine=getattr(args, "engine", "auto"),
                            store=store, resume=resume,
@@ -532,13 +532,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
                           seed=args.seed, topology=topology, **options)
         if args.max_events is not None:
             spec = dataclasses.replace(spec, max_events=args.max_events)
-        rep = None
-        if args.replicate_seeds:
-            rep = replicate(spec, args.replicate_seeds, samples=args.samples,
-                            runner=_runner(args))
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    rep = None
+    if args.replicate_seeds:
+        # After the try: a ValueError while a replica runs is a bug, not
+        # bad input, and keeps its traceback like a lone run's.
+        rep = replicate(spec, args.replicate_seeds, samples=args.samples,
+                        runner=_runner(args))
     results = (rep.results if rep is not None
                else [execute(spec, engine=args.engine)])
     reports = [audit(result, samples=args.samples) for result in results]

@@ -26,20 +26,21 @@ rely on:
   is the store's job (``store=":memory:", resume=True`` keeps one in the
   process).
 
-The retry budget ``max_retries`` picks the failure policy.  ``None`` (the
+The retry budget ``max_retries`` is the one failure policy.  ``None`` (the
 default) runs specs in-process at ``jobs=1`` (so single-run entry points
 stay bit-for-bit the pre-runner code paths) and on a pool without retries
 otherwise; the first failing spec in input order raises its own exception
-— :class:`SpecLost` when its worker died mid-spec (SIGKILL, the OOM killer)
-— unless ``run(..., tolerate_failures=True)`` asks for a
-:class:`~repro.runner.resilient.QuarantinedResult` in its slot.  A blown
-interrupt budget raises :class:`~repro.sim.events.EventBudgetExceeded` with
-the offending spec attached (``err.spec``), from a worker as in-process.
-Any integer, 0 included, supervises: per-spec work always runs on the pool,
-failing specs retry with backoff, ``spec_timeout`` reclaims hung workers,
-crashed workers respawn, and every failure comes back as a
-``QuarantinedResult``; SIGINT/SIGTERM raise
-:class:`~repro.runner.resilient.SweepInterrupted` once in-flight specs land.
+— :class:`SpecLost` when its worker died mid-spec (SIGKILL, the OOM
+killer).  A blown interrupt budget raises
+:class:`~repro.sim.events.EventBudgetExceeded` with the offending spec
+attached (``err.spec``), from a worker as in-process.  Any integer, 0
+included, supervises: per-spec work always runs on the pool, failing specs
+retry with backoff, ``spec_timeout`` reclaims hung workers, crashed workers
+respawn, and every failure comes back as data, a
+:class:`~repro.runner.resilient.QuarantinedResult` in the spec's slot;
+SIGINT/SIGTERM raise :class:`~repro.runner.resilient.SweepInterrupted` once
+in-flight specs land.  A batch takes no callbacks: progress is the
+caller's span around it and the manifest line of each run.
 
 Streaming results travel whole: ``ScenarioResult.observers`` (online metrics
 state) pickles back from the workers and through the store alongside the
@@ -56,8 +57,7 @@ from __future__ import annotations
 import contextlib
 import os
 import traceback
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    TYPE_CHECKING)
+from typing import Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING
 
 from ..telemetry import Telemetry, activated, get_active
 from .spec import RunSpec, engine_for, execute
@@ -69,16 +69,13 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids the cycle
 
 __all__ = ["BatchRunner", "SpecLost", "available_parallelism"]
 
-#: callback signature: invoked once per spec as its outcome arrives.
-OnResult = Callable[[RunSpec, "ScenarioResult"], None]
-
 
 class SpecLost(RuntimeError):
     """A pool worker died mid-spec (or its error could not be pickled).
 
     ``quarantined`` is the spec's
-    :class:`~repro.runner.resilient.QuarantinedResult`, which a
-    ``tolerate_failures=True`` batch puts in the spec's slot instead.
+    :class:`~repro.runner.resilient.QuarantinedResult`, which a batch with
+    a retry budget puts in the spec's slot instead.
     """
 
     def __init__(self, quarantined):
@@ -187,34 +184,24 @@ class BatchRunner:
         self.store: Optional[ResultStore] = store
         self.resume = bool(resume)
 
-    def run(self, specs: Iterable[RunSpec],
-            on_result: Optional[OnResult] = None,
-            tolerate_failures: bool = False) -> List["ScenarioResult"]:
+    def run(self, specs: Iterable[RunSpec]) -> List["ScenarioResult"]:
         """Execute every spec and return results in input order.
 
-        ``on_result(spec, outcome)`` fires once per distinct spec, as soon
-        as its outcome arrives (served from the store or computed) — the
-        observability hook for long batches.
-
-        ``tolerate_failures=True`` turns per-spec failures into
-        :class:`~repro.runner.resilient.QuarantinedResult` records in the
-        corresponding result slots instead of aborting the batch — one
-        poison spec no longer discards every completed sibling.  A
-        supervised runner (``max_retries`` set) always does.
+        With a retry budget, a failed spec's slot holds its
+        :class:`~repro.runner.resilient.QuarantinedResult`; without one,
+        the first failure in input order raises.
         """
-        return list(self.run_iter(specs, on_result=on_result,
-                                  tolerate_failures=tolerate_failures))
+        return list(self.run_iter(specs))
 
-    def run_iter(self, specs: Iterable[RunSpec],
-                 on_result: Optional[OnResult] = None,
-                 tolerate_failures: bool = False):
+    def run_iter(self, specs: Iterable[RunSpec]):
         """Like :meth:`run`, but yield each result as soon as it is ready.
 
         Results are yielded in input order.  In-process execution is fully
-        lazy: a spec only runs when its result is pulled, so consumers (e.g.
-        a sweep's progress callback) interleave with the computation.  With
-        a pool, later specs keep computing in the background while earlier
-        results are consumed.  Leaving the iterator early stops the pool.
+        lazy: a spec only runs when its result is pulled, so a consumer
+        (e.g. a sweep measuring each cell) interleaves with the
+        computation.  With a pool, later specs keep computing in the
+        background while earlier results are consumed.  Leaving the
+        iterator early stops the pool.
         """
         from .resilient import QuarantinedResult
 
@@ -225,21 +212,19 @@ class BatchRunner:
                 raise TypeError(f"BatchRunner runs RunSpecs, got "
                                 f"{type(spec).__name__}")
             remaining[spec] = remaining.get(spec, 0) + 1
-        tolerant = tolerate_failures or self.max_retries is not None
         done: Dict[RunSpec, object] = {}
         with contextlib.closing(self._execute_pending(
-                list(remaining), tolerant)) as arrivals:
+                list(remaining))) as arrivals:
             for spec in specs:
                 while spec not in done:
                     arrived, outcome = next(arrivals)
                     done[arrived] = outcome
-                    if on_result is not None:
-                        on_result(arrived, outcome)
                 outcome = done[spec]
                 # Raised at the spec's turn in input order, so the failure
                 # raised is the first in input order, whichever worker
                 # finished first.
-                if not tolerant and isinstance(outcome, QuarantinedResult):
+                if (self.max_retries is None
+                        and isinstance(outcome, QuarantinedResult)):
                     error = outcome.failures[-1].exception
                     raise SpecLost(outcome) if error is None else error
                 remaining[spec] -= 1
@@ -248,7 +233,7 @@ class BatchRunner:
                     del done[spec]
                 yield outcome
 
-    def _execute_pending(self, pending: Sequence[RunSpec], tolerant: bool):
+    def _execute_pending(self, pending: Sequence[RunSpec]):
         """Yield one ``(spec, outcome)`` per distinct spec, as each arrives.
 
         Stored specs come first (with ``resume``), counted on
@@ -270,12 +255,12 @@ class BatchRunner:
             misses.append(spec)
         with (self.pool.trapping_signals() if self.max_retries is not None
               else contextlib.nullcontext()):
-            for spec, outcome in self._arrivals(misses, tolerant):
+            for spec, outcome in self._arrivals(misses):
                 if self.store is not None:
                     self._commit(spec, outcome)
                 yield spec, outcome
 
-    def _arrivals(self, specs: Sequence[RunSpec], tolerant: bool):
+    def _arrivals(self, specs: Sequence[RunSpec]):
         """Run kernel replica groups, then the rest one spec at a time.
 
         Specs identical modulo seed form one group; a group runs as one
@@ -298,7 +283,7 @@ class BatchRunner:
             try:
                 results = execute_batch(members)
             except Exception:
-                if not tolerant:
+                if self.max_retries is None:
                     raise
                 # One bad replica poisons the whole lockstep batch; the
                 # per-spec path lets its siblings complete (bit-identical by

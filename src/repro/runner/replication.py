@@ -8,12 +8,19 @@ runs one :class:`~repro.runner.spec.RunSpec` across a list of seeds (through a
 runner with ``jobs > 1``) and summarizes the agreement and validity metrics
 with mean/min/max and a Student-t 95% confidence interval (via
 :func:`repro.analysis.statistics.summarize`).
+
+The runner's retry budget is the failure policy: without one a failing seed
+raises, as any batch does; with one (``BatchRunner(max_retries=0)`` or
+more) each failing seed becomes a :class:`SeedFailure` in a partial
+replication.  :func:`distinct_seeds` is the one seed-list rule every
+replicating entry point applies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import (Dict, Iterable, List, Optional, Sequence, Tuple,
+                    TYPE_CHECKING)
 
 from .batch import BatchRunner
 from .resilient import QuarantinedResult
@@ -23,7 +30,23 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports, avoid the cycle
     from ..analysis.experiments import ScenarioResult
     from ..analysis.statistics import SummaryStats
 
-__all__ = ["ReplicatedResult", "ReplicationError", "SeedFailure", "replicate"]
+__all__ = ["ReplicatedResult", "ReplicationError", "SeedFailure",
+           "distinct_seeds", "replicate"]
+
+
+def distinct_seeds(seeds: Iterable[int]) -> Tuple[int, ...]:
+    """Replication seeds as a tuple of ints: at least one, all distinct.
+
+    A repeated seed would re-count one draw as independent samples, biasing
+    the mean and shrinking the CI, so it is a ``ValueError``.
+    """
+    seeds = tuple(int(seed) for seed in seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"replication seeds must be distinct, "
+                         f"got {list(seeds)}")
+    return seeds
 
 
 @dataclass(frozen=True)
@@ -111,8 +134,8 @@ class ReplicatedResult:
 
 
 def replicate(spec: RunSpec, seeds: Sequence[int],
-              runner: Optional[BatchRunner] = None, samples: int = 200,
-              tolerate_failures: bool = False) -> ReplicatedResult:
+              runner: Optional[BatchRunner] = None,
+              samples: int = 200) -> ReplicatedResult:
     """Run ``spec`` once per seed and summarize agreement and validity.
 
     A traced replica is measured on the window and grids of its audit
@@ -124,13 +147,12 @@ def replicate(spec: RunSpec, seeds: Sequence[int],
     ``runner`` (default: a fresh in-process ``BatchRunner()``) sets the
     workers, the engine and, with a store, where results persist.
 
-    ``tolerate_failures=True`` makes the replication **partial-on-failure**
-    instead of all-or-nothing: a failing seed becomes a :class:`SeedFailure`
-    in ``result.failures`` while every completed seed keeps its result and
-    the summaries cover the survivors.  (Quarantined specs from a runner
-    with a retry budget are folded the same way regardless of the flag —
-    supervision already chose not to raise.)  Only
-    when *every* seed fails is :class:`ReplicationError` raised.
+    A runner with a retry budget (``max_retries``, 0 included) makes the
+    replication **partial-on-failure** instead of all-or-nothing: a seed it
+    quarantines becomes a :class:`SeedFailure` in ``result.failures`` while
+    every completed seed keeps its result and the summaries cover the
+    survivors.  Only when *every* seed fails is :class:`ReplicationError`
+    raised.
 
     Streaming specs (``record_trace=False``) carry no usable trace, so their
     per-seed metrics come from the online observers instead — the spec must
@@ -140,18 +162,13 @@ def replicate(spec: RunSpec, seeds: Sequence[int],
     from ..analysis.metrics import measured_agreement, validity_report
     from ..analysis.statistics import summarize
 
-    seeds = tuple(int(seed) for seed in seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError(f"seeds must be distinct, got {seeds}")
+    seeds = distinct_seeds(seeds)
     if not spec.record_trace and not {"skew", "validity"} <= set(spec.observers):
         raise ValueError(
             "replicating a record_trace=False spec needs online metrics: "
             "construct it with observers=('skew', 'validity')")
     batch = runner if runner is not None else BatchRunner()
-    raw = batch.run([spec.with_seed(seed) for seed in seeds],
-                    tolerate_failures=tolerate_failures)
+    raw = batch.run([spec.with_seed(seed) for seed in seeds])
     failures: List[SeedFailure] = []
     kept_seeds: List[int] = []
     results: List["ScenarioResult"] = []

@@ -48,7 +48,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..telemetry import build_manifest, get_active
 from .batch import available_parallelism, _fold, _run_task
-from .spec import RunSpec
+from .spec import RunSpec, _check_engine
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..analysis.experiments import ScenarioResult
@@ -258,6 +258,7 @@ class SupervisedPool:
                  engine: str = "auto"):
         if jobs < 1:
             jobs = available_parallelism()
+        _check_engine(engine)
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         if spec_timeout is not None and spec_timeout <= 0:

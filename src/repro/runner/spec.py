@@ -270,7 +270,7 @@ class RunSpec:
         return replace(self, **changes)
 
     def describe(self) -> str:
-        """A short human-readable label (used by progress reporting)."""
+        """A short human-readable label for manifests, spans and errors."""
         bits = [self.kind]
         if self.algorithm:
             bits.append(self.algorithm)
@@ -445,6 +445,13 @@ def _streaming_kwargs(spec: RunSpec) -> Dict[str, Any]:
     return kwargs
 
 
+def _check_engine(engine: str) -> None:
+    """Refuse an engine name outside :data:`ENGINES`."""
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; "
+                         f"choose from {', '.join(ENGINES)}")
+
+
 def engine_for(spec: RunSpec, engine: str = "auto", replicas: int = 1) -> str:
     """Which engine runs ``spec``: ``"serial"``, ``"batch"`` or ``"round"``.
 
@@ -464,9 +471,7 @@ def engine_for(spec: RunSpec, engine: str = "auto", replicas: int = 1) -> str:
     :func:`~repro.sim.roundengine.decline_reason` says why the kernel does
     not accept a spec in a group of a given size.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; "
-                         f"choose from {', '.join(ENGINES)}")
+    _check_engine(engine)
     if engine == "serial":
         return "serial"
     from ..sim.roundengine import AUTO_MIN_N, decline_reason

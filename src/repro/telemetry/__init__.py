@@ -10,14 +10,18 @@ The observability layer has three pillars (see each module's docstring):
 
 A :class:`Telemetry` object bundles one registry + one tracer + manifest
 settings.  There is one way in: the *process-local active telemetry*,
-installed with the :func:`activated` context manager (or :func:`set_active`)
-and read with :func:`get_active`.  Every instrumented layer books into it —
+installed for a block with the :func:`activated` context manager and read
+with :func:`get_active`.  Every instrumented layer books into it —
 ``execute``, both kernel entry points, ``BatchRunner``, its pool (read once,
 as a batch starts), the store, the topology index, the net peers and each
 ``System`` (read once, when built) — so one bundle sees a whole run::
 
     with activated(Telemetry()) as telemetry:
         execute(spec)
+
+A batch runs each spec under a run-local bundle, in-process or in a pool
+worker, and merges that bundle's metrics snapshot and manifest lines into
+the active one as the result arrives; that is the only merge.
 
 Instrumented code never requires a bundle: with none active the disabled
 path is a single ``is None`` check, so default behaviour stays bit-identical
@@ -52,7 +56,6 @@ __all__ = [
     "append_manifest",
     "read_manifests",
     "get_active",
-    "set_active",
     "activated",
     "span",
 ]
@@ -110,13 +113,6 @@ class Telemetry:
             if owner:
                 tracemalloc.stop()
 
-    def absorb(self, other: "Telemetry") -> None:
-        """Fold another bundle in: merge metrics, append spans + manifests."""
-        self.registry.merge(other.registry.snapshot())
-        self.tracer.absorb(other.tracer)
-        for record in other.manifests:
-            self.emit_manifest(record)
-
 
 #: the process-local active telemetry (None = observability fully disabled).
 _ACTIVE: Optional[Telemetry] = None
@@ -127,22 +123,15 @@ def get_active() -> Optional[Telemetry]:
     return _ACTIVE
 
 
-def set_active(telemetry: Optional[Telemetry]) -> Optional[Telemetry]:
-    """Install (or clear, with None) the active telemetry; returns the old one."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = telemetry
-    return previous
-
-
 @contextmanager
 def activated(telemetry: Optional[Telemetry]) -> Iterator[Optional[Telemetry]]:
     """Scope an active telemetry to a block, restoring the previous one."""
-    previous = set_active(telemetry)
+    global _ACTIVE
+    previous, _ACTIVE = _ACTIVE, telemetry
     try:
         yield telemetry
     finally:
-        set_active(previous)
+        _ACTIVE = previous
 
 
 def span(name: str, **args: Any):

@@ -106,10 +106,6 @@ class Tracer:
             json.dump(self.chrome_trace(), handle)
             handle.write("\n")
 
-    def absorb(self, other: "Tracer") -> None:
-        """Append another tracer's spans (e.g. from a finished child phase)."""
-        self._records.extend(other._records)
-
     # -- plain-text tree -------------------------------------------------------
     def tree(self, min_duration: float = 0.0) -> str:
         """An indentation tree of spans with durations.

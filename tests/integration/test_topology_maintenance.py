@@ -14,6 +14,7 @@ Covers the acceptance criteria of the topology subsystem:
 import pytest
 
 from repro.analysis import (
+    build_spec,
     check_maintenance_run,
     check_partition_heal_run,
     default_parameters,
@@ -22,9 +23,9 @@ from repro.analysis import (
     per_partition_agreement,
     run_maintenance_scenario,
     run_partition_heal_scenario,
-    run_workload,
 )
 from repro.core.bounds import agreement_bound, startup_round_recurrence
+from repro.runner import execute
 from repro.topology import complete, grid, make_topology, random_gnp, ring
 
 
@@ -82,7 +83,8 @@ class TestOtherTopologies:
 
     def test_workload_presets_audit(self):
         for name in ("ring-lan", "grid-lan", "sparse-lan"):
-            result = run_workload(get_workload(name), rounds=6, seed=0)
+            result = execute(build_spec(get_workload(name), rounds=6,
+                                        seed=0))
             report = check_maintenance_run(result)
             assert report.all_passed, (name, [c.claim for c in report.failed()])
 
@@ -155,7 +157,8 @@ class TestPartitionAndHeal:
         assert stats.delivered + stats.dropped == stats.sent
 
     def test_partition_heal_workload_preset(self):
-        result = run_workload(get_workload("partition-heal"), rounds=10, seed=0)
+        result = execute(build_spec(get_workload("partition-heal"),
+                                    rounds=10, seed=0))
         assert result.is_partition_heal
         report = check_partition_heal_run(result)
         assert report.all_passed, [c.claim for c in report.failed()]

@@ -12,7 +12,7 @@ from repro.adversary.delays import (
     build_adversarial_delay_model,
 )
 from repro.analysis.experiments import default_parameters, make_delay_model
-from repro.analysis.workloads import build_parameters, get_workload
+from repro.analysis.workloads import build_spec, get_workload
 from repro.runner import RunSpec
 
 RNG = random.Random(0)
@@ -113,6 +113,8 @@ class TestAdversarialWorkloads:
     ])
     def test_presets_build_the_adversaries(self, name, expected):
         workload = get_workload(name)
-        params = build_parameters(workload)
-        assert isinstance(workload.build_delay_model(params), expected)
+        spec = build_spec(workload)
+        model = make_delay_model(spec.delay, spec.params,
+                                 **spec.delay_options_dict())
+        assert isinstance(model, expected)
         assert workload.fault_kind is None

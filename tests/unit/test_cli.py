@@ -240,6 +240,18 @@ class TestRunReplicated:
         assert (serial.replace("jobs=1", "jobs=2")
                 == parallel)
 
+    def test_error_inside_a_replica_is_not_a_usage_error(self, monkeypatch):
+        # A ValueError while a replica runs is a bug: it keeps its
+        # traceback, as in a lone run, instead of exit 2.
+        from repro.runner import batch
+
+        def broken(spec, engine="auto"):
+            raise ValueError("broken run")
+
+        monkeypatch.setattr(batch, "execute", broken)
+        with pytest.raises(ValueError, match="broken run"):
+            main(["run", "--rounds", "3", "--replicate-seeds", "0", "1"])
+
 
 _TRACED_CLAIMS = ("theorem4a_adjustment", "theorem4c_round_spread",
                   "theorem16_agreement", "theorem19_validity")

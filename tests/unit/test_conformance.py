@@ -143,12 +143,6 @@ class TestRunConformance:
         assert len(report.headers()) == len(rows[0])
         assert {row[6] for row in rows} == {"pass"}
 
-    def test_on_result_streams_outcomes(self):
-        seen = []
-        run_conformance(n=4, f=1, rounds=3, algorithms=["welch_lynch"],
-                        fault_kinds=[None], on_result=seen.append)
-        assert len(seen) == 1 and seen[0].passed
-
     def test_cases_and_matrix_kwargs_are_exclusive(self):
         cases = build_conformance_matrix(n=4, f=1, rounds=3,
                                          algorithms=["welch_lynch"],

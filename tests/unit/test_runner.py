@@ -191,14 +191,6 @@ class TestBatchRunner:
         assert len(runner.store) == 1
         assert second.trace.events == first.trace.events
 
-    def test_on_result_streams_computed_specs(self, params):
-        seen = []
-        specs = [RunSpec.maintenance(params, rounds=3, seed=seed)
-                 for seed in (0, 1)]
-        BatchRunner().run(specs + [specs[0]],
-                          on_result=lambda spec, result: seen.append(spec.seed))
-        assert seen == [0, 1]  # once per computed spec, first-occurrence order
-
     def test_rejects_non_specs(self, params):
         with pytest.raises(TypeError, match="RunSpecs"):
             BatchRunner().run([params])
@@ -231,6 +223,58 @@ class TestBatchRunner:
 
     def test_jobs_below_one_maps_to_cpu_count(self):
         assert BatchRunner(jobs=0).jobs >= 1
+
+
+class TestEngineName:
+    """An unknown engine is refused where the runner is built."""
+
+    @pytest.mark.parametrize("engine", ["round", "batch", "nonsense"])
+    @pytest.mark.parametrize("store", [{}, {"store": ":memory:",
+                                            "resume": True}],
+                             ids=["no-store", "resumed-store"])
+    def test_batch_runner_refuses_it(self, engine, store):
+        with pytest.raises(ValueError, match="choose from auto, serial, "
+                                             "kernel"):
+            BatchRunner(engine=engine, **store)
+
+    @pytest.mark.parametrize("engine", ["round", "batch", "nonsense"])
+    def test_supervised_pool_refuses_it(self, engine):
+        from repro.runner import SupervisedPool
+
+        with pytest.raises(ValueError, match="choose from auto, serial, "
+                                             "kernel"):
+            SupervisedPool(engine=engine)
+
+
+def _replicate_seeds(params, seeds):
+    replicate(RunSpec.maintenance(params, rounds=3), seeds)
+
+
+def _sweep_seeds(params, seeds):
+    from repro.analysis import SweepAxis, run_spec_sweep
+
+    run_spec_sweep([SweepAxis("rounds", [3])],
+                   lambda rounds: RunSpec.maintenance(params, rounds=rounds),
+                   lambda result, rounds: {}, seeds=seeds)
+
+
+def _compare_seeds(params, seeds):
+    from repro.analysis import run_replicated_comparison
+
+    run_replicated_comparison(params, seeds, rounds=3)
+
+
+@pytest.mark.parametrize("entry", [_replicate_seeds, _sweep_seeds,
+                                   _compare_seeds],
+                         ids=["replicate", "run_spec_sweep",
+                              "run_replicated_comparison"])
+@pytest.mark.parametrize("seeds, message", [
+    ([], "need at least one seed"),
+    ([1, 1], r"replication seeds must be distinct, got \[1, 1\]"),
+], ids=["empty", "repeated"])
+def test_one_seed_list_rule(params, entry, seeds, message):
+    with pytest.raises(ValueError, match=message):
+        entry(params, seeds)
 
 
 class TestReplicate:
@@ -309,7 +353,7 @@ class TestTolerateFailures:
         monkeypatch.setattr(batch_module, "execute", flaky)
         specs = [RunSpec.maintenance(params, rounds=3, seed=s)
                  for s in range(4)]
-        results = BatchRunner().run(specs, tolerate_failures=True)
+        results = BatchRunner(max_retries=0).run(specs)
         failure = results[2]
         assert isinstance(failure, QuarantinedResult)
         assert failure.spec == specs[2]
@@ -340,8 +384,7 @@ class TestTolerateFailures:
         # A genuinely failing spec that reproduces inside pool workers: an
         # interrupt budget far below what the run needs.
         bad = RunSpec.maintenance(params, rounds=3, seed=9, max_events=3)
-        results = BatchRunner(jobs=2).run(good + [bad],
-                                          tolerate_failures=True)
+        results = BatchRunner(jobs=2, max_retries=0).run(good + [bad])
         assert isinstance(results[3], QuarantinedResult)
         assert EventBudgetExceeded.__name__ in results[3].last_error
         serial = BatchRunner().run(good)
@@ -414,7 +457,7 @@ except SpecLost as lost:
 
     def test_tolerant_mode_quarantines_the_lost_spec(self):
         done = _run_child(_KILL_SEED_1 + """
-results = BatchRunner(jobs=2).run(specs, tolerate_failures=True)
+results = BatchRunner(jobs=2, max_retries=0).run(specs)
 lost = results[1]
 print(type(lost).__name__, lost.spec.seed, lost.failures[-1].kind)
 for index in (0, 2):
@@ -446,7 +489,8 @@ class TestReplicatePartial:
 
         monkeypatch.setattr(batch_module, "execute", flaky)
         spec = RunSpec.maintenance(params, rounds=3)
-        rep = replicate(spec, seeds=[0, 1, 2, 3], tolerate_failures=True)
+        rep = replicate(spec, seeds=[0, 1, 2, 3],
+                        runner=BatchRunner(max_retries=0))
         assert rep.seeds == (0, 1, 3)
         assert rep.failed_seeds == (2,)
         assert not rep.complete
@@ -469,9 +513,9 @@ class TestReplicatePartial:
         monkeypatch.setattr(batch_module, "execute", always)
         spec = RunSpec.maintenance(params, rounds=3)
         with pytest.raises(ReplicationError, match="all 2 seeds failed"):
-            replicate(spec, seeds=[0, 1], tolerate_failures=True)
+            replicate(spec, seeds=[0, 1], runner=BatchRunner(max_retries=0))
         try:
-            replicate(spec, seeds=[0, 1], tolerate_failures=True)
+            replicate(spec, seeds=[0, 1], runner=BatchRunner(max_retries=0))
         except ReplicationError as error:
             assert len(error.failures) == 2
             assert error.failures[0].seed == 0
@@ -511,11 +555,9 @@ class TestInterruptCleanup:
         specs = [RunSpec.maintenance(params, rounds=4, seed=s)
                  for s in range(8)]
 
-        def interrupt_after_first(spec, result):
-            raise KeyboardInterrupt
-
         with pytest.raises(KeyboardInterrupt):
-            BatchRunner(jobs=2).run(specs, on_result=interrupt_after_first)
+            for _ in BatchRunner(jobs=2).run_iter(specs):
+                raise KeyboardInterrupt
         assert self._await_no_children()
 
     def test_abandoned_iterator_reaps_workers(self, params):

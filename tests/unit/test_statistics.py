@@ -6,14 +6,17 @@ import pytest
 
 from repro.analysis import (
     SummaryStats,
-    agreement_across_seeds,
     agreement_margin_report,
     bound_margin,
     compare_samples,
-    replicate_metric,
+    default_parameters,
+    measured_agreement,
+    run_maintenance_scenario,
     summarize,
 )
 from repro.core import agreement_bound
+from repro.runner import RunSpec, replicate
+from repro.telemetry import Telemetry, activated
 
 
 class TestSummarize:
@@ -54,23 +57,6 @@ class TestSummarize:
         assert stats.ci95() == (7.0, 7.0)
 
 
-class TestReplicate:
-    def test_metric_called_once_per_seed(self):
-        calls = []
-
-        def metric(seed):
-            calls.append(seed)
-            return float(seed)
-
-        stats = replicate_metric(metric, seeds=[1, 2, 3, 4])
-        assert calls == [1, 2, 3, 4]
-        assert stats.mean == pytest.approx(2.5)
-
-    def test_requires_at_least_one_seed(self):
-        with pytest.raises(ValueError):
-            replicate_metric(lambda seed: 0.0, seeds=[])
-
-
 class TestBoundMargin:
     def test_far_below_bound(self):
         stats = summarize([0.1, 0.2])
@@ -102,12 +88,41 @@ class TestCompareSamples:
         assert report["ratio"] == float("inf")
 
 
-class TestAgreementAcrossSeeds:
-    def test_every_seed_stays_under_gamma(self, medium_params):
-        stats = agreement_across_seeds(medium_params, seeds=range(4), rounds=6)
-        assert stats.count == 4
-        assert stats.maximum <= agreement_bound(medium_params)
-        assert stats.minimum > 0
+class TestAgreementMarginReport:
+    def test_stats_are_replicates_at_150_samples(self, medium_params):
+        report = agreement_margin_report(medium_params, seeds=range(4),
+                                         rounds=6)
+        rep = replicate(RunSpec.maintenance(medium_params, rounds=6),
+                        range(4), samples=150)
+        assert rep.agreement.count == 4
+        assert rep.agreement.minimum > 0
+        assert report["mean"] == rep.agreement.mean
+        assert report["worst"] == rep.agreement.maximum
+        assert report["ci95_high"] == rep.agreement.ci95_high
+        assert report["worst"] <= agreement_bound(medium_params)
+
+    def test_runs_go_through_the_runner(self):
+        """Every seed is a runner spec: counted, manifested, and measured
+        exactly as a direct run of the serial loop would be."""
+        params = default_parameters(n=7, f=2)
+        with activated(Telemetry()) as telemetry:
+            report = agreement_margin_report(params, seeds=range(3), rounds=4)
+        assert telemetry.registry.value("runner.specs_executed") == 3
+        assert len(telemetry.manifests) == 3
+        values = []
+        for seed in range(3):
+            result = run_maintenance_scenario(params, rounds=4,
+                                              fault_kind="two_faced",
+                                              seed=seed)
+            values.append(measured_agreement(
+                result.trace, result.tmax0 + params.round_length,
+                result.end_time, samples=150))
+        stats = summarize(values)
+        gamma = agreement_bound(params)
+        assert report == {"gamma": gamma, "mean": stats.mean,
+                          "worst": stats.maximum,
+                          "ci95_high": stats.ci95_high,
+                          "margin": bound_margin(stats, gamma)}
 
     def test_margin_report_fields(self, medium_params):
         report = agreement_margin_report(medium_params, seeds=range(3), rounds=6)

@@ -4,10 +4,10 @@ import pytest
 
 from repro.analysis import (
     SweepAxis,
+    SweepPoint,
     SweepResult,
     default_parameters,
     run_spec_sweep,
-    run_sweep,
     sweep_epsilon,
     sweep_fault_count,
     sweep_round_length,
@@ -28,64 +28,28 @@ class TestSweepAxis:
             SweepAxis("x", [])
 
 
-class TestRunSweep:
-    def test_single_axis_visits_every_value(self):
-        seen = []
-
-        def runner(x):
-            seen.append(x)
-            return {"double": 2 * x}
-
-        result = run_sweep([SweepAxis("x", [1, 2, 3])], runner)
-        assert seen == [1, 2, 3]
-        assert result.column("x") == [1, 2, 3]
-        assert result.column("double") == [2, 4, 6]
-
-    def test_two_axes_take_cartesian_product(self):
-        def runner(x, y):
-            return {"product": x * y}
-
-        result = run_sweep([SweepAxis("x", [1, 2]), SweepAxis("y", [10, 20])], runner)
-        assert len(result.points) == 4
-        assert result.column("product") == [10, 20, 20, 40]
+class TestSweepResult:
+    @staticmethod
+    def _result(xs, outputs):
+        result = SweepResult(axes=[SweepAxis("x", list(xs))])
+        result.points = [SweepPoint(inputs={"x": x}, outputs=outputs(x))
+                         for x in xs]
+        return result
 
     def test_headers_and_rows_align(self):
-        def runner(x):
-            return {"y": x + 1, "z": x + 2}
-
-        result = run_sweep([SweepAxis("x", [0, 5])], runner)
+        result = self._result([0, 5], lambda x: {"y": x + 1, "z": x + 2})
         assert result.headers() == ["x", "y", "z"]
         assert result.rows() == [[0, 1, 2], [5, 6, 7]]
 
-    def test_progress_callback_sees_inputs(self):
-        observed = []
-        run_sweep([SweepAxis("x", [7, 8])],
-                  lambda x: {"y": x},
-                  progress=lambda inputs: observed.append(inputs["x"]))
-        assert observed == [7, 8]
-
     def test_best_point_minimizes_output(self):
-        result = run_sweep([SweepAxis("x", [1, 2, 3])],
-                           lambda x: {"loss": (x - 2) ** 2})
+        result = self._result([1, 2, 3], lambda x: {"loss": (x - 2) ** 2})
         assert result.best("loss").inputs["x"] == 2
         assert result.best("loss", minimize=False).inputs["x"] in (1, 3)
 
     def test_best_requires_known_output(self):
-        result = run_sweep([SweepAxis("x", [1])], lambda x: {"y": x})
+        result = self._result([1], lambda x: {"y": x})
         with pytest.raises(ValueError):
             result.best("missing")
-
-    def test_requires_at_least_one_axis(self):
-        with pytest.raises(ValueError):
-            run_sweep([], lambda: {})
-
-    def test_on_result_sees_inputs_and_outputs(self):
-        observed = []
-        run_sweep([SweepAxis("x", [2, 3])],
-                  lambda x: {"y": 10 * x},
-                  on_result=lambda inputs, outputs: observed.append(
-                      (inputs["x"], outputs["y"])))
-        assert observed == [(2, 20), (3, 30)]
 
 
 class TestRunSpecSweep:
@@ -102,16 +66,27 @@ class TestRunSpecSweep:
         return {"end_time": result.end_time,
                 "sent": float(result.trace.stats.sent)}
 
-    def test_visits_points_in_order_with_callbacks(self):
-        progressed, measured = [], []
-        result = run_spec_sweep(
-            [SweepAxis("rounds", [2, 3])], self._build(seed=1), self._measure,
-            progress=lambda inputs: progressed.append(inputs["rounds"]),
-            on_result=lambda inputs, outputs: measured.append(
-                (inputs["rounds"], outputs["sent"])))
-        assert progressed == [2, 3]
-        assert [rounds for rounds, _ in measured] == [2, 3]
-        assert result.column("sent") == [sent for _, sent in measured]
+    def test_two_axes_take_cartesian_product_in_order(self):
+        params = default_parameters(n=7, f=2)
+
+        def build(seed, rounds):
+            return RunSpec.maintenance(params, rounds=rounds, fault_kind=None,
+                                       seed=seed)
+
+        def measure(result, seed, rounds):
+            return {"spec_seed": result.spec.seed,
+                    "spec_rounds": result.spec.rounds}
+
+        result = run_spec_sweep([SweepAxis("seed", [1, 2]),
+                                 SweepAxis("rounds", [2, 3])], build, measure)
+        order = [(1, 2), (1, 3), (2, 2), (2, 3)]
+        assert list(zip(result.column("seed"), result.column("rounds"))) == order
+        assert list(zip(result.column("spec_seed"),
+                        result.column("spec_rounds"))) == order
+
+    def test_requires_at_least_one_axis(self):
+        with pytest.raises(ValueError):
+            run_spec_sweep([], self._build(seed=0), self._measure)
 
     def test_parallel_equals_serial(self):
         axes = [SweepAxis("rounds", [2, 3, 4])]

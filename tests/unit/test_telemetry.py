@@ -19,7 +19,6 @@ from repro.telemetry import (
     Telemetry,
     activated,
     get_active,
-    set_active,
     span,
     spec_hash,
 )
@@ -217,10 +216,13 @@ class TestActiveTelemetry:
         assert get_active() is None
         assert len(telemetry.tracer) == 1
 
-    def test_set_active_returns_previous(self):
-        telemetry = Telemetry()
-        assert set_active(telemetry) is None
-        assert set_active(None) is telemetry
+    def test_nested_activated_restores_outer_then_none(self):
+        outer, inner = Telemetry(), Telemetry()
+        with activated(outer):
+            with activated(inner):
+                assert get_active() is inner
+            assert get_active() is outer
+        assert get_active() is None
 
     def test_memory_probe_disabled_by_default(self):
         telemetry = Telemetry()

@@ -5,12 +5,14 @@ import pytest
 from repro.analysis import (
     Workload,
     build_parameters,
+    build_spec,
     get_workload,
+    make_delay_model,
     measured_agreement,
-    run_workload,
     workload_names,
 )
 from repro.core import agreement_bound
+from repro.runner import execute
 from repro.sim import (
     AdversarialDelayModel,
     ContentionDelayModel,
@@ -51,36 +53,36 @@ class TestDelayModelConstruction:
         ("quiet", FixedDelayModel),
     ])
     def test_delay_model_family(self, name, expected):
-        workload = get_workload(name)
-        params = build_parameters(workload)
-        assert isinstance(workload.build_delay_model(params), expected)
+        spec = build_spec(get_workload(name))
+        model = make_delay_model(spec.delay, spec.params,
+                                 **spec.delay_options_dict())
+        assert isinstance(model, expected)
 
     def test_unknown_delay_kind_rejected(self):
         bad = Workload(name="bad", description="", rho=1e-4, delta=0.01,
                        epsilon=0.002, delay_kind="quantum")
-        params = build_parameters(get_workload("lan"))
         with pytest.raises(ValueError):
-            bad.build_delay_model(params)
+            build_spec(bad)
 
 
 class TestRunWorkload:
     @pytest.mark.parametrize("name", ["lan", "high-drift", "quiet"])
     def test_workloads_synchronize_within_their_own_bound(self, name):
-        result = run_workload(get_workload(name), rounds=6, seed=1)
+        result = execute(build_spec(get_workload(name), rounds=6, seed=1))
         params = result.params
         start = result.tmax0 + params.round_length
         skew = measured_agreement(result.trace, start, result.end_time, samples=100)
         assert skew <= agreement_bound(params)
 
     def test_wan_floor_is_larger_than_lan_floor(self):
-        lan = run_workload(get_workload("lan"), rounds=6, seed=3)
-        wan = run_workload(get_workload("wan"), rounds=6, seed=3)
+        lan = execute(build_spec(get_workload("lan"), rounds=6, seed=3))
+        wan = execute(build_spec(get_workload("wan"), rounds=6, seed=3))
         skew_of = lambda r: measured_agreement(  # noqa: E731 - tiny local helper
             r.trace, r.tmax0 + r.params.round_length, r.end_time, samples=100)
         # A 10x larger delay uncertainty must show up as worse agreement.
         assert skew_of(wan) > skew_of(lan)
 
     def test_quiet_workload_has_no_faulty_processes(self):
-        result = run_workload(get_workload("quiet"), rounds=4, seed=0)
+        result = execute(build_spec(get_workload("quiet"), rounds=4, seed=0))
         assert list(result.trace.faulty_ids) == []
         assert result.trace.stats.dropped == 0
