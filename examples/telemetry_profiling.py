@@ -10,7 +10,8 @@ ones).  This example:
    events/messages/timers, spans time each phase, and one manifest line
    records the run;
 2. prints the registry and the span tree, and writes the spans as Chrome
-   trace-event JSON — load it in chrome://tracing or https://ui.perfetto.dev;
+   trace-event JSON into a temporary directory the example removes (load
+   such a file in chrome://tracing or https://ui.perfetto.dev);
 3. shows the per-run metric delta a manifest embeds, and that disabling
    telemetry (the default) reproduces the identical simulation.
 
@@ -31,29 +32,33 @@ spec = RunSpec.maintenance(params, rounds=10, fault_kind="silent", seed=11,
                            observers=("skew", "validity", "network"))
 
 # -- 1. one instrumented streaming run ----------------------------------------
-manifest_path = os.path.join(tempfile.mkdtemp(), "manifest.jsonl")
-telemetry = Telemetry(manifest_path=manifest_path)
-with activated(telemetry):
-    result = execute(spec)
+# Both files live in a temporary directory removed at the end; for a trace
+# worth keeping, run `python -m repro run --trace-out FILE`.
+with tempfile.TemporaryDirectory() as workdir:
+    manifest_path = os.path.join(workdir, "manifest.jsonl")
+    telemetry = Telemetry(manifest_path=manifest_path)
+    with activated(telemetry):
+        result = execute(spec)
 
-registry = telemetry.registry
-print(f"instrumented run: n={params.n}, "
-      f"{registry.value('sim.events_dispatched'):.0f} events dispatched, "
-      f"{registry.value('sim.messages_sent'):.0f} messages sent")
-print()
-print(registry.format())
+    registry = telemetry.registry
+    print(f"instrumented run: n={params.n}, "
+          f"{registry.value('sim.events_dispatched'):.0f} events dispatched, "
+          f"{registry.value('sim.messages_sent'):.0f} messages sent")
+    print()
+    print(registry.format())
 
-# -- 2. spans: terminal tree + Chrome trace ------------------------------------
-print()
-print(telemetry.tracer.tree())
-trace_path = os.path.join(os.path.dirname(manifest_path), "trace.json")
-telemetry.tracer.write_chrome_trace(trace_path)
-events = json.load(open(trace_path))["traceEvents"]
-print(f"\nwrote {len(events)} span events to {trace_path} "
-      f"(open in chrome://tracing or ui.perfetto.dev)")
+    # -- 2. spans: terminal tree + Chrome trace --------------------------------
+    print()
+    print(telemetry.tracer.tree())
+    trace_path = os.path.join(workdir, "trace.json")
+    telemetry.tracer.write_chrome_trace(trace_path)
+    with open(trace_path) as handle:
+        events = json.load(handle)["traceEvents"]
+    print(f"\nwrote {len(events)} span events to a Chrome trace "
+          f"(open in chrome://tracing or ui.perfetto.dev)")
 
-# -- 3. the manifest line and bit-identity -------------------------------------
-(record,) = read_manifests(manifest_path)
+    # -- 3. the manifest line and bit-identity ---------------------------------
+    (record,) = read_manifests(manifest_path)
 print(f"\nmanifest: spec {record['spec']} hash {record['spec_hash']} "
       f"outcome {record['outcome']} wall {record['wall_seconds']}s")
 print(f"manifest network stats: {record['network']}")
@@ -65,3 +70,4 @@ same = (plain.online("skew").max_skew == result.online("skew").max_skew
         and plain.trace.stats.sent == result.trace.stats.sent)
 print(f"\nplain run bit-identical to instrumented run: {same}")
 assert same
+print("for a trace worth keeping: python -m repro run --trace-out FILE")

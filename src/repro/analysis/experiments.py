@@ -1,11 +1,11 @@
 """Scenario builders: canned system configurations for tests, examples and the CLI.
 
 Every paper-claim test (``tests/integration/test_claims_*.py``) is a thin
-layer over these builders: they assemble the processes (correct + faulty),
-the ρ-bounded clocks, the delay model and the START schedule, run the
-simulation for a requested number of rounds, and return a
-:class:`ScenarioResult` bundling the trace with the information the metrics
-need (the real start times, the parameter set, the number of rounds).
+layer over these builders.  A builder chooses the processes (correct +
+faulty), the ρ-bounded clocks, the START schedule and the horizon; ``_run``
+does the rest and returns a :class:`ScenarioResult` bundling the trace with
+the information the metrics need (the real start times, the parameter set,
+the number of rounds).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from ..baselines.mahaney_schneider import MahaneySchneiderProcess
 from ..baselines.marzullo import MarzulloProcess
 from ..baselines.srikanth_toueg import SrikanthTouegProcess
 from ..baselines.unsynchronized import UnsynchronizedProcess
-from ..clocks.drift import make_clock_ensemble
+from ..clocks import Clock, ConstantRateClock, make_clock_ensemble
 from ..core.averaging import AveragingFunction
 from ..core.config import ParameterError, SyncParameters
 from ..core.maintenance import WelchLynchProcess
@@ -55,6 +55,7 @@ __all__ = [
     "maintenance_end_time",
     "make_delay_model",
     "make_fault_process",
+    "FAULT_BEHAVIOURS",
     "run_maintenance_scenario",
     "run_algorithm_scenario",
     "run_startup_scenario",
@@ -195,13 +196,17 @@ def make_delay_model(kind: Union[str, DelayModel], params: SyncParameters,
     raise ValueError(f"unknown delay model {kind!r}")
 
 
+#: the behaviours :func:`make_fault_process` builds (a spec's ``fault_kind``).
+FAULT_BEHAVIOURS = ("silent", "crash", "two_faced", "skew_early", "skew_late",
+                    "random_noise", "omission")
+
+
 def make_fault_process(kind: str, params: SyncParameters, rounds: int,
                        seed: int = 0) -> Process:
-    """Build one faulty process by behaviour name.
+    """Build one faulty process by behaviour name (:data:`FAULT_BEHAVIOURS`).
 
-    Supported kinds: ``silent``, ``crash`` (halfway through the run),
-    ``two_faced``, ``skew_early``, ``skew_late``, ``random_noise``,
-    ``omission``.
+    ``crash`` stops halfway through the run; ``omission`` drops half of its
+    messages.
     """
     if kind == "silent":
         return SilentProcess()
@@ -220,7 +225,8 @@ def make_fault_process(kind: str, params: SyncParameters, rounds: int,
     if kind == "omission":
         return FaultyProcessWrapper(WelchLynchProcess(params, max_rounds=rounds),
                                     OmissionStrategy(drop_probability=0.5, seed=seed))
-    raise ValueError(f"unknown fault kind {kind!r}")
+    raise ValueError(f"unknown fault kind {kind!r}; "
+                     f"choose from {', '.join(FAULT_BEHAVIOURS)}")
 
 
 #: factories for the algorithms compared in experiment E8 (Section 10).
@@ -258,9 +264,17 @@ def maintenance_end_time(params: SyncParameters, rounds: int,
             + params.beta + extra_time)
 
 
-def _run(params: SyncParameters, processes: Sequence[Process], rounds: int,
-         clock_kind: str, delay_model: DelayModel, seed: int,
-         extra_time: float = 0.0,
+def _clocks(params: SyncParameters, clock_kind: str, seed: int,
+            beta: Optional[float] = None) -> List[Clock]:
+    """The run's clocks, their readings spread over ``beta`` (default β)."""
+    return make_clock_ensemble(params.n, rho=params.rho,
+                               beta=params.beta if beta is None else beta,
+                               seed=seed, kind=clock_kind)
+
+
+def _run(params: SyncParameters, processes: Sequence[Process],
+         clocks: Sequence[Clock], rounds: int, delay_model: DelayModel,
+         seed: int, end_time: Optional[float] = None,
          start_scheduler: Optional[Callable[[System], Dict[int, float]]] = None,
          topology: Optional[Topology] = None,
          link_schedule: Optional[LinkSchedule] = None,
@@ -270,7 +284,11 @@ def _run(params: SyncParameters, processes: Sequence[Process], rounds: int,
          checkpoint_every: Optional[float] = None,
          horizon: Optional[float] = None,
          ) -> ScenarioResult:
-    """Assemble a system, schedule starts, run for ``rounds`` rounds.
+    """Assemble a system, schedule its STARTs, run it to ``end_time``.
+
+    The one place a scenario becomes a :class:`System`.  ``start_scheduler``
+    returns the real START times (default: all at logical time T⁰);
+    ``end_time`` defaults to :func:`maintenance_end_time`.
 
     The streaming knobs thread the observer pipeline through every scenario:
 
@@ -289,8 +307,6 @@ def _run(params: SyncParameters, processes: Sequence[Process], rounds: int,
     * ``max_events`` — the total interrupt budget across all segments
       (:class:`~repro.sim.events.EventBudgetExceeded` carries the counts).
     """
-    clocks = make_clock_ensemble(params.n, rho=params.rho, beta=params.beta,
-                                 seed=seed, kind=clock_kind)
     system = System(processes, clocks, delay_model=delay_model, seed=seed,
                     topology=topology, link_schedule=link_schedule,
                     record_trace=record_trace)
@@ -298,7 +314,8 @@ def _run(params: SyncParameters, processes: Sequence[Process], rounds: int,
         start_times = system.schedule_all_starts_at_logical(params.initial_round_time)
     else:
         start_times = start_scheduler(system)
-    end_time = maintenance_end_time(params, rounds, extra_time)
+    if end_time is None:
+        end_time = maintenance_end_time(params, rounds)
     if horizon is not None:
         end_time = max(end_time, float(horizon))
     built = (list(observers(system, start_times, end_time, params))
@@ -378,14 +395,19 @@ def run_maintenance_scenario(
     ``params.f`` of them, i.e. the worst case the analysis covers); the rest
     run the maintenance algorithm.  ``correct_process_factory`` (taking the
     parameter set and the round budget) replaces the default
-    :class:`WelchLynchProcess` construction — used by the ablation tests
-    to run the amortized/staggered variants through the same harness.
+    :class:`WelchLynchProcess` construction (for the comparison algorithms
+    and the ablation tests); it refuses ``averaging``, ``stagger_interval``
+    and ``exchanges_per_round``, which only that construction reads.
 
     With a ``topology`` the per-hop delay model keeps the caller's (δ, ε)
     while the algorithm and the returned ``result.params`` use the
     topology-effective constants of :func:`effective_parameters`, so audits
     compare against bounds that account for relay accumulation.
     """
+    if correct_process_factory is not None and (
+            averaging is not None or stagger_interval or exchanges_per_round != 1):
+        raise ValueError("correct_process_factory takes no averaging, "
+                         "stagger_interval or exchanges_per_round")
     if fault_kind is None:
         fault_count = 0
     if fault_count is None:
@@ -410,51 +432,27 @@ def run_maintenance_scenario(
     for index in range(fault_count):
         processes.append(make_fault_process(fault_kind, params, rounds,
                                             seed=seed + index))
-    return _run(params, processes, rounds, clock_kind, delay_model, seed,
-                topology=topology, link_schedule=link_schedule,
-                observers=observers, record_trace=record_trace,
-                max_events=max_events, checkpoint_every=checkpoint_every,
-                horizon=horizon)
+    return _run(params, processes, _clocks(params, clock_kind, seed), rounds,
+                delay_model, seed, topology=topology,
+                link_schedule=link_schedule, observers=observers,
+                record_trace=record_trace, max_events=max_events,
+                checkpoint_every=checkpoint_every, horizon=horizon)
 
 
-def run_algorithm_scenario(
-    algorithm: str,
-    params: SyncParameters,
-    rounds: int = 10,
-    fault_kind: Optional[str] = "two_faced",
-    fault_count: Optional[int] = None,
-    clock_kind: str = "constant",
-    delay: Union[str, DelayModel] = "uniform",
-    seed: int = 0,
-    topology: Optional[Topology] = None,
-    link_schedule: Optional[LinkSchedule] = None,
-    observers: Union[ObserverFactory, Sequence[object], None] = None,
-    record_trace: bool = True,
-    max_events: int = 2_000_000,
-    checkpoint_every: Optional[float] = None,
-    horizon: Optional[float] = None,
-) -> ScenarioResult:
-    """Run any of the comparison algorithms on the same workload (E8)."""
+def run_algorithm_scenario(algorithm: str, params: SyncParameters,
+                           **kwargs) -> ScenarioResult:
+    """Run any of the comparison algorithms on the same workload (E8).
+
+    The maintenance scenario with the algorithm's process
+    (:data:`ALGORITHM_FACTORIES`) as every correct process; ``kwargs`` are
+    :func:`run_maintenance_scenario`'s.
+    """
     if algorithm not in ALGORITHM_FACTORIES:
         raise KeyError(f"unknown algorithm {algorithm!r}; "
                        f"choose from {sorted(ALGORITHM_FACTORIES)}")
-    if fault_kind is None:
-        fault_count = 0
-    if fault_count is None:
-        fault_count = params.f
-    delay_model = make_delay_model(delay, params)
-    params = effective_parameters(params, topology)
-    factory = ALGORITHM_FACTORIES[algorithm]
-    processes: List[Process] = [factory(params, rounds)
-                                for _ in range(params.n - fault_count)]
-    for index in range(fault_count):
-        processes.append(make_fault_process(fault_kind, params, rounds,
-                                            seed=seed + index))
-    return _run(params, processes, rounds, clock_kind, delay_model, seed,
-                topology=topology, link_schedule=link_schedule,
-                observers=observers, record_trace=record_trace,
-                max_events=max_events, checkpoint_every=checkpoint_every,
-                horizon=horizon)
+    return run_maintenance_scenario(
+        params, correct_process_factory=ALGORITHM_FACTORIES[algorithm],
+        **kwargs)
 
 
 def run_startup_scenario(
@@ -462,7 +460,7 @@ def run_startup_scenario(
     rounds: int = 8,
     initial_spread: float = 1.0,
     fault_count: Optional[int] = None,
-    fault_kind: str = "silent",
+    fault_kind: Optional[str] = "silent",
     clock_kind: str = "constant",
     delay: Union[str, DelayModel] = "uniform",
     seed: int = 0,
@@ -479,20 +477,21 @@ def run_startup_scenario(
     for index in range(fault_count):
         processes.append(make_fault_process(fault_kind, params, rounds,
                                             seed=seed + index))
-    # Clocks start spread over `initial_spread` (arbitrary initial values).
-    clocks = make_clock_ensemble(params.n, rho=params.rho, beta=initial_spread,
-                                 seed=seed, kind=clock_kind)
-    system = System(processes, clocks, delay_model=delay_model, seed=seed,
-                    topology=topology, link_schedule=link_schedule)
-    start_times = {pid: 0.0 for pid in range(params.n)}
-    for pid in range(params.n):
-        system.schedule_start(pid, 0.0)
+
+    def start_everyone_at_zero(system: System) -> Dict[int, float]:
+        for pid in range(params.n):
+            system.schedule_start(pid, 0.0)
+        return dict.fromkeys(range(params.n), 0.0)
+
     # Each start-up round lasts roughly the two waiting intervals plus delays.
     per_round = (2 * params.delta + 4 * params.epsilon) * 3 + 6 * params.delta
-    end_time = rounds * per_round + initial_spread + 1.0
-    trace = system.run_until(end_time)
-    return ScenarioResult(params=params, trace=trace, start_times=start_times,
-                          rounds=rounds, end_time=end_time)
+    # Clocks start spread over `initial_spread` (arbitrary initial values).
+    return _run(params, processes,
+                _clocks(params, clock_kind, seed, beta=initial_spread),
+                rounds, delay_model, seed,
+                end_time=rounds * per_round + initial_spread + 1.0,
+                start_scheduler=start_everyone_at_zero, topology=topology,
+                link_schedule=link_schedule)
 
 
 def run_reintegration_scenario(
@@ -519,31 +518,26 @@ def run_reintegration_scenario(
     # its recovery; stopping it one round early keeps it from averaging over a
     # round in which the (already finished) correct processes stay silent.
     remaining_rounds = max(1, rounds - int(recover_after_rounds) - 2)
-    recovering = RecoveringProcess(params, max_rounds=remaining_rounds)
-    processes.append(recovering)
-    clocks = make_clock_ensemble(params.n, rho=params.rho, beta=params.beta,
-                                 seed=seed, kind=clock_kind)
+    processes.append(RecoveringProcess(params, max_rounds=remaining_rounds))
     # Give the repaired process an arbitrary (badly wrong) clock: the point of
     # Section 9.1 is that the averaging cancels the arbitrary initial value.
+    clocks = _clocks(params, clock_kind, seed)
     if recovered_clock_offset is None:
         recovered_clock_offset = 0.5 * params.round_length
-    from ..clocks.drift import ConstantRateClock
     clocks[params.n - 1] = ConstantRateClock(offset=recovered_clock_offset,
                                              rate=1.0, rho=params.rho)
-    system = System(processes, clocks, delay_model=delay_model, seed=seed)
-    start_times: Dict[int, float] = {}
-    for pid in range(params.n - 1):
-        start_times[pid] = system.schedule_start_at_logical(
-            pid, params.initial_round_time)
     recovery_time = (params.initial_round_time
                      + recover_after_rounds * params.round_length)
-    system.schedule_start(params.n - 1, recovery_time)
-    start_times[params.n - 1] = recovery_time
-    end_time = (params.initial_round_time + rounds * params.round_length
-                + params.collection_window() + 10 * params.delta + params.beta)
-    trace = system.run_until(end_time)
-    return ScenarioResult(params=params, trace=trace, start_times=start_times,
-                          rounds=rounds, end_time=end_time)
+
+    def start_with_recovery(system: System) -> Dict[int, float]:
+        start_times = {pid: system.schedule_start_at_logical(
+            pid, params.initial_round_time) for pid in range(params.n - 1)}
+        system.schedule_start(params.n - 1, recovery_time)
+        start_times[params.n - 1] = recovery_time
+        return start_times
+
+    return _run(params, processes, clocks, rounds, delay_model, seed,
+                start_scheduler=start_with_recovery)
 
 
 # ---------------------------------------------------------------------------
@@ -602,11 +596,8 @@ def run_partition_heal_scenario(
         )
     delay_model = make_delay_model(delay, params)
     params = effective_parameters(params, topology)
+    clocks = _clocks(params, clock_kind, seed)
     if groups is None:
-        # make_clock_ensemble is deterministic, so probing it here yields
-        # exactly the clocks _run will build below.
-        clocks = make_clock_ensemble(params.n, rho=params.rho, beta=params.beta,
-                                     seed=seed, kind=clock_kind)
         by_rate = sorted(range(params.n), key=lambda pid: clocks[pid].rate_at(0.0))
         half = (params.n + 1) // 2
         groups = [by_rate[:half], by_rate[half:]]
@@ -623,10 +614,11 @@ def run_partition_heal_scenario(
     processes: List[Process] = [WelchLynchProcess(params, max_rounds=rounds,
                                                   discard_stale=True)
                                 for _ in range(params.n)]
-    extra_time = post_heal_rounds * params.round_length
-    result = _run(params, processes, rounds, clock_kind, delay_model, seed,
-                  extra_time=extra_time, topology=topology,
-                  link_schedule=schedule, observers=observers)
+    result = _run(params, processes, clocks, rounds, delay_model, seed,
+                  end_time=maintenance_end_time(
+                      params, rounds, post_heal_rounds * params.round_length),
+                  topology=topology, link_schedule=schedule,
+                  observers=observers)
     return PartitionHealResult(
         params=result.params, trace=result.trace,
         start_times=result.start_times, rounds=result.rounds,

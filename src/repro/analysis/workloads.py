@@ -71,8 +71,8 @@ class Workload:
     delay_kind: str = "uniform"
     #: extra keyword arguments for the delay model constructor.
     delay_options: Dict[str, float] = field(default_factory=dict)
-    #: physical-clock drift model: 'perfect', 'constant', 'piecewise',
-    #: 'sinusoidal' or 'walk'.
+    #: physical-clock drift model, one of
+    #: :data:`~repro.clocks.drift.CLOCK_KINDS`.
     clock_kind: str = "constant"
     #: fault behaviour injected into the last f process slots (None = no faults).
     fault_kind: Optional[str] = "two_faced"
@@ -261,45 +261,34 @@ def build_spec(workload: Workload, n: int = 7, f: int = 2,
     ``rounds``, ``record_trace`` and ``observers`` default to the workload's
     own presets (the long-horizon workloads stream by default); pass explicit
     values to override.  ``horizon`` / ``checkpoint_every`` thread straight
-    through to the streaming pipeline.
+    through to the streaming pipeline.  The workload picks the scenario (a
+    ``partition_heal`` link fault or maintenance); the stagger option and
+    the streaming fields are then set on that spec, which refuses what its
+    kind cannot honour (the partition-heal scenario takes neither).
     """
     params = build_parameters(workload, n=n, f=f, round_length=round_length)
-    topo = topology if topology is not None else workload.topology
-    if rounds is None:
-        rounds = workload.default_rounds
+    common = dict(
+        rounds=workload.default_rounds if rounds is None else rounds,
+        clock_kind=workload.clock_kind, delay=workload.delay_kind,
+        delay_options=workload.delay_options, seed=seed,
+        topology=workload.topology if topology is None else topology)
     if workload.link_fault_kind == "partition_heal":
-        if stagger_interval:
-            raise ValueError(
-                f"workload {workload.name!r} does not support staggered "
-                f"broadcast (the partition-heal scenario has no stagger "
-                f"support)")
-        if (record_trace is False or observers or horizon is not None
-                or checkpoint_every is not None or samples is not None):
-            # Dropping these silently would report a streaming run that
-            # never happened (and skip every audit).
-            raise ValueError(
-                f"workload {workload.name!r} runs the partition-heal "
-                f"scenario, which does not support the streaming pipeline "
-                f"(record_trace=False / observers / horizon / "
-                f"checkpoint_every / samples)")
-        options = {key: int(value)
-                   for key, value in workload.link_fault_options.items()}
-        return RunSpec.partition_heal(
-            params, rounds=rounds, clock_kind=workload.clock_kind,
-            delay=workload.delay_kind, delay_options=workload.delay_options,
-            topology=topo, seed=seed, **options)
-    if workload.link_fault_kind is not None:
+        spec = RunSpec.partition_heal(
+            params, **common, **{key: int(value) for key, value
+                                 in workload.link_fault_options.items()})
+    elif workload.link_fault_kind is not None:
         raise ValueError(f"workload {workload.name!r} has unknown link fault "
                          f"kind {workload.link_fault_kind!r}")
-    extras = {"stagger_interval": stagger_interval} if stagger_interval else {}
-    if record_trace is None:
-        record_trace = workload.record_trace
-    if observers is None:
-        observers = workload.observers
-    return RunSpec.maintenance(
-        params, rounds=rounds, fault_kind=workload.fault_kind,
-        clock_kind=workload.clock_kind, delay=workload.delay_kind,
-        delay_options=workload.delay_options, topology=topo, seed=seed,
-        record_trace=record_trace, observers=tuple(observers),
-        horizon=horizon, checkpoint_every=checkpoint_every, samples=samples,
-        **extras)
+    else:
+        spec = RunSpec.maintenance(params, fault_kind=workload.fault_kind,
+                                   **common)
+    options = spec.options
+    if stagger_interval:
+        options += (("stagger_interval", stagger_interval),)
+    return spec.replace(
+        options=options,
+        record_trace=(workload.record_trace if record_trace is None
+                      else record_trace),
+        observers=tuple(workload.observers if observers is None
+                        else observers),
+        horizon=horizon, checkpoint_every=checkpoint_every, samples=samples)

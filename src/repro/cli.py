@@ -774,19 +774,19 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 def _cmd_conformance(args: argparse.Namespace) -> int:
     from .adversary.conformance import build_conformance_matrix, run_conformance
 
-    fault_kinds = [None if kind == "none" else kind
-                   for kind in args.fault_kinds]
     topologies = [None if spec == "complete" else spec
                   for spec in args.topologies]
     try:
         cases = build_conformance_matrix(
             n=args.n, f=args.f, rounds=args.rounds, seed=args.seed,
-            algorithms=args.algorithms, fault_kinds=fault_kinds,
+            algorithms=args.algorithms, fault_kinds=args.fault_kinds,
             topologies=topologies, delay=args.delay)
-        report = run_conformance(cases, runner=_runner(args))
-    except (ValueError, KeyError) as error:
+    except ValueError as error:
+        # Every bad input is refused here, before a cell runs; an error
+        # inside a cell is a bug and keeps its traceback.
         print(f"error: {error}", file=sys.stderr)
         return 2
+    report = run_conformance(cases, runner=_runner(args))
     print(f"conformance matrix: {len(cases)} cells "
           f"({len(set(c.algorithm for c in cases))} algorithms x "
           f"{len(set(c.fault_kind for c in cases))} fault models x "

@@ -36,6 +36,7 @@ __all__ = [
     "SinusoidalDriftClock",
     "RandomRateWalkClock",
     "make_clock_ensemble",
+    "CLOCK_KINDS",
 ]
 
 
@@ -250,6 +251,10 @@ class RandomRateWalkClock(PiecewiseLinearClock):
         self.seed = seed
 
 
+#: the drift models :func:`make_clock_ensemble` builds (a spec's ``clock_kind``).
+CLOCK_KINDS = ("perfect", "constant", "piecewise", "sinusoidal", "walk")
+
+
 def make_clock_ensemble(
     n: int,
     rho: float,
@@ -263,11 +268,13 @@ def make_clock_ensemble(
     The offsets are chosen so that at real time ``reference_time`` the clock
     readings are spread over an interval of width at most ``beta`` — this
     realises assumption A4 for logical clocks whose initial corrections are
-    zero.  ``kind`` selects the drift model: ``"perfect"``, ``"constant"``,
-    ``"piecewise"``, ``"sinusoidal"`` or ``"walk"``.
+    zero.  ``kind`` selects the drift model, one of :data:`CLOCK_KINDS`.
     """
     if n <= 0:
         raise ValueError("n must be positive")
+    if kind not in CLOCK_KINDS:
+        raise ValueError(f"unknown clock kind {kind!r}; "
+                         f"choose from {', '.join(CLOCK_KINDS)}")
     rng = random.Random(seed)
     lo_rate, hi_rate = rho_rate_bounds(rho)
     clocks: List[Clock] = []
@@ -293,9 +300,7 @@ def make_clock_ensemble(
                                                period=rng.uniform(500.0, 2000.0),
                                                phase=rng.uniform(0, 2 * math.pi),
                                                rho=rho))
-        elif kind == "walk":
+        else:  # "walk"
             clocks.append(RandomRateWalkClock(offset=target, rho=rho,
                                               seed=rng.randrange(1 << 30)))
-        else:
-            raise ValueError(f"unknown clock kind {kind!r}")
     return clocks

@@ -18,12 +18,20 @@ The scenario kinds mirror the builders in
 kind                      underlying builder
 ========================  ====================================================
 ``maintenance``           :func:`~repro.analysis.experiments.run_maintenance_scenario`
-``algorithm``             :func:`~repro.analysis.experiments.run_algorithm_scenario`
+``algorithm``             ``run_maintenance_scenario`` with the algorithm's
+                          process as every correct process (what
+                          :func:`~repro.analysis.experiments.run_algorithm_scenario`
+                          runs)
 ``startup``               :func:`~repro.analysis.experiments.run_startup_scenario`
 ``reintegration``         :func:`~repro.analysis.experiments.run_reintegration_scenario`
 ``partition_heal``        :func:`~repro.analysis.experiments.run_partition_heal_scenario`
 ``net``                   :func:`~repro.net.cluster.execute_net_spec`
 ========================  ====================================================
+
+``_execute`` turns every simulated spec into one keyword set and one call
+of its kind's builder; what a kind takes, and the fault, clock and
+algorithm names (the tuples their builders read), are checked when the
+spec is built.
 
 One deliberate exception to the purity contract: ``kind='net'`` runs the
 algorithm over real TCP sockets with real clocks, so its results depend on
@@ -50,6 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Mapping, Optional, Tuple, Union, TYPE_CHECKING
 
+from ..clocks.drift import CLOCK_KINDS
 from ..core.config import ParameterError, SyncParameters
 from ..sim.network import DELAY_MODEL_KINDS
 from ..topology.base import Topology
@@ -88,6 +97,13 @@ _NO_FAULT_KINDS = frozenset({"reintegration", "partition_heal", "net"})
 #: kinds whose builders accept the streaming pipeline knobs
 #: (observers / record_trace / horizon / checkpoint_every / max_events).
 _STREAMING_KINDS = frozenset({"maintenance", "algorithm"})
+
+#: the :mod:`repro.analysis.experiments` builder each simulated kind runs.
+_BUILDERS = dict(maintenance="run_maintenance_scenario",
+                 algorithm="run_maintenance_scenario",
+                 startup="run_startup_scenario",
+                 reintegration="run_reintegration_scenario",
+                 partition_heal="run_partition_heal_scenario")
 
 #: the ``engine=`` choices; :func:`engine_for` derives the grouping itself.
 ENGINES = ("auto", "serial", "kernel")
@@ -192,9 +208,16 @@ class RunSpec:
             raise TypeError("delay must be a delay-model family name (a spec "
                             "stays declarative; build model objects at "
                             "execution time)")
-        if self.delay not in DELAY_KINDS:
-            raise ValueError(f"unknown delay model {self.delay!r}; "
-                             f"choose from {', '.join(sorted(DELAY_KINDS))}")
+        # Deferred like execute's: repro.analysis imports this module.
+        from ..analysis.experiments import ALGORITHM_FACTORIES, FAULT_BEHAVIOURS
+        for label, name, names in (
+                ("delay model", self.delay, DELAY_KINDS),
+                ("clock kind", self.clock_kind, CLOCK_KINDS),
+                ("fault kind", self.fault_kind, FAULT_BEHAVIOURS),
+                ("algorithm", self.algorithm, ALGORITHM_FACTORIES)):
+            if name is not None and name not in names:
+                raise ValueError(f"unknown {label} {name!r}; "
+                                 f"choose from {', '.join(sorted(names))}")
         if self.kind == "algorithm":
             if self.algorithm is None:
                 raise ValueError("kind='algorithm' needs an algorithm name")
@@ -305,36 +328,22 @@ class RunSpec:
         return cls(kind="maintenance", params=params, rounds=rounds,
                    fault_kind=fault_kind, fault_count=fault_count,
                    clock_kind=clock_kind, delay=delay,
-                   delay_options=_freeze_options(delay_options, "delay_options"),
-                   topology=topology, seed=seed,
-                   options=_freeze_options(options, "options"),
-                   record_trace=record_trace, observers=tuple(observers),
-                   horizon=horizon, checkpoint_every=checkpoint_every,
-                   max_events=max_events, samples=samples)
+                   delay_options=delay_options, topology=topology, seed=seed,
+                   options=options, record_trace=record_trace,
+                   observers=observers, horizon=horizon,
+                   checkpoint_every=checkpoint_every, max_events=max_events,
+                   samples=samples)
 
     @classmethod
     def algorithm_run(cls, algorithm: str, params: SyncParameters,
-                      rounds: int = 10,
-                      fault_kind: Optional[str] = "two_faced",
-                      fault_count: Optional[int] = None,
-                      clock_kind: str = "constant", delay: str = "uniform",
-                      delay_options: Optional[Mapping[str, Any]] = None,
-                      topology: Optional[Union[str, Topology]] = None,
-                      seed: int = 0, record_trace: bool = True,
-                      observers: Tuple[str, ...] = (),
-                      horizon: Optional[float] = None,
-                      checkpoint_every: Optional[float] = None,
-                      max_events: Optional[int] = None,
-                      samples: Optional[int] = None) -> "RunSpec":
-        """Any comparison algorithm on the shared workload (Section 10)."""
-        return cls(kind="algorithm", params=params, rounds=rounds,
-                   algorithm=algorithm, fault_kind=fault_kind,
-                   fault_count=fault_count, clock_kind=clock_kind, delay=delay,
-                   delay_options=_freeze_options(delay_options, "delay_options"),
-                   topology=topology, seed=seed,
-                   record_trace=record_trace, observers=tuple(observers),
-                   horizon=horizon, checkpoint_every=checkpoint_every,
-                   max_events=max_events, samples=samples)
+                      **fields: Any) -> "RunSpec":
+        """Any comparison algorithm on the shared workload (Section 10).
+
+        The :meth:`maintenance` spec with the algorithm's name; ``fields``
+        are its keywords, scenario options excepted.
+        """
+        return replace(cls.maintenance(params, **fields), kind="algorithm",
+                       algorithm=algorithm)
 
     @classmethod
     def startup(cls, params: SyncParameters, rounds: int = 8,
@@ -349,8 +358,7 @@ class RunSpec:
         return cls(kind="startup", params=params, rounds=rounds,
                    fault_kind=fault_kind, fault_count=fault_count,
                    clock_kind=clock_kind, delay=delay,
-                   delay_options=_freeze_options(delay_options, "delay_options"),
-                   topology=topology, seed=seed,
+                   delay_options=delay_options, topology=topology, seed=seed,
                    options=(("initial_spread", float(initial_spread)),))
 
     @classmethod
@@ -366,8 +374,7 @@ class RunSpec:
             options["recovered_clock_offset"] = float(recovered_clock_offset)
         return cls(kind="reintegration", params=params, rounds=rounds,
                    fault_kind=None, clock_kind=clock_kind, delay=delay,
-                   delay_options=_freeze_options(delay_options, "delay_options"),
-                   seed=seed, options=_freeze_options(options, "options"))
+                   delay_options=delay_options, seed=seed, options=options)
 
     @classmethod
     def partition_heal(cls, params: SyncParameters, rounds: int = 16,
@@ -388,9 +395,8 @@ class RunSpec:
             options["groups"] = tuple(tuple(group) for group in groups)
         return cls(kind="partition_heal", params=params, rounds=rounds,
                    fault_kind=None, clock_kind=clock_kind, delay=delay,
-                   delay_options=_freeze_options(delay_options, "delay_options"),
-                   topology=topology, seed=seed,
-                   options=_freeze_options(options, "options"))
+                   delay_options=delay_options, topology=topology, seed=seed,
+                   options=options)
 
     @classmethod
     def net(cls, n: int, f: Optional[int] = None, rho: float = 1e-5,
@@ -416,8 +422,7 @@ class RunSpec:
         if samples is not None:
             options["samples"] = int(samples)
         return cls(kind="net", params=placeholder, rounds=rounds,
-                   fault_kind=None, seed=seed,
-                   options=_freeze_options(options, "options"))
+                   fault_kind=None, seed=seed, options=options)
 
 
 def _streaming_kwargs(spec: RunSpec) -> Dict[str, Any]:
@@ -560,44 +565,28 @@ def _execute(spec: RunSpec, experiments, build_topology,
         return execute_net_spec(spec)
     params = spec.params
     topology = build_topology(spec.topology, n=params.n, seed=spec.seed)
+    if round_engine:
+        # None means the engine declined (out-of-scope topology or a
+        # mid-run clean-path exit) and the serial loop — the
+        # bit-identical reference — runs instead.
+        from ..sim import roundengine
+        result = roundengine.try_execute(spec, topology)
+        if result is not None:
+            return result
     delay_model = experiments.make_delay_model(spec.delay, params,
                                                **spec.delay_options_dict())
-    options = spec.options_dict()
-    if spec.kind == "maintenance":
-        result = None
-        if round_engine:
-            # None means the engine declined (out-of-scope topology or a
-            # mid-run clean-path exit) and the serial loop — the
-            # bit-identical reference — runs instead.
-            from ..sim import roundengine
-            result = roundengine.try_execute(spec, topology)
-        if result is None:
-            result = experiments.run_maintenance_scenario(
-                params, rounds=spec.rounds, fault_kind=spec.fault_kind,
-                fault_count=spec.fault_count, clock_kind=spec.clock_kind,
-                delay=delay_model, seed=spec.seed, topology=topology,
-                **_streaming_kwargs(spec), **options)
-    elif spec.kind == "algorithm":
-        result = experiments.run_algorithm_scenario(
-            spec.algorithm, params, rounds=spec.rounds,
-            fault_kind=spec.fault_kind, fault_count=spec.fault_count,
-            clock_kind=spec.clock_kind, delay=delay_model, seed=spec.seed,
-            topology=topology, **_streaming_kwargs(spec), **options)
-    elif spec.kind == "startup":
-        result = experiments.run_startup_scenario(
-            params, rounds=spec.rounds, fault_kind=spec.fault_kind or "silent",
-            fault_count=spec.fault_count if spec.fault_kind is not None else 0,
-            clock_kind=spec.clock_kind, delay=delay_model, seed=spec.seed,
-            topology=topology, **options)
-    elif spec.kind == "reintegration":
-        result = experiments.run_reintegration_scenario(
-            params, rounds=spec.rounds, clock_kind=spec.clock_kind,
-            delay=delay_model, seed=spec.seed, **options)
-    else:  # partition_heal — __post_init__ guarantees the kind set
-        groups = options.pop("groups", None)
-        result = experiments.run_partition_heal_scenario(
-            params, rounds=spec.rounds, groups=groups,
-            clock_kind=spec.clock_kind, delay=delay_model, seed=spec.seed,
-            topology=topology, **options)
+    kwargs = dict(spec.options, rounds=spec.rounds,
+                  clock_kind=spec.clock_kind, seed=spec.seed,
+                  delay=delay_model, **_streaming_kwargs(spec))
+    if spec.kind != "reintegration":
+        kwargs["topology"] = topology
+    if spec.kind not in _NO_FAULT_KINDS:
+        kwargs["fault_kind"] = spec.fault_kind
+        kwargs["fault_count"] = (0 if spec.fault_kind is None
+                                 else spec.fault_count)
+    if spec.algorithm is not None:
+        kwargs["correct_process_factory"] = \
+            experiments.ALGORITHM_FACTORIES[spec.algorithm]
+    result = getattr(experiments, _BUILDERS[spec.kind])(params, **kwargs)
     result.spec = spec
     return result

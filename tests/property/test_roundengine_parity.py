@@ -239,19 +239,57 @@ class TestParity:
         assert roundengine.decline_reason(spec, len(seeds)) == (
             None if backend == "numpy" else "numpy is off")
         serial = [execute(spec.with_seed(s), engine="serial") for s in seeds]
-        # Constant clocks (distinct random rates) must take the clean path;
-        # perfect clocks can align logical clocks exactly after a correction
-        # and legitimately trip the tied-send-time exit — parity must hold
+        # Constant clocks (distinct random rates) under uniform delays must
+        # take the clean path.  Perfect clocks can align logical clocks
+        # exactly after a correction, and fixed delays can tie two senders'
+        # broadcast times (test_fixed_delays_can_tie_send_times): both
+        # legitimately trip the tied-send-time exit, and parity must hold
         # either way.
         if backend != "numpy":
             expect = False
-        elif spec.clock_kind == "perfect":
+        elif spec.clock_kind == "perfect" or spec.delay == "fixed":
             expect = None
         else:
             expect = True
         results = _run_engine(spec, seeds, expect, grouping)
         for a, b in zip(serial, results):
             _assert_identical(spec, a, b)
+
+    @pytest.mark.parametrize("grouping", GROUPINGS)
+    def test_fixed_delays_can_tie_send_times(self, numpy_on, monkeypatch,
+                                             grouping):
+        """A drawn case: constant clocks, fixed delays, seeds 386-390.
+
+        In the serial run of seed 390 pids 2 and 3 both broadcast at real
+        time 1.2642086551245035, so that seed alone leaves the clean path
+        ("tied send times", as the kernel's docstring lists) and re-runs
+        serially; every result equals its serial run.
+        """
+        spec = RunSpec.maintenance(
+            default_parameters(n=5, f=1), rounds=4, fault_kind="two_faced",
+            fault_count=1, clock_kind="constant", delay="fixed",
+            record_trace=False, observers=("skew", "validity"))
+        seeds = list(range(386, 391))
+        specs = [spec.with_seed(seed) for seed in seeds]
+        if grouping == "grouped":
+            engine = roundengine.RoundSystem(spec, seeds)
+            engine.run()
+            assert engine.reason == [None] * 4 + ["tied send times"]
+            reruns = _record_serial_reruns(monkeypatch)
+            results = execute_batch(specs)
+            assert reruns == [390]
+        else:
+            results, fell = [], []
+            for one in specs:
+                engine = roundengine.RoundSystem(one, [one.seed])
+                engine.run()
+                telemetry = Telemetry()
+                with activated(telemetry):
+                    results.append(execute(one, engine="kernel"))
+                if telemetry.registry.value("roundengine.fallbacks"):
+                    fell.append((one.seed, engine.reason[0]))
+            assert fell == [(390, "tied send times")]
+        _assert_all_serial(spec, seeds, results)
 
     @pytest.mark.parametrize("grouping", GROUPINGS)
     @SLOW

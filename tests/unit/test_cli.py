@@ -490,6 +490,34 @@ class TestConformanceCommand:
             build_parser().parse_args(["conformance", "--algorithms",
                                        "quantum_sync"])
 
+    def test_unknown_fault_kind_is_refused_before_any_cell(self, capsys,
+                                                           monkeypatch):
+        from repro.runner import batch
+
+        def unreachable(spec, engine="auto"):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(batch, "execute", unreachable)
+        status = main(["conformance", "-n", "4", "-f", "1", "--rounds", "2",
+                       "--fault-kinds", "twofaced"])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert "unknown fault kind 'twofaced'" in err
+
+    def test_error_inside_a_cell_is_not_a_usage_error(self, monkeypatch):
+        # A ValueError while a cell runs is a bug: it keeps its traceback
+        # instead of the exit 2 of a refused input.
+        from repro.runner import batch
+
+        def broken(spec, engine="auto"):
+            raise ValueError("bug inside a cell")
+
+        monkeypatch.setattr(batch, "execute", broken)
+        with pytest.raises(ValueError, match="bug inside a cell"):
+            main(["conformance", "-n", "4", "-f", "1", "--rounds", "2",
+                  "--algorithms", "welch_lynch", "--fault-kinds", "none"])
+
 
 class TestTightnessSweep:
     def test_tightness_axis_brackets_the_achieved_skew(self, capsys):

@@ -10,11 +10,20 @@ import pytest
 
 import repro
 from repro.analysis import default_parameters
+from repro.analysis import experiments
 from repro.analysis.experiments import (
+    ALGORITHM_FACTORIES,
+    FAULT_BEHAVIOURS,
     PartitionHealResult,
     ScenarioResult,
+    run_algorithm_scenario,
     run_maintenance_scenario,
+    run_partition_heal_scenario,
+    run_reintegration_scenario,
+    run_startup_scenario,
 )
+from repro.clocks.drift import CLOCK_KINDS, make_clock_ensemble
+from repro.core.averaging import FaultTolerantMean
 from repro.runner import (
     BatchRunner,
     ReplicatedResult,
@@ -80,6 +89,54 @@ class TestRunSpecValidation:
             RunSpec(kind="maintenance", params=params,
                     delay=FixedDelayModel(0.01))
 
+    @pytest.mark.parametrize("build,message,choice", [
+        (lambda p: RunSpec.maintenance(p, fault_kind="twofaced"),
+         "unknown fault kind 'twofaced'", "two_faced"),
+        (lambda p: RunSpec.maintenance(p, clock_kind="drifty"),
+         "unknown clock kind 'drifty'", "constant"),
+        (lambda p: RunSpec.algorithm_run("nope", p),
+         "unknown algorithm 'nope'", "welch_lynch"),
+    ], ids=["fault_kind", "clock_kind", "algorithm"])
+    def test_rejects_unknown_names_at_construction(self, params, build,
+                                                   message, choice):
+        # A typo fails here, not as a retried fault inside a worker.
+        with pytest.raises(ValueError, match=message) as excinfo:
+            build(params)
+        assert choice in str(excinfo.value)
+
+    def test_algorithm_run_refuses_scenario_options(self, params):
+        with pytest.raises(ValueError, match="not supported by kind "
+                                             "'algorithm'"):
+            RunSpec.algorithm_run("hssd", params, stagger_interval=0.001)
+
+
+class TestNameFamilies:
+    """Every name a spec accepts is one its builder builds, and a builder
+    given any other name lists the same choices."""
+
+    @pytest.mark.parametrize("kind", FAULT_BEHAVIOURS)
+    def test_fault_behaviours(self, params, kind):
+        result = execute(RunSpec.maintenance(params, rounds=2,
+                                             fault_kind=kind))
+        assert sorted(result.trace.faulty_ids) == [5, 6]
+
+    @pytest.mark.parametrize("kind", CLOCK_KINDS)
+    def test_clock_kinds(self, params, kind):
+        execute(RunSpec.maintenance(params, rounds=2, clock_kind=kind))
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHM_FACTORIES))
+    def test_algorithms(self, params, algorithm):
+        execute(RunSpec.algorithm_run(algorithm, params, rounds=2))
+
+    def test_builders_name_the_choices(self, params):
+        with pytest.raises(ValueError, match=", ".join(FAULT_BEHAVIOURS)):
+            experiments.make_fault_process("twofaced", params, rounds=2)
+        with pytest.raises(ValueError, match=", ".join(CLOCK_KINDS)):
+            make_clock_ensemble(params.n, rho=params.rho, beta=params.beta,
+                                kind="drifty")
+        with pytest.raises(KeyError, match="welch_lynch"):
+            run_algorithm_scenario("nope", params)
+
 
 class TestRunSpecValueSemantics:
     def test_equal_specs_hash_equal(self, params):
@@ -117,14 +174,48 @@ class TestRunSpecValueSemantics:
         assert "ring" in label and "seed=4" in label
 
 
+#: (spec, the direct builder call that runs the same scenario), per kind.
+DIRECT_CALLS = {
+    "maintenance": (
+        lambda p: RunSpec.maintenance(p, rounds=5, seed=3),
+        lambda p: run_maintenance_scenario(p, rounds=5, seed=3)),
+    "algorithm": (
+        lambda p: RunSpec.algorithm_run("srikanth_toueg", p, rounds=4,
+                                        seed=3),
+        lambda p: run_algorithm_scenario("srikanth_toueg", p, rounds=4,
+                                         seed=3)),
+    "startup": (
+        lambda p: RunSpec.startup(p, rounds=4, seed=3),
+        lambda p: run_startup_scenario(p, rounds=4, seed=3)),
+    "startup-fault-free": (
+        lambda p: RunSpec.startup(p, rounds=4, seed=3, fault_kind=None),
+        lambda p: run_startup_scenario(p, rounds=4, seed=3, fault_count=0)),
+    "reintegration": (
+        lambda p: RunSpec.reintegration(p, rounds=8, seed=3),
+        lambda p: run_reintegration_scenario(p, rounds=8, seed=3)),
+    "partition-heal": (
+        lambda p: RunSpec.partition_heal(p, rounds=12, partition_round=3,
+                                         heal_round=7, seed=3),
+        lambda p: run_partition_heal_scenario(p, rounds=12, partition_round=3,
+                                              heal_round=7, seed=3)),
+}
+
+
 class TestExecute:
-    def test_maintenance_matches_direct_builder_call(self, params):
-        spec = RunSpec.maintenance(params, rounds=5, seed=3)
-        via_spec = execute(spec)
-        direct = run_maintenance_scenario(params, rounds=5, seed=3)
-        assert via_spec.trace.events == direct.trace.events
-        assert via_spec.end_time == direct.end_time
+    @pytest.mark.parametrize("kind", DIRECT_CALLS)
+    def test_maintenance_matches_direct_builder_call(self, params, kind):
+        # One translation from spec to builder keywords serves every kind.
+        make_spec, call = DIRECT_CALLS[kind]
+        via_spec = execute(make_spec(params))
+        direct = call(params)
+        assert via_spec.trace.log == direct.trace.log
+        for pid in range(params.n):
+            assert via_spec.trace.correction_history(pid).__reduce__() == \
+                direct.trace.correction_history(pid).__reduce__()
         assert via_spec.start_times == direct.start_times
+        assert via_spec.end_time == direct.end_time
+        assert via_spec.trace.stats == direct.trace.stats
+        assert type(via_spec) is type(direct)
 
     def test_result_carries_its_spec(self, params):
         spec = RunSpec.maintenance(params, rounds=4, seed=1)
@@ -145,12 +236,47 @@ class TestExecute:
             assert result.spec == spec
         assert isinstance(execute(specs[-1]), PartitionHealResult)
 
+    def test_partition_heal_builds_one_clock_ensemble(self, params,
+                                                      monkeypatch):
+        # The clocks that pick the default groups are the ones that run.
+        built = []
+        real = experiments.make_clock_ensemble
+
+        def counting(*args, **kwargs):
+            built.append(kwargs.get("seed"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "make_clock_ensemble", counting)
+        execute(RunSpec.partition_heal(params, rounds=12, partition_round=3,
+                                       heal_round=7, seed=3))
+        assert built == [3]
+
     def test_topology_spec_string_is_honored(self, params):
         result = execute(RunSpec.maintenance(params, rounds=4, fault_kind=None,
                                              topology="ring", seed=1))
         # The ring stretches the effective envelope: delta' > delta.
         assert result.params.delta > params.delta
         assert result.trace.stats.relayed > 0
+
+
+class TestFactoryGuard:
+    """A process factory builds the correct processes itself, so the knobs
+    only the default construction reads are refused, not ignored."""
+
+    @pytest.mark.parametrize("knob", [{"averaging": FaultTolerantMean()},
+                                      {"stagger_interval": 0.001},
+                                      {"exchanges_per_round": 2}],
+                             ids=lambda knob: next(iter(knob)))
+    def test_maintenance_refuses_ignored_knobs(self, params, knob):
+        with pytest.raises(ValueError, match="correct_process_factory"):
+            run_maintenance_scenario(
+                params, rounds=2,
+                correct_process_factory=ALGORITHM_FACTORIES["welch_lynch"],
+                **knob)
+
+    def test_algorithm_builder_refuses_stagger(self, params):
+        with pytest.raises(ValueError, match="stagger_interval"):
+            run_algorithm_scenario("hssd", params, stagger_interval=0.001)
 
 
 class TestBatchRunner:
